@@ -42,10 +42,35 @@ pub use f16::Half;
 pub use vec2::Half2;
 pub use vec48::{Half4, Half8};
 
+/// splitmix64, the counter-based mix behind the keyed streams built on
+/// this crate (stochastic-rounding draws, streamed-edge draws, snapshot
+/// checksums): chaining it over a key makes every draw a pure function
+/// of that key. The neighbor sampler (`halfgnn-graph`) and the latency
+/// model (`halfgnn-sim`) keep identical copies, since neither crate
+/// depends on this one.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 /// Re-export of the scalar type, intrinsics and vector types for glob imports.
 pub mod prelude {
     pub use crate::f16::Half;
     pub use crate::intrinsics::*;
     pub use crate::vec2::Half2;
     pub use crate::vec48::{Half4, Half8};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn splitmix64_is_the_reference_mix() {
+        // The published splitmix64 output for state 0: every keyed stream
+        // (rounding draws, streamed edges, snapshot checksums) depends on it.
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+    }
 }

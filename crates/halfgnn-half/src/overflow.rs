@@ -114,6 +114,16 @@ impl Summary {
     pub fn is_clean(&self) -> bool {
         self.first.is_none()
     }
+
+    /// Fold a later window into this one: counts add, and the earlier
+    /// window's first event is kept.
+    pub fn merge(&mut self, later: Summary) {
+        self.conversions += later.conversions;
+        self.overflows += later.overflows;
+        self.inf_propagated += later.inf_propagated;
+        self.nan_propagated += later.nan_propagated;
+        self.first = self.first.take().or(later.first);
+    }
 }
 
 #[cfg(feature = "provenance")]
@@ -338,6 +348,36 @@ mod tests {
         begin();
         let s = take();
         assert_eq!(s.conversions, 0);
+    }
+
+    #[test]
+    fn merge_adds_counts_and_keeps_the_earliest_first_event() {
+        let event = |site: &str| OverflowEvent {
+            site: site.to_string(),
+            conversion_index: 5,
+            input: 1e9,
+            kind: NonfiniteKind::Overflow,
+        };
+        let window = |conversions, overflows, first| Summary {
+            conversions,
+            overflows,
+            inf_propagated: 1,
+            nan_propagated: 2,
+            first,
+        };
+        let mut acc = Summary::default();
+        acc.merge(window(10, 0, None));
+        acc.merge(window(7, 3, Some(event("layer1"))));
+        acc.merge(window(5, 1, Some(event("layer2"))));
+        assert_eq!(
+            (acc.conversions, acc.overflows, acc.inf_propagated, acc.nan_propagated),
+            (22, 4, 3, 6)
+        );
+        assert_eq!(acc.first.map(|e| e.site).as_deref(), Some("layer1"));
+        // One window merged into an empty summary is that window.
+        let mut one = Summary::default();
+        one.merge(window(7, 3, Some(event("layer1"))));
+        assert_eq!(format!("{one:?}"), format!("{:?}", window(7, 3, Some(event("layer1")))));
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! (no feature gate): the inactive cost is one `Cell` read per
 //! quantized element, and there is no pre-existing hot path to protect.
 
+use crate::splitmix64;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 
@@ -38,15 +39,6 @@ pub const BLOCK: usize = 64;
 /// Largest quantized magnitude. The symmetric range `[-127, 127]` keeps
 /// negation exact and leaves `-128` unused.
 pub const QMAX: i32 = 127;
-
-/// splitmix64, identical to the sampler's finalizer: the counter-based
-/// stream that makes every draw a pure function of its key.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// The uniform draw in `[0, 1)` for element `index` of the stream keyed
 /// `(seed, site)`. 24 mantissa-exact bits; the leading constant
@@ -218,6 +210,15 @@ impl SatSummary {
     /// True when every quantization in the window was representable.
     pub fn is_clean(&self) -> bool {
         self.first.is_none()
+    }
+
+    /// Fold a later window into this one: counts add, and the earlier
+    /// window's first event is kept.
+    pub fn merge(&mut self, later: SatSummary) {
+        self.quantized += later.quantized;
+        self.saturated += later.saturated;
+        self.nonfinite_inputs += later.nonfinite_inputs;
+        self.first = self.first.take().or(later.first);
     }
 }
 
@@ -412,6 +413,27 @@ mod tests {
         set_exponent_bias(0);
         assert!(dirty.saturated > 0, "biased scale should clamp");
         assert_eq!(exponent_bias(), 0);
+    }
+
+    #[test]
+    fn merge_adds_counts_and_keeps_the_earliest_first_event() {
+        let event = |site| SatEvent { site, index: 3, input: 1e9, nonfinite_input: false };
+        let window = |quantized, saturated, first| SatSummary {
+            quantized,
+            saturated,
+            nonfinite_inputs: 1,
+            first,
+        };
+        let mut acc = SatSummary::default();
+        acc.merge(window(64, 0, None));
+        acc.merge(window(32, 2, Some(event(7))));
+        acc.merge(window(16, 1, Some(event(9))));
+        assert_eq!((acc.quantized, acc.saturated, acc.nonfinite_inputs), (112, 3, 3));
+        assert_eq!(acc.first.map(|e| e.site), Some(7));
+        // One window merged into an empty summary is that window.
+        let mut one = SatSummary::default();
+        one.merge(window(32, 2, Some(event(7))));
+        assert_eq!(format!("{one:?}"), format!("{:?}", window(32, 2, Some(event(7)))));
     }
 
     #[test]

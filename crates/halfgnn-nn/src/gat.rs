@@ -121,20 +121,8 @@ fn layer_backward_f32(
     (dx, dw, da_src, da_dst)
 }
 
-/// One f32 GAT training step.
-pub fn step_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &GatParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<GatGrads> {
-    step_f32_dist(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float))
-}
-
-/// [`step_f32`] with an explicit dispatch (the float path only consults
-/// its `dist` context).
+/// One f32 GAT training step under an explicit dispatch (the float path
+/// only consults its `dist` context).
 pub fn step_f32_dist(
     ops: &mut Ops,
     g: &GraphView,
@@ -605,20 +593,21 @@ mod tests {
 
     #[test]
     fn f32_gradients_match_finite_differences() {
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
         let dev = DeviceConfig::a100_like();
         let (g, x, labels, mask) = toy();
         let mut p = GatParams::new(8, 6, 2, 11);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let out = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let eps = 1e-3;
 
         // W1 coordinates (checks the full attention backward chain).
         for &idx in &[0usize, 9, 21] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -631,9 +620,9 @@ mod tests {
         for &idx in &[0usize, 3] {
             let orig = p.a_src1[idx];
             p.a_src1[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.a_src1[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.a_src1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -694,7 +683,8 @@ mod tests {
         multi.a_src2.copy_from_slice(&single.a_src2);
         multi.a_dst2.copy_from_slice(&single.a_dst2);
         let mut ops = Ops::new(&dev);
-        let a = step_f32(&mut ops, &g, &single, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let a = step_f32_dist(&mut ops, &g, &single, &x, &labels, &mask, fd32);
         let b = step_f32_multihead(&mut ops, &g, &multi, &x, &labels, &mask);
         assert!((a.loss - b.loss).abs() < 1e-6, "{} vs {}", a.loss, b.loss);
         for (u, v) in a.grads.w1.iter().zip(&b.grads.w1[0]) {
@@ -746,7 +736,8 @@ mod tests {
         let p = GatParams::new(8, 6, 2, 11);
         let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let f = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let f = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let hh = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!((f.loss - hh.loss).abs() < 0.08, "{} vs {}", f.loss, hh.loss);
         assert!(hh.loss.is_finite());

@@ -13,7 +13,7 @@
 use crate::graphdata::GraphView;
 use crate::models::{
     gcn_agg_backward_f32, gcn_agg_backward_half, gcn_agg_f32, gcn_agg_half, grad_colsum_f32,
-    grad_colsum_half, grad_gemm_f32, grad_gemm_half, Dispatch, GcnNorm, PrecisionMode,
+    grad_colsum_half, grad_gemm_f32, grad_gemm_half, Dispatch, GcnNorm,
 };
 use crate::params::{TwoLayerGrads, TwoLayerParams};
 use halfgnn_tensor::Ops;
@@ -30,7 +30,9 @@ pub struct StepOutput<G> {
     pub logits: Vec<f32>,
 }
 
-/// One full-batch f32 training step (the DGL-float baseline).
+/// One f32 training step (the DGL-float baseline) with an explicit
+/// degree-norm placement (§3.1.3 ablations) and dispatch (the float path
+/// only consults its `dist` context).
 ///
 /// Layer-1 order follows DGL's `GraphConv` dispatch: when
 /// `in_feats ≤ out_feats` it aggregates the (cheaper) raw features first,
@@ -38,28 +40,6 @@ pub struct StepOutput<G> {
 /// orders are mathematically identical; the dispatch matters because
 /// aggregate-first runs SpMM on the raw input features, which is where
 /// count-like datasets overflow FP16 (§3.1.3).
-pub fn step_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<TwoLayerGrads> {
-    step_f32_norm(
-        ops,
-        g,
-        p,
-        x,
-        labels,
-        mask,
-        Dispatch::untuned(PrecisionMode::Float),
-        GcnNorm::Right,
-    )
-}
-
-/// [`step_f32`] with an explicit degree-norm placement (§3.1.3 ablations)
-/// and dispatch (the float path only consults its `dist` context).
 #[allow(clippy::too_many_arguments)]
 pub fn step_f32_norm(
     ops: &mut Ops,
@@ -122,20 +102,8 @@ pub fn step_f32_norm(
 }
 
 /// One mixed-precision training step: half state tensors through the
-/// kernels the dispatch's mode selects, f32 master weights and loss.
-pub fn step_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[halfgnn_half::Half],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-) -> StepOutput<TwoLayerGrads> {
-    step_half_norm(ops, g, p, x, labels, mask, d, GcnNorm::Right)
-}
-
-/// [`step_half`] with an explicit degree-norm placement.
+/// kernels the dispatch's mode selects, f32 master weights and loss, with
+/// an explicit degree-norm placement.
 #[allow(clippy::too_many_arguments)]
 pub fn step_half_norm(
     ops: &mut Ops,
@@ -252,15 +220,17 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = TwoLayerParams::new(8, 6, 2, 1);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let right = GcnNorm::Right;
+        let out = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, right);
         // Check a handful of weight coordinates by central differences.
         let eps = 1e-3;
         for &idx in &[0usize, 7, 13, 40] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, right).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, right).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -272,9 +242,9 @@ mod tests {
         for &idx in &[0usize, 5] {
             let orig = p.w2[idx];
             p.w2[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, right).loss;
             p.w2[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, right).loss;
             p.w2[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -398,8 +368,10 @@ mod tests {
         let xh: Vec<halfgnn_half::Half> =
             x.iter().map(|&v| halfgnn_half::Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let f = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
-        let hstep = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let f = step_f32_norm(&mut ops, &g, &p, &x, &labels, &mask, fd32, GcnNorm::Right);
+        let hd = PrecisionMode::HalfGnn.into();
+        let hstep = step_half_norm(&mut ops, &g, &p, &xh, &labels, &mask, hd, GcnNorm::Right);
         assert!((f.loss - hstep.loss).abs() < 0.05, "{} vs {}", f.loss, hstep.loss);
         // Gradient direction agreement (cosine similarity) on W1.
         let dot: f32 = f.grads.w1.iter().zip(&hstep.grads.w1).map(|(a, b)| a * b).sum();

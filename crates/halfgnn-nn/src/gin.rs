@@ -30,20 +30,9 @@ pub const GIN_LAMBDA: f32 = 0.1;
 /// ε in the GIN combine (fixed, non-learnable here).
 pub const GIN_EPS: f32 = 0.0;
 
-/// One f32 GIN step (DGL 'mean' reduction variant).
-pub fn step_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<TwoLayerGrads> {
-    step_f32_dist(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float))
-}
-
-/// [`step_f32`] with an explicit dispatch (the sharded trainer threads a
-/// [`crate::dist::DistCtx`] through it).
+/// One f32 GIN step (DGL 'mean' reduction variant) under an explicit
+/// dispatch (the sharded trainer threads a [`crate::dist::DistCtx`]
+/// through it).
 #[allow(clippy::too_many_arguments)]
 pub fn step_f32_dist(
     ops: &mut Ops,
@@ -91,21 +80,10 @@ pub fn step_f32_dist(
     }
 }
 
-/// One mixed-precision GIN step with the paper's λ. `HalfNaive` runs the
-/// overflowing DGL-mean variant; HalfGNN modes use Eq. 4.
-pub fn step_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[Half],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-) -> StepOutput<TwoLayerGrads> {
-    step_half_lambda(ops, g, p, x, labels, mask, d, GIN_LAMBDA)
-}
-
-/// [`step_half`] with an explicit λ (the §5.2.2 ablation sweeps it).
+/// One mixed-precision GIN step with an explicit λ: the trainer passes
+/// the paper's [`GIN_LAMBDA`] unless configured otherwise, and the §5.2.2
+/// ablation sweeps it. `HalfNaive` runs the overflowing DGL-mean variant;
+/// HalfGNN modes use Eq. 4.
 #[allow(clippy::too_many_arguments)]
 pub fn step_half_lambda(
     ops: &mut Ops,
@@ -214,14 +192,15 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = TwoLayerParams::new(8, 6, 2, 2);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let out = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let eps = 1e-3;
         for &idx in &[0usize, 11, 30] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -234,9 +213,9 @@ mod tests {
             let orig = p.b1[idx % p.b1.len()];
             let j = idx % p.b1.len();
             p.b1[j] = orig + eps;
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.b1[j] = orig - eps;
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.b1[j] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             // Relative slack absorbs ReLU-kink noise in the central
@@ -266,11 +245,12 @@ mod tests {
         let p = TwoLayerParams::new(4, 6, 2, 3);
 
         let mut ops = Ops::new(&dev);
-        let naive =
-            step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfNaive.into());
+        let naive_d = PrecisionMode::HalfNaive.into();
+        let naive = step_half_lambda(&mut ops, &g, &p, &xh, &labels, &mask, naive_d, GIN_LAMBDA);
         assert!(naive.loss.is_nan(), "naive GIN should NaN, got {}", naive.loss);
 
-        let ours = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
+        let ours_d = PrecisionMode::HalfGnn.into();
+        let ours = step_half_lambda(&mut ops, &g, &p, &xh, &labels, &mask, ours_d, GIN_LAMBDA);
         assert!(ours.loss.is_finite(), "HalfGNN GIN must stay finite, got {}", ours.loss);
     }
 }

@@ -12,7 +12,7 @@ use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
 use crate::models::{
     grad_colsum_f32, grad_colsum_half, grad_gemm_f32, grad_gemm_half, spmm_mean_f32,
-    spmm_mean_half, spmm_sum_f32, spmm_sum_half, Dispatch, PrecisionMode,
+    spmm_mean_half, spmm_sum_f32, spmm_sum_half, Dispatch,
 };
 use crate::params::glorot;
 use halfgnn_half::Half;
@@ -125,20 +125,8 @@ impl SageGrads {
     }
 }
 
-/// One f32 GraphSAGE step.
-pub fn step_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &SageParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<SageGrads> {
-    step_f32_dist(ops, g, p, x, labels, mask, Dispatch::untuned(PrecisionMode::Float))
-}
-
-/// [`step_f32`] with an explicit dispatch (the sharded trainer threads a
-/// [`crate::dist::DistCtx`] through it).
+/// One f32 GraphSAGE step under an explicit dispatch (the sharded trainer
+/// threads a [`crate::dist::DistCtx`] through it).
 #[allow(clippy::too_many_arguments)]
 pub fn step_f32_dist(
     ops: &mut Ops,
@@ -304,7 +292,8 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = SageParams::new(8, 6, 2, 5);
         let mut ops = Ops::new(&dev);
-        let out = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let out = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let eps = 1e-3;
         // One coordinate in each parameter tensor covers every path.
         let checks: Vec<(&str, usize)> =
@@ -330,9 +319,9 @@ mod tests {
             };
             let orig = read(&p);
             write(&mut p, orig + eps);
-            let lp = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             write(&mut p, orig - eps);
-            let lm = step_f32(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             write(&mut p, orig);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -349,7 +338,8 @@ mod tests {
         let p = SageParams::new(8, 6, 2, 5);
         let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let f = step_f32(&mut ops, &g, &p, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let f = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let h = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!((f.loss - h.loss).abs() < 0.05, "{} vs {}", f.loss, h.loss);
     }

@@ -11,7 +11,7 @@
 
 use crate::models::ModelKind;
 use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
-use halfgnn_half::Half;
+use halfgnn_half::{splitmix64, Half};
 use std::io;
 use std::path::Path;
 
@@ -59,13 +59,6 @@ fn parse_model(tag: &str) -> Option<ModelKind> {
         "sage" => Some(ModelKind::Sage),
         _ => None,
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn checksum(words: impl Iterator<Item = u64>) -> u64 {
@@ -290,6 +283,14 @@ mod tests {
         );
         // And widening back to f32 matches the quantize-then-widen path.
         assert_eq!(back.flat_f32(), snap.flat_f32());
+    }
+
+    #[test]
+    fn checksum_line_is_pinned() {
+        // The checksum is part of the file format: files written by any
+        // earlier build must keep decoding.
+        let text = ModelSnapshot::from_f32(ModelKind::Gcn, 1, 1, 1, &[1.0, -2.5, 0.0]).encode();
+        assert!(text.contains("\nsum 4d01bea04c159201\n"), "{text}");
     }
 
     #[test]

@@ -1,5 +1,9 @@
-//! Full-batch training loop: Adam over f32 master weights, per-epoch
-//! modeled time, NaN detection, and analytic memory accounting.
+//! Training: one epoch loop — f32 master weights, a
+//! half-precision step, an overflow and saturation check after every
+//! step, an f32 Adam update (paper §5–6) — over a private batch source.
+//! `Full` yields one batch per epoch, the whole graph (the paper's
+//! setting); `Sampled` yields neighbor-sampled batches read through a
+//! [`DeltaCsr`] overlay. DESIGN.md §14 lists what stays per source.
 
 use crate::adam::Adam;
 use crate::dist::DistCtx;
@@ -15,8 +19,7 @@ use halfgnn_graph::datasets::LoadedDataset;
 pub use halfgnn_graph::partition::PartitionStrategy;
 use halfgnn_graph::{DeltaCsr, NeighborSampler, VertexId};
 use halfgnn_half::slice::{f32_slice_to_half, pad_feature_len};
-use halfgnn_half::Half;
-use halfgnn_half::{overflow, quant};
+use halfgnn_half::{overflow, quant, splitmix64, Half};
 use halfgnn_sim::interconnect::LinkStat;
 pub use halfgnn_sim::interconnect::Topology;
 use halfgnn_sim::DeviceConfig;
@@ -50,7 +53,7 @@ pub struct TrainConfig {
     pub model: ModelKind,
     /// Kernel/precision system.
     pub precision: PrecisionMode,
-    /// Full-batch epochs.
+    /// Training epochs (full passes over the training set).
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f32,
@@ -400,7 +403,7 @@ pub struct TrainReport {
 }
 
 /// What the neighbor sampler actually did during a mini-batch run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SamplingSummary {
     /// Batches per epoch (`⌈|train| / batch_size⌉`).
     pub batches_per_epoch: usize,
@@ -458,58 +461,34 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
     if let Err(e) = cfg.validate() {
         panic!("invalid config: {e}");
     }
-    if cfg.batch_size.is_some() {
-        return train_minibatch(dev, data, cfg);
-    }
     let dev = &dev.clone().with_exec(cfg.exec);
-    let g = GraphView::full(&data.adj);
     let f_in = data.spec.feat;
     let is_half = cfg.precision.is_half();
     // Feature padding (§4.1.2): half paths pad odd class counts.
     let classes = if is_half { pad_feature_len(data.spec.classes, 2) } else { data.spec.classes };
+    let xh = if is_half { f32_slice_to_half(&data.features) } else { Vec::new() };
 
-    let x = data.features.clone();
-    let xh = if is_half { f32_slice_to_half(&x) } else { Vec::new() };
-    let labels = &data.labels;
-    let train_mask = &data.split.train;
-
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut nan_epoch = None;
-    let mut epoch_time_us = 0.0;
-    let mut conversions = 0u64;
-    let mut converted = 0u64;
-    let mut kernels = 0usize;
-    let mut dram_bytes = 0u64;
-    let mut breakdown: Vec<(String, usize, f64, u64)> = Vec::new();
-    let mut last_logits: Vec<f32> = Vec::new();
-    let mut replay_epoch_time_us = 0.0;
-
-    // Parameter storage + optimizer, per architecture.
     let mut params = ModelParams::new(cfg.model, f_in, cfg.hidden, classes, cfg.seed);
-    let mut opt = Adam::new(params.num_params(), cfg.lr);
-
-    let mut overflow_per_epoch: Vec<overflow::Summary> = Vec::with_capacity(cfg.epochs);
-    let mut saturation_per_epoch: Vec<quant::SatSummary> = Vec::with_capacity(cfg.epochs);
+    let mut opt = Adam::new(params.flat().len(), cfg.lr);
 
     // One tuner for the whole run: plans are per (op, graph-shape, dtype)
     // key, so epoch 0 pays any evaluation cost and later epochs hit the
     // in-memory cache. The tuner always evaluates under `ExecMode::Sim`
     // regardless of `cfg.exec` — plans are modeled-cycles argmins either
     // way, and its oracle checks run inside `overflow::isolated` so they
-    // never pollute this run's per-epoch provenance windows.
+    // never pollute this run's per-step provenance windows.
     let partition = cfg.effective_partition();
     let tuner = match &cfg.tuning {
         Tuning::Off => None,
-        Tuning::Auto => Some(Tuner::auto(dev).with_shards(cfg.shards).with_partition(partition)),
-        Tuning::Cached(path) => Some(
-            Tuner::cached(dev, path.as_str()).with_shards(cfg.shards).with_partition(partition),
-        ),
-    };
+        Tuning::Auto => Some(Tuner::auto(dev)),
+        Tuning::Cached(path) => Some(Tuner::cached(dev, path.as_str())),
+    }
+    .map(|t| t.with_shards(cfg.shards).with_partition(partition));
     // Sharded execution context: partition Â (the graph the kernels run
     // on) and meter every halo exchange / all-reduce against the chosen
     // interconnect. `shards == 1` keeps the single-device dispatch path.
     let dist = (cfg.shards > 1).then(|| {
-        let ctx = DistCtx::new(&g.csr, cfg.shards, partition, cfg.topology);
+        let ctx = DistCtx::new(&data.adj, cfg.shards, partition, cfg.topology);
         match cfg.i8_block {
             Some(b) => ctx.with_i8_bucket(b),
             None => ctx,
@@ -526,10 +505,25 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
     .with_fusion(cfg.fusion)
     .with_dist(dist.as_ref())
     .with_exec(exec_ctx.as_ref());
+    let run = Run { dev, data, cfg, xh: &xh, classes, dispatch };
+    let mut source = match cfg.batch_size {
+        None => Source::Full(GraphView::full(&data.adj)),
+        Some(batch_size) => Source::Sampled(Sampled::new(data, cfg, batch_size)),
+    };
 
+    let mut losses = Vec::with_capacity(cfg.epochs);
+    let mut overflow_per_epoch: Vec<overflow::Summary> = Vec::with_capacity(cfg.epochs);
+    let mut saturation_per_epoch: Vec<quant::SatSummary> = Vec::with_capacity(cfg.epochs);
+    let mut nan_epoch = None;
+    let (mut logged_overflow, mut logged_saturation) = (false, false);
+    let mut last_logits = Vec::new();
+    // Epoch 0's charged work: kernel sequences are value-independent, so
+    // one epoch's modeled cost represents them all.
+    let (mut epoch_time_us, mut conversions, mut converted) = (0.0, 0u64, 0u64);
+    let mut epoch0_log: Vec<halfgnn_sim::KernelStats> = Vec::new();
+    let mut replay_epoch_time_us = 0.0;
     let mut comms = halfgnn_sim::interconnect::CommsLedger::new();
-    let mut comms_serialized_us = 0.0;
-    let mut comms_overlapped_us = 0.0;
+    let (mut comms_serialized_us, mut comms_overlapped_us) = (0.0, 0.0);
     for epoch in 0..cfg.epochs {
         if let Some(ctx) = &dist {
             ctx.reset_epoch();
@@ -537,83 +531,72 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
         if let Some(ctx) = &exec_ctx {
             ctx.begin_epoch();
         }
-        let mut ops = Ops::new(dev).with_exec(exec_ctx.as_ref());
-        ops.loss_scale = cfg.loss_scale;
-        // Track every f32→half conversion of this epoch's step; the first
-        // non-finite one is recorded with its layer/kernel site path. The
-        // quant window does the same for INT8 saturation.
-        overflow::begin();
-        quant::begin();
-        // Re-key INT8 stochastic rounding per epoch: errors decorrelate
-        // across steps, yet the whole run is a pure function of the seed.
-        let (loss, correct, grad_flat, logits) = run_step(
-            &params,
-            &mut ops,
-            &g,
-            &x,
-            &xh,
-            labels,
-            train_mask,
-            dispatch.with_quant_seed(cfg.seed ^ epoch as u64),
-            cfg,
-        );
-
-        let satw = quant::take();
-        if let Some(ev) = &satw.first {
-            if saturation_per_epoch.iter().all(quant::SatSummary::is_clean) {
-                eprintln!(
-                    "[halfgnn-nn] {:?}/{:?}: epoch {epoch}: first INT8 saturation: {ev} \
-                     ({} flagged of {} quantizations this epoch)",
-                    cfg.model,
-                    cfg.precision,
-                    satw.flagged(),
-                    satw.quantized
-                );
+        let (mut loss_sum, mut loss_weight) = (0.0f64, 0.0f64);
+        let mut epoch_overflow = overflow::Summary::default();
+        let mut epoch_saturation = quant::SatSummary::default();
+        let mut step = |mut ops: Ops, batch: Batch| {
+            // Track every f32→half conversion and INT8 quantization of the
+            // step; the first flagged one is recorded with its site path.
+            overflow::begin();
+            quant::begin();
+            let (loss, grad_flat, logits) = params.step(&mut ops, &batch, &run);
+            let (sat, ofw) = (quant::take(), overflow::take());
+            // Log only the run's first event of each kind: later steps
+            // mostly repeat the same site once the parameters are poisoned.
+            let at = || {
+                let run = format!("[halfgnn-nn] {:?}/{:?}", cfg.model, cfg.precision);
+                match batch.view.meta() {
+                    Some(m) => format!("{run}: epoch {} batch {}", m.epoch, m.batch),
+                    None => format!("{run}: epoch {epoch}"),
+                }
+            };
+            if let Some(ev) = sat.first.as_ref().filter(|_| !logged_saturation) {
+                eprintln!("{}: first INT8 saturation: {ev}", at());
+                logged_saturation = true;
             }
-        }
-        saturation_per_epoch.push(satw);
-        let ofw = overflow::take();
-        if let Some(ev) = &ofw.first {
-            // Log only the run's first overflow: later epochs mostly repeat
-            // the same site once the parameters are poisoned.
-            if overflow_per_epoch.iter().all(overflow::Summary::is_clean) {
-                eprintln!(
-                    "[halfgnn-nn] {:?}/{:?}: epoch {epoch}: first non-finite conversion: {ev} \
-                     ({} non-finite of {} conversions this epoch)",
-                    cfg.model,
-                    cfg.precision,
-                    ofw.nonfinite(),
-                    ofw.conversions
-                );
+            if let Some(ev) = ofw.first.as_ref().filter(|_| !logged_overflow) {
+                eprintln!("{}: first non-finite conversion: {ev}", at());
+                logged_overflow = true;
             }
-        }
-        overflow_per_epoch.push(ofw);
+            epoch_saturation.merge(sat);
+            epoch_overflow.merge(ofw);
 
-        if loss.is_nan() && nan_epoch.is_none() {
-            nan_epoch = Some(epoch);
-        }
-        losses.push(loss);
-        let _ = correct;
-        last_logits = logits;
-
-        if epoch == 0 {
-            // Kernel sequences are value-independent, so one epoch's
-            // modeled time represents them all.
-            epoch_time_us = ops.total_time_us();
-            conversions = ops.tensor_conversions;
-            converted = ops.converted_elems;
-            kernels = ops.kernel_count();
-            dram_bytes = ops.log.iter().map(halfgnn_sim::KernelStats::dram_bytes).sum();
-            breakdown = kernel_breakdown(&ops.log);
-            if let Some(ctx) = &dist {
-                comms = ctx.snapshot();
-                // Epoch 0 is the cold-cache epoch: its event streams carry
-                // every halo transfer, so the serialized-vs-overlapped gap
-                // is the conservative (smallest) one.
-                let timeline = ctx.timeline();
-                comms_serialized_us = timeline.serialized_us();
-                comms_overlapped_us = timeline.overlapped_us();
+            if loss.is_nan() && nan_epoch.is_none() {
+                nan_epoch = Some(epoch);
             }
+            loss_sum += loss as f64 * batch.weight;
+            loss_weight += batch.weight;
+            if exec_ctx.is_some() && epoch == 1 {
+                replay_epoch_time_us += ops.total_time_us();
+            }
+            if epoch == 0 {
+                epoch_time_us += ops.total_time_us();
+                conversions += ops.tensor_conversions;
+                converted += ops.converted_elems;
+                epoch0_log.extend(ops.log);
+            }
+            // Master update in f32 (NaN gradients propagate, as in real DGL).
+            params.adam_step(&mut opt, &grad_flat);
+            last_logits = logits;
+        };
+        match &mut source {
+            // Re-key INT8 stochastic rounding per epoch: errors decorrelate
+            // across steps, yet the whole run is a pure function of the seed.
+            Source::Full(view) => step(run.ops(), run.full_batch(view, cfg.seed ^ epoch as u64)),
+            Source::Sampled(s) => s.each_batch(epoch, &run, step),
+        }
+        losses.push((loss_sum / loss_weight) as f32);
+        overflow_per_epoch.push(epoch_overflow);
+        saturation_per_epoch.push(epoch_saturation);
+
+        if let (0, Some(ctx)) = (epoch, &dist) {
+            comms = ctx.snapshot();
+            // Epoch 0 is the cold-cache epoch: its event streams carry
+            // every halo transfer, so the serialized-vs-overlapped gap is
+            // the conservative (smallest) one.
+            let timeline = ctx.timeline();
+            comms_serialized_us = timeline.serialized_us();
+            comms_overlapped_us = timeline.overlapped_us();
         }
         if let Some(ctx) = &exec_ctx {
             if epoch == 0 {
@@ -623,18 +606,21 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
                 // A replayed epoch must consume exactly the captured plan
                 // stream — anything else is a silent divergence.
                 ctx.end_epoch();
-                if epoch == 1 {
-                    replay_epoch_time_us = ops.total_time_us();
-                }
             }
         }
-
-        // Master update in f32 (NaN gradients propagate, as in real DGL).
-        params.adam_step(&mut opt, &grad_flat);
     }
 
-    let final_train_accuracy = Ops::accuracy(&last_logits, labels, train_mask, classes);
-    let test_accuracy = Ops::accuracy(&last_logits, labels, &data.split.test, classes);
+    // `Full` scores the last step's logits, taken before the final Adam
+    // update.
+    let (logits, memory, sampling) = match &source {
+        Source::Full(_) => (last_logits, model_memory(data, cfg, classes).peak(), None),
+        Source::Sampled(s) => {
+            let (logits, memory, sampling) = s.finish(&run, &params);
+            (logits, memory, Some(sampling))
+        }
+    };
+    let final_train_accuracy = Ops::accuracy(&logits, &data.labels, &data.split.train, classes);
+    let test_accuracy = Ops::accuracy(&logits, &data.labels, &data.split.test, classes);
     save_snapshot(cfg, f_in, classes, &params);
     // Last epoch's counters = the steady state: with static input
     // features every post-warmup epoch serves its halo from the cache.
@@ -646,12 +632,12 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
         test_accuracy,
         nan_epoch,
         epoch_time_us,
-        peak_memory_bytes: model_memory(data, cfg, classes).peak(),
+        peak_memory_bytes: memory,
         conversions_per_epoch: conversions,
         converted_elems_per_epoch: converted,
-        kernels_per_epoch: kernels,
-        dram_bytes_per_epoch: dram_bytes,
-        kernel_breakdown: breakdown,
+        kernels_per_epoch: epoch0_log.len(),
+        dram_bytes_per_epoch: epoch0_log.iter().map(halfgnn_sim::KernelStats::dram_bytes).sum(),
+        kernel_breakdown: kernel_breakdown(&epoch0_log),
         overflow_per_epoch,
         saturation_per_epoch,
         tuning_counters: tuner.as_ref().map(Tuner::counters),
@@ -674,14 +660,183 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
             s
         }),
         replay_epoch_time_us,
-        sampling: None,
+        sampling,
     }
 }
 
-/// Parameter storage per architecture — shared by the full-batch and
-/// mini-batch loops so both drive the exact same models and optimizer.
+/// Run-wide context the batch sources build steps from.
+struct Run<'a> {
+    dev: &'a DeviceConfig,
+    data: &'a LoadedDataset,
+    cfg: &'a TrainConfig,
+    /// The run's one half copy of the features (empty in float runs).
+    xh: &'a [Half],
+    /// Output width: the class count, padded in half runs.
+    classes: usize,
+    /// The run's kernel dispatch, tuner and sharding/replay contexts
+    /// included.
+    dispatch: Dispatch<'a>,
+}
+
+impl<'a> Run<'a> {
+    /// A fresh kernel context for one step.
+    fn ops(&self) -> Ops<'a> {
+        let mut ops = Ops::new(self.dev).with_exec(self.dispatch.exec);
+        ops.loss_scale = self.cfg.loss_scale;
+        ops
+    }
+
+    /// A step over the whole graph `view` with the dataset's own rows.
+    fn full_batch<'v>(&'v self, view: &'v GraphView, quant_seed: u64) -> Batch<'v> {
+        let (x, labels, mask) = (&self.data.features, &self.data.labels, &self.data.split.train);
+        Batch { view, x, xh: self.xh, labels, mask, weight: 1.0, quant_seed }
+    }
+}
+
+/// One step's inputs: a graph view and its vertices' rows (half steps
+/// read `xh`, float steps `x`), the weight of its loss in the epoch's
+/// mean, and its INT8 rounding key.
+struct Batch<'a> {
+    view: &'a GraphView,
+    x: &'a [f32],
+    xh: &'a [Half],
+    labels: &'a [u32],
+    mask: &'a [bool],
+    weight: f64,
+    quant_seed: u64,
+}
+
+/// Where an epoch's batches come from.
+enum Source {
+    /// The paper's full-batch setting: one batch per epoch, the whole
+    /// graph with the dataset's own rows.
+    Full(GraphView),
+    /// Neighbor-sampled mini-batches.
+    Sampled(Sampled),
+}
+
+/// Mini-batch state (DESIGN.md §14): the sampler, the overlay it reads
+/// through, and what it has sampled so far.
+struct Sampled {
+    batch_size: usize,
+    // The training graph lives behind a delta overlay: streamed edges
+    // ingest in O(log deg) each, and the sampler reads straight through
+    // the overlay — the base CSR is never rebuilt mid-training.
+    graph: DeltaCsr,
+    sampler: NeighborSampler,
+    train_ids: Vec<VertexId>,
+    counters_at_stream: Option<TunerCounters>,
+    /// Epoch-0 sums of batch vertices and edges, for the summary's means.
+    ep0: (usize, usize),
+    /// Largest symmetrized batch view `(vertices, edges)`: the shape peak
+    /// memory is modeled at.
+    max_view: (usize, usize),
+    summary: SamplingSummary,
+}
+
+impl Sampled {
+    fn new(data: &LoadedDataset, cfg: &TrainConfig, batch_size: usize) -> Sampled {
+        let train = &data.split.train;
+        let train_ids: Vec<VertexId> =
+            (0..train.len() as VertexId).filter(|&v| train[v as usize]).collect();
+        assert!(!train_ids.is_empty(), "dataset has no training vertices");
+        Sampled {
+            batch_size,
+            graph: DeltaCsr::new(data.adj.clone()),
+            sampler: NeighborSampler::new(cfg.fanout, 2, cfg.seed),
+            train_ids,
+            counters_at_stream: None,
+            ep0: (0, 0),
+            max_view: (0, 0),
+            summary: SamplingSummary { fanout: cfg.fanout, ..SamplingSummary::default() },
+        }
+    }
+
+    /// Run `step` on each of `epoch`'s batches: a deterministic shuffle of
+    /// the train set into seed batches, each trained on its sampled k-hop
+    /// receptive field.
+    fn each_batch(&mut self, epoch: usize, run: &Run, mut step: impl FnMut(Ops, Batch)) {
+        let (cfg, data, s) = (run.cfg, run.data, &mut self.summary);
+        // Streaming ingests halfway through, so both regimes are exercised.
+        if cfg.stream_edges > 0 && epoch == cfg.epochs / 2 {
+            s.streamed_edges = stream_random_edges(&mut self.graph, cfg.stream_edges, cfg.seed);
+            s.stream_epoch = (s.streamed_edges > 0).then_some(epoch);
+            let tuner = run.dispatch.tuner;
+            self.counters_at_stream = Some(tuner.map(Tuner::counters).unwrap_or_default());
+        }
+        let schedule = self.sampler.schedule(&self.train_ids, self.batch_size, epoch as u64);
+        s.batches_per_epoch = schedule.len();
+        for (b, seeds) in schedule.iter().enumerate() {
+            let salt = ((epoch as u64) << 32) | b as u64;
+            let sub = self.sampler.sample(&self.graph, seeds, salt);
+            let view = GraphView::batch(&sub, epoch, b);
+            s.max_batch_vertices = s.max_batch_vertices.max(sub.n());
+            s.max_batch_edges = s.max_batch_edges.max(sub.nnz());
+            self.max_view = (self.max_view.0.max(view.n()), self.max_view.1.max(view.nnz()));
+            if epoch == 0 {
+                self.ep0 = (self.ep0.0 + sub.n(), self.ep0.1 + sub.nnz());
+            }
+
+            let mut ops = run.ops();
+            // Batch feature rows come out of the global matrix through a
+            // charged gather kernel; label/mask rows are host-side views.
+            let ids = &sub.global_ids;
+            let (x, xh) = if cfg.precision.is_half() {
+                (Vec::new(), ops.gather_rows_half(run.xh, data.spec.feat, ids))
+            } else {
+                (ops.gather_rows_f32(&data.features, data.spec.feat, ids), Vec::new())
+            };
+            let labels: Vec<u32> = ids.iter().map(|&v| data.labels[v as usize]).collect();
+            let mask: Vec<bool> = (0..sub.n()).map(|i| i < sub.n_seeds).collect();
+            let (view, x, xh, labels, mask) = (&view, &x, &xh, &labels, &mask);
+            let weight = seeds.len() as f64;
+            step(ops, Batch { view, x, xh, labels, mask, weight, quant_seed: cfg.seed ^ salt });
+        }
+    }
+
+    /// The run's final logits, peak memory and sampling summary. The
+    /// post-stream tuner counters are read first: the final evaluation's
+    /// plan lookups are not the stream's.
+    fn finish(&self, run: &Run, params: &ModelParams) -> (Vec<f32>, u64, SamplingSummary) {
+        let (cfg, data, classes) = (run.cfg, run.data, run.classes);
+        let batches = self.summary.batches_per_epoch.max(1) as f64;
+        let summary = SamplingSummary {
+            mean_batch_vertices: self.ep0.0 as f64 / batches,
+            mean_batch_edges: self.ep0.1 as f64 / batches,
+            post_stream_tuning: run.dispatch.tuner.zip(self.counters_at_stream).map(|(t, at)| {
+                let end = t.counters();
+                TunerCounters {
+                    hits: end.hits - at.hits,
+                    misses: end.misses - at.misses,
+                    evaluations: end.evaluations - at.evaluations,
+                }
+            }),
+            ..self.summary.clone()
+        };
+        // Final metrics: one full-graph step with the trained weights,
+        // against the streamed graph if edges were ingested — the one
+        // place the overlay materializes, after training. The accuracies
+        // are directly comparable to a full-batch run's.
+        let adj =
+            if self.summary.streamed_edges > 0 { self.graph.merge() } else { data.adj.clone() };
+        let view = GraphView::full(&adj);
+        let logits = params.step(&mut run.ops(), &run.full_batch(&view, 0), run).2;
+        // Peak memory: the largest batch's working set (the full-batch
+        // model at the batch shape) plus the resident global feature
+        // matrix and graph structure the gathers read from.
+        let (n, e) = self.max_view;
+        let mut m = model_memory_shape(n, e, data.spec.feat, cfg, classes);
+        let elem = if cfg.precision.is_half() { 2 } else { 4 };
+        m.alloc("global_features", data.num_vertices() * data.spec.feat, elem);
+        m.alloc("global_csr", data.num_edges() + data.num_vertices() + 1, 4);
+        (logits, m.peak(), summary)
+    }
+}
+
+/// Parameter storage, one variant per architecture.
 enum ModelParams {
-    Two(TwoLayerParams),
+    Gcn(TwoLayerParams),
+    Gin(TwoLayerParams),
     Gat(GatParams),
     Sage(SageParams),
 }
@@ -689,26 +844,18 @@ enum ModelParams {
 impl ModelParams {
     fn new(model: ModelKind, f_in: usize, hidden: usize, classes: usize, seed: u64) -> ModelParams {
         match model {
-            ModelKind::Gcn | ModelKind::Gin => {
-                ModelParams::Two(TwoLayerParams::new(f_in, hidden, classes, seed))
-            }
+            ModelKind::Gcn => ModelParams::Gcn(TwoLayerParams::new(f_in, hidden, classes, seed)),
+            ModelKind::Gin => ModelParams::Gin(TwoLayerParams::new(f_in, hidden, classes, seed)),
             ModelKind::Gat => ModelParams::Gat(GatParams::new(f_in, hidden, classes, seed)),
             ModelKind::Sage => ModelParams::Sage(SageParams::new(f_in, hidden, classes, seed)),
         }
     }
 
-    fn num_params(&self) -> usize {
-        match self {
-            ModelParams::Two(p) => p.num_params(),
-            ModelParams::Gat(p) => p.num_params(),
-            ModelParams::Sage(p) => p.num_params(),
-        }
-    }
-
-    /// Flattened f32 master weights (the snapshot payload).
+    /// Flattened f32 master weights (the optimizer's view and the
+    /// snapshot payload).
     fn flat(&self) -> Vec<f32> {
         match self {
-            ModelParams::Two(p) => p.flat(),
+            ModelParams::Gcn(p) | ModelParams::Gin(p) => p.flat(),
             ModelParams::Gat(p) => p.flat(),
             ModelParams::Sage(p) => p.flat(),
         }
@@ -716,309 +863,56 @@ impl ModelParams {
 
     /// Adam update of the flattened master weights.
     fn adam_step(&mut self, opt: &mut Adam, grad_flat: &[f32]) {
+        let mut flat = self.flat();
+        opt.step(&mut flat, grad_flat);
         match self {
-            ModelParams::Two(p) => {
-                let mut flat = p.flat();
-                opt.step(&mut flat, grad_flat);
-                p.set_flat(&flat);
+            ModelParams::Gcn(p) | ModelParams::Gin(p) => p.set_flat(&flat),
+            ModelParams::Gat(p) => p.set_flat(&flat),
+            ModelParams::Sage(p) => p.set_flat(&flat),
+        }
+    }
+
+    /// One forward+backward step of the model on `b.view` — the full
+    /// graph or one batch subgraph; the step functions don't care, which
+    /// is the point of [`GraphView`]. Returns `(loss, grad_flat, logits)`.
+    fn step(&self, ops: &mut Ops, b: &Batch, run: &Run) -> (f32, Vec<f32>, Vec<f32>) {
+        let (g, x, xh, labels, mask) = (b.view, b.x, b.xh, b.labels, b.mask);
+        let (cfg, d) = (run.cfg, run.dispatch.with_quant_seed(b.quant_seed));
+        let half = cfg.precision.is_half();
+        match self {
+            ModelParams::Gcn(p) => {
+                let out = if half {
+                    gcn::step_half_norm(ops, g, p, xh, labels, mask, d, cfg.gcn_norm)
+                } else {
+                    gcn::step_f32_norm(ops, g, p, x, labels, mask, d, cfg.gcn_norm)
+                };
+                (out.loss, out.grads.flat(), out.logits)
+            }
+            ModelParams::Gin(p) => {
+                let out = if half {
+                    gin::step_half_lambda(ops, g, p, xh, labels, mask, d, cfg.gin_lambda)
+                } else {
+                    gin::step_f32_dist(ops, g, p, x, labels, mask, d)
+                };
+                (out.loss, out.grads.flat(), out.logits)
             }
             ModelParams::Gat(p) => {
-                let mut flat = p.flat();
-                opt.step(&mut flat, grad_flat);
-                p.set_flat(&flat);
+                let out = if half {
+                    gat::step_half(ops, g, p, xh, labels, mask, d)
+                } else {
+                    gat::step_f32_dist(ops, g, p, x, labels, mask, d)
+                };
+                (out.loss, out.grads.flat(), out.logits)
             }
             ModelParams::Sage(p) => {
-                let mut flat = p.flat();
-                opt.step(&mut flat, grad_flat);
-                p.set_flat(&flat);
+                let out = if half {
+                    sage::step_half(ops, g, p, xh, labels, mask, d)
+                } else {
+                    sage::step_f32_dist(ops, g, p, x, labels, mask, d)
+                };
+                (out.loss, out.grads.flat(), out.logits)
             }
         }
-    }
-}
-
-/// One forward+backward step of the configured model on `g` — the full
-/// graph or one batch subgraph; the step functions don't care, which is
-/// the point of [`GraphView`]. Returns `(loss, correct, grad_flat, logits)`.
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    params: &ModelParams,
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    xh: &[Half],
-    labels: &[u32],
-    mask: &[bool],
-    dispatch: Dispatch,
-    cfg: &TrainConfig,
-) -> (f32, usize, Vec<f32>, Vec<f32>) {
-    let is_half = cfg.precision.is_half();
-    match (params, cfg.model) {
-        (ModelParams::Two(p), ModelKind::Gcn) => {
-            let out = if is_half {
-                gcn::step_half_norm(ops, g, p, xh, labels, mask, dispatch, cfg.gcn_norm)
-            } else {
-                gcn::step_f32_norm(ops, g, p, x, labels, mask, dispatch, cfg.gcn_norm)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        (ModelParams::Two(p), ModelKind::Gin) => {
-            let out = if is_half {
-                gin::step_half_lambda(ops, g, p, xh, labels, mask, dispatch, cfg.gin_lambda)
-            } else {
-                gin::step_f32_dist(ops, g, p, x, labels, mask, dispatch)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        (ModelParams::Gat(p), _) => {
-            let out = if is_half {
-                gat::step_half(ops, g, p, xh, labels, mask, dispatch)
-            } else {
-                gat::step_f32_dist(ops, g, p, x, labels, mask, dispatch)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        (ModelParams::Sage(p), _) => {
-            let out = if is_half {
-                sage::step_half(ops, g, p, xh, labels, mask, dispatch)
-            } else {
-                sage::step_f32_dist(ops, g, p, x, labels, mask, dispatch)
-            };
-            (out.loss, out.correct, out.grads.flat(), out.logits)
-        }
-        _ => unreachable!("parameter kind matches model kind"),
-    }
-}
-
-/// Neighbor-sampled mini-batch training (`TrainConfig::batch_size`,
-/// DESIGN.md §14). Each epoch shuffles the train set into seed batches
-/// with a deterministic schedule, samples every batch's k-hop receptive
-/// field through a [`DeltaCsr`] overlay (so `--stream-edges` ingests
-/// mid-run with no CSR rebuild), gathers the batch's feature and label
-/// rows, and steps the same models the full-batch loop drives — just on
-/// a batch-local [`GraphView`]. Final accuracies come from one
-/// full-graph forward with the trained weights, so they are directly
-/// comparable to a full-batch run's.
-fn train_minibatch(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> TrainReport {
-    let batch_size = cfg.batch_size.expect("mini-batch path needs a batch size");
-    let dev = &dev.clone().with_exec(cfg.exec);
-    let f_in = data.spec.feat;
-    let is_half = cfg.precision.is_half();
-    let classes = if is_half { pad_feature_len(data.spec.classes, 2) } else { data.spec.classes };
-
-    let x = data.features.clone();
-    let xh = if is_half { f32_slice_to_half(&x) } else { Vec::new() };
-    let labels = &data.labels;
-
-    // The training graph lives behind a delta overlay: streamed edges
-    // ingest in O(log deg) each, and the sampler reads straight through
-    // the overlay — the base CSR is never rebuilt mid-training.
-    let mut graph = DeltaCsr::new(data.adj.clone());
-    let sampler = NeighborSampler::new(cfg.fanout, 2, cfg.seed);
-    let train_ids: Vec<VertexId> = data
-        .split
-        .train
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &t)| t.then_some(v as VertexId))
-        .collect();
-    assert!(!train_ids.is_empty(), "dataset has no training vertices");
-
-    let mut params = ModelParams::new(cfg.model, f_in, cfg.hidden, classes, cfg.seed);
-    let mut opt = Adam::new(params.num_params(), cfg.lr);
-    let tuner = match &cfg.tuning {
-        Tuning::Off => None,
-        Tuning::Auto => Some(Tuner::auto(dev)),
-        Tuning::Cached(path) => Some(Tuner::cached(dev, path.as_str())),
-    };
-    let dispatch = match &tuner {
-        Some(t) => Dispatch::tuned(cfg.precision, t),
-        None => Dispatch::untuned(cfg.precision),
-    }
-    .with_fusion(cfg.fusion);
-
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut overflow_per_epoch: Vec<overflow::Summary> = Vec::with_capacity(cfg.epochs);
-    let mut saturation_per_epoch: Vec<quant::SatSummary> = Vec::with_capacity(cfg.epochs);
-    let mut nan_epoch = None;
-    let mut logged_overflow = false;
-    let mut epoch_time_us = 0.0;
-    let mut conversions = 0u64;
-    let mut converted = 0u64;
-    let mut kernels = 0usize;
-    let mut epoch0_log: Vec<halfgnn_sim::KernelStats> = Vec::new();
-
-    // Sampling telemetry (epoch-0 means, run-wide maxima).
-    let mut batches_per_epoch = 0usize;
-    let mut ep0_vertices = 0usize;
-    let mut ep0_edges = 0usize;
-    let mut max_batch_vertices = 0usize;
-    let mut max_batch_edges = 0usize;
-    let mut max_view = (0usize, 0usize);
-
-    // Streaming: ingest halfway through so both regimes are exercised.
-    let stream_epoch = (cfg.stream_edges > 0).then_some(cfg.epochs / 2);
-    let mut streamed_edges = 0usize;
-    let mut counters_at_stream: Option<TunerCounters> = None;
-
-    for epoch in 0..cfg.epochs {
-        if stream_epoch == Some(epoch) {
-            streamed_edges = stream_random_edges(&mut graph, cfg.stream_edges, cfg.seed);
-            counters_at_stream = Some(tuner.as_ref().map(Tuner::counters).unwrap_or_default());
-        }
-        let schedule = sampler.schedule(&train_ids, batch_size, epoch as u64);
-        batches_per_epoch = schedule.len();
-        let mut epoch_loss = 0.0f64;
-        let mut epoch_seeds = 0usize;
-        let mut epoch_ofw = overflow::Summary::default();
-        let mut epoch_sat = quant::SatSummary::default();
-
-        for (b, seeds) in schedule.iter().enumerate() {
-            let salt = ((epoch as u64) << 32) | b as u64;
-            let sub = sampler.sample(&graph, seeds, salt);
-            let view = GraphView::batch(&sub, epoch, b);
-            max_batch_vertices = max_batch_vertices.max(sub.n());
-            max_batch_edges = max_batch_edges.max(sub.nnz());
-            max_view = (max_view.0.max(view.n()), max_view.1.max(view.nnz()));
-            if epoch == 0 {
-                ep0_vertices += sub.n();
-                ep0_edges += sub.nnz();
-            }
-
-            let mut ops = Ops::new(dev);
-            ops.loss_scale = cfg.loss_scale;
-            // Batch feature rows come out of the global matrix through a
-            // charged gather kernel; label/mask rows are host-side views.
-            let (xb, xbh) = if is_half {
-                (Vec::new(), ops.gather_rows_half(&xh, f_in, &sub.global_ids))
-            } else {
-                (ops.gather_rows_f32(&x, f_in, &sub.global_ids), Vec::new())
-            };
-            let labels_b: Vec<u32> =
-                sub.global_ids.iter().map(|&gid| labels[gid as usize]).collect();
-            let mask_b: Vec<bool> = (0..sub.n()).map(|i| i < sub.n_seeds).collect();
-
-            overflow::begin();
-            quant::begin();
-            let (loss, _correct, grad_flat, _logits) = run_step(
-                &params,
-                &mut ops,
-                &view,
-                &xb,
-                &xbh,
-                &labels_b,
-                &mask_b,
-                dispatch.with_quant_seed(cfg.seed ^ salt),
-                cfg,
-            );
-            merge_saturation(&mut epoch_sat, quant::take());
-            let ofw = overflow::take();
-            if let Some(ev) = ofw.first.as_ref().filter(|_| !logged_overflow) {
-                // Batch-level provenance: which batch of which epoch the
-                // run's first non-finite conversion happened in.
-                eprintln!(
-                    "[halfgnn-nn] {:?}/{:?}: epoch {epoch} batch {b}: first non-finite \
-                     conversion: {ev}",
-                    cfg.model, cfg.precision
-                );
-                logged_overflow = true;
-            }
-            merge_overflow(&mut epoch_ofw, ofw);
-
-            if loss.is_nan() && nan_epoch.is_none() {
-                nan_epoch = Some(epoch);
-            }
-            epoch_loss += loss as f64 * seeds.len() as f64;
-            epoch_seeds += seeds.len();
-            params.adam_step(&mut opt, &grad_flat);
-
-            if epoch == 0 {
-                epoch_time_us += ops.total_time_us();
-                conversions += ops.tensor_conversions;
-                converted += ops.converted_elems;
-                kernels += ops.kernel_count();
-                epoch0_log.extend(ops.log.iter().cloned());
-            }
-        }
-        losses.push((epoch_loss / epoch_seeds.max(1) as f64) as f32);
-        overflow_per_epoch.push(epoch_ofw);
-        saturation_per_epoch.push(epoch_sat);
-    }
-
-    // Post-stream tuner activity: the delta's cache-hit story, measured
-    // before the final full-graph evaluation adds unrelated keys.
-    let post_stream_tuning = match (&tuner, counters_at_stream) {
-        (Some(t), Some(at)) => {
-            let end = t.counters();
-            Some(TunerCounters {
-                hits: end.hits - at.hits,
-                misses: end.misses - at.misses,
-                evaluations: end.evaluations - at.evaluations,
-            })
-        }
-        _ => None,
-    };
-
-    // Final metrics: one full-graph forward with the trained weights,
-    // against the streamed graph if edges were ingested. This is the one
-    // place the overlay materializes — after training, for evaluation.
-    let eval_adj = if streamed_edges > 0 { graph.merge() } else { data.adj.clone() };
-    let g_full = GraphView::full(&eval_adj);
-    let mut eval_ops = Ops::new(dev);
-    eval_ops.loss_scale = cfg.loss_scale;
-    let (_, _, _, logits) = run_step(
-        &params,
-        &mut eval_ops,
-        &g_full,
-        &x,
-        &xh,
-        labels,
-        &data.split.train,
-        Dispatch::untuned(cfg.precision).with_fusion(cfg.fusion),
-        cfg,
-    );
-    let final_train_accuracy = Ops::accuracy(&logits, labels, &data.split.train, classes);
-    let test_accuracy = Ops::accuracy(&logits, labels, &data.split.test, classes);
-    save_snapshot(cfg, f_in, classes, &params);
-
-    TrainReport {
-        losses,
-        final_train_accuracy,
-        test_accuracy,
-        nan_epoch,
-        epoch_time_us,
-        peak_memory_bytes: model_memory_minibatch(data, cfg, classes, max_view.0, max_view.1)
-            .peak(),
-        conversions_per_epoch: conversions,
-        converted_elems_per_epoch: converted,
-        kernels_per_epoch: kernels,
-        dram_bytes_per_epoch: epoch0_log.iter().map(halfgnn_sim::KernelStats::dram_bytes).sum(),
-        kernel_breakdown: kernel_breakdown(&epoch0_log),
-        overflow_per_epoch,
-        saturation_per_epoch,
-        tuning_counters: tuner.as_ref().map(Tuner::counters),
-        comms_bytes_per_epoch: 0,
-        comms_halo_bytes_per_epoch: 0,
-        comms_allreduce_bytes_per_epoch: 0,
-        comms_time_us_per_epoch: 0.0,
-        link_breakdown: Vec::new(),
-        comms_serialized_us: 0.0,
-        comms_overlapped_us: 0.0,
-        halo_cache_hits: 0,
-        halo_cache_misses: 0,
-        halo_cache_bytes_saved: 0,
-        replay: None,
-        replay_epoch_time_us: 0.0,
-        sampling: Some(SamplingSummary {
-            batches_per_epoch,
-            mean_batch_vertices: ep0_vertices as f64 / batches_per_epoch.max(1) as f64,
-            mean_batch_edges: ep0_edges as f64 / batches_per_epoch.max(1) as f64,
-            max_batch_vertices,
-            max_batch_edges,
-            fanout: cfg.fanout,
-            streamed_edges,
-            stream_epoch: (streamed_edges > 0).then(|| stream_epoch.unwrap()),
-            post_stream_tuning,
-        }),
     }
 }
 
@@ -1042,12 +936,6 @@ fn save_snapshot(cfg: &TrainConfig, f_in: usize, classes: usize, params: &ModelP
 /// Insert up to `count` deterministic random undirected edges through the
 /// overlay. Returns how many endpoint pairs were actually new.
 fn stream_random_edges(graph: &mut DeltaCsr, count: usize, seed: u64) -> usize {
-    fn splitmix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
     let n = graph.num_rows() as u64;
     if n < 2 {
         return 0;
@@ -1068,28 +956,6 @@ fn stream_random_edges(graph: &mut DeltaCsr, count: usize, seed: u64) -> usize {
         }
     }
     inserted
-}
-
-/// Merge one batch's overflow window into the epoch summary, keeping the
-/// epoch's first event. (`overflow::Summary` lives in `halfgnn-half`,
-/// which this refactor leaves untouched — hence a free function.)
-fn merge_saturation(acc: &mut quant::SatSummary, s: quant::SatSummary) {
-    acc.quantized += s.quantized;
-    acc.saturated += s.saturated;
-    acc.nonfinite_inputs += s.nonfinite_inputs;
-    if acc.first.is_none() {
-        acc.first = s.first;
-    }
-}
-
-fn merge_overflow(acc: &mut overflow::Summary, s: overflow::Summary) {
-    acc.conversions += s.conversions;
-    acc.overflows += s.overflows;
-    acc.inf_propagated += s.inf_propagated;
-    acc.nan_propagated += s.nan_propagated;
-    if acc.first.is_none() {
-        acc.first = s.first;
-    }
 }
 
 /// Aggregate an epoch's kernel log by kernel name, sorted by total time.
@@ -1119,24 +985,6 @@ fn kernel_breakdown(log: &[halfgnn_sim::KernelStats]) -> Vec<(String, usize, f64
 /// AMP-materialized float copies of promoted tensors.
 pub fn model_memory(data: &LoadedDataset, cfg: &TrainConfig, classes: usize) -> MemoryTracker {
     model_memory_shape(data.num_vertices(), data.num_edges(), data.spec.feat, cfg, classes)
-}
-
-/// Batch-scaled peak memory for mini-batch runs: the largest batch's
-/// working set (the full-batch model evaluated at the batch shape) plus
-/// the resident global feature matrix and graph structure the gathers
-/// read from.
-fn model_memory_minibatch(
-    data: &LoadedDataset,
-    cfg: &TrainConfig,
-    classes: usize,
-    batch_n: usize,
-    batch_e: usize,
-) -> MemoryTracker {
-    let mut m = model_memory_shape(batch_n, batch_e, data.spec.feat, cfg, classes);
-    let elem = if cfg.precision.is_half() { 2 } else { 4 };
-    m.alloc("global_features", data.num_vertices() * data.spec.feat, elem);
-    m.alloc("global_csr", data.num_edges() + data.num_vertices() + 1, 4);
-    m
 }
 
 /// [`model_memory`] evaluated at an explicit graph shape (`n` vertices,
@@ -1855,15 +1703,46 @@ mod minibatch_tests {
     #[test]
     fn every_model_trains_minibatch_half_cleanly() {
         let data = Dataset::cora().load(42);
-        for model in [ModelKind::Gcn, ModelKind::Gin, ModelKind::Gat, ModelKind::Sage] {
-            let r = train(&data, &TrainConfig { model, ..mb_cfg(PrecisionMode::HalfGnn, 3) });
-            assert!(r.nan_epoch.is_none(), "{model:?} NaNed mini-batch");
-            assert!(
-                r.overflow_per_epoch.iter().all(overflow::Summary::is_clean),
-                "{model:?} overflowed mini-batch"
-            );
-            assert!(r.overflow_per_epoch[0].conversions > 0, "{model:?} recorder inactive");
+        for precision in [PrecisionMode::HalfGnn, PrecisionMode::I8] {
+            for model in [ModelKind::Gcn, ModelKind::Gin, ModelKind::Gat, ModelKind::Sage] {
+                let r = train(&data, &TrainConfig { model, ..mb_cfg(precision, 3) });
+                assert!(r.nan_epoch.is_none(), "{model:?} {precision:?} NaNed mini-batch");
+                assert!(
+                    r.overflow_per_epoch.iter().all(overflow::Summary::is_clean),
+                    "{model:?} {precision:?} overflowed mini-batch"
+                );
+                assert!(
+                    r.overflow_per_epoch[0].conversions > 0,
+                    "{model:?} {precision:?} recorder inactive"
+                );
+                if precision == PrecisionMode::I8 {
+                    for (epoch, s) in r.saturation_per_epoch.iter().enumerate() {
+                        assert_eq!(s.flagged(), 0, "{model:?} epoch {epoch} saturated: {s:?}");
+                        assert!(s.quantized > 0, "{model:?} epoch {epoch} never quantized");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn tuned_minibatch_evaluation_dispatches_through_the_runs_tuner() {
+        // Every step of a model makes the same plan lookups, whatever the
+        // graph: `k` per step, measured on a one-step full-batch run. A
+        // tuned mini-batch run steps once per batch and once more for the
+        // final full-graph evaluation, which uses the run's dispatch.
+        let data = Dataset::cora().load(42);
+        let lookups = |r: &TrainReport| r.tuning_counters.map(|c| c.hits + c.misses).unwrap();
+        let tuned = |batch_size, epochs| {
+            let cfg =
+                TrainConfig { tuning: Tuning::Auto, ..mb_cfg(PrecisionMode::HalfGnn, epochs) };
+            train(&data, &TrainConfig { batch_size, ..cfg })
+        };
+        let k = lookups(&tuned(None, 1));
+        let epochs = 2;
+        let mb = tuned(Some(128), epochs);
+        let batches = mb.sampling.as_ref().unwrap().batches_per_epoch as u64;
+        assert_eq!(lookups(&mb), (batches * epochs as u64 + 1) * k, "k = {k}");
     }
 
     #[test]
