@@ -148,9 +148,12 @@ mod tests {
         assert_eq!(p.peak_bytes, 32);
     }
 
+    /// One kernel's `(address slot, bytes)` inputs and outputs.
+    type TraceNode = (Vec<(usize, usize)>, Vec<(usize, usize)>);
+
     /// Random kernel traces: addresses chosen from a small pool so reuse
     /// and shadowing both happen constantly.
-    fn arb_trace() -> impl Strategy<Value = Vec<(Vec<(usize, usize)>, Vec<(usize, usize)>)>> {
+    fn arb_trace() -> impl Strategy<Value = Vec<TraceNode>> {
         let buf = || (0usize..12, prop::sample::select(vec![8usize, 16, 24, 64, 256]));
         let bufs = |n| prop::collection::vec(buf(), 0..n);
         prop::collection::vec((bufs(4), bufs(3)), 1..40)

@@ -19,246 +19,157 @@
 //! The attention weights are a softmax (≤ 1, rows sum to 1), so the
 //! aggregation cannot overflow — which is why Fig. 1c shows GAT-half
 //! *not* collapsing while GCN/GIN do.
+//!
+//! The layer, the single-head step and the multi-head step are each
+//! written once, generic over the precision ([`Elem`]).
 
 use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
-use crate::models::{
-    edge_reduce_f32, edge_reduce_half, fused_attn_forward, fused_softmax_grad, grad_gemm_f32,
-    grad_gemm_half, sddmm_f32, sddmm_half, spmmve_f32, spmmve_half, Dispatch, PrecisionMode,
-};
+use crate::models::{spmmve, Dispatch, Elem};
 use crate::params::{GatGrads, GatParams};
-use halfgnn_half::Half;
+use halfgnn_half::{overflow, Half};
 use halfgnn_kernels::common::Reduce;
-use halfgnn_kernels::edge_ops;
 use halfgnn_tensor::Ops;
 
 /// LeakyReLU slope for attention logits (the GAT paper's 0.2).
 pub const ATTN_SLOPE: f32 = 0.2;
 
-/// Saved forward state of one f32 GAT layer.
-struct LayerStateF32 {
-    z: Vec<f32>,
-    e: Vec<f32>,
-    alpha: Vec<f32>,
-    out: Vec<f32>,
+/// Saved forward state of one GAT layer.
+struct LayerState<E> {
+    z: Vec<E>,
+    e: Vec<E>,
+    alpha: Vec<E>,
+    out: Vec<E>,
 }
 
 #[allow(clippy::too_many_arguments)]
-fn layer_forward_f32(
+fn layer_forward<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
-    x: &[f32],
-    w: &[f32],
-    a_src: &[f32],
-    a_dst: &[f32],
+    x: &[E],
+    w: &[E],
+    a_src: &[E],
+    a_dst: &[E],
     f_in: usize,
     f_out: usize,
     d: Dispatch<'_>,
-) -> LayerStateF32 {
+) -> LayerState<E> {
     let n = g.n();
-    let z = ops.gemm_f32(x, false, w, false, n, f_in, f_out);
-    let s_src = ops.gemm_f32(&z, false, a_src, false, n, f_out, 1);
-    let s_dst = ops.gemm_f32(&z, false, a_dst, false, n, f_out, 1);
-    let (e, st) = edge_ops::src_dst_add_leakyrelu_f32(ops.dev, &g.coo, &s_dst, &s_src, ATTN_SLOPE);
-    ops.record(st);
-    let m = edge_reduce_f32(ops, g, &e, Reduce::Max, d);
-    let (en, st) = edge_ops::sub_row_exp_f32(ops.dev, &g.coo, &e, &m);
-    ops.record(st);
-    let zs = edge_reduce_f32(ops, g, &en, Reduce::Sum, d);
-    let (alpha, st) = edge_ops::div_row_f32(ops.dev, &g.coo, &en, &zs);
-    ops.record(st);
-    let out = spmmve_f32(ops, g, &alpha, &z, f_out, d);
-    LayerStateF32 { z, e, alpha, out }
+    let z = E::gemm(ops, x, w, false, n, f_in, f_out);
+    let s_src = E::gemm(ops, &z, a_src, false, n, f_out, 1);
+    let s_dst = E::gemm(ops, &z, a_dst, false, n, f_out, 1);
+    // Fused: one pass over the edges — scores, running row-max, shadow
+    // exp, row-sum, normalize, aggregate. The kernel's own provenance site
+    // nests under the ambient layer site ("gat.layerN/fused_attn").
+    if let Some([e, alpha, out]) = E::fused_attn_forward(ops, g, &s_dst, &s_src, &z, f_out, d) {
+        return LayerState { z, e, alpha, out };
+    }
+    let e = E::attn_scores(ops, g, &s_dst, &s_src);
+    let m = E::edge_reduce(ops, g, &e, Reduce::Max, d);
+    let en = E::sub_row_exp(ops, g, &e, &m, d);
+    let zs = E::edge_reduce(ops, g, &en, Reduce::Sum, d);
+    let alpha = E::div_row(ops, g, &en, &zs);
+    let out = spmmve(ops, g, &alpha, &z, f_out, d);
+    LayerState { z, e, alpha, out }
 }
 
-/// Backward of one f32 GAT layer. Returns `(δx, δw, δa_src, δa_dst)`.
+/// Backward of one GAT layer. Returns `(δx, δw, δa_src, δa_dst)`.
 #[allow(clippy::too_many_arguments)]
-fn layer_backward_f32(
+fn layer_backward<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
-    state: &LayerStateF32,
-    x: &[f32],
-    w: &[f32],
-    a_src: &[f32],
-    a_dst: &[f32],
-    dh: &[f32],
+    state: &LayerState<E>,
+    x: &[E],
+    w: &[E],
+    a_src: &[E],
+    a_dst: &[E],
+    dh: &[E],
     f_in: usize,
     f_out: usize,
     d: Dispatch<'_>,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+) -> (Vec<E>, Vec<E>, Vec<E>, Vec<E>) {
     let n = g.n();
     // Aggregation adjoint: δz += Σ_i α_ij δh_i (SpMMve on Âᵀ with permuted α).
     let alpha_t = g.permute_to_transpose(&state.alpha);
-    let dz_agg = spmmve_f32(ops, g, &alpha_t, dh, f_out, d);
+    let dz_agg = spmmve(ops, g, &alpha_t, dh, f_out, d);
     // δα_ij = dot(δh_i, z_j): the SDDMM of §2.1.2.
-    let dalpha = sddmm_f32(ops, g, dh, &state.z, f_out, d);
-    // Edge-softmax backward.
-    let (prod, st) = edge_ops::mul_f32(ops.dev, &g.coo, &state.alpha, &dalpha);
-    ops.record(st);
-    let t = edge_reduce_f32(ops, g, &prod, Reduce::Sum, d);
-    let (de_soft, st) = edge_ops::softmax_grad_f32(ops.dev, &g.coo, &state.alpha, &dalpha, &t);
-    ops.record(st);
-    // LeakyReLU gate: sign(post) == sign(pre) for slope > 0, so the saved
-    // post-activation suffices.
-    let (de, st) = edge_ops::leakyrelu_grad_f32(ops.dev, &g.coo, &state.e, &de_soft, ATTN_SLOPE);
-    ops.record(st);
+    let dalpha = E::sddmm(ops, g, dh, &state.z, f_out, d);
+    // Edge-softmax backward. Fused, t stays register-resident: one kernel
+    // instead of mul → reduce → softmax_grad → leakyrelu_grad.
+    let de = match E::fused_softmax_grad(ops, g, &state.alpha, &dalpha, &state.e, f_out, d) {
+        Some(de) => de,
+        None => {
+            let prod = E::edge_mul(ops, g, &state.alpha, &dalpha);
+            let t = E::edge_reduce(ops, g, &prod, Reduce::Sum, d);
+            let de_soft = E::softmax_grad(ops, g, &state.alpha, &dalpha, &t);
+            // LeakyReLU gate: sign(post) == sign(pre) for slope > 0, so
+            // the saved post-activation suffices.
+            E::leakyrelu_grad(ops, g, &state.e, &de_soft)
+        }
+    };
     // δs_dst[i] = Σ_j δe_ij ; δs_src[j] = Σ_i δe_ij (reduce on Âᵀ).
-    let ds_dst = edge_reduce_f32(ops, g, &de, Reduce::Sum, d);
+    let ds_dst = E::edge_reduce(ops, g, &de, Reduce::Sum, d);
     let de_t = g.permute_to_transpose(&de);
-    let ds_src = edge_reduce_f32(ops, g, &de_t, Reduce::Sum, d);
+    let ds_src = E::edge_reduce(ops, g, &de_t, Reduce::Sum, d);
     // δz = δz_agg + δs_dst ⊗ a_dst + δs_src ⊗ a_src.
-    let outer_dst = ops.gemm_f32(&ds_dst, false, a_dst, true, n, 1, f_out);
-    let outer_src = ops.gemm_f32(&ds_src, false, a_src, true, n, 1, f_out);
-    let mut dz = dz_agg;
-    let tmp = ops.scale_add_f32(1.0, &dz, 1.0, &outer_dst);
-    dz = ops.scale_add_f32(1.0, &tmp, 1.0, &outer_src);
+    let outer_dst = E::gemm(ops, &ds_dst, a_dst, true, n, 1, f_out);
+    let outer_src = E::gemm(ops, &ds_src, a_src, true, n, 1, f_out);
+    let tmp = E::scale_add(ops, E::ONE, &dz_agg, E::ONE, &outer_dst);
+    let dz = E::scale_add(ops, E::ONE, &tmp, E::ONE, &outer_src);
     // Parameter and input gradients (vertex contractions → all-reduced
     // when sharded).
-    let da_dst = grad_gemm_f32(ops, &state.z, &ds_dst, f_out, n, 1, d);
-    let da_src = grad_gemm_f32(ops, &state.z, &ds_src, f_out, n, 1, d);
-    let dw = grad_gemm_f32(ops, x, &dz, f_in, n, f_out, d);
-    let dx = ops.gemm_f32(&dz, false, w, true, n, f_out, f_in);
+    let da_dst = E::grad_gemm(ops, &state.z, &ds_dst, f_out, n, 1, d);
+    let da_src = E::grad_gemm(ops, &state.z, &ds_src, f_out, n, 1, d);
+    let dw = E::grad_gemm(ops, x, &dz, f_in, n, f_out, d);
+    let dx = E::gemm(ops, &dz, w, true, n, f_out, f_in);
     (dx, dw, da_src, da_dst)
 }
 
-/// One f32 GAT training step under an explicit dispatch (the float path
-/// only consults its `dist` context).
-pub fn step_f32_dist(
+/// One GAT training step, generic over the precision: state tensors in
+/// `E` through the kernels the dispatch's mode selects, f32 master
+/// weights and loss.
+pub fn step<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
     p: &GatParams,
-    x: &[f32],
+    x: &[E],
     labels: &[u32],
     mask: &[bool],
     d: Dispatch<'_>,
 ) -> StepOutput<GatGrads> {
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let l1 = layer_forward_f32(ops, g, x, &p.w1, &p.a_src1, &p.a_dst1, f_in, h, d);
-    let h1 = ops.relu_f32(&l1.out);
-    let l2 = layer_forward_f32(ops, g, &h1, &p.w2, &p.a_src2, &p.a_dst2, h, c, d);
-    let logits = l2.out.clone();
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
+    let [w1, a_src1, a_dst1, w2, a_src2, a_dst2] =
+        [&p.w1, &p.a_src1, &p.a_dst1, &p.w2, &p.a_src2, &p.a_dst2].map(|w| E::weight(ops, w));
 
+    let layer1 = overflow::site("gat.layer1");
+    let l1 = layer_forward(ops, g, x, &w1, &a_src1, &a_dst1, f_in, h, d);
+    let h1 = E::relu(ops, &l1.out);
+    drop(layer1);
+    let layer2 = overflow::site("gat.layer2");
+    let mut l2 = layer_forward(ops, g, &h1, &w2, &a_src2, &a_dst2, h, c, d);
+    drop(layer2);
+
+    let logits = E::logits(ops, std::mem::take(&mut l2.out));
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&logits, labels, mask, c);
+
+    let bwd2 = overflow::site("gat.layer2.backward");
+    let dout = E::loss_grad(ops, dlogits);
     let (dh1, dw2, da_src2, da_dst2) =
-        layer_backward_f32(ops, g, &l2, &h1, &p.w2, &p.a_src2, &p.a_dst2, &dlogits, h, c, d);
-    let dl1 = ops.relu_grad_f32(&l1.out, &dh1);
+        layer_backward(ops, g, &l2, &h1, &w2, &a_src2, &a_dst2, &dout, h, c, d);
+    drop(bwd2);
+    let _bwd1 = overflow::site("gat.layer1.backward");
+    let dl1 = E::relu_grad(ops, &l1.out, &dh1);
     let (_, dw1, da_src1, da_dst1) =
-        layer_backward_f32(ops, g, &l1, x, &p.w1, &p.a_src1, &p.a_dst1, &dl1, f_in, h, d);
+        layer_backward(ops, g, &l1, x, &w1, &a_src1, &a_dst1, &dl1, f_in, h, d);
 
-    StepOutput {
-        loss,
-        correct,
-        grads: GatGrads {
-            w1: dw1,
-            a_src1: da_src1,
-            a_dst1: da_dst1,
-            w2: dw2,
-            a_src2: da_src2,
-            a_dst2: da_dst2,
-        },
-        logits,
-    }
+    let mut parts =
+        [dw1, da_src1, da_dst1, dw2, da_src2, da_dst2].map(|dw| E::master_grad(ops, dw));
+    E::unscale(ops, &mut parts);
+    let [w1, a_src1, a_dst1, w2, a_src2, a_dst2] = parts;
+    StepOutput { loss, grads: GatGrads { w1, a_src1, a_dst1, w2, a_src2, a_dst2 }, logits }
 }
 
-/// Saved forward state of one half GAT layer.
-struct LayerStateHalf {
-    z: Vec<Half>,
-    e: Vec<Half>,
-    alpha: Vec<Half>,
-    out: Vec<Half>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn layer_forward_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[Half],
-    w: &[Half],
-    a_src: &[Half],
-    a_dst: &[Half],
-    f_in: usize,
-    f_out: usize,
-    d: Dispatch<'_>,
-) -> LayerStateHalf {
-    let n = g.n();
-    let shadow = d.mode != PrecisionMode::HalfNaive;
-    let z = ops.gemm_half(x, false, w, false, n, f_in, f_out);
-    let s_src = ops.gemm_half(&z, false, a_src, false, n, f_out, 1);
-    let s_dst = ops.gemm_half(&z, false, a_dst, false, n, f_out, 1);
-    if d.attn_fused(g, f_out) {
-        // One pass over the edges: scores, running row-max, shadow exp,
-        // row-sum, normalize, aggregate. The kernel's own provenance site
-        // nests under the ambient layer site ("gat.layerN/fused_attn").
-        let fwd = fused_attn_forward(ops, g, &s_dst, &s_src, ATTN_SLOPE, &z, f_out, d);
-        return LayerStateHalf { z, e: fwd.e, alpha: fwd.alpha, out: fwd.out };
-    }
-    let (e, st) = edge_ops::src_dst_add_leakyrelu(ops.dev, &g.coo, &s_dst, &s_src, ATTN_SLOPE);
-    ops.record(st);
-    let m = edge_reduce_half(ops, g, &e, Reduce::Max, d);
-    // §3.1.2 / §5.3: AMP promotes exp to float with a tensor round trip;
-    // the shadow API stays in half because e − m ≤ 0.
-    let (en, st) = edge_ops::sub_row_exp(ops.dev, &g.coo, &e, &m, shadow);
-    ops.record(st);
-    if !shadow {
-        // The AMP path materialized float tensors: count the conversions.
-        ops.tensor_conversions += 2;
-        ops.converted_elems += 2 * g.nnz() as u64;
-    }
-    let zs = edge_reduce_half(ops, g, &en, Reduce::Sum, d);
-    let (alpha, st) = edge_ops::div_row(ops.dev, &g.coo, &en, &zs);
-    ops.record(st);
-    let out = spmmve_half(ops, g, &alpha, &z, f_out, d);
-    LayerStateHalf { z, e, alpha, out }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn layer_backward_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    state: &LayerStateHalf,
-    x: &[Half],
-    w: &[Half],
-    a_src: &[Half],
-    a_dst: &[Half],
-    dh: &[Half],
-    f_in: usize,
-    f_out: usize,
-    d: Dispatch<'_>,
-) -> (Vec<Half>, Vec<Half>, Vec<Half>, Vec<Half>) {
-    let n = g.n();
-    let alpha_t = g.permute_to_transpose(&state.alpha);
-    let dz_agg = spmmve_half(ops, g, &alpha_t, dh, f_out, d);
-    let dalpha = sddmm_half(ops, g, dh, &state.z, f_out, d);
-    let de = if d.attn_fused(g, f_out) {
-        // Fused edge-softmax backward: t stays register-resident, one
-        // kernel instead of mul → reduce → softmax_grad → leakyrelu_grad.
-        fused_softmax_grad(ops, g, &state.alpha, &dalpha, &state.e, ATTN_SLOPE, d)
-    } else {
-        let (prod, st) = edge_ops::mul(ops.dev, &g.coo, &state.alpha, &dalpha);
-        ops.record(st);
-        let t = edge_reduce_half(ops, g, &prod, Reduce::Sum, d);
-        let (de_soft, st) = edge_ops::softmax_grad(ops.dev, &g.coo, &state.alpha, &dalpha, &t);
-        ops.record(st);
-        let (de, st) = edge_ops::leakyrelu_grad(ops.dev, &g.coo, &state.e, &de_soft, ATTN_SLOPE);
-        ops.record(st);
-        de
-    };
-    let ds_dst = edge_reduce_half(ops, g, &de, Reduce::Sum, d);
-    let de_t = g.permute_to_transpose(&de);
-    let ds_src = edge_reduce_half(ops, g, &de_t, Reduce::Sum, d);
-    let outer_dst = ops.gemm_half(&ds_dst, false, a_dst, true, n, 1, f_out);
-    let outer_src = ops.gemm_half(&ds_src, false, a_src, true, n, 1, f_out);
-    let one = Half::ONE;
-    let tmp = ops.scale_add_half(one, &dz_agg, one, &outer_dst);
-    let dz = ops.scale_add_half(one, &tmp, one, &outer_src);
-    let da_dst = grad_gemm_half(ops, &state.z, &ds_dst, f_out, n, 1, d);
-    let da_src = grad_gemm_half(ops, &state.z, &ds_src, f_out, n, 1, d);
-    let dw = grad_gemm_half(ops, x, &dz, f_in, n, f_out, d);
-    let dx = ops.gemm_half(&dz, false, w, true, n, f_out, f_in);
-    (dx, dw, da_src, da_dst)
-}
-
-/// One mixed-precision GAT training step.
+/// [`step`] in half precision.
 pub fn step_half(
     ops: &mut Ops,
     g: &GraphView,
@@ -268,62 +179,7 @@ pub fn step_half(
     mask: &[bool],
     d: Dispatch<'_>,
 ) -> StepOutput<GatGrads> {
-    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let w1h = ops.to_half(&p.w1);
-    let a_src1h = ops.to_half(&p.a_src1);
-    let a_dst1h = ops.to_half(&p.a_dst1);
-    let w2h = ops.to_half(&p.w2);
-    let a_src2h = ops.to_half(&p.a_src2);
-    let a_dst2h = ops.to_half(&p.a_dst2);
-
-    let layer1 = halfgnn_half::overflow::site("gat.layer1");
-    let l1 = layer_forward_half(ops, g, x, &w1h, &a_src1h, &a_dst1h, f_in, h, d);
-    let h1 = ops.relu_half(&l1.out);
-    drop(layer1);
-    let layer2 = halfgnn_half::overflow::site("gat.layer2");
-    let l2 = layer_forward_half(ops, g, &h1, &w2h, &a_src2h, &a_dst2h, h, c, d);
-    drop(layer2);
-
-    let logits = ops.to_f32(&l2.out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    // Loss scaling: see gcn.rs — unscaled at the master update.
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for g in dlogits.iter_mut() {
-            *g *= loss_scale;
-        }
-    }
-    let dout = ops.to_half(&dlogits);
-
-    let bwd2 = halfgnn_half::overflow::site("gat.layer2.backward");
-    let (dh1, dw2h, da_src2h, da_dst2h) =
-        layer_backward_half(ops, g, &l2, &h1, &w2h, &a_src2h, &a_dst2h, &dout, h, c, d);
-    drop(bwd2);
-    let _bwd1 = halfgnn_half::overflow::site("gat.layer1.backward");
-    let dl1 = ops.relu_grad_half(&l1.out, &dh1);
-    let (_, dw1h, da_src1h, da_dst1h) =
-        layer_backward_half(ops, g, &l1, x, &w1h, &a_src1h, &a_dst1h, &dl1, f_in, h, d);
-
-    let mut grads = GatGrads {
-        w1: ops.to_f32(&dw1h),
-        a_src1: ops.to_f32(&da_src1h),
-        a_dst1: ops.to_f32(&da_dst1h),
-        w2: ops.to_f32(&dw2h),
-        a_src2: ops.to_f32(&da_src2h),
-        a_dst2: ops.to_f32(&da_dst2h),
-    };
-    for part in [
-        &mut grads.w1,
-        &mut grads.a_src1,
-        &mut grads.a_dst1,
-        &mut grads.w2,
-        &mut grads.a_src2,
-        &mut grads.a_dst2,
-    ] {
-        ops.unscale_grad(part);
-    }
-
-    StepOutput { loss, correct, grads, logits }
+    step(ops, g, p, x, labels, mask, d)
 }
 
 // ---------------------------------------------------------------------
@@ -404,181 +260,100 @@ pub struct MultiHeadGatGrads {
 }
 
 /// Interleave per-head column blocks into one `n × (heads·d)` matrix.
-fn concat_heads(parts: &[Vec<f32>], n: usize, d: usize) -> Vec<f32> {
-    let heads = parts.len();
-    let mut out = vec![0f32; n * heads * d];
-    for (h, p) in parts.iter().enumerate() {
-        for v in 0..n {
-            out[v * heads * d + h * d..v * heads * d + (h + 1) * d]
-                .copy_from_slice(&p[v * d..(v + 1) * d]);
+fn concat_heads<T: Copy>(parts: &[Vec<T>], n: usize, d: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(n * parts.len() * d);
+    for v in 0..n {
+        for p in parts {
+            out.extend_from_slice(&p[v * d..(v + 1) * d]);
         }
     }
     out
 }
 
 /// Split the gradient of a concatenated matrix back into per-head blocks.
-fn split_heads(full: &[f32], n: usize, heads: usize, d: usize) -> Vec<Vec<f32>> {
+fn split_heads<T: Copy>(full: &[T], n: usize, heads: usize, d: usize) -> Vec<Vec<T>> {
     (0..heads)
         .map(|h| {
-            let mut p = vec![0f32; n * d];
+            let mut p = Vec::with_capacity(n * d);
             for v in 0..n {
-                p[v * d..(v + 1) * d]
-                    .copy_from_slice(&full[v * heads * d + h * d..v * heads * d + (h + 1) * d]);
+                p.extend_from_slice(&full[v * heads * d + h * d..v * heads * d + (h + 1) * d]);
             }
             p
         })
         .collect()
 }
 
-/// One f32 multi-head GAT training step.
-pub fn step_f32_multihead(
+/// One multi-head GAT training step, generic over the precision (state
+/// tensors in `E`, f32 master weights and loss). It labels its overflow
+/// sites like the single-head [`step`].
+pub fn step_multihead<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
     p: &MultiHeadGatParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-) -> StepOutput<MultiHeadGatGrads> {
-    let n = g.n();
-    let (f_in, d, c) = (p.f_in, p.head_dim(), p.classes);
-    let fd32 = Dispatch::untuned(PrecisionMode::Float);
-
-    // ---- Layer 1: independent heads, then concat + ReLU.
-    let states: Vec<LayerStateF32> = (0..p.heads)
-        .map(|h| layer_forward_f32(ops, g, x, &p.w1[h], &p.a_src1[h], &p.a_dst1[h], f_in, d, fd32))
-        .collect();
-    let head_outs: Vec<Vec<f32>> = states.iter().map(|s| s.out.clone()).collect();
-    let cat = concat_heads(&head_outs, n, d);
-    let h1 = ops.relu_f32(&cat);
-
-    // ---- Layer 2: single head over the concatenated features.
-    let l2 = layer_forward_f32(ops, g, &h1, &p.w2, &p.a_src2, &p.a_dst2, p.hidden, c, fd32);
-    let logits = l2.out.clone();
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-
-    // ---- Backward.
-    let (dh1, dw2, da_src2, da_dst2) = layer_backward_f32(
-        ops, g, &l2, &h1, &p.w2, &p.a_src2, &p.a_dst2, &dlogits, p.hidden, c, fd32,
-    );
-    let dcat = ops.relu_grad_f32(&cat, &dh1);
-    let per_head = split_heads(&dcat, n, p.heads, d);
-    let mut grads = MultiHeadGatGrads {
-        w1: Vec::with_capacity(p.heads),
-        a_src1: Vec::with_capacity(p.heads),
-        a_dst1: Vec::with_capacity(p.heads),
-        w2: dw2,
-        a_src2: da_src2,
-        a_dst2: da_dst2,
-    };
-    for h in 0..p.heads {
-        let (_, dw, dasrc, dadst) = layer_backward_f32(
-            ops,
-            g,
-            &states[h],
-            x,
-            &p.w1[h],
-            &p.a_src1[h],
-            &p.a_dst1[h],
-            &per_head[h],
-            f_in,
-            d,
-            fd32,
-        );
-        grads.w1.push(dw);
-        grads.a_src1.push(dasrc);
-        grads.a_dst1.push(dadst);
-    }
-    StepOutput { loss, correct, grads, logits }
-}
-
-/// One mixed-precision multi-head GAT step (half state tensors, f32
-/// master weights/loss).
-pub fn step_half_multihead(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &MultiHeadGatParams,
-    x: &[Half],
+    x: &[E],
     labels: &[u32],
     mask: &[bool],
     dsp: Dispatch<'_>,
 ) -> StepOutput<MultiHeadGatGrads> {
     let n = g.n();
     let (f_in, d, c) = (p.f_in, p.head_dim(), p.classes);
-    assert!(d.is_multiple_of(2), "head width must stay half2-padded");
+    assert!(d.is_multiple_of(E::LANES), "head width must stay half2-padded");
 
     // Per-head parameter casts.
-    let w1h: Vec<Vec<Half>> = p.w1.iter().map(|w| ops.to_half(w)).collect();
-    let asrc1h: Vec<Vec<Half>> = p.a_src1.iter().map(|a| ops.to_half(a)).collect();
-    let adst1h: Vec<Vec<Half>> = p.a_dst1.iter().map(|a| ops.to_half(a)).collect();
-    let w2h = ops.to_half(&p.w2);
-    let asrc2h = ops.to_half(&p.a_src2);
-    let adst2h = ops.to_half(&p.a_dst2);
+    let w1: Vec<_> = p.w1.iter().map(|w| E::weight(ops, w)).collect();
+    let a_src1: Vec<_> = p.a_src1.iter().map(|a| E::weight(ops, a)).collect();
+    let a_dst1: Vec<_> = p.a_dst1.iter().map(|a| E::weight(ops, a)).collect();
+    let [w2, a_src2, a_dst2] = [&p.w2, &p.a_src2, &p.a_dst2].map(|w| E::weight(ops, w));
 
-    // ---- Layer 1 heads + concat + ReLU.
-    let states: Vec<LayerStateHalf> = (0..p.heads)
-        .map(|h| layer_forward_half(ops, g, x, &w1h[h], &asrc1h[h], &adst1h[h], f_in, d, dsp))
+    // ---- Layer 1: independent heads, then concat + ReLU.
+    let layer1 = overflow::site("gat.layer1");
+    let mut states: Vec<LayerState<E>> = (0..p.heads)
+        .map(|h| layer_forward(ops, g, x, &w1[h], &a_src1[h], &a_dst1[h], f_in, d, dsp))
         .collect();
-    let mut cat = vec![Half::ZERO; n * p.hidden];
-    for (h, st) in states.iter().enumerate() {
-        for v in 0..n {
-            cat[v * p.hidden + h * d..v * p.hidden + (h + 1) * d]
-                .copy_from_slice(&st.out[v * d..(v + 1) * d]);
-        }
-    }
-    let h1 = ops.relu_half(&cat);
+    let head_outs: Vec<Vec<E>> = states.iter_mut().map(|s| std::mem::take(&mut s.out)).collect();
+    let cat = concat_heads(&head_outs, n, d);
+    let h1 = E::relu(ops, &cat);
+    drop(layer1);
 
-    // ---- Layer 2 + loss.
-    let l2 = layer_forward_half(ops, g, &h1, &w2h, &asrc2h, &adst2h, p.hidden, c, dsp);
-    let logits = ops.to_f32(&l2.out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for gv in dlogits.iter_mut() {
-            *gv *= loss_scale;
-        }
-    }
-    let dout = ops.to_half(&dlogits);
+    // ---- Layer 2: single head over the concatenated features.
+    let layer2 = overflow::site("gat.layer2");
+    let mut l2 = layer_forward(ops, g, &h1, &w2, &a_src2, &a_dst2, p.hidden, c, dsp);
+    drop(layer2);
+    let logits = E::logits(ops, std::mem::take(&mut l2.out));
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&logits, labels, mask, c);
 
     // ---- Backward.
-    let (dh1, dw2h, dasrc2h, dadst2h) =
-        layer_backward_half(ops, g, &l2, &h1, &w2h, &asrc2h, &adst2h, &dout, p.hidden, c, dsp);
-    let dcat = ops.relu_grad_half(&cat, &dh1);
+    let bwd2 = overflow::site("gat.layer2.backward");
+    let dout = E::loss_grad(ops, dlogits);
+    let (dh1, dw2, da_src2, da_dst2) =
+        layer_backward(ops, g, &l2, &h1, &w2, &a_src2, &a_dst2, &dout, p.hidden, c, dsp);
+    drop(bwd2);
+    let _bwd1 = overflow::site("gat.layer1.backward");
+    let dcat = E::relu_grad(ops, &cat, &dh1);
     let mut grads = MultiHeadGatGrads {
         w1: Vec::with_capacity(p.heads),
         a_src1: Vec::with_capacity(p.heads),
         a_dst1: Vec::with_capacity(p.heads),
-        w2: ops.to_f32(&dw2h),
-        a_src2: ops.to_f32(&dasrc2h),
-        a_dst2: ops.to_f32(&dadst2h),
+        w2: E::master_grad(ops, dw2),
+        a_src2: E::master_grad(ops, da_src2),
+        a_dst2: E::master_grad(ops, da_dst2),
     };
-    for h in 0..p.heads {
-        let mut dh = vec![Half::ZERO; n * d];
-        for v in 0..n {
-            dh[v * d..(v + 1) * d]
-                .copy_from_slice(&dcat[v * p.hidden + h * d..v * p.hidden + (h + 1) * d]);
-        }
-        let (_, dw, dasrc, dadst) = layer_backward_half(
-            ops, g, &states[h], x, &w1h[h], &asrc1h[h], &adst1h[h], &dh, f_in, d, dsp,
-        );
-        grads.w1.push(ops.to_f32(&dw));
-        grads.a_src1.push(ops.to_f32(&dasrc));
-        grads.a_dst1.push(ops.to_f32(&dadst));
+    for (h, dh) in split_heads(&dcat, n, p.heads, d).iter().enumerate() {
+        let (_, dw, dasrc, dadst) =
+            layer_backward(ops, g, &states[h], x, &w1[h], &a_src1[h], &a_dst1[h], dh, f_in, d, dsp);
+        grads.w1.push(E::master_grad(ops, dw));
+        grads.a_src1.push(E::master_grad(ops, dasrc));
+        grads.a_dst1.push(E::master_grad(ops, dadst));
     }
-    for part in grads
-        .w1
-        .iter_mut()
-        .chain(grads.a_src1.iter_mut())
-        .chain(grads.a_dst1.iter_mut())
-        .chain([&mut grads.w2, &mut grads.a_src2, &mut grads.a_dst2])
-    {
-        ops.unscale_grad(part);
-    }
-    StepOutput { loss, correct, grads, logits }
+    let heads = grads.w1.iter_mut().chain(&mut grads.a_src1).chain(&mut grads.a_dst1);
+    E::unscale(ops, heads.chain([&mut grads.w2, &mut grads.a_src2, &mut grads.a_dst2]));
+    StepOutput { loss, grads, logits }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::PrecisionMode;
     use halfgnn_graph::gen;
     use halfgnn_graph::Csr;
     use halfgnn_sim::DeviceConfig;
@@ -598,16 +373,16 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = GatParams::new(8, 6, 2, 11);
         let mut ops = Ops::new(&dev);
-        let out = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
+        let out = step(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let eps = 1e-3;
 
         // W1 coordinates (checks the full attention backward chain).
         for &idx in &[0usize, 9, 21] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lp = step(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lm = step(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -620,9 +395,9 @@ mod tests {
         for &idx in &[0usize, 3] {
             let orig = p.a_src1[idx];
             p.a_src1[idx] = orig + eps;
-            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lp = step(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.a_src1[idx] = orig - eps;
-            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lm = step(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.a_src1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -639,16 +414,17 @@ mod tests {
         let (g, x, labels, mask) = toy();
         let mut p = MultiHeadGatParams::new(8, 8, 4, 2, 17); // 4 heads x 2 dims
         let mut ops = Ops::new(&dev);
-        let out = step_f32_multihead(&mut ops, &g, &p, &x, &labels, &mask);
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let out = step_multihead(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let eps = 1e-3;
         // Spot-check one coordinate in two different heads + layer 2.
         for head in [0usize, 3] {
             let idx = 5;
             let orig = p.w1[head][idx];
             p.w1[head][idx] = orig + eps;
-            let lp = step_f32_multihead(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lp = step_multihead(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[head][idx] = orig - eps;
-            let lm = step_f32_multihead(&mut ops, &g, &p, &x, &labels, &mask).loss;
+            let lm = step_multihead(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             p.w1[head][idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -659,9 +435,9 @@ mod tests {
         }
         let orig = p.w2[3];
         p.w2[3] = orig + eps;
-        let lp = step_f32_multihead(&mut ops, &g, &p, &x, &labels, &mask).loss;
+        let lp = step_multihead(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
         p.w2[3] = orig - eps;
-        let lm = step_f32_multihead(&mut ops, &g, &p, &x, &labels, &mask).loss;
+        let lm = step_multihead(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
         p.w2[3] = orig;
         let fd = (lp - lm) / (2.0 * eps);
         assert!((fd - out.grads.w2[3]).abs() < 2e-2 + 0.1 * fd.abs());
@@ -684,8 +460,8 @@ mod tests {
         multi.a_dst2.copy_from_slice(&single.a_dst2);
         let mut ops = Ops::new(&dev);
         let fd32 = Dispatch::untuned(PrecisionMode::Float);
-        let a = step_f32_dist(&mut ops, &g, &single, &x, &labels, &mask, fd32);
-        let b = step_f32_multihead(&mut ops, &g, &multi, &x, &labels, &mask);
+        let a = step(&mut ops, &g, &single, &x, &labels, &mask, fd32);
+        let b = step_multihead(&mut ops, &g, &multi, &x, &labels, &mask, fd32);
         assert!((a.loss - b.loss).abs() < 1e-6, "{} vs {}", a.loss, b.loss);
         for (u, v) in a.grads.w1.iter().zip(&b.grads.w1[0]) {
             assert!((u - v).abs() < 1e-6);
@@ -699,16 +475,10 @@ mod tests {
         let p = MultiHeadGatParams::new(8, 8, 2, 2, 19); // 2 heads x 4 dims
         let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let f = step_f32_multihead(&mut ops, &g, &p, &x, &labels, &mask);
-        let h = step_half_multihead(
-            &mut ops,
-            &g,
-            &p,
-            &xh,
-            &labels,
-            &mask,
-            PrecisionMode::HalfGnn.into(),
-        );
+        let fd32 = Dispatch::untuned(PrecisionMode::Float);
+        let f = step_multihead(&mut ops, &g, &p, &x, &labels, &mask, fd32);
+        let h =
+            step_multihead(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!((f.loss - h.loss).abs() < 0.1, "{} vs {}", f.loss, h.loss);
         assert!(h.loss.is_finite());
         // Gradient direction agreement on head 0's projection.
@@ -737,7 +507,7 @@ mod tests {
         let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
         let fd32 = Dispatch::untuned(PrecisionMode::Float);
-        let f = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
+        let f = step(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let hh = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!((f.loss - hh.loss).abs() < 0.08, "{} vs {}", f.loss, hh.loss);
         assert!(hh.loss.is_finite());

@@ -1,6 +1,7 @@
 //! GIN (Xu et al.).
 //!
-//! Per layer: `h' = σ(((1+ε)·x + agg(x)) · W + b)` with ε = 0 fixed.
+//! Per layer: `h' = σ(((1+ε)·x + agg(x)) · W + b)` with ε = 0 fixed. One
+//! step, generic over the precision ([`Elem`]):
 //!
 //! * The float and naive-half baselines use DGL's **'mean'** reduction
 //!   variant the paper discusses in §3.1.3: "the degree-norm is called
@@ -15,12 +16,9 @@
 
 use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
-use crate::models::{
-    grad_colsum_f32, grad_colsum_half, grad_gemm_f32, grad_gemm_half, spmm_mean_f32,
-    spmm_mean_half, spmm_sum_f32, spmm_sum_half, Dispatch, PrecisionMode,
-};
+use crate::models::{spmm_mean, spmm_sum, Dispatch, Elem, PrecisionMode};
 use crate::params::{TwoLayerGrads, TwoLayerParams};
-use halfgnn_half::Half;
+use halfgnn_half::overflow;
 use halfgnn_tensor::Ops;
 
 /// The paper's λ (Eq. 4), validated as "worked fine for all our robust
@@ -30,66 +28,16 @@ pub const GIN_LAMBDA: f32 = 0.1;
 /// ε in the GIN combine (fixed, non-learnable here).
 pub const GIN_EPS: f32 = 0.0;
 
-/// One f32 GIN step (DGL 'mean' reduction variant) under an explicit
-/// dispatch (the sharded trainer threads a [`crate::dist::DistCtx`]
-/// through it).
+/// One GIN step with an explicit λ: the trainer passes the paper's
+/// [`GIN_LAMBDA`] unless configured otherwise, and the §5.2.2 ablation
+/// sweeps it. λ applies only in the HalfGNN modes (Eq. 4); the float and
+/// `HalfNaive` baselines run the DGL-mean variant.
 #[allow(clippy::too_many_arguments)]
-pub fn step_f32_dist(
+pub fn step<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
     p: &TwoLayerParams,
-    x: &[f32],
-    labels: &[u32],
-    mask: &[bool],
-    d: Dispatch<'_>,
-) -> StepOutput<TwoLayerGrads> {
-    let n = g.n();
-    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let one_eps = 1.0 + GIN_EPS;
-
-    // ---- Forward.
-    let agg1 = spmm_mean_f32(ops, g, x, f_in, d);
-    let comb1 = ops.scale_add_f32(one_eps, x, 1.0, &agg1);
-    let z1 = ops.gemm_f32(&comb1, false, &p.w1, false, n, f_in, h);
-    let z1 = ops.bias_add_f32(&z1, &p.b1);
-    let h1 = ops.relu_f32(&z1);
-    let agg2 = spmm_mean_f32(ops, g, &h1, h, d);
-    let comb2 = ops.scale_add_f32(one_eps, &h1, 1.0, &agg2);
-    let z2 = ops.gemm_f32(&comb2, false, &p.w2, false, n, h, c);
-    let logits = ops.bias_add_f32(&z2, &p.b2);
-
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-
-    // ---- Backward.
-    let dw2 = grad_gemm_f32(ops, &comb2, &dlogits, h, n, c, d);
-    let db2 = grad_colsum_f32(ops, &dlogits, c, d);
-    let dcomb2 = ops.gemm_f32(&dlogits, false, &p.w2, true, n, c, h);
-    // comb2 = (1+ε)h1 + mean(h1)  ⇒  δh1 = (1+ε)δcomb2 + Âᵀ(δcomb2/deg).
-    let scaled2 = ops.row_scale_f32(&dcomb2, &g.mean_scale_f, h);
-    let back2 = spmm_sum_f32(ops, g, &scaled2, h, d);
-    let dh1 = ops.scale_add_f32(one_eps, &dcomb2, 1.0, &back2);
-    let dz1 = ops.relu_grad_f32(&z1, &dh1);
-    let dw1 = grad_gemm_f32(ops, &comb1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_f32(ops, &dz1, h, d);
-
-    StepOutput {
-        loss,
-        correct,
-        grads: TwoLayerGrads { w1: dw1, b1: db1, w2: dw2, b2: db2 },
-        logits,
-    }
-}
-
-/// One mixed-precision GIN step with an explicit λ: the trainer passes
-/// the paper's [`GIN_LAMBDA`] unless configured otherwise, and the §5.2.2
-/// ablation sweeps it. `HalfNaive` runs the overflowing DGL-mean variant;
-/// HalfGNN modes use Eq. 4.
-#[allow(clippy::too_many_arguments)]
-pub fn step_half_lambda(
-    ops: &mut Ops,
-    g: &GraphView,
-    p: &TwoLayerParams,
-    x: &[Half],
+    x: &[E],
     labels: &[u32],
     mask: &[bool],
     d: Dispatch<'_>,
@@ -97,78 +45,50 @@ pub fn step_half_lambda(
 ) -> StepOutput<TwoLayerGrads> {
     let n = g.n();
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-    let one_eps = Half::from_f32(1.0 + GIN_EPS);
+    let one_eps = E::from_f32(1.0 + GIN_EPS);
     let protected = matches!(d.mode, PrecisionMode::HalfGnn | PrecisionMode::HalfGnnNoDiscretize);
-    let agg_scale = if protected { Half::from_f32(lambda) } else { Half::ONE };
+    let agg_scale = if protected { E::from_f32(lambda) } else { E::ONE };
+    let [w1, b1, w2, b2] = [&p.w1, &p.b1, &p.w2, &p.b2].map(|w| E::weight(ops, w));
 
-    let w1h = ops.to_half(&p.w1);
-    let b1h = ops.to_half(&p.b1);
-    let w2h = ops.to_half(&p.w2);
-    let b2h = ops.to_half(&p.b2);
-
-    // Both the naive and protected paths run DGL's 'mean' GIN; the naive
-    // kernel applies the degree norm post-reduction, so hub rows have
-    // already overflowed by the time it runs.
-    let aggregate =
-        |ops: &mut Ops, g: &GraphView, t: &[Half], f: usize| spmm_mean_half(ops, g, t, f, d);
-
-    // ---- Forward.
-    let layer1 = halfgnn_half::overflow::site("gin.layer1");
-    let agg1 = aggregate(ops, g, x, f_in);
-    let comb1 = ops.scale_add_half(one_eps, x, agg_scale, &agg1);
-    let z1 = ops.gemm_half(&comb1, false, &w1h, false, n, f_in, h);
-    let z1 = ops.bias_add_half(&z1, &b1h);
-    let h1 = ops.relu_half(&z1);
+    // ---- Forward. Both the naive and protected paths run DGL's 'mean'
+    // GIN; the naive kernel applies the degree norm post-reduction, so hub
+    // rows have already overflowed by the time it runs.
+    let layer1 = overflow::site("gin.layer1");
+    let agg1 = spmm_mean(ops, g, x, f_in, d);
+    let comb1 = E::scale_add(ops, one_eps, x, agg_scale, &agg1);
+    let z1 = E::gemm(ops, &comb1, &w1, false, n, f_in, h);
+    let z1 = E::bias_add(ops, &z1, &b1);
+    let h1 = E::relu(ops, &z1);
     drop(layer1);
-    let layer2 = halfgnn_half::overflow::site("gin.layer2");
-    let agg2 = aggregate(ops, g, &h1, h);
-    let comb2 = ops.scale_add_half(one_eps, &h1, agg_scale, &agg2);
-    let z2 = ops.gemm_half(&comb2, false, &w2h, false, n, h, c);
-    let out = ops.bias_add_half(&z2, &b2h);
+    let layer2 = overflow::site("gin.layer2");
+    let agg2 = spmm_mean(ops, g, &h1, h, d);
+    let comb2 = E::scale_add(ops, one_eps, &h1, agg_scale, &agg2);
+    let z2 = E::gemm(ops, &comb2, &w2, false, n, h, c);
+    let out = E::bias_add(ops, &z2, &b2);
     drop(layer2);
 
-    let logits = ops.to_f32(&out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    // Loss scaling (Micikevicius et al.): multiply the loss gradient so
-    // small per-vertex gradients survive the f2h cast; weight gradients
-    // are unscaled before the f32 master update.
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for g in dlogits.iter_mut() {
-            *g *= loss_scale;
-        }
-    }
+    let logits = E::logits(ops, out);
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&logits, labels, mask, c);
 
     // ---- Backward.
-    let _bwd = halfgnn_half::overflow::site("gin.backward");
-    let dout = ops.to_half(&dlogits);
-    let dw2h = grad_gemm_half(ops, &comb2, &dout, h, n, c, d);
-    let db2 = grad_colsum_half(ops, &dout, c, d);
-    let dcomb2 = ops.gemm_half(&dout, false, &w2h, true, n, c, h);
-    // Adjoint of the aggregation: mean's adjoint is row-scale-then-sum;
-    // sum's adjoint is a plain sum.
-    let scaled2 = ops.row_scale_half(&dcomb2, &g.mean_scale_h, h);
-    let back2 = spmm_sum_half(ops, g, &scaled2, h, d);
-    let dh1 = ops.scale_add_half(one_eps, &dcomb2, agg_scale, &back2);
-    let dz1 = ops.relu_grad_half(&z1, &dh1);
-    let dw1h = grad_gemm_half(ops, &comb1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_half(ops, &dz1, h, d);
+    let _bwd = overflow::site("gin.backward");
+    let dout = E::loss_grad(ops, dlogits);
+    let dw2 = E::grad_gemm(ops, &comb2, &dout, h, n, c, d);
+    let db2 = E::grad_colsum(ops, &dout, c, d);
+    let dcomb2 = E::gemm(ops, &dout, &w2, true, n, c, h);
+    // comb2 = (1+ε)h1 + λ·mean(h1)  ⇒  δh1 = (1+ε)δcomb2 + λ·Âᵀ(δcomb2/deg):
+    // mean's adjoint is row-scale-then-sum.
+    let scaled2 = E::row_scale(ops, &dcomb2, E::mean_scale(g), h);
+    let back2 = spmm_sum(ops, g, &scaled2, h, d);
+    let dh1 = E::scale_add(ops, one_eps, &dcomb2, agg_scale, &back2);
+    let dz1 = E::relu_grad(ops, &z1, &dh1);
+    let dw1 = E::grad_gemm(ops, &comb1, &dz1, f_in, n, h, d);
+    let db1 = E::grad_colsum(ops, &dz1, h, d);
 
-    let mut dw1 = ops.to_f32(&dw1h);
-    let mut dw2 = ops.to_f32(&dw2h);
-    let mut db1 = db1;
-    let mut db2 = db2;
-    ops.unscale_grad(&mut dw1);
-    ops.unscale_grad(&mut dw2);
-    ops.unscale_grad(&mut db1);
-    ops.unscale_grad(&mut db2);
-
-    StepOutput {
-        loss,
-        correct,
-        grads: TwoLayerGrads { w1: dw1, b1: db1, w2: dw2, b2: db2 },
-        logits,
-    }
+    let (w1, w2) = (E::master_grad(ops, dw1), E::master_grad(ops, dw2));
+    let mut grads = TwoLayerGrads { w1, b1: db1, w2, b2: db2 };
+    E::unscale(ops, [&mut grads.w1, &mut grads.w2, &mut grads.b1, &mut grads.b2]);
+    StepOutput { loss, grads, logits }
 }
 
 #[cfg(test)]
@@ -176,6 +96,7 @@ mod tests {
     use super::*;
     use halfgnn_graph::gen;
     use halfgnn_graph::Csr;
+    use halfgnn_half::Half;
     use halfgnn_sim::DeviceConfig;
 
     fn toy() -> (GraphView, Vec<f32>, Vec<u32>, Vec<bool>) {
@@ -193,14 +114,14 @@ mod tests {
         let mut p = TwoLayerParams::new(8, 6, 2, 2);
         let mut ops = Ops::new(&dev);
         let fd32 = Dispatch::untuned(PrecisionMode::Float);
-        let out = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
+        let out = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, GIN_LAMBDA);
         let eps = 1e-3;
         for &idx in &[0usize, 11, 30] {
             let orig = p.w1[idx];
             p.w1[idx] = orig + eps;
-            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lp = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, GIN_LAMBDA).loss;
             p.w1[idx] = orig - eps;
-            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lm = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, GIN_LAMBDA).loss;
             p.w1[idx] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -213,9 +134,9 @@ mod tests {
             let orig = p.b1[idx % p.b1.len()];
             let j = idx % p.b1.len();
             p.b1[j] = orig + eps;
-            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lp = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, GIN_LAMBDA).loss;
             p.b1[j] = orig - eps;
-            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lm = step(&mut ops, &g, &p, &x, &labels, &mask, fd32, GIN_LAMBDA).loss;
             p.b1[j] = orig;
             let fd = (lp - lm) / (2.0 * eps);
             // Relative slack absorbs ReLU-kink noise in the central
@@ -246,11 +167,11 @@ mod tests {
 
         let mut ops = Ops::new(&dev);
         let naive_d = PrecisionMode::HalfNaive.into();
-        let naive = step_half_lambda(&mut ops, &g, &p, &xh, &labels, &mask, naive_d, GIN_LAMBDA);
+        let naive = step(&mut ops, &g, &p, &xh, &labels, &mask, naive_d, GIN_LAMBDA);
         assert!(naive.loss.is_nan(), "naive GIN should NaN, got {}", naive.loss);
 
         let ours_d = PrecisionMode::HalfGnn.into();
-        let ours = step_half_lambda(&mut ops, &g, &p, &xh, &labels, &mask, ours_d, GIN_LAMBDA);
+        let ours = step(&mut ops, &g, &p, &xh, &labels, &mask, ours_d, GIN_LAMBDA);
         assert!(ours.loss.is_finite(), "HalfGNN GIN must stay finite, got {}", ours.loss);
     }
 }

@@ -1,5 +1,7 @@
-//! Model and precision-mode selection, plus the kernel dispatch layer that
-//! routes a model's sparse operations to the right system's kernels.
+//! Model and precision-mode selection, the kernel dispatch layer that
+//! routes a model's operations to the right system's kernels, and the
+//! [`Elem`] trait that holds the precision policy: each model's step is
+//! written once, generic over `f32` and [`Half`].
 //!
 //! When a [`DistCtx`] is attached the dispatch layer also *shards* every
 //! sparse operation: each simulated device runs the global kernel tiling
@@ -15,6 +17,7 @@
 //! halos, so they contribute zero additional communication.
 
 use crate::dist::DistCtx;
+use crate::gat::ATTN_SLOPE;
 use crate::graphdata::GraphView;
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_graph::partition::Shard;
@@ -28,6 +31,7 @@ use halfgnn_sim::KernelStats;
 use halfgnn_tensor::Ops;
 use halfgnn_tune::plan::{AttnPlan, KernelPlan, SddmmPlan};
 use halfgnn_tune::{SpmmPlan, SpmmVariant, Tuner};
+use std::borrow::Cow;
 
 /// Which GNN architecture to train.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -306,109 +310,16 @@ fn sharded_edges<T: Copy>(
     out
 }
 
-// ---------------------------------------------------------------------
-// Sparse-kernel dispatch. Every call records its stats into `ops`.
-// ---------------------------------------------------------------------
-
-/// f32 GCN aggregation under the chosen norm (Â is symmetric).
-pub fn gcn_agg_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    f: usize,
-    norm: GcnNorm,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match norm {
-        GcnNorm::Right => spmm_mean_f32(ops, g, x, f, d),
-        GcnNorm::Left => {
-            let scaled = ops.row_scale_f32(x, &g.mean_scale_f, f);
-            spmm_sum_f32(ops, g, &scaled, f, d)
-        }
-        GcnNorm::Both => {
-            let scaled = ops.row_scale_f32(x, &g.inv_sqrt_scale_f, f);
-            spmm_f32_dispatch(
-                ops,
-                g,
-                EdgeWeightsF32::Ones,
-                &scaled,
-                f,
-                Some(&g.inv_sqrt_scale_f),
-                d,
-            )
-        }
-    }
+/// Record a kernel's stats into `ops` and return its output.
+fn record<T>(ops: &mut Ops, (y, stats): (Vec<T>, KernelStats)) -> Vec<T> {
+    ops.record(stats);
+    y
 }
 
-/// Adjoint of [`gcn_agg_f32`] on a symmetric Â.
-pub fn gcn_agg_backward_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    dy: &[f32],
-    f: usize,
-    norm: GcnNorm,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match norm {
-        // (D⁻¹Â)ᵀ = Â D⁻¹: scale first, then sum.
-        GcnNorm::Right => {
-            let scaled = ops.row_scale_f32(dy, &g.mean_scale_f, f);
-            spmm_sum_f32(ops, g, &scaled, f, d)
-        }
-        // (ÂD⁻¹)ᵀ = D⁻¹Â: sum first, then scale — the §3.1.3 backward trap.
-        GcnNorm::Left => {
-            let summed = spmm_sum_f32(ops, g, dy, f, d);
-            ops.row_scale_f32(&summed, &g.mean_scale_f, f)
-        }
-        // D^-1/2 Â D^-1/2 is self-adjoint.
-        GcnNorm::Both => gcn_agg_f32(ops, g, dy, f, GcnNorm::Both, d),
-    }
-}
-
-/// Half GCN aggregation under the chosen norm and kernel system.
-pub fn gcn_agg_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[Half],
-    f: usize,
-    norm: GcnNorm,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match norm {
-        GcnNorm::Right => spmm_mean_half(ops, g, x, f, d),
-        GcnNorm::Left => {
-            let scaled = ops.row_scale_half(x, &g.mean_scale_h, f);
-            spmm_sum_half(ops, g, &scaled, f, d)
-        }
-        GcnNorm::Both => {
-            let scaled = ops.row_scale_half(x, &g.inv_sqrt_scale_h, f);
-            spmm_half_dispatch(ops, g, EdgeWeights::Ones, &scaled, f, Some(&g.inv_sqrt_scale_h), d)
-        }
-    }
-}
-
-/// Adjoint of [`gcn_agg_half`]: the `Left` adjoint applies the degree norm
-/// *after* the reduction — under the naive kernels this is where the
-/// backward pass overflows even though the forward was safe (§3.1.3);
-/// HalfGNN's discretized mean is safe on both sides.
-pub fn gcn_agg_backward_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    dy: &[Half],
-    f: usize,
-    norm: GcnNorm,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match norm {
-        GcnNorm::Right => {
-            let scaled = ops.row_scale_half(dy, &g.mean_scale_h, f);
-            spmm_sum_half(ops, g, &scaled, f, d)
-        }
-        // D⁻¹Â δy is exactly a mean aggregation of δy: the naive path runs
-        // sum-then-post-scale (overflow), HalfGNN discretizes it.
-        GcnNorm::Left => spmm_mean_half(ops, g, dy, f, d),
-        GcnNorm::Both => gcn_agg_half(ops, g, dy, f, GcnNorm::Both, d),
-    }
+/// Capture inputs of an SpMM launch: features, then the edge weights and
+/// row scale when present.
+fn spmm_inputs<T>(x: &[T], w: Option<&[T]>, row_scale: Option<&[T]>) -> Vec<BufRef> {
+    [Some(x), w, row_scale].into_iter().flatten().map(buf_ref).collect()
 }
 
 /// The single HalfGNN SpMM plan-resolution point: every SpMMv/SpMMve
@@ -573,138 +484,12 @@ fn spmm_half_window(
     }
 }
 
-/// Half SpMM dispatch: one full-window launch, or — with a [`DistCtx`]
-/// attached — per-shard halo exchange + windowed launch + paste.
-fn spmm_half_dispatch(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: EdgeWeights<'_>,
-    x: &[Half],
-    f: usize,
-    row_scale: Option<&[Half]>,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    let mut ins = vec![buf_ref(x)];
-    if let EdgeWeights::Values(wv) = w {
-        ins.push(buf_ref(wv));
-    }
-    if let Some(rs) = row_scale {
-        ins.push(buf_ref(rs));
-    }
-    match d.dist {
-        None => {
-            let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, (0, g.n()));
-            ops.record(stats);
-            d.capture_node("spmm_half", &ins, &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), f, Half::ZERO, |ops, shard| {
-            if d.mode == PrecisionMode::I8 {
-                ctx.exchange_halo_i8(ops, x, f, shard, d.quant_seed);
-            } else {
-                ctx.exchange_halo_half(ops, x, f, shard);
-            }
-            let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("spmm_half", &ins, &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
-    }
-}
-
-/// Float SpMM dispatch (cuSPARSE kernel), sharded like
-/// [`spmm_half_dispatch`] but with 4-byte halo elements.
-fn spmm_f32_dispatch(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: EdgeWeightsF32<'_>,
-    x: &[f32],
-    f: usize,
-    row_scale: Option<&[f32]>,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    let mut ins = vec![buf_ref(x)];
-    if let EdgeWeightsF32::Values(wv) = w {
-        ins.push(buf_ref(wv));
-    }
-    if let Some(rs) = row_scale {
-        ins.push(buf_ref(rs));
-    }
-    match d.dist {
-        None => {
-            // The forced vertex-parallel skeleton (serving) runs the
-            // GE-SpMM row-per-warp kernel: each row reduces its own
-            // neighbors in column order, so output bits are independent
-            // of which other rows share the launch. Degree norm becomes a
-            // post-reduction row scale, same placement as the cuSPARSE
-            // path. (Weighted SpMMve — GAT — keeps the edge-tiled kernel;
-            // serving only dispatches unweighted GCN aggregation.)
-            let (y, stats) = if d.force_spmm == Some(SpmmVariant::VertexParallel) && w.is_ones() {
-                let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
-                if let Some(scale) = row_scale {
-                    for (r, &sc) in scale.iter().enumerate() {
-                        for v in &mut y[r * f..(r + 1) * f] {
-                            *v *= sc;
-                        }
-                    }
-                }
-                (y, stats)
-            } else {
-                cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, (0, g.n()))
-            };
-            ops.record(stats);
-            d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), f, 0.0f32, |ops, shard| {
-            ctx.exchange_halo_f32(ops, x, f, shard);
-            let (y, stats) =
-                cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
-    }
-}
-
-/// Half SpMMv with mean (right degree-norm) aggregation.
-pub fn spmm_mean_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    spmm_half_dispatch(ops, g, EdgeWeights::Ones, x, f, Some(&g.mean_scale_h), d)
-}
-
-/// Half SpMMv, plain sum (GIN's default aggregation; backward passes).
-pub fn spmm_sum_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    spmm_half_dispatch(ops, g, EdgeWeights::Ones, x, f, None, d)
-}
-
-/// Half SpMMve (weighted sum — GAT's attention aggregation; the attention
-/// weights are normalized, so no degree scaling is needed).
-pub fn spmmve_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[Half],
-    x: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    spmm_half_dispatch(ops, g, EdgeWeights::Values(w), x, f, None, d)
-}
-
-/// One windowed half SDDMM launch under the mode's kernel system.
+/// One windowed half SDDMM launch under the mode's kernel system, with
+/// the plan resolved by the tuner when one is attached and by
+/// [`SddmmConfig::widest_for`] (the paper's widest-legal-width rule)
+/// otherwise.
+///
+/// [`SddmmConfig::widest_for`]: halfgnn_kernels::halfgnn_sddmm::SddmmConfig::widest_for
 fn sddmm_half_window(
     ops: &mut Ops,
     g: &GraphView,
@@ -737,380 +522,846 @@ fn sddmm_half_window(
             };
             halfgnn_sddmm::sddmm_window(ops.dev, &g.coo, u, v, f, &plan.to_sddmm_config(), win)
         }
-        PrecisionMode::Float => unreachable!("float path uses sddmm_f32"),
+        PrecisionMode::Float => unreachable!("float path uses the f32 dispatch"),
     }
 }
 
-/// Half SDDMM dispatch: DGL's naive kernel or HalfGNN's vector-width
-/// design, with the plan resolved by the tuner when one is attached and
-/// by [`SddmmConfig::widest_for`] (the paper's widest-legal-width rule)
-/// otherwise. `u` is row-indexed (shard-local); `v` is column-indexed, so
-/// sharded runs halo-exchange it before each per-shard edge window.
-pub fn sddmm_half(
+// ---------------------------------------------------------------------
+// The precision policy. Each model's step is written once over
+// `E: Elem`; the two impls below hold everything that differs between
+// the DGL-float baseline and the half modes.
+// ---------------------------------------------------------------------
+
+/// The element type of a step's state tensors — `f32` for the DGL-float
+/// baseline, [`Half`] for every half mode — and the one place that knows
+/// what differs between the two precisions:
+///
+/// * which kernel each dense, sparse and GAT edge op launches (within
+///   half, the [`Dispatch`]'s mode then picks the kernel *system*);
+/// * the AMP boundary (Micikevicius et al.): casting the f32 master
+///   weights, promoting the logits to the f32 loss, loss scaling, and
+///   returning weight gradients to the f32 master domain.
+///
+/// `f32` casts nothing, charges no conversion, ignores
+/// `Ops::loss_scale` and never fuses.
+pub trait Elem: Copy + 'static {
+    /// Multiplicative identity.
+    const ONE: Self;
+    /// Feature widths must be multiples of this (half2 packing).
+    const LANES: usize;
+    /// Round an f32 constant into this precision.
+    fn from_f32(v: f32) -> Self;
+    /// The graph's per-row mean scale `1/deg`.
+    fn mean_scale(g: &GraphView) -> &[Self];
+    /// The graph's per-row symmetric-norm scale `1/√deg`.
+    fn inv_sqrt_scale(g: &GraphView) -> &[Self];
+
+    /// An f32 master weight as the step reads it. Steps take every
+    /// weight, in parameter order, before layer 1.
+    fn weight<'w>(ops: &mut Ops, w: &'w [f32]) -> Cow<'w, [Self]>;
+    /// The last layer's output as the f32 logits the loss runs on (AMP
+    /// promotes the loss; a charged conversion in half).
+    fn logits(ops: &mut Ops, out: Vec<Self>) -> Vec<f32>;
+    /// The loss gradient entering the backward pass. Half multiplies it
+    /// by `ops.loss_scale` so small per-vertex gradients survive the f2h
+    /// cast; weight gradients are unscaled before the master update.
+    fn loss_grad(ops: &mut Ops, dlogits: Vec<f32>) -> Vec<Self>;
+    /// A weight gradient in the f32 master domain, still loss-scaled.
+    fn master_grad(ops: &mut Ops, grad: Vec<Self>) -> Vec<f32>;
+    /// Divide master-domain gradients by the loss scale, in order.
+    fn unscale<'g>(ops: &mut Ops, grads: impl IntoIterator<Item = &'g mut Vec<f32>>);
+
+    /// `A·B` (`A·Bᵀ` with `tb`), `A: m×k`; half runs on tensor cores.
+    fn gemm(
+        ops: &mut Ops,
+        a: &[Self],
+        b: &[Self],
+        tb: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<Self>;
+    /// Row-broadcast bias add.
+    fn bias_add(ops: &mut Ops, x: &[Self], bias: &[Self]) -> Vec<Self>;
+    /// ReLU (NaN propagates).
+    fn relu(ops: &mut Ops, x: &[Self]) -> Vec<Self>;
+    /// ReLU backward `δy · 1[x > 0]`.
+    fn relu_grad(ops: &mut Ops, x: &[Self], dy: &[Self]) -> Vec<Self>;
+    /// `a·x + b·y`.
+    fn scale_add(ops: &mut Ops, a: Self, x: &[Self], b: Self, y: &[Self]) -> Vec<Self>;
+    /// Scale row `r` of an `n×f` tensor by `scale[r]`.
+    fn row_scale(ops: &mut Ops, x: &[Self], scale: &[Self], f: usize) -> Vec<Self>;
+
+    /// SpMM over Â with edge weights `w` (SpMMve) or ones (SpMMv) and an
+    /// optional per-row scale (mean-style aggregation). One launch, or —
+    /// with a [`DistCtx`] attached — per-shard halo exchange + windowed
+    /// launch + paste.
+    fn spmm(
+        ops: &mut Ops,
+        g: &GraphView,
+        w: Option<&[Self]>,
+        x: &[Self],
+        f: usize,
+        row_scale: Option<&[Self]>,
+        d: Dispatch<'_>,
+    ) -> Vec<Self>;
+    /// `D⁻¹Â·x` with the degree norm after the reduction — GCN left
+    /// norm's adjoint, where §3.1.3 places the backward overflow. Float
+    /// runs DGL's sum then a row-scale kernel. Half runs it as the mean
+    /// aggregation it is: the naive kernel sums then post-scales
+    /// (overflow), HalfGNN discretizes it.
+    fn left_norm_adjoint(
+        ops: &mut Ops,
+        g: &GraphView,
+        x: &[Self],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<Self>;
+    /// SDDMM `dot(u_i, v_j)` per edge. `u` is row-indexed (shard-local);
+    /// `v` is column-indexed, so sharded runs halo-exchange it.
+    fn sddmm(
+        ops: &mut Ops,
+        g: &GraphView,
+        u: &[Self],
+        v: &[Self],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<Self>;
+    /// Per-row reduction of an edge tensor (softmax max/denominator).
+    /// Edges live with the rows that own them: no halo when sharded.
+    fn edge_reduce(
+        ops: &mut Ops,
+        g: &GraphView,
+        w: &[Self],
+        op: Reduce,
+        d: Dispatch<'_>,
+    ) -> Vec<Self>;
+    /// Weight gradient `AᵀB` contracted over vertices (`A: n×m`,
+    /// `B: n×c`). A sharded device holds only the rows it owns, so the
+    /// full gradient is the all-reduce of per-shard partials: half moves
+    /// them over the f16 (or INT8) wire with discretized per-bucket
+    /// scaling, overflow-free by construction; float computes the exact
+    /// global GEMM and charges only the f32 wire, so sharded float
+    /// training stays bit-identical.
+    fn grad_gemm(
+        ops: &mut Ops,
+        a: &[Self],
+        b: &[Self],
+        m: usize,
+        n: usize,
+        c: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<Self>;
+    /// Bias gradient: column sums over vertices, accumulated in f32 (AMP
+    /// promotes the sum) and all-reduced like [`Elem::grad_gemm`].
+    fn grad_colsum(ops: &mut Ops, x: &[Self], c: usize, d: Dispatch<'_>) -> Vec<f32>;
+
+    /// GAT's attention logits `LeakyReLU(s_dst[i] + s_src[j])` per edge.
+    fn attn_scores(ops: &mut Ops, g: &GraphView, s_dst: &[Self], s_src: &[Self]) -> Vec<Self>;
+    /// `exp(e − m[row])`. Half runs the shadow API (§5.3), legal because
+    /// the argument is ≤ 0, except under `HalfNaive`, which pays AMP's
+    /// promotion to float with a tensor round trip (§3.1.2).
+    fn sub_row_exp(
+        ops: &mut Ops,
+        g: &GraphView,
+        e: &[Self],
+        m: &[Self],
+        d: Dispatch<'_>,
+    ) -> Vec<Self>;
+    /// `e / z[row]`, the softmax normalization.
+    fn div_row(ops: &mut Ops, g: &GraphView, e: &[Self], z: &[Self]) -> Vec<Self>;
+    /// Elementwise product of two edge tensors.
+    fn edge_mul(ops: &mut Ops, g: &GraphView, a: &[Self], b: &[Self]) -> Vec<Self>;
+    /// Edge-softmax backward `α · (δα − t[row])`.
+    fn softmax_grad(
+        ops: &mut Ops,
+        g: &GraphView,
+        alpha: &[Self],
+        da: &[Self],
+        t: &[Self],
+    ) -> Vec<Self>;
+    /// LeakyReLU backward, gated on the saved post-activation `e`.
+    fn leakyrelu_grad(ops: &mut Ops, g: &GraphView, e: &[Self], de: &[Self]) -> Vec<Self>;
+    /// GAT's fused attention forward `[e, α, out]`: SDDMM, edge softmax
+    /// and SpMM in one pass. `None` when the dispatch runs the unfused
+    /// chain for `f`-wide features — always, unless overridden: only the
+    /// HalfGNN modes fuse.
+    fn fused_attn_forward(
+        _ops: &mut Ops,
+        _g: &GraphView,
+        _s_dst: &[Self],
+        _s_src: &[Self],
+        _z: &[Self],
+        _f: usize,
+        _d: Dispatch<'_>,
+    ) -> Option<[Vec<Self>; 3]> {
+        None
+    }
+    /// GAT's fused edge-softmax backward `δe`, or `None` when unfused.
+    fn fused_softmax_grad(
+        _ops: &mut Ops,
+        _g: &GraphView,
+        _alpha: &[Self],
+        _da: &[Self],
+        _e: &[Self],
+        _f: usize,
+        _d: Dispatch<'_>,
+    ) -> Option<Vec<Self>> {
+        None
+    }
+}
+
+/// SpMMv with mean (right degree-norm) aggregation.
+pub fn spmm_mean<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
-    u: &[Half],
-    v: &[Half],
+    x: &[E],
     f: usize,
     d: Dispatch<'_>,
-) -> Vec<Half> {
-    match d.dist {
-        None => {
-            let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, (0, g.nnz()));
-            ops.record(stats);
-            d.capture_node("sddmm_half", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
-            if d.mode == PrecisionMode::I8 {
-                ctx.exchange_halo_i8(ops, v, f, shard, d.quant_seed);
-            } else {
-                ctx.exchange_halo_half(ops, v, f, shard);
+) -> Vec<E> {
+    E::spmm(ops, g, None, x, f, Some(E::mean_scale(g)), d)
+}
+
+/// SpMMv, plain sum (GIN's default aggregation; backward passes).
+pub fn spmm_sum<E: Elem>(
+    ops: &mut Ops,
+    g: &GraphView,
+    x: &[E],
+    f: usize,
+    d: Dispatch<'_>,
+) -> Vec<E> {
+    E::spmm(ops, g, None, x, f, None, d)
+}
+
+/// SpMMve (weighted sum — GAT's attention aggregation; the attention
+/// weights are normalized, so no degree scaling is needed).
+pub fn spmmve<E: Elem>(
+    ops: &mut Ops,
+    g: &GraphView,
+    w: &[E],
+    x: &[E],
+    f: usize,
+    d: Dispatch<'_>,
+) -> Vec<E> {
+    E::spmm(ops, g, Some(w), x, f, None, d)
+}
+
+/// The DGL-float baseline: cuSPARSE SpMM (mean aggregation post-scales,
+/// as DGL does), DGL's SDDMM and edge ops.
+impl Elem for f32 {
+    const ONE: f32 = 1.0;
+    const LANES: usize = 1;
+
+    fn from_f32(v: f32) -> f32 {
+        v
+    }
+
+    fn mean_scale(g: &GraphView) -> &[f32] {
+        &g.mean_scale_f
+    }
+
+    fn inv_sqrt_scale(g: &GraphView) -> &[f32] {
+        &g.inv_sqrt_scale_f
+    }
+
+    fn weight<'w>(_: &mut Ops, w: &'w [f32]) -> Cow<'w, [f32]> {
+        Cow::Borrowed(w)
+    }
+
+    fn logits(_: &mut Ops, out: Vec<f32>) -> Vec<f32> {
+        out
+    }
+
+    fn loss_grad(_: &mut Ops, dlogits: Vec<f32>) -> Vec<f32> {
+        dlogits
+    }
+
+    fn master_grad(_: &mut Ops, grad: Vec<f32>) -> Vec<f32> {
+        grad
+    }
+
+    fn unscale<'g>(_: &mut Ops, _: impl IntoIterator<Item = &'g mut Vec<f32>>) {}
+
+    fn gemm(
+        ops: &mut Ops,
+        a: &[f32],
+        b: &[f32],
+        tb: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        ops.gemm_f32(a, false, b, tb, m, k, n)
+    }
+
+    fn bias_add(ops: &mut Ops, x: &[f32], bias: &[f32]) -> Vec<f32> {
+        ops.bias_add_f32(x, bias)
+    }
+
+    fn relu(ops: &mut Ops, x: &[f32]) -> Vec<f32> {
+        ops.relu_f32(x)
+    }
+
+    fn relu_grad(ops: &mut Ops, x: &[f32], dy: &[f32]) -> Vec<f32> {
+        ops.relu_grad_f32(x, dy)
+    }
+
+    fn scale_add(ops: &mut Ops, a: f32, x: &[f32], b: f32, y: &[f32]) -> Vec<f32> {
+        ops.scale_add_f32(a, x, b, y)
+    }
+
+    fn row_scale(ops: &mut Ops, x: &[f32], scale: &[f32], f: usize) -> Vec<f32> {
+        ops.row_scale_f32(x, scale, f)
+    }
+
+    fn spmm(
+        ops: &mut Ops,
+        g: &GraphView,
+        w: Option<&[f32]>,
+        x: &[f32],
+        f: usize,
+        row_scale: Option<&[f32]>,
+        d: Dispatch<'_>,
+    ) -> Vec<f32> {
+        let ins = spmm_inputs(x, w, row_scale);
+        let w = w.map_or(EdgeWeightsF32::Ones, EdgeWeightsF32::Values);
+        match d.dist {
+            None => {
+                // The forced vertex-parallel skeleton (serving) runs the
+                // GE-SpMM row-per-warp kernel: each row reduces its own
+                // neighbors in column order, so output bits are
+                // independent of which other rows share the launch.
+                // Degree norm becomes a post-reduction row scale, same
+                // placement as the cuSPARSE path. (Weighted SpMMve — GAT —
+                // keeps the edge-tiled kernel; serving only dispatches
+                // unweighted GCN aggregation.)
+                let (y, stats) = if d.force_spmm == Some(SpmmVariant::VertexParallel) && w.is_ones()
+                {
+                    let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
+                    if let Some(scale) = row_scale {
+                        for (r, &sc) in scale.iter().enumerate() {
+                            for v in &mut y[r * f..(r + 1) * f] {
+                                *v *= sc;
+                            }
+                        }
+                    }
+                    (y, stats)
+                } else {
+                    cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, (0, g.n()))
+                };
+                ops.record(stats);
+                d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], None);
+                y
             }
-            let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, shard.edge_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node(
-                "sddmm_half",
-                &[buf_ref(u), buf_ref(v)],
-                &[buf_ref(&y)],
-                Some(shard.edge_range),
-            );
-            y
-        }),
-    }
-}
-
-/// Half per-row edge reduce (softmax max/denominator). Edge weights are
-/// edge-partitioned with the rows that own them, so sharded runs need no
-/// halo — only the windowed launch and the row paste.
-pub fn edge_reduce_half(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[Half],
-    op: Reduce,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match d.dist {
-        None => {
-            let (y, stats) = halfgnn_spmm::edge_reduce(ops.dev, &g.coo, w, op);
-            ops.record(stats);
-            d.capture_node("edge_reduce_half", &[buf_ref(w)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, Half::ZERO, |ops, shard| {
-            let (y, stats) =
-                halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node(
-                "edge_reduce_half",
-                &[buf_ref(w)],
-                &[buf_ref(&y)],
-                Some(shard.row_range),
-            );
-            y
-        }),
-    }
-}
-
-/// Fused attention forward dispatch (SDDMM + edge-softmax + SpMM in one
-/// pass). Sharded runs halo-exchange `z` once for the whole fused pass —
-/// the fusion win carries over to the wire: one exchange instead of the
-/// unfused chain's two (SDDMM + SpMMve).
-#[allow(clippy::too_many_arguments)]
-pub fn fused_attn_forward(
-    ops: &mut Ops,
-    g: &GraphView,
-    s_dst: &[Half],
-    s_src: &[Half],
-    slope: f32,
-    z: &[Half],
-    f: usize,
-    d: Dispatch<'_>,
-) -> FusedAttnForward {
-    let ins = [buf_ref(s_dst), buf_ref(s_src), buf_ref(z)];
-    match d.dist {
-        None => {
-            let (y, stats) = fused::fused_attn_forward(ops.dev, &g.coo, s_dst, s_src, slope, z, f);
-            ops.record(stats);
-            d.capture_node(
-                "fused_attn_forward",
-                &ins,
-                &[buf_ref(&y.e), buf_ref(&y.alpha), buf_ref(&y.out)],
-                None,
-            );
-            y
-        }
-        Some(ctx) => {
-            let mut acc = FusedAttnForward {
-                e: vec![Half::ZERO; g.nnz()],
-                alpha: vec![Half::ZERO; g.nnz()],
-                out: vec![Half::ZERO; g.n() * f],
-            };
-            for shard in &ctx.plan.shards {
-                ctx.exchange_halo_half(ops, z, f, shard);
-                let (y, stats) = fused::fused_attn_forward_window(
+            Some(ctx) => sharded_rows(ops, ctx, g.n(), f, 0.0f32, |ops, shard| {
+                ctx.exchange_halo_f32(ops, x, f, shard);
+                let (y, stats) = cusparse::spmm_float_window(
                     ops.dev,
                     &g.coo,
-                    s_dst,
-                    s_src,
-                    slope,
-                    z,
+                    w,
+                    x,
                     f,
+                    row_scale,
                     shard.row_range,
                 );
                 ctx.log_compute(shard.index, stats.time_us);
                 ops.record(stats);
+                d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], Some(shard.row_range));
+                y
+            }),
+        }
+    }
+
+    fn left_norm_adjoint(
+        ops: &mut Ops,
+        g: &GraphView,
+        x: &[f32],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<f32> {
+        let summed = spmm_sum(ops, g, x, f, d);
+        ops.row_scale_f32(&summed, &g.mean_scale_f, f)
+    }
+
+    fn sddmm(
+        ops: &mut Ops,
+        g: &GraphView,
+        u: &[f32],
+        v: &[f32],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<f32> {
+        match d.dist {
+            None => {
+                let y = record(ops, dgl_sddmm::sddmm_float(ops.dev, &g.coo, u, v, f));
+                d.capture_node("sddmm_f32", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
+                y
+            }
+            Some(ctx) => sharded_edges(ops, ctx, g.nnz(), 0.0f32, |ops, shard| {
+                ctx.exchange_halo_f32(ops, v, f, shard);
+                let (y, stats) =
+                    dgl_sddmm::sddmm_float_window(ops.dev, &g.coo, u, v, f, shard.edge_range);
+                ctx.log_compute(shard.index, stats.time_us);
+                ops.record(stats);
+                let ins = [buf_ref(u), buf_ref(v)];
+                d.capture_node("sddmm_f32", &ins, &[buf_ref(&y)], Some(shard.edge_range));
+                y
+            }),
+        }
+    }
+
+    fn edge_reduce(
+        ops: &mut Ops,
+        g: &GraphView,
+        w: &[f32],
+        op: Reduce,
+        d: Dispatch<'_>,
+    ) -> Vec<f32> {
+        match d.dist {
+            None => {
+                let y = record(ops, edge_ops::edge_reduce_f32(ops.dev, &g.coo, w, op));
+                d.capture_node("edge_reduce_f32", &[buf_ref(w)], &[buf_ref(&y)], None);
+                y
+            }
+            Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, 0.0f32, |ops, shard| {
+                let (y, stats) =
+                    edge_ops::edge_reduce_f32_window(ops.dev, &g.coo, w, op, shard.row_range);
+                ctx.log_compute(shard.index, stats.time_us);
+                ops.record(stats);
                 d.capture_node(
-                    "fused_attn_forward",
-                    &ins,
-                    &[buf_ref(&y.e), buf_ref(&y.alpha), buf_ref(&y.out)],
+                    "edge_reduce_f32",
+                    &[buf_ref(w)],
+                    &[buf_ref(&y)],
                     Some(shard.row_range),
                 );
-                let (r0, r1) = shard.row_range;
-                let (e0, e1) = shard.edge_range;
-                acc.e[e0..e1].copy_from_slice(&y.e[e0..e1]);
-                acc.alpha[e0..e1].copy_from_slice(&y.alpha[e0..e1]);
-                acc.out[r0 * f..r1 * f].copy_from_slice(&y.out[r0 * f..r1 * f]);
-            }
-            acc
+                y
+            }),
         }
+    }
+
+    fn grad_gemm(
+        ops: &mut Ops,
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        n: usize,
+        c: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<f32> {
+        let y = ops.gemm_f32(a, true, b, false, m, n, c);
+        if let Some(ctx) = d.dist {
+            ctx.charge_allreduce_f32(y.len());
+        }
+        y
+    }
+
+    fn grad_colsum(ops: &mut Ops, x: &[f32], c: usize, d: Dispatch<'_>) -> Vec<f32> {
+        let y = ops.colsum_f32(x, c);
+        if let Some(ctx) = d.dist {
+            ctx.charge_allreduce_f32(y.len());
+        }
+        y
+    }
+
+    fn attn_scores(ops: &mut Ops, g: &GraphView, s_dst: &[f32], s_src: &[f32]) -> Vec<f32> {
+        record(ops, edge_ops::src_dst_add_leakyrelu_f32(ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE))
+    }
+
+    fn sub_row_exp(
+        ops: &mut Ops,
+        g: &GraphView,
+        e: &[f32],
+        m: &[f32],
+        _: Dispatch<'_>,
+    ) -> Vec<f32> {
+        record(ops, edge_ops::sub_row_exp_f32(ops.dev, &g.coo, e, m))
+    }
+
+    fn div_row(ops: &mut Ops, g: &GraphView, e: &[f32], z: &[f32]) -> Vec<f32> {
+        record(ops, edge_ops::div_row_f32(ops.dev, &g.coo, e, z))
+    }
+
+    fn edge_mul(ops: &mut Ops, g: &GraphView, a: &[f32], b: &[f32]) -> Vec<f32> {
+        record(ops, edge_ops::mul_f32(ops.dev, &g.coo, a, b))
+    }
+
+    fn softmax_grad(
+        ops: &mut Ops,
+        g: &GraphView,
+        alpha: &[f32],
+        da: &[f32],
+        t: &[f32],
+    ) -> Vec<f32> {
+        record(ops, edge_ops::softmax_grad_f32(ops.dev, &g.coo, alpha, da, t))
+    }
+
+    fn leakyrelu_grad(ops: &mut Ops, g: &GraphView, e: &[f32], de: &[f32]) -> Vec<f32> {
+        record(ops, edge_ops::leakyrelu_grad_f32(ops.dev, &g.coo, e, de, ATTN_SLOPE))
     }
 }
 
-/// Fused softmax-backward dispatch. All operands are edge tensors (local
-/// to the shard that owns the rows), so sharded runs are windowed launches
-/// with zero communication.
-pub fn fused_softmax_grad(
-    ops: &mut Ops,
-    g: &GraphView,
-    alpha: &[Half],
-    dalpha: &[Half],
-    e: &[Half],
-    slope: f32,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    let ins = [buf_ref(alpha), buf_ref(dalpha), buf_ref(e)];
-    match d.dist {
-        None => {
-            let (y, stats) = fused::fused_softmax_grad(ops.dev, &g.coo, alpha, dalpha, e, slope);
-            ops.record(stats);
-            d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
-            let (y, stats) = fused::fused_softmax_grad_window(
-                ops.dev,
-                &g.coo,
-                alpha,
-                dalpha,
-                e,
-                slope,
-                shard.row_range,
-            );
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
+/// Every half mode: the [`Dispatch`]'s mode picks DGL/cuSPARSE-f16,
+/// HalfGNN or INT8 kernels per op; the AMP boundary casts and scales.
+impl Elem for Half {
+    const ONE: Half = Half::ONE;
+    const LANES: usize = 2;
+
+    fn from_f32(v: f32) -> Half {
+        Half::from_f32(v)
     }
-}
 
-/// Float SpMMv with mean aggregation (cuSPARSE + post scale, as DGL does).
-pub fn spmm_mean_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    spmm_f32_dispatch(ops, g, EdgeWeightsF32::Ones, x, f, Some(&g.mean_scale_f), d)
-}
-
-/// Float SpMMv, plain sum.
-pub fn spmm_sum_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    x: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    spmm_f32_dispatch(ops, g, EdgeWeightsF32::Ones, x, f, None, d)
-}
-
-/// Float SpMMve.
-pub fn spmmve_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[f32],
-    x: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    spmm_f32_dispatch(ops, g, EdgeWeightsF32::Values(w), x, f, None, d)
-}
-
-/// Float SDDMM (DGL's). `v` is column-indexed → halo-exchanged when
-/// sharded.
-pub fn sddmm_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    u: &[f32],
-    v: &[f32],
-    f: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match d.dist {
-        None => {
-            let (y, stats) = dgl_sddmm::sddmm_float(ops.dev, &g.coo, u, v, f);
-            ops.record(stats);
-            d.capture_node("sddmm_f32", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_edges(ops, ctx, g.nnz(), 0.0f32, |ops, shard| {
-            ctx.exchange_halo_f32(ops, v, f, shard);
-            let (y, stats) =
-                dgl_sddmm::sddmm_float_window(ops.dev, &g.coo, u, v, f, shard.edge_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node(
-                "sddmm_f32",
-                &[buf_ref(u), buf_ref(v)],
-                &[buf_ref(&y)],
-                Some(shard.edge_range),
-            );
-            y
-        }),
+    fn mean_scale(g: &GraphView) -> &[Half] {
+        &g.mean_scale_h
     }
-}
 
-/// Float edge reduce (no halo, like [`edge_reduce_half`]).
-pub fn edge_reduce_f32(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: &[f32],
-    op: Reduce,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    match d.dist {
-        None => {
-            let (y, stats) = edge_ops::edge_reduce_f32(ops.dev, &g.coo, w, op);
-            ops.record(stats);
-            d.capture_node("edge_reduce_f32", &[buf_ref(w)], &[buf_ref(&y)], None);
-            y
-        }
-        Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, 0.0f32, |ops, shard| {
-            let (y, stats) =
-                edge_ops::edge_reduce_f32_window(ops.dev, &g.coo, w, op, shard.row_range);
-            ctx.log_compute(shard.index, stats.time_us);
-            ops.record(stats);
-            d.capture_node("edge_reduce_f32", &[buf_ref(w)], &[buf_ref(&y)], Some(shard.row_range));
-            y
-        }),
+    fn inv_sqrt_scale(g: &GraphView) -> &[Half] {
+        &g.inv_sqrt_scale_h
     }
-}
 
-// ---------------------------------------------------------------------
-// Gradient reductions. Weight gradients contract activations over the
-// vertex dimension, so a sharded device only ever holds the row slice it
-// owns: the full gradient is the all-reduce of per-shard partials. Half
-// modes move the partials over the f16 wire with discretized per-bucket
-// scaling (overflow-free by construction); float mode's reduction is the
-// exact global GEMM the single-device step computes, so only the f32 wire
-// cost is charged and sharded float training stays bit-identical.
-// ---------------------------------------------------------------------
+    fn weight<'w>(ops: &mut Ops, w: &'w [f32]) -> Cow<'w, [Half]> {
+        Cow::Owned(ops.to_half(w))
+    }
 
-/// Vertex-contracted gradient GEMM `AᵀB` with `A: n×m`, `B: n×c` (both
-/// row-major over vertices), producing the `m×c` weight gradient.
-pub fn grad_gemm_half(
-    ops: &mut Ops,
-    a: &[Half],
-    b: &[Half],
-    m: usize,
-    n: usize,
-    c: usize,
-    d: Dispatch<'_>,
-) -> Vec<Half> {
-    match d.dist {
-        None => ops.gemm_half(a, true, b, false, m, n, c),
-        Some(ctx) => {
-            let partials: Vec<Vec<Half>> = ctx
-                .plan
-                .shards
-                .iter()
-                .map(|s| {
-                    let (r0, r1) = s.row_range;
-                    ops.gemm_half(
-                        &a[r0 * m..r1 * m],
-                        true,
-                        &b[r0 * c..r1 * c],
-                        false,
-                        m,
-                        r1 - r0,
-                        c,
-                    )
-                })
-                .collect();
-            if d.mode == PrecisionMode::I8 {
-                ctx.allreduce_grad_i8(ops, &partials, d.quant_seed)
-            } else {
-                ctx.allreduce_grad_half(ops, &partials)
+    fn logits(ops: &mut Ops, out: Vec<Half>) -> Vec<f32> {
+        ops.to_f32(&out)
+    }
+
+    fn loss_grad(ops: &mut Ops, mut dlogits: Vec<f32>) -> Vec<Half> {
+        let loss_scale = ops.loss_scale;
+        if loss_scale != 1.0 {
+            for g in dlogits.iter_mut() {
+                *g *= loss_scale;
             }
         }
+        ops.to_half(&dlogits)
     }
-}
 
-/// Vertex-contracted gradient GEMM `AᵀB` in float. The value is the exact
-/// global contraction; only the all-reduce wire traffic is charged.
-pub fn grad_gemm_f32(
-    ops: &mut Ops,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    n: usize,
-    c: usize,
-    d: Dispatch<'_>,
-) -> Vec<f32> {
-    let y = ops.gemm_f32(a, true, b, false, m, n, c);
-    if let Some(ctx) = d.dist {
-        ctx.charge_allreduce_f32(y.len());
+    fn master_grad(ops: &mut Ops, grad: Vec<Half>) -> Vec<f32> {
+        ops.to_f32(&grad)
     }
-    y
-}
 
-/// Bias gradient (column sum over vertices) in half, all-reduced over the
-/// f16 wire when sharded.
-pub fn grad_colsum_half(ops: &mut Ops, x: &[Half], c: usize, d: Dispatch<'_>) -> Vec<f32> {
-    match d.dist {
-        None => ops.colsum_half(x, c),
-        Some(ctx) => {
-            let partials: Vec<Vec<f32>> = ctx
-                .plan
-                .shards
-                .iter()
-                .map(|s| {
-                    let (r0, r1) = s.row_range;
-                    ops.colsum_half(&x[r0 * c..r1 * c], c)
-                })
-                .collect();
-            if d.mode == PrecisionMode::I8 {
-                ctx.allreduce_f32_on_i8_wire(ops, &partials, d.quant_seed)
-            } else {
-                ctx.allreduce_f32_on_f16_wire(ops, &partials)
-            }
+    fn unscale<'g>(ops: &mut Ops, grads: impl IntoIterator<Item = &'g mut Vec<f32>>) {
+        for g in grads {
+            ops.unscale_grad(g);
         }
     }
-}
 
-/// Bias gradient (column sum over vertices) in float; exact value, wire
-/// cost charged when sharded.
-pub fn grad_colsum_f32(ops: &mut Ops, x: &[f32], c: usize, d: Dispatch<'_>) -> Vec<f32> {
-    let y = ops.colsum_f32(x, c);
-    if let Some(ctx) = d.dist {
-        ctx.charge_allreduce_f32(y.len());
+    fn gemm(
+        ops: &mut Ops,
+        a: &[Half],
+        b: &[Half],
+        tb: bool,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<Half> {
+        ops.gemm_half(a, false, b, tb, m, k, n)
     }
-    y
+
+    fn bias_add(ops: &mut Ops, x: &[Half], bias: &[Half]) -> Vec<Half> {
+        ops.bias_add_half(x, bias)
+    }
+
+    fn relu(ops: &mut Ops, x: &[Half]) -> Vec<Half> {
+        ops.relu_half(x)
+    }
+
+    fn relu_grad(ops: &mut Ops, x: &[Half], dy: &[Half]) -> Vec<Half> {
+        ops.relu_grad_half(x, dy)
+    }
+
+    fn scale_add(ops: &mut Ops, a: Half, x: &[Half], b: Half, y: &[Half]) -> Vec<Half> {
+        ops.scale_add_half(a, x, b, y)
+    }
+
+    fn row_scale(ops: &mut Ops, x: &[Half], scale: &[Half], f: usize) -> Vec<Half> {
+        ops.row_scale_half(x, scale, f)
+    }
+
+    fn spmm(
+        ops: &mut Ops,
+        g: &GraphView,
+        w: Option<&[Half]>,
+        x: &[Half],
+        f: usize,
+        row_scale: Option<&[Half]>,
+        d: Dispatch<'_>,
+    ) -> Vec<Half> {
+        let ins = spmm_inputs(x, w, row_scale);
+        let w = w.map_or(EdgeWeights::Ones, EdgeWeights::Values);
+        match d.dist {
+            None => {
+                let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, (0, g.n()));
+                ops.record(stats);
+                d.capture_node("spmm_half", &ins, &[buf_ref(&y)], None);
+                y
+            }
+            Some(ctx) => sharded_rows(ops, ctx, g.n(), f, Half::ZERO, |ops, shard| {
+                if d.mode == PrecisionMode::I8 {
+                    ctx.exchange_halo_i8(ops, x, f, shard, d.quant_seed);
+                } else {
+                    ctx.exchange_halo_half(ops, x, f, shard);
+                }
+                let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, shard.row_range);
+                ctx.log_compute(shard.index, stats.time_us);
+                ops.record(stats);
+                d.capture_node("spmm_half", &ins, &[buf_ref(&y)], Some(shard.row_range));
+                y
+            }),
+        }
+    }
+
+    fn left_norm_adjoint(
+        ops: &mut Ops,
+        g: &GraphView,
+        x: &[Half],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<Half> {
+        spmm_mean(ops, g, x, f, d)
+    }
+
+    fn sddmm(
+        ops: &mut Ops,
+        g: &GraphView,
+        u: &[Half],
+        v: &[Half],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<Half> {
+        match d.dist {
+            None => {
+                let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, (0, g.nnz()));
+                ops.record(stats);
+                d.capture_node("sddmm_half", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
+                y
+            }
+            Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
+                if d.mode == PrecisionMode::I8 {
+                    ctx.exchange_halo_i8(ops, v, f, shard, d.quant_seed);
+                } else {
+                    ctx.exchange_halo_half(ops, v, f, shard);
+                }
+                let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, shard.edge_range);
+                ctx.log_compute(shard.index, stats.time_us);
+                ops.record(stats);
+                let ins = [buf_ref(u), buf_ref(v)];
+                d.capture_node("sddmm_half", &ins, &[buf_ref(&y)], Some(shard.edge_range));
+                y
+            }),
+        }
+    }
+
+    fn edge_reduce(
+        ops: &mut Ops,
+        g: &GraphView,
+        w: &[Half],
+        op: Reduce,
+        d: Dispatch<'_>,
+    ) -> Vec<Half> {
+        match d.dist {
+            None => {
+                let y = record(ops, halfgnn_spmm::edge_reduce(ops.dev, &g.coo, w, op));
+                d.capture_node("edge_reduce_half", &[buf_ref(w)], &[buf_ref(&y)], None);
+                y
+            }
+            Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, Half::ZERO, |ops, shard| {
+                let (y, stats) =
+                    halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, shard.row_range);
+                ctx.log_compute(shard.index, stats.time_us);
+                ops.record(stats);
+                let outs = [buf_ref(&y)];
+                d.capture_node("edge_reduce_half", &[buf_ref(w)], &outs, Some(shard.row_range));
+                y
+            }),
+        }
+    }
+
+    fn grad_gemm(
+        ops: &mut Ops,
+        a: &[Half],
+        b: &[Half],
+        m: usize,
+        n: usize,
+        c: usize,
+        d: Dispatch<'_>,
+    ) -> Vec<Half> {
+        let Some(ctx) = d.dist else { return ops.gemm_half(a, true, b, false, m, n, c) };
+        let partials: Vec<Vec<Half>> = ctx
+            .plan
+            .shards
+            .iter()
+            .map(|s| {
+                let (r0, r1) = s.row_range;
+                ops.gemm_half(&a[r0 * m..r1 * m], true, &b[r0 * c..r1 * c], false, m, r1 - r0, c)
+            })
+            .collect();
+        if d.mode == PrecisionMode::I8 {
+            ctx.allreduce_grad_i8(ops, &partials, d.quant_seed)
+        } else {
+            ctx.allreduce_grad_half(ops, &partials)
+        }
+    }
+
+    fn grad_colsum(ops: &mut Ops, x: &[Half], c: usize, d: Dispatch<'_>) -> Vec<f32> {
+        let Some(ctx) = d.dist else { return ops.colsum_half(x, c) };
+        let partials: Vec<Vec<f32>> = ctx
+            .plan
+            .shards
+            .iter()
+            .map(|s| {
+                let (r0, r1) = s.row_range;
+                ops.colsum_half(&x[r0 * c..r1 * c], c)
+            })
+            .collect();
+        if d.mode == PrecisionMode::I8 {
+            ctx.allreduce_f32_on_i8_wire(ops, &partials, d.quant_seed)
+        } else {
+            ctx.allreduce_f32_on_f16_wire(ops, &partials)
+        }
+    }
+
+    fn attn_scores(ops: &mut Ops, g: &GraphView, s_dst: &[Half], s_src: &[Half]) -> Vec<Half> {
+        record(ops, edge_ops::src_dst_add_leakyrelu(ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE))
+    }
+
+    fn sub_row_exp(
+        ops: &mut Ops,
+        g: &GraphView,
+        e: &[Half],
+        m: &[Half],
+        d: Dispatch<'_>,
+    ) -> Vec<Half> {
+        let shadow = d.mode != PrecisionMode::HalfNaive;
+        let y = record(ops, edge_ops::sub_row_exp(ops.dev, &g.coo, e, m, shadow));
+        if !shadow {
+            // The AMP path materialized float tensors: count the conversions.
+            ops.tensor_conversions += 2;
+            ops.converted_elems += 2 * g.nnz() as u64;
+        }
+        y
+    }
+
+    fn div_row(ops: &mut Ops, g: &GraphView, e: &[Half], z: &[Half]) -> Vec<Half> {
+        record(ops, edge_ops::div_row(ops.dev, &g.coo, e, z))
+    }
+
+    fn edge_mul(ops: &mut Ops, g: &GraphView, a: &[Half], b: &[Half]) -> Vec<Half> {
+        record(ops, edge_ops::mul(ops.dev, &g.coo, a, b))
+    }
+
+    fn softmax_grad(
+        ops: &mut Ops,
+        g: &GraphView,
+        alpha: &[Half],
+        da: &[Half],
+        t: &[Half],
+    ) -> Vec<Half> {
+        record(ops, edge_ops::softmax_grad(ops.dev, &g.coo, alpha, da, t))
+    }
+
+    fn leakyrelu_grad(ops: &mut Ops, g: &GraphView, e: &[Half], de: &[Half]) -> Vec<Half> {
+        record(ops, edge_ops::leakyrelu_grad(ops.dev, &g.coo, e, de, ATTN_SLOPE))
+    }
+
+    /// Sharded runs halo-exchange `z` once for the whole fused pass — the
+    /// fusion win carries over to the wire: one exchange instead of the
+    /// unfused chain's two (SDDMM + SpMMve).
+    fn fused_attn_forward(
+        ops: &mut Ops,
+        g: &GraphView,
+        s_dst: &[Half],
+        s_src: &[Half],
+        z: &[Half],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Option<[Vec<Half>; 3]> {
+        if !d.attn_fused(g, f) {
+            return None;
+        }
+        let ins = [buf_ref(s_dst), buf_ref(s_src), buf_ref(z)];
+        let outs = |y: &FusedAttnForward| [buf_ref(&y.e), buf_ref(&y.alpha), buf_ref(&y.out)];
+        let y = match d.dist {
+            None => {
+                let (y, stats) =
+                    fused::fused_attn_forward(ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE, z, f);
+                ops.record(stats);
+                d.capture_node("fused_attn_forward", &ins, &outs(&y), None);
+                y
+            }
+            Some(ctx) => {
+                let mut acc = FusedAttnForward {
+                    e: vec![Half::ZERO; g.nnz()],
+                    alpha: vec![Half::ZERO; g.nnz()],
+                    out: vec![Half::ZERO; g.n() * f],
+                };
+                for shard in &ctx.plan.shards {
+                    ctx.exchange_halo_half(ops, z, f, shard);
+                    let (y, stats) = fused::fused_attn_forward_window(
+                        ops.dev,
+                        &g.coo,
+                        s_dst,
+                        s_src,
+                        ATTN_SLOPE,
+                        z,
+                        f,
+                        shard.row_range,
+                    );
+                    ctx.log_compute(shard.index, stats.time_us);
+                    ops.record(stats);
+                    d.capture_node("fused_attn_forward", &ins, &outs(&y), Some(shard.row_range));
+                    let (r0, r1) = shard.row_range;
+                    let (e0, e1) = shard.edge_range;
+                    acc.e[e0..e1].copy_from_slice(&y.e[e0..e1]);
+                    acc.alpha[e0..e1].copy_from_slice(&y.alpha[e0..e1]);
+                    acc.out[r0 * f..r1 * f].copy_from_slice(&y.out[r0 * f..r1 * f]);
+                }
+                acc
+            }
+        };
+        Some([y.e, y.alpha, y.out])
+    }
+
+    /// All operands are edge tensors (local to the shard that owns the
+    /// rows), so sharded runs are windowed launches with zero
+    /// communication.
+    fn fused_softmax_grad(
+        ops: &mut Ops,
+        g: &GraphView,
+        alpha: &[Half],
+        da: &[Half],
+        e: &[Half],
+        f: usize,
+        d: Dispatch<'_>,
+    ) -> Option<Vec<Half>> {
+        if !d.attn_fused(g, f) {
+            return None;
+        }
+        let ins = [buf_ref(alpha), buf_ref(da), buf_ref(e)];
+        Some(match d.dist {
+            None => {
+                let y = fused::fused_softmax_grad(ops.dev, &g.coo, alpha, da, e, ATTN_SLOPE);
+                let y = record(ops, y);
+                d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], None);
+                y
+            }
+            Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
+                let (y, stats) = fused::fused_softmax_grad_window(
+                    ops.dev,
+                    &g.coo,
+                    alpha,
+                    da,
+                    e,
+                    ATTN_SLOPE,
+                    shard.row_range,
+                );
+                ctx.log_compute(shard.index, stats.time_us);
+                ops.record(stats);
+                d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], Some(shard.row_range));
+                y
+            }),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1136,7 +1387,7 @@ mod tests {
             [PrecisionMode::HalfNaive, PrecisionMode::HalfGnn, PrecisionMode::HalfGnnNoDiscretize]
         {
             let mut ops = Ops::new(&dev);
-            let y = spmm_mean_half(&mut ops, &g, &x, 4, mode.into());
+            let y = spmm_mean(&mut ops, &g, &x, 4, mode.into());
             assert_eq!(y.len(), g.n() * 4);
             // Mean of constant 0.5 is 0.5 whatever the kernel.
             assert!((y[0].to_f32() - 0.5).abs() < 0.01, "{mode:?}: {}", y[0]);
@@ -1151,8 +1402,8 @@ mod tests {
         let xf: Vec<f32> = (0..g.n() * 4).map(|i| (i % 7) as f32 * 0.25 - 0.75).collect();
         let xh: Vec<Half> = xf.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
-        let yf = spmm_sum_f32(&mut ops, &g, &xf, 4, Dispatch::untuned(PrecisionMode::Float));
-        let yh = spmm_sum_half(&mut ops, &g, &xh, 4, PrecisionMode::HalfGnn.into());
+        let yf = spmm_sum(&mut ops, &g, &xf, 4, Dispatch::untuned(PrecisionMode::Float));
+        let yh = spmm_sum(&mut ops, &g, &xh, 4, PrecisionMode::HalfGnn.into());
         for (a, b) in yf.iter().zip(&yh) {
             assert!((a - b.to_f32()).abs() < 0.05, "{a} vs {b}");
         }
@@ -1184,41 +1435,35 @@ mod tests {
         let mut ops = Ops::new(&dev);
         let single = Dispatch::untuned(PrecisionMode::HalfGnn);
         let shard = single.with_dist(Some(&ctx));
+        assert_eq!(spmm_mean(&mut ops, &g, &xh, f, single), spmm_mean(&mut ops, &g, &xh, f, shard));
         assert_eq!(
-            spmm_mean_half(&mut ops, &g, &xh, f, single),
-            spmm_mean_half(&mut ops, &g, &xh, f, shard)
+            spmmve(&mut ops, &g, &wh, &xh, f, single),
+            spmmve(&mut ops, &g, &wh, &xh, f, shard)
         );
         assert_eq!(
-            spmmve_half(&mut ops, &g, &wh, &xh, f, single),
-            spmmve_half(&mut ops, &g, &wh, &xh, f, shard)
+            Half::sddmm(&mut ops, &g, &xh, &xh, f, single),
+            Half::sddmm(&mut ops, &g, &xh, &xh, f, shard)
         );
         assert_eq!(
-            sddmm_half(&mut ops, &g, &xh, &xh, f, single),
-            sddmm_half(&mut ops, &g, &xh, &xh, f, shard)
-        );
-        assert_eq!(
-            edge_reduce_half(&mut ops, &g, &wh, Reduce::Max, single),
-            edge_reduce_half(&mut ops, &g, &wh, Reduce::Max, shard)
+            Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, single),
+            Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, shard)
         );
 
         let fsingle = Dispatch::untuned(PrecisionMode::Float);
         let fshard = fsingle.with_dist(Some(&ctx));
+        assert_eq!(spmm_sum(&mut ops, &g, &xf, f, fsingle), spmm_sum(&mut ops, &g, &xf, f, fshard));
         assert_eq!(
-            spmm_sum_f32(&mut ops, &g, &xf, f, fsingle),
-            spmm_sum_f32(&mut ops, &g, &xf, f, fshard)
+            f32::sddmm(&mut ops, &g, &xf, &xf, f, fsingle),
+            f32::sddmm(&mut ops, &g, &xf, &xf, f, fshard)
         );
         assert_eq!(
-            sddmm_f32(&mut ops, &g, &xf, &xf, f, fsingle),
-            sddmm_f32(&mut ops, &g, &xf, &xf, f, fshard)
-        );
-        assert_eq!(
-            edge_reduce_f32(&mut ops, &g, &wf, Reduce::Sum, fsingle),
-            edge_reduce_f32(&mut ops, &g, &wf, Reduce::Sum, fshard)
+            f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fsingle),
+            f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fshard)
         );
         // Float grad reductions are the exact global contraction.
         assert_eq!(
-            grad_gemm_f32(&mut ops, &xf, &xf, f, n, f, fsingle),
-            grad_gemm_f32(&mut ops, &xf, &xf, f, n, f, fshard)
+            f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, fsingle),
+            f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, fshard)
         );
         // And the dispatch actually metered traffic.
         assert!(ctx.snapshot().total_bytes() > 0);
@@ -1234,15 +1479,14 @@ mod tests {
         let s: Vec<Half> = (0..n).map(|i| Half::from_f32(i as f32 * 0.1)).collect();
         let ctx = DistCtx::new(&g.csr, 2, PartitionStrategy::DegreeBalanced, Topology::AllToAll);
         let mut ops = Ops::new(&dev);
-        let single = Dispatch::untuned(PrecisionMode::HalfGnn);
+        let single = Dispatch::untuned(PrecisionMode::HalfGnn).with_fusion(true);
         let shard = single.with_dist(Some(&ctx));
-        let a = fused_attn_forward(&mut ops, &g, &s, &s, 0.2, &z, f, single);
-        let b = fused_attn_forward(&mut ops, &g, &s, &s, 0.2, &z, f, shard);
-        assert_eq!(a.e, b.e);
-        assert_eq!(a.alpha, b.alpha);
-        assert_eq!(a.out, b.out);
-        let ga = fused_softmax_grad(&mut ops, &g, &a.alpha, &a.e, &a.e, 0.2, single);
-        let gb = fused_softmax_grad(&mut ops, &g, &a.alpha, &a.e, &a.e, 0.2, shard);
+        let a = Half::fused_attn_forward(&mut ops, &g, &s, &s, &z, f, single).unwrap();
+        let b = Half::fused_attn_forward(&mut ops, &g, &s, &s, &z, f, shard).unwrap();
+        assert_eq!(a, b);
+        let [e, alpha, _] = &a;
+        let ga = Half::fused_softmax_grad(&mut ops, &g, alpha, e, e, f, single);
+        let gb = Half::fused_softmax_grad(&mut ops, &g, alpha, e, e, f, shard);
         assert_eq!(ga, gb);
     }
 }

@@ -6,16 +6,13 @@
 //! learning, and because its mean aggregation has exactly the GCN overflow
 //! anatomy: the naive half path accumulates the full neighborhood before
 //! the degree norm and NaNs on hub graphs; HalfGNN's discretized kernel
-//! does not.
+//! does not. One step, generic over the precision ([`Elem`]).
 
 use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
-use crate::models::{
-    grad_colsum_f32, grad_colsum_half, grad_gemm_f32, grad_gemm_half, spmm_mean_f32,
-    spmm_mean_half, spmm_sum_f32, spmm_sum_half, Dispatch,
-};
+use crate::models::{spmm_mean, spmm_sum, Dispatch, Elem};
 use crate::params::glorot;
-use halfgnn_half::Half;
+use halfgnn_half::{overflow, Half};
 use halfgnn_tensor::Ops;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,67 +122,77 @@ impl SageGrads {
     }
 }
 
-/// One f32 GraphSAGE step under an explicit dispatch (the sharded trainer
-/// threads a [`crate::dist::DistCtx`] through it).
-#[allow(clippy::too_many_arguments)]
-pub fn step_f32_dist(
+/// One GraphSAGE step, generic over the precision: state tensors in `E`
+/// through the kernels the dispatch's mode selects, f32 master weights
+/// and loss.
+pub fn step<E: Elem>(
     ops: &mut Ops,
     g: &GraphView,
     p: &SageParams,
-    x: &[f32],
+    x: &[E],
     labels: &[u32],
     mask: &[bool],
     d: Dispatch<'_>,
 ) -> StepOutput<SageGrads> {
     let n = g.n();
     let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
+    let [w_self1, w_neigh1, b1, w_self2, w_neigh2, b2] =
+        [&p.w_self1, &p.w_neigh1, &p.b1, &p.w_self2, &p.w_neigh2, &p.b2].map(|w| E::weight(ops, w));
+    let one = E::ONE;
 
     // ---- Forward.
-    let m1 = spmm_mean_f32(ops, g, x, f_in, d);
-    let zs1 = ops.gemm_f32(x, false, &p.w_self1, false, n, f_in, h);
-    let zn1 = ops.gemm_f32(&m1, false, &p.w_neigh1, false, n, f_in, h);
-    let z1 = ops.scale_add_f32(1.0, &zs1, 1.0, &zn1);
-    let z1 = ops.bias_add_f32(&z1, &p.b1);
-    let h1 = ops.relu_f32(&z1);
-    let m2 = spmm_mean_f32(ops, g, &h1, h, d);
-    let zs2 = ops.gemm_f32(&h1, false, &p.w_self2, false, n, h, c);
-    let zn2 = ops.gemm_f32(&m2, false, &p.w_neigh2, false, n, h, c);
-    let z2 = ops.scale_add_f32(1.0, &zs2, 1.0, &zn2);
-    let logits = ops.bias_add_f32(&z2, &p.b2);
+    let layer1 = overflow::site("sage.layer1");
+    let m1 = spmm_mean(ops, g, x, f_in, d);
+    let zs1 = E::gemm(ops, x, &w_self1, false, n, f_in, h);
+    let zn1 = E::gemm(ops, &m1, &w_neigh1, false, n, f_in, h);
+    let z1 = E::scale_add(ops, one, &zs1, one, &zn1);
+    let z1 = E::bias_add(ops, &z1, &b1);
+    let h1 = E::relu(ops, &z1);
+    drop(layer1);
+    let layer2 = overflow::site("sage.layer2");
+    let m2 = spmm_mean(ops, g, &h1, h, d);
+    let zs2 = E::gemm(ops, &h1, &w_self2, false, n, h, c);
+    let zn2 = E::gemm(ops, &m2, &w_neigh2, false, n, h, c);
+    let z2 = E::scale_add(ops, one, &zs2, one, &zn2);
+    let out = E::bias_add(ops, &z2, &b2);
+    drop(layer2);
 
-    let (loss, dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
+    let logits = E::logits(ops, out);
+    let (loss, dlogits, _) = ops.softmax_xent_f32(&logits, labels, mask, c);
 
     // ---- Backward.
-    let dw_self2 = grad_gemm_f32(ops, &h1, &dlogits, h, n, c, d);
-    let dw_neigh2 = grad_gemm_f32(ops, &m2, &dlogits, h, n, c, d);
-    let db2 = grad_colsum_f32(ops, &dlogits, c, d);
+    let _bwd = overflow::site("sage.backward");
+    let dout = E::loss_grad(ops, dlogits);
+    let dw_self2 = E::grad_gemm(ops, &h1, &dout, h, n, c, d);
+    let dw_neigh2 = E::grad_gemm(ops, &m2, &dout, h, n, c, d);
+    let db2 = E::grad_colsum(ops, &dout, c, d);
     // δh1 = δz2 W_self2ᵀ + meanᵀ(δz2) W_neigh2ᵀ  (mean adjoint: scale+sum).
-    let dh_self = ops.gemm_f32(&dlogits, false, &p.w_self2, true, n, c, h);
-    let dm2 = ops.gemm_f32(&dlogits, false, &p.w_neigh2, true, n, c, h);
-    let scaled = ops.row_scale_f32(&dm2, &g.mean_scale_f, h);
-    let dh_neigh = spmm_sum_f32(ops, g, &scaled, h, d);
-    let dh1 = ops.scale_add_f32(1.0, &dh_self, 1.0, &dh_neigh);
-    let dz1 = ops.relu_grad_f32(&z1, &dh1);
-    let dw_self1 = grad_gemm_f32(ops, x, &dz1, f_in, n, h, d);
-    let dw_neigh1 = grad_gemm_f32(ops, &m1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_f32(ops, &dz1, h, d);
+    let dh_self = E::gemm(ops, &dout, &w_self2, true, n, c, h);
+    let dm2 = E::gemm(ops, &dout, &w_neigh2, true, n, c, h);
+    let scaled = E::row_scale(ops, &dm2, E::mean_scale(g), h);
+    let dh_neigh = spmm_sum(ops, g, &scaled, h, d);
+    let dh1 = E::scale_add(ops, one, &dh_self, one, &dh_neigh);
+    let dz1 = E::relu_grad(ops, &z1, &dh1);
+    let dw_self1 = E::grad_gemm(ops, x, &dz1, f_in, n, h, d);
+    let dw_neigh1 = E::grad_gemm(ops, &m1, &dz1, f_in, n, h, d);
+    let db1 = E::grad_colsum(ops, &dz1, h, d);
 
-    StepOutput {
-        loss,
-        correct,
-        grads: SageGrads {
-            w_self1: dw_self1,
-            w_neigh1: dw_neigh1,
-            b1: db1,
-            w_self2: dw_self2,
-            w_neigh2: dw_neigh2,
-            b2: db2,
-        },
-        logits,
-    }
+    // Flat parameter order; weight gradients return to f32 first.
+    let mut parts = [
+        E::master_grad(ops, dw_self1),
+        E::master_grad(ops, dw_neigh1),
+        db1,
+        E::master_grad(ops, dw_self2),
+        E::master_grad(ops, dw_neigh2),
+        db2,
+    ];
+    E::unscale(ops, &mut parts);
+    let [w_self1, w_neigh1, b1, w_self2, w_neigh2, b2] = parts;
+    let grads = SageGrads { w_self1, w_neigh1, b1, w_self2, w_neigh2, b2 };
+    StepOutput { loss, grads, logits }
 }
 
-/// One mixed-precision GraphSAGE step under the chosen kernel system.
+/// [`step`] in half precision.
 pub fn step_half(
     ops: &mut Ops,
     g: &GraphView,
@@ -195,79 +202,7 @@ pub fn step_half(
     mask: &[bool],
     d: Dispatch<'_>,
 ) -> StepOutput<SageGrads> {
-    let n = g.n();
-    let (f_in, h, c) = (p.f_in, p.hidden, p.classes);
-
-    let w_self1 = ops.to_half(&p.w_self1);
-    let w_neigh1 = ops.to_half(&p.w_neigh1);
-    let b1h = ops.to_half(&p.b1);
-    let w_self2 = ops.to_half(&p.w_self2);
-    let w_neigh2 = ops.to_half(&p.w_neigh2);
-    let b2h = ops.to_half(&p.b2);
-    let one = Half::ONE;
-
-    // ---- Forward.
-    let layer1 = halfgnn_half::overflow::site("sage.layer1");
-    let m1 = spmm_mean_half(ops, g, x, f_in, d);
-    let zs1 = ops.gemm_half(x, false, &w_self1, false, n, f_in, h);
-    let zn1 = ops.gemm_half(&m1, false, &w_neigh1, false, n, f_in, h);
-    let z1 = ops.scale_add_half(one, &zs1, one, &zn1);
-    let z1 = ops.bias_add_half(&z1, &b1h);
-    let h1 = ops.relu_half(&z1);
-    drop(layer1);
-    let layer2 = halfgnn_half::overflow::site("sage.layer2");
-    let m2 = spmm_mean_half(ops, g, &h1, h, d);
-    let zs2 = ops.gemm_half(&h1, false, &w_self2, false, n, h, c);
-    let zn2 = ops.gemm_half(&m2, false, &w_neigh2, false, n, h, c);
-    let z2 = ops.scale_add_half(one, &zs2, one, &zn2);
-    let out = ops.bias_add_half(&z2, &b2h);
-    drop(layer2);
-
-    let logits = ops.to_f32(&out);
-    let (loss, mut dlogits, correct) = ops.softmax_xent_f32(&logits, labels, mask, c);
-    let loss_scale = ops.loss_scale;
-    if loss_scale != 1.0 {
-        for gv in dlogits.iter_mut() {
-            *gv *= loss_scale;
-        }
-    }
-
-    // ---- Backward.
-    let _bwd = halfgnn_half::overflow::site("sage.backward");
-    let dout = ops.to_half(&dlogits);
-    let dw_self2h = grad_gemm_half(ops, &h1, &dout, h, n, c, d);
-    let dw_neigh2h = grad_gemm_half(ops, &m2, &dout, h, n, c, d);
-    let db2 = grad_colsum_half(ops, &dout, c, d);
-    let dh_self = ops.gemm_half(&dout, false, &w_self2, true, n, c, h);
-    let dm2 = ops.gemm_half(&dout, false, &w_neigh2, true, n, c, h);
-    let scaled = ops.row_scale_half(&dm2, &g.mean_scale_h, h);
-    let dh_neigh = spmm_sum_half(ops, g, &scaled, h, d);
-    let dh1 = ops.scale_add_half(one, &dh_self, one, &dh_neigh);
-    let dz1 = ops.relu_grad_half(&z1, &dh1);
-    let dw_self1h = grad_gemm_half(ops, x, &dz1, f_in, n, h, d);
-    let dw_neigh1h = grad_gemm_half(ops, &m1, &dz1, f_in, n, h, d);
-    let db1 = grad_colsum_half(ops, &dz1, h, d);
-
-    let mut grads = SageGrads {
-        w_self1: ops.to_f32(&dw_self1h),
-        w_neigh1: ops.to_f32(&dw_neigh1h),
-        b1: db1,
-        w_self2: ops.to_f32(&dw_self2h),
-        w_neigh2: ops.to_f32(&dw_neigh2h),
-        b2: db2,
-    };
-    for part in [
-        &mut grads.w_self1,
-        &mut grads.w_neigh1,
-        &mut grads.b1,
-        &mut grads.w_self2,
-        &mut grads.w_neigh2,
-        &mut grads.b2,
-    ] {
-        ops.unscale_grad(part);
-    }
-
-    StepOutput { loss, correct, grads, logits }
+    step(ops, g, p, x, labels, mask, d)
 }
 
 #[cfg(test)]
@@ -293,7 +228,7 @@ mod tests {
         let mut p = SageParams::new(8, 6, 2, 5);
         let mut ops = Ops::new(&dev);
         let fd32 = Dispatch::untuned(PrecisionMode::Float);
-        let out = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
+        let out = step(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let eps = 1e-3;
         // One coordinate in each parameter tensor covers every path.
         let checks: Vec<(&str, usize)> =
@@ -319,9 +254,9 @@ mod tests {
             };
             let orig = read(&p);
             write(&mut p, orig + eps);
-            let lp = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lp = step(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             write(&mut p, orig - eps);
-            let lm = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
+            let lm = step(&mut ops, &g, &p, &x, &labels, &mask, fd32).loss;
             write(&mut p, orig);
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
@@ -339,7 +274,7 @@ mod tests {
         let xh: Vec<Half> = x.iter().map(|&v| Half::from_f32(v)).collect();
         let mut ops = Ops::new(&dev);
         let fd32 = Dispatch::untuned(PrecisionMode::Float);
-        let f = step_f32_dist(&mut ops, &g, &p, &x, &labels, &mask, fd32);
+        let f = step(&mut ops, &g, &p, &x, &labels, &mask, fd32);
         let h = step_half(&mut ops, &g, &p, &xh, &labels, &mask, PrecisionMode::HalfGnn.into());
         assert!((f.loss - h.loss).abs() < 0.05, "{} vs {}", f.loss, h.loss);
     }

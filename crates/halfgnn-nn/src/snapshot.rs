@@ -256,8 +256,8 @@ mod tests {
             f32::MIN_POSITIVE,
             f32::MIN_POSITIVE / 2.0, // subnormal
             f32::MAX,
-            3.14159265,
-            -2.718281828e-12,
+            std::f32::consts::PI,
+            -2.7182818e-12,
             65504.0,
         ]
     }

@@ -8,7 +8,7 @@
 use crate::adam::Adam;
 use crate::dist::DistCtx;
 use crate::graphdata::GraphView;
-use crate::models::Dispatch;
+use crate::models::{Dispatch, Elem};
 pub use crate::models::{ModelKind, PrecisionMode};
 use crate::params::{GatParams, TwoLayerParams};
 use crate::sage::SageParams;
@@ -876,40 +876,39 @@ impl ModelParams {
     /// graph or one batch subgraph; the step functions don't care, which
     /// is the point of [`GraphView`]. Returns `(loss, grad_flat, logits)`.
     fn step(&self, ops: &mut Ops, b: &Batch, run: &Run) -> (f32, Vec<f32>, Vec<f32>) {
-        let (g, x, xh, labels, mask) = (b.view, b.x, b.xh, b.labels, b.mask);
+        if run.cfg.precision.is_half() {
+            self.step_in::<Half>(ops, b, b.xh, run)
+        } else {
+            self.step_in::<f32>(ops, b, b.x, run)
+        }
+    }
+
+    /// [`ModelParams::step`] with the state tensors in `E`, reading the
+    /// batch's rows `x` in that precision.
+    fn step_in<E: Elem>(
+        &self,
+        ops: &mut Ops,
+        b: &Batch,
+        x: &[E],
+        run: &Run,
+    ) -> (f32, Vec<f32>, Vec<f32>) {
+        let (g, labels, mask) = (b.view, b.labels, b.mask);
         let (cfg, d) = (run.cfg, run.dispatch.with_quant_seed(b.quant_seed));
-        let half = cfg.precision.is_half();
         match self {
             ModelParams::Gcn(p) => {
-                let out = if half {
-                    gcn::step_half_norm(ops, g, p, xh, labels, mask, d, cfg.gcn_norm)
-                } else {
-                    gcn::step_f32_norm(ops, g, p, x, labels, mask, d, cfg.gcn_norm)
-                };
+                let out = gcn::step(ops, g, p, x, labels, mask, d, cfg.gcn_norm);
                 (out.loss, out.grads.flat(), out.logits)
             }
             ModelParams::Gin(p) => {
-                let out = if half {
-                    gin::step_half_lambda(ops, g, p, xh, labels, mask, d, cfg.gin_lambda)
-                } else {
-                    gin::step_f32_dist(ops, g, p, x, labels, mask, d)
-                };
+                let out = gin::step(ops, g, p, x, labels, mask, d, cfg.gin_lambda);
                 (out.loss, out.grads.flat(), out.logits)
             }
             ModelParams::Gat(p) => {
-                let out = if half {
-                    gat::step_half(ops, g, p, xh, labels, mask, d)
-                } else {
-                    gat::step_f32_dist(ops, g, p, x, labels, mask, d)
-                };
+                let out = gat::step(ops, g, p, x, labels, mask, d);
                 (out.loss, out.grads.flat(), out.logits)
             }
             ModelParams::Sage(p) => {
-                let out = if half {
-                    sage::step_half(ops, g, p, xh, labels, mask, d)
-                } else {
-                    sage::step_f32_dist(ops, g, p, x, labels, mask, d)
-                };
+                let out = sage::step(ops, g, p, x, labels, mask, d);
                 (out.loss, out.grads.flat(), out.logits)
             }
         }

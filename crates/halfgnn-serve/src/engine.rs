@@ -19,7 +19,7 @@ use halfgnn_graph::reach::khop_ball;
 use halfgnn_graph::{partition, Csr, DeltaCsr, ShardPlan, VertexId};
 use halfgnn_half::slice::f32_slice_to_half;
 use halfgnn_half::Half;
-use halfgnn_nn::forward::{gcn_forward_f32, gcn_forward_half};
+use halfgnn_nn::gcn;
 use halfgnn_nn::graphdata::GraphView;
 use halfgnn_nn::models::{Dispatch, GcnNorm};
 use halfgnn_nn::params::TwoLayerParams;
@@ -250,7 +250,26 @@ impl<'d> ServeEngine<'d> {
         if let Some(ctx) = exec {
             ctx.begin_epoch();
         }
+        let (logits, kernel_us) = self.forward(batch, exec);
 
+        let replayed = match mode {
+            Mode::Eager => false,
+            Mode::Capture => {
+                self.capture.as_ref().expect("capture state").ctx.seal();
+                false
+            }
+            Mode::Replay => {
+                self.capture.as_ref().expect("capture state").ctx.end_epoch();
+                true
+            }
+        };
+        (logits, kernel_us, replayed)
+    }
+
+    /// Gather the ball's feature rows and run the forward-only GCN on the
+    /// induced subgraph in the configured precision. Returns the logits
+    /// and the modeled kernel time.
+    fn forward(&self, batch: &Batch, exec: Option<&ExecCtx>) -> (Vec<f32>, f64) {
         let g = GraphView::full(&batch.csr);
         // Vertex-parallel SpMM is what makes coalescing bitwise-invisible:
         // its neighbor groups never cross rows, so a row's summation order
@@ -266,25 +285,12 @@ impl<'d> ServeEngine<'d> {
         let mut ops = Ops::new(self.dev).with_exec(exec);
         let logits = if self.cfg.precision.is_half() {
             let xs = ops.gather_rows_half(&self.xh, self.f_in, &batch.ball);
-            gcn_forward_half(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
+            gcn::forward(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
         } else {
             let xs = ops.gather_rows_f32(&self.x, self.f_in, &batch.ball);
-            gcn_forward_f32(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
+            gcn::forward(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
         };
-        let kernel_us = ops.total_time_us();
-
-        let replayed = match mode {
-            Mode::Eager => false,
-            Mode::Capture => {
-                self.capture.as_ref().expect("capture state").ctx.seal();
-                false
-            }
-            Mode::Replay => {
-                self.capture.as_ref().expect("capture state").ctx.end_epoch();
-                true
-            }
-        };
-        (logits, kernel_us, replayed)
+        (logits, ops.total_time_us())
     }
 
     /// Remote-shard halo fetch for one batch: the batch runs on the home
@@ -341,21 +347,7 @@ impl<'d> ServeEngine<'d> {
         let batch = coalesce(&self.graph, requests, self.cfg.hops);
         let ctx = ExecCtx::capturing();
         ctx.begin_epoch();
-        let g = GraphView::full(&batch.csr);
-        let dispatch = match &self.tuner {
-            Some(t) => Dispatch::tuned(self.cfg.precision, t),
-            None => Dispatch::untuned(self.cfg.precision),
-        }
-        .with_vertex_parallel_spmm(true)
-        .with_exec(Some(&ctx));
-        let mut ops = Ops::new(self.dev).with_exec(Some(&ctx));
-        if self.cfg.precision.is_half() {
-            let xs = ops.gather_rows_half(&self.xh, self.f_in, &batch.ball);
-            gcn_forward_half(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right);
-        } else {
-            let xs = ops.gather_rows_f32(&self.x, self.f_in, &batch.ball);
-            gcn_forward_f32(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right);
-        }
+        self.forward(&batch, Some(&ctx));
         ctx.seal();
         ctx.summary()
     }
@@ -619,7 +611,6 @@ mod tests {
 
     #[test]
     fn inference_footprint_is_a_fraction_of_a_training_step() {
-        use halfgnn_nn::gcn::step_f32_norm;
         let dev = DeviceConfig::a100_like();
         let (csr, x) = toy_graph(40);
         let mut e = engine(&dev, &csr, &x, ServeConfig::default());
@@ -639,7 +630,7 @@ mod tests {
         let p = TwoLayerParams::new(8, 6, 4, 3);
         let labels = vec![0u32; batch.n()];
         let mask = vec![true; batch.n()];
-        step_f32_norm(&mut ops, &g, &p, &xs, &labels, &mask, d, GcnNorm::Right);
+        gcn::step(&mut ops, &g, &p, &xs, &labels, &mask, d, GcnNorm::Right);
         ctx.seal();
         let train = ctx.summary();
 

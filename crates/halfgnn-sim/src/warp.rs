@@ -370,20 +370,21 @@ mod tests {
         let dev = DeviceConfig::a100_like();
         let mut c = WarpCounters::default();
         let mut scratch = Vec::new();
-        let mut w = WarpCtx::new(&mut c, &dev, &mut scratch, false);
         let mut consumed = false;
-        w.load_gather(
-            (0..4u64).map(|a| {
-                consumed = true;
-                a * 64
-            }),
-            2,
-        );
-        w.load_contiguous(0, 32, 4);
-        w.half2_ops(100);
-        w.atomic_add(AtomicKind::F16, 10, 8.0);
-        w.barrier();
-        drop(w);
+        {
+            let mut w = WarpCtx::new(&mut c, &dev, &mut scratch, false);
+            w.load_gather(
+                (0..4u64).map(|a| {
+                    consumed = true;
+                    a * 64
+                }),
+                2,
+            );
+            w.load_contiguous(0, 32, 4);
+            w.half2_ops(100);
+            w.atomic_add(AtomicKind::F16, 10, 8.0);
+            w.barrier();
+        }
         assert!(!consumed, "dead charging must not consume lazy address iterators");
         assert_eq!(c, WarpCounters::default());
     }

@@ -1,22 +1,17 @@
-//! Dense tensor operations, the AMP autocast policy, and memory tracking.
+//! Dense tensor operations, conversion accounting, and memory tracking.
 //!
 //! GNN training is mostly sparse kernels plus a handful of dense ops:
-//! linear layers (GeMM), bias/activation, dropout, and the final softmax
+//! linear layers (GeMM), bias/activation, and the final softmax
 //! cross-entropy. This crate provides those on the same cost-model
-//! simulator the sparse kernels use, in both precisions, and implements
-//! the two mixed-precision behaviours the paper contrasts:
-//!
-//! * the PyTorch **AMP policy** (§3.1.2): a fixed list of ops that are
-//!   force-promoted to float, each promotion materializing a converted
-//!   tensor (counted by [`ops::Ops`] and reproduced in the `conversions`
-//!   experiment);
-//! * the **shadow APIs** (§5.3): half-native versions invoked when the
-//!   model guarantees the output fits in half.
+//! simulator the sparse kernels use, in both precisions. [`ops::Ops`]
+//! also counts every tensor-level dtype conversion — the §3.1.2 tax of
+//! AMP's promotions, reproduced in the `conversions` experiment. Which
+//! ops a step runs in which precision is decided by `halfgnn-nn`'s
+//! `Elem` trait, not here.
 //!
 //! [`memory::MemoryTracker`] accounts every tensor allocation so Fig. 6's
 //! training-memory comparison can be regenerated analytically.
 
-pub mod amp;
 pub mod memory;
 pub mod ops;
 

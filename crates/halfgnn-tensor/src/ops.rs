@@ -454,54 +454,6 @@ impl<'d> Ops<'d> {
         out
     }
 
-    /// Row-wise **shadow softmax** in half precision (§5.3): legal because
-    /// the kernel subtracts the row max first, so every exponent argument
-    /// is ≤ 0 and every exponential lands in `(0, 1]`; the row sum is
-    /// bounded by the row width. AMP would have promoted this to float
-    /// with two tensor conversions.
-    pub fn shadow_softmax_half(&mut self, x: &[Half], cols: usize) -> Vec<Half> {
-        assert!(cols > 0 && x.len().is_multiple_of(cols));
-        self.charge_elementwise("shadow_softmax_f16", x.len(), 2, 1, 1, 6, true);
-        use halfgnn_half::intrinsics::{hdiv, hexp, hsub};
-        let mut out = vec![Half::ZERO; x.len()];
-        for (row_in, row_out) in x.chunks(cols).zip(out.chunks_mut(cols)) {
-            let max = row_in.iter().fold(Half::NEG_INFINITY, |a, &b| a.max(b));
-            let mut z = Half::ZERO;
-            for (o, &v) in row_out.iter_mut().zip(row_in) {
-                *o = hexp(hsub(v, max));
-                z = halfgnn_half::intrinsics::hadd(z, *o);
-            }
-            for o in row_out.iter_mut() {
-                *o = hdiv(*o, z);
-            }
-        }
-        self.trace("shadow_softmax_f16", &[buf_ref(x)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// The AMP counterpart of [`Ops::shadow_softmax_half`]: promote to
-    /// f32, softmax, round back — two extra tensor conversions, identical
-    /// math up to rounding.
-    pub fn amp_softmax_half(&mut self, x: &[Half], cols: usize) -> Vec<Half> {
-        assert!(cols > 0 && x.len().is_multiple_of(cols));
-        let xf = self.to_f32(x);
-        self.charge_elementwise("softmax_f32", x.len(), 4, 1, 1, 6, false);
-        let mut out = vec![0f32; x.len()];
-        for (row_in, row_out) in xf.chunks(cols).zip(out.chunks_mut(cols)) {
-            let max = row_in.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut z = 0f32;
-            for (o, &v) in row_out.iter_mut().zip(row_in) {
-                *o = (v - max).exp();
-                z += *o;
-            }
-            for o in row_out.iter_mut() {
-                *o /= z;
-            }
-        }
-        self.trace("softmax_f32", &[buf_ref(&xf)], &[buf_ref(&out)]);
-        self.to_half(&out)
-    }
-
     /// Masked softmax cross-entropy (always f32 — AMP promotes it, and the
     /// paper keeps losses/weight updates in float per Micikevicius et al.).
     ///
@@ -762,28 +714,6 @@ mod tests {
         let labels = [0u32, 0];
         let mask = [true, true];
         assert_eq!(Ops::accuracy(&logits, &labels, &mask, 2), 0.5);
-    }
-
-    #[test]
-    fn shadow_softmax_matches_amp_softmax_and_never_overflows() {
-        let d = dev();
-        let mut ops = Ops::new(&d);
-        // Wild logits, including values whose raw exp would overflow half.
-        let xs: Vec<f32> = (0..40).map(|i| (i as f32 - 20.0) * 3.0).collect();
-        let xh = f32_slice_to_half(&xs);
-        let shadow = ops.shadow_softmax_half(&xh, 8);
-        let conv_before = ops.tensor_conversions;
-        let amp = ops.amp_softmax_half(&xh, 8);
-        assert!(ops.tensor_conversions > conv_before, "AMP pays conversions");
-        for (a, b) in shadow.iter().zip(&amp) {
-            assert!(a.is_finite() && b.is_finite());
-            assert!((a.to_f32() - b.to_f32()).abs() < 5e-3, "{a} vs {b}");
-        }
-        // Rows sum to 1.
-        for row in shadow.chunks(8) {
-            let s: f32 = row.iter().map(|h| h.to_f32()).sum();
-            assert!((s - 1.0).abs() < 0.02, "row sums to {s}");
-        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * [`graph`] — COO/CSR storage, generators, the Table-1 dataset registry
 //! * [`sim`] — the SIMT cost-model simulator (warps, coalescer, timing)
 //! * [`kernels`] — SpMM/SDDMM: HalfGNN kernels and every baseline
-//! * [`tensor`] — dense tensors, AMP autocast policy, shadow APIs
+//! * [`tensor`] — dense ops in both precisions, conversion counters,
+//!   memory tracking
 //! * [`tune`] — cost-model kernel autotuner with a persistent plan cache
-//! * [`nn`] — GCN/GAT/GIN models and the mixed-precision trainer
+//! * [`nn`] — GCN/GAT/GIN/SAGE models, each step generic over the
+//!   precision, and the mixed-precision trainer
 //! * [`serve`] — forward-only inference: request coalescing, embedding
 //!   cache, modeled serving latency
 //!

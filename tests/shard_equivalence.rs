@@ -23,11 +23,7 @@ use halfgnn::kernels::reference;
 use halfgnn::nn::dist::DistCtx;
 use halfgnn::nn::gcn;
 use halfgnn::nn::graphdata::GraphView;
-use halfgnn::nn::models::{
-    edge_reduce_f32, edge_reduce_half, grad_colsum_f32, grad_colsum_half, grad_gemm_f32,
-    grad_gemm_half, sddmm_f32, sddmm_half, spmm_mean_f32, spmm_mean_half, spmm_sum_f32,
-    spmm_sum_half, spmmve_f32, spmmve_half, Dispatch, GcnNorm, PrecisionMode,
-};
+use halfgnn::nn::models::{spmm_mean, spmm_sum, spmmve, Dispatch, Elem, GcnNorm, PrecisionMode};
 use halfgnn::nn::params::TwoLayerParams;
 use halfgnn::sim::interconnect::Topology;
 use halfgnn::sim::DeviceConfig;
@@ -111,20 +107,20 @@ proptest! {
         let f1 = Dispatch::untuned(PrecisionMode::Float);
 
         // Single-device ground truth, once per case.
-        let want_mean_h = spmm_mean_half(&mut ops, &g, &xh, f, h1);
-        let want_sum_h = spmm_sum_half(&mut ops, &g, &xh, f, h1);
-        let want_ve_h = spmmve_half(&mut ops, &g, &wh, &xh, f, h1);
-        let want_sddmm_h = sddmm_half(&mut ops, &g, &xh, &xh, f, h1);
-        let want_max_h = edge_reduce_half(&mut ops, &g, &wh, Reduce::Max, h1);
-        let want_gemm_h = grad_gemm_half(&mut ops, &xh, &xh, f, n, f, h1);
-        let want_colsum_h = grad_colsum_half(&mut ops, &xh, f, h1);
-        let want_mean_f = spmm_mean_f32(&mut ops, &g, &xf, f, f1);
-        let want_sum_f = spmm_sum_f32(&mut ops, &g, &xf, f, f1);
-        let want_ve_f = spmmve_f32(&mut ops, &g, &wf, &xf, f, f1);
-        let want_sddmm_f = sddmm_f32(&mut ops, &g, &xf, &xf, f, f1);
-        let want_sum_ef = edge_reduce_f32(&mut ops, &g, &wf, Reduce::Sum, f1);
-        let want_gemm_f = grad_gemm_f32(&mut ops, &xf, &xf, f, n, f, f1);
-        let want_colsum_f = grad_colsum_f32(&mut ops, &xf, f, f1);
+        let want_mean_h = spmm_mean(&mut ops, &g, &xh, f, h1);
+        let want_sum_h = spmm_sum(&mut ops, &g, &xh, f, h1);
+        let want_ve_h = spmmve(&mut ops, &g, &wh, &xh, f, h1);
+        let want_sddmm_h = Half::sddmm(&mut ops, &g, &xh, &xh, f, h1);
+        let want_max_h = Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, h1);
+        let want_gemm_h = Half::grad_gemm(&mut ops, &xh, &xh, f, n, f, h1);
+        let want_colsum_h = Half::grad_colsum(&mut ops, &xh, f, h1);
+        let want_mean_f = spmm_mean(&mut ops, &g, &xf, f, f1);
+        let want_sum_f = spmm_sum(&mut ops, &g, &xf, f, f1);
+        let want_ve_f = spmmve(&mut ops, &g, &wf, &xf, f, f1);
+        let want_sddmm_f = f32::sddmm(&mut ops, &g, &xf, &xf, f, f1);
+        let want_sum_ef = f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, f1);
+        let want_gemm_f = f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, f1);
+        let want_colsum_f = f32::grad_colsum(&mut ops, &xf, f, f1);
 
         for shards in SHARD_COUNTS {
             for strategy in strategies() {
@@ -132,36 +128,36 @@ proptest! {
                 let hd = h1.with_dist(Some(&ctx));
                 let fd = f1.with_dist(Some(&ctx));
 
-                prop_assert_eq!(&spmm_mean_half(&mut ops, &g, &xh, f, hd), &want_mean_h);
-                prop_assert_eq!(&spmm_sum_half(&mut ops, &g, &xh, f, hd), &want_sum_h);
-                prop_assert_eq!(&spmmve_half(&mut ops, &g, &wh, &xh, f, hd), &want_ve_h);
-                prop_assert_eq!(&sddmm_half(&mut ops, &g, &xh, &xh, f, hd), &want_sddmm_h);
+                prop_assert_eq!(&spmm_mean(&mut ops, &g, &xh, f, hd), &want_mean_h);
+                prop_assert_eq!(&spmm_sum(&mut ops, &g, &xh, f, hd), &want_sum_h);
+                prop_assert_eq!(&spmmve(&mut ops, &g, &wh, &xh, f, hd), &want_ve_h);
+                prop_assert_eq!(&Half::sddmm(&mut ops, &g, &xh, &xh, f, hd), &want_sddmm_h);
                 prop_assert_eq!(
-                    &edge_reduce_half(&mut ops, &g, &wh, Reduce::Max, hd),
+                    &Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, hd),
                     &want_max_h
                 );
-                prop_assert_eq!(&spmm_mean_f32(&mut ops, &g, &xf, f, fd), &want_mean_f);
-                prop_assert_eq!(&spmm_sum_f32(&mut ops, &g, &xf, f, fd), &want_sum_f);
-                prop_assert_eq!(&spmmve_f32(&mut ops, &g, &wf, &xf, f, fd), &want_ve_f);
-                prop_assert_eq!(&sddmm_f32(&mut ops, &g, &xf, &xf, f, fd), &want_sddmm_f);
+                prop_assert_eq!(&spmm_mean(&mut ops, &g, &xf, f, fd), &want_mean_f);
+                prop_assert_eq!(&spmm_sum(&mut ops, &g, &xf, f, fd), &want_sum_f);
+                prop_assert_eq!(&spmmve(&mut ops, &g, &wf, &xf, f, fd), &want_ve_f);
+                prop_assert_eq!(&f32::sddmm(&mut ops, &g, &xf, &xf, f, fd), &want_sddmm_f);
                 prop_assert_eq!(
-                    &edge_reduce_f32(&mut ops, &g, &wf, Reduce::Sum, fd),
+                    &f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fd),
                     &want_sum_ef
                 );
                 // Float gradient reductions: the exact global contraction.
-                prop_assert_eq!(&grad_gemm_f32(&mut ops, &xf, &xf, f, n, f, fd), &want_gemm_f);
-                prop_assert_eq!(&grad_colsum_f32(&mut ops, &xf, f, fd), &want_colsum_f);
+                prop_assert_eq!(&f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, fd), &want_gemm_f);
+                prop_assert_eq!(&f32::grad_colsum(&mut ops, &xf, f, fd), &want_colsum_f);
 
                 // Half gradient reductions: re-quantized on the f16 wire,
                 // so close rather than bitwise.
-                let got_gemm = grad_gemm_half(&mut ops, &xh, &xh, f, n, f, hd);
+                let got_gemm = Half::grad_gemm(&mut ops, &xh, &xh, f, n, f, hd);
                 for (got, want) in got_gemm.iter().zip(&want_gemm_h) {
                     prop_assert!(
                         reference::close(got.to_f64(), want.to_f64(), 0.05, 0.05),
                         "grad_gemm_half: {got} vs {want} (shards={shards}, {strategy:?})"
                     );
                 }
-                let got_colsum = grad_colsum_half(&mut ops, &xh, f, hd);
+                let got_colsum = Half::grad_colsum(&mut ops, &xh, f, hd);
                 for (got, want) in got_colsum.iter().zip(&want_colsum_h) {
                     prop_assert!(
                         reference::close(*got as f64, *want as f64, 0.05, 0.05),
@@ -192,14 +188,14 @@ proptest! {
         let d1 = Dispatch::untuned(PrecisionMode::Float);
 
         let mut ops = Ops::new(&dev);
-        let want = gcn::step_f32_norm(&mut ops, &g, &p, &feats, &labels, &mask, d1, GcnNorm::Right);
+        let want = gcn::step(&mut ops, &g, &p, &feats, &labels, &mask, d1, GcnNorm::Right);
 
         for shards in SHARD_COUNTS {
             for strategy in strategies() {
                 for topology in [Topology::Ring, Topology::AllToAll] {
                     let ctx = DistCtx::new(&g.csr, shards, strategy, topology);
                     let d = d1.with_dist(Some(&ctx));
-                    let got = gcn::step_f32_norm(
+                    let got = gcn::step(
                         &mut ops, &g, &p, &feats, &labels, &mask, d, GcnNorm::Right,
                     );
                     prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
@@ -265,7 +261,7 @@ proptest! {
         let d1 = Dispatch::untuned(PrecisionMode::Float);
 
         let mut ops = Ops::new(&dev);
-        let want = gcn::step_f32_norm(&mut ops, &g, &p, &feats, &labels, &mask, d1, GcnNorm::Right);
+        let want = gcn::step(&mut ops, &g, &p, &feats, &labels, &mask, d1, GcnNorm::Right);
 
         for shards in [2usize, 4, 8] {
             for c in [1usize, 2] {
@@ -283,7 +279,7 @@ proptest! {
                         prop_assert_eq!(&s15.halo, &s1d.halo);
                     }
 
-                    let got = gcn::step_f32_norm(
+                    let got = gcn::step(
                         &mut ops, &g, &p, &feats, &labels, &mask,
                         d1.with_dist(Some(&ctx)), GcnNorm::Right,
                     );
@@ -291,7 +287,7 @@ proptest! {
                     prop_assert_eq!(&got.logits, &want.logits);
                     prop_assert_eq!(&got.grads.flat(), &want.grads.flat());
 
-                    let _ = gcn::step_f32_norm(
+                    let _ = gcn::step(
                         &mut ops, &g, &p, &feats, &labels, &mask,
                         d1.with_dist(Some(&bal)), GcnNorm::Right,
                     );
@@ -330,8 +326,8 @@ proptest! {
                 let ctx_f = DistCtx::new(&g.csr, shards, strategy, Topology::Ring);
                 let dh = Dispatch::untuned(PrecisionMode::HalfGnn).with_dist(Some(&ctx_h));
                 let df = Dispatch::untuned(PrecisionMode::Float).with_dist(Some(&ctx_f));
-                spmm_sum_half(&mut ops, &g, &xh, f, dh);
-                spmm_sum_f32(&mut ops, &g, &feats, f, df);
+                spmm_sum(&mut ops, &g, &xh, f, dh);
+                spmm_sum(&mut ops, &g, &feats, f, df);
                 let (h, fl) = (ctx_h.snapshot(), ctx_f.snapshot());
                 prop_assert_eq!(2 * h.halo_bytes, fl.halo_bytes);
                 // And the modeled wire time strictly improves whenever
@@ -375,9 +371,9 @@ proptest! {
                 .with_dist(Some(&ctx_i));
             let dh = Dispatch::untuned(PrecisionMode::HalfGnn).with_dist(Some(&ctx_h));
             let df = Dispatch::untuned(PrecisionMode::Float).with_dist(Some(&ctx_f));
-            spmm_sum_half(&mut ops, &g, &xh, f, di);
-            spmm_sum_half(&mut ops, &g, &xh, f, dh);
-            spmm_sum_f32(&mut ops, &g, &feats, f, df);
+            spmm_sum(&mut ops, &g, &xh, f, di);
+            spmm_sum(&mut ops, &g, &xh, f, dh);
+            spmm_sum(&mut ops, &g, &feats, f, df);
             let (i8s, hs, fs) = (ctx_i.snapshot(), ctx_h.snapshot(), ctx_f.snapshot());
             prop_assert_eq!(
                 2 * i8s.halo_bytes, hs.halo_bytes,
@@ -487,11 +483,11 @@ fn empty_partitions_are_harmless() {
     let xh: Vec<Half> = (0..g.n() * f).map(|i| Half::from_f32((i % 5) as f32 * 0.2)).collect();
     let mut ops = Ops::new(&dev);
     let single = Dispatch::untuned(PrecisionMode::HalfGnn);
-    let want = spmm_sum_half(&mut ops, &g, &xh, f, single);
+    let want = spmm_sum(&mut ops, &g, &xh, f, single);
     for strategy in strategies() {
         let ctx = DistCtx::new(&g.csr, 4, strategy, Topology::Ring);
         assert_eq!(ctx.num_shards(), 4);
-        let got = spmm_sum_half(&mut ops, &g, &xh, f, single.with_dist(Some(&ctx)));
+        let got = spmm_sum(&mut ops, &g, &xh, f, single.with_dist(Some(&ctx)));
         assert_eq!(got, want, "{strategy:?}");
     }
 }
@@ -511,12 +507,12 @@ fn star_graph_is_bitwise_under_degree_balanced_sharding() {
     let xh: Vec<Half> = (0..n * f).map(|i| Half::from_f32(((i % 9) as f32 - 4.0) * 0.1)).collect();
     let mut ops = Ops::new(&dev);
     let single = Dispatch::untuned(PrecisionMode::HalfGnn);
-    let want_spmm = spmm_mean_half(&mut ops, &g, &xh, f, single);
-    let want_sddmm = sddmm_half(&mut ops, &g, &xh, &xh, f, single);
+    let want_spmm = spmm_mean(&mut ops, &g, &xh, f, single);
+    let want_sddmm = Half::sddmm(&mut ops, &g, &xh, &xh, f, single);
     for shards in [2usize, 4, 8] {
         let ctx = DistCtx::new(&g.csr, shards, PartitionStrategy::DegreeBalanced, Topology::Ring);
         let d = single.with_dist(Some(&ctx));
-        assert_eq!(spmm_mean_half(&mut ops, &g, &xh, f, d), want_spmm, "shards={shards}");
-        assert_eq!(sddmm_half(&mut ops, &g, &xh, &xh, f, d), want_sddmm, "shards={shards}");
+        assert_eq!(spmm_mean(&mut ops, &g, &xh, f, d), want_spmm, "shards={shards}");
+        assert_eq!(Half::sddmm(&mut ops, &g, &xh, &xh, f, d), want_sddmm, "shards={shards}");
     }
 }
