@@ -1,8 +1,8 @@
-//! The figure/table reproduction harness: one module per experiment in the
-//! paper's evaluation (§6), each regenerating the corresponding table or
-//! figure series on the cost-model simulator.
+//! The figure/table reproduction harness and the acceptance bench suites.
 //!
-//! Run through the `repro` binary:
+//! [`experiments`] holds one module per experiment in the paper's
+//! evaluation (§6), each regenerating the corresponding table or figure
+//! series on the cost-model simulator. Run through the `repro` binary:
 //!
 //! ```text
 //! cargo run --release -p halfgnn-bench --bin repro -- fig9
@@ -11,8 +11,20 @@
 //!
 //! Every experiment returns a [`Table`] rendered as GitHub markdown, so
 //! outputs paste directly into EXPERIMENTS.md.
+//!
+//! [`suites`] holds the acceptance suites: each runs one modeled sweep,
+//! asserts its gates and returns a [`row::Row`] that the one JSON writer
+//! renders as its `BENCH_prN.json`. Run through the `bench` binary from
+//! the repo root:
+//!
+//! ```text
+//! cargo run --release -p halfgnn-bench --bin bench -- tune
+//! cargo run --release -p halfgnn-bench --bin bench -- all
+//! ```
 
 pub mod experiments;
+pub mod row;
+pub mod suites;
 
 use std::fmt;
 

@@ -46,6 +46,29 @@ pub enum ModelKind {
     Sage,
 }
 
+impl ModelKind {
+    /// CLI tag, also the snapshot header's and the BENCH rows' name.
+    pub fn tag(self) -> &'static str {
+        match self {
+            ModelKind::Gcn => "gcn",
+            ModelKind::Gat => "gat",
+            ModelKind::Gin => "gin",
+            ModelKind::Sage => "sage",
+        }
+    }
+
+    /// Parse a CLI tag.
+    pub fn parse(s: &str) -> Option<ModelKind> {
+        match s {
+            "gcn" => Some(ModelKind::Gcn),
+            "gat" => Some(ModelKind::Gat),
+            "gin" => Some(ModelKind::Gin),
+            "sage" => Some(ModelKind::Sage),
+            _ => None,
+        }
+    }
+}
+
 /// Which system's kernels and numerics a training run uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrecisionMode {
@@ -71,6 +94,29 @@ pub enum PrecisionMode {
 }
 
 impl PrecisionMode {
+    /// CLI tag, also the BENCH rows' name.
+    pub fn tag(self) -> &'static str {
+        match self {
+            PrecisionMode::Float => "float",
+            PrecisionMode::HalfNaive => "halfnaive",
+            PrecisionMode::HalfGnn => "halfgnn",
+            PrecisionMode::HalfGnnNoDiscretize => "nodiscretize",
+            PrecisionMode::I8 => "i8",
+        }
+    }
+
+    /// Parse a CLI tag.
+    pub fn parse(s: &str) -> Option<PrecisionMode> {
+        match s {
+            "float" => Some(PrecisionMode::Float),
+            "halfnaive" => Some(PrecisionMode::HalfNaive),
+            "halfgnn" => Some(PrecisionMode::HalfGnn),
+            "nodiscretize" => Some(PrecisionMode::HalfGnnNoDiscretize),
+            "i8" => Some(PrecisionMode::I8),
+            _ => None,
+        }
+    }
+
     /// True for any mode whose state tensors are half precision.
     pub fn is_half(self) -> bool {
         !matches!(self, PrecisionMode::Float)
@@ -1376,6 +1422,30 @@ mod tests {
         let csr = Csr::from_edges(6, 6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
             .symmetrized_with_self_loops();
         GraphView::full(&csr)
+    }
+
+    #[test]
+    fn model_and_precision_tags_round_trip() {
+        let models = [ModelKind::Gcn, ModelKind::Gat, ModelKind::Gin, ModelKind::Sage];
+        let tags: Vec<&str> = models.iter().map(|m| m.tag()).collect();
+        assert_eq!(tags, ["gcn", "gat", "gin", "sage"]);
+        for m in models {
+            assert_eq!(ModelKind::parse(m.tag()), Some(m));
+        }
+        let modes = [
+            PrecisionMode::Float,
+            PrecisionMode::HalfNaive,
+            PrecisionMode::HalfGnn,
+            PrecisionMode::HalfGnnNoDiscretize,
+            PrecisionMode::I8,
+        ];
+        let tags: Vec<&str> = modes.iter().map(|p| p.tag()).collect();
+        assert_eq!(tags, ["float", "halfnaive", "halfgnn", "nodiscretize", "i8"]);
+        for p in modes {
+            assert_eq!(PrecisionMode::parse(p.tag()), Some(p));
+        }
+        assert_eq!(ModelKind::parse("GCN"), None);
+        assert_eq!(PrecisionMode::parse("half"), None);
     }
 
     #[test]

@@ -42,25 +42,6 @@ pub struct ModelSnapshot {
     payload: Payload,
 }
 
-fn model_tag(m: ModelKind) -> &'static str {
-    match m {
-        ModelKind::Gcn => "gcn",
-        ModelKind::Gat => "gat",
-        ModelKind::Gin => "gin",
-        ModelKind::Sage => "sage",
-    }
-}
-
-fn parse_model(tag: &str) -> Option<ModelKind> {
-    match tag {
-        "gcn" => Some(ModelKind::Gcn),
-        "gat" => Some(ModelKind::Gat),
-        "gin" => Some(ModelKind::Gin),
-        "sage" => Some(ModelKind::Sage),
-        _ => None,
-    }
-}
-
 fn checksum(words: impl Iterator<Item = u64>) -> u64 {
     words.fold(0u64, |acc, w| splitmix64(acc ^ w))
 }
@@ -151,7 +132,7 @@ impl ModelSnapshot {
         let mut s = String::new();
         s.push_str(MAGIC);
         s.push('\n');
-        s.push_str(&format!("model {}\n", model_tag(self.model)));
+        s.push_str(&format!("model {}\n", self.model.tag()));
         s.push_str(&format!("dims {} {} {}\n", self.f_in, self.hidden, self.classes));
         s.push_str(&format!("dtype {dtype_tag}\n"));
         s.push_str(&format!("len {}\n", words.len()));
@@ -177,7 +158,7 @@ impl ModelSnapshot {
         if lines.next()? != MAGIC {
             return None;
         }
-        let model = parse_model(lines.next()?.strip_prefix("model ")?)?;
+        let model = ModelKind::parse(lines.next()?.strip_prefix("model ")?)?;
         let mut dims = lines.next()?.strip_prefix("dims ")?.split(' ');
         let f_in: usize = dims.next()?.parse().ok()?;
         let hidden: usize = dims.next()?.parse().ok()?;

@@ -55,19 +55,13 @@ fn main() {
             "--dataset" => dataset = Dataset::by_id(val()),
             "--snapshot" => snapshot_path = Some(val().to_string()),
             "--precision" => {
-                cfg.precision = match val() {
-                    "float" => PrecisionMode::Float,
-                    "halfgnn" => PrecisionMode::HalfGnn,
-                    // Training-only modes reach validate() and die with
-                    // the named ServeConfigError.
-                    "halfnaive" => PrecisionMode::HalfNaive,
-                    "nodiscretize" => PrecisionMode::HalfGnnNoDiscretize,
-                    "i8" => PrecisionMode::I8,
-                    other => {
-                        eprintln!("unknown precision {other}");
-                        usage()
-                    }
-                }
+                // Training-only modes parse too: they reach validate() and
+                // die with the named ServeConfigError.
+                let v = val();
+                cfg.precision = PrecisionMode::parse(v).unwrap_or_else(|| {
+                    eprintln!("unknown precision {v}");
+                    usage()
+                })
             }
             "--hops" => cfg.hops = val().parse().unwrap_or_else(|_| usage()),
             "--batch-window" => cfg.batch_window = val().parse().unwrap_or_else(|_| usage()),

@@ -37,29 +37,18 @@ fn main() {
         match flag.as_str() {
             "--dataset" => dataset = Dataset::by_id(val()),
             "--model" => {
-                cfg.model = match val() {
-                    "gcn" => ModelKind::Gcn,
-                    "gat" => ModelKind::Gat,
-                    "gin" => ModelKind::Gin,
-                    "sage" => ModelKind::Sage,
-                    other => {
-                        eprintln!("unknown model {other}");
-                        usage()
-                    }
-                }
+                let v = val();
+                cfg.model = ModelKind::parse(v).unwrap_or_else(|| {
+                    eprintln!("unknown model {v}");
+                    usage()
+                })
             }
             "--precision" => {
-                cfg.precision = match val() {
-                    "float" => PrecisionMode::Float,
-                    "halfnaive" => PrecisionMode::HalfNaive,
-                    "halfgnn" => PrecisionMode::HalfGnn,
-                    "nodiscretize" => PrecisionMode::HalfGnnNoDiscretize,
-                    "i8" => PrecisionMode::I8,
-                    other => {
-                        eprintln!("unknown precision {other}");
-                        usage()
-                    }
-                }
+                let v = val();
+                cfg.precision = PrecisionMode::parse(v).unwrap_or_else(|| {
+                    eprintln!("unknown precision {v}");
+                    usage()
+                })
             }
             "--norm" => {
                 cfg.gcn_norm = match val() {
