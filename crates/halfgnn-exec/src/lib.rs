@@ -9,10 +9,11 @@
 //! window — into an [`ExecGraph`] via [`ExecCtx::record_node`] /
 //! [`ExecCtx::record_plan`]. After [`ExecCtx::seal`], every later epoch is
 //! a **replay**: dispatch pulls the pre-resolved plans back in capture
-//! order ([`ExecCtx::next_spmm_plan`] and friends) with zero tuner-cache
-//! lookups, and the executor strips the per-launch overhead that capture
-//! already charged (the cycles saved accumulate in
-//! [`ExecCtx::add_saved_cycles`]).
+//! order through one reader, [`ExecCtx::next_plan`], with zero tuner-cache
+//! lookups (the dispatch site checks each plan's kind, so a replay that
+//! reads the wrong kind panics as diverged), and the executor strips the
+//! per-launch overhead that capture already charged (the cycles saved
+//! accumulate in [`ExecCtx::add_saved_cycles`]).
 //!
 //! On top of the captured graph, [`arena`] runs a buffer-lifetime analysis
 //! (first-def/last-use intervals, linear-scan slab assignment) so
@@ -30,7 +31,7 @@
 
 pub mod arena;
 
-use halfgnn_tune::plan::{AttnPlan, KernelPlan, SddmmPlan, SpmmPlan};
+use halfgnn_tune::plan::KernelPlan;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -114,7 +115,8 @@ pub struct Node {
     pub inputs: Vec<BufId>,
     /// Buffers written (always freshly minted ids).
     pub outputs: Vec<BufId>,
-    /// Shard row window `[lo, hi)` when the launch was windowed.
+    /// Shard window `[lo, hi)` when the launch was windowed: rows, or
+    /// edges for an edge-windowed kernel (SDDMM).
     pub window: Option<(usize, usize)>,
 }
 
@@ -220,53 +222,18 @@ impl ExecCtx {
         s.graph.plans.push(plan);
     }
 
-    fn next_plan(&self, want: &'static str) -> KernelPlan {
+    /// Next captured plan, in capture order (replay phase). Panics when
+    /// the epoch asks for more plans than capture recorded: replay
+    /// diverged. The dispatch site that reads it checks the plan's kind.
+    pub fn next_plan(&self) -> KernelPlan {
         let mut s = self.state.borrow_mut();
         assert_eq!(s.phase, Phase::Replay, "next_plan before seal()");
         let i = s.plan_cursor;
         let plan = *s.graph.plans.get(i).unwrap_or_else(|| {
-            panic!("replay diverged from captured graph: wanted {want} plan #{i}, none left")
+            panic!("replay diverged from captured graph: wanted plan #{i}, none left")
         });
         s.plan_cursor = i + 1;
         plan
-    }
-
-    /// Next captured SpMM plan (replay phase; panics on divergence).
-    pub fn next_spmm_plan(&self) -> SpmmPlan {
-        match self.next_plan("spmm") {
-            KernelPlan::Spmm(p) => p,
-            other => panic!("replay diverged from captured graph: wanted spmm, got {other:?}"),
-        }
-    }
-
-    /// Next captured plan for a quantized SpMM site (replay phase; panics
-    /// on divergence). The second field is `true` when the captured plan
-    /// selected the INT8 kernel and `false` when the tuner fell back to
-    /// the f16 kernel at capture time — the fallback is a legitimate
-    /// captured outcome (the oracle vetoed every quantized candidate), so
-    /// replay must honor it rather than re-tune.
-    pub fn next_spmm_i8_plan(&self) -> (SpmmPlan, bool) {
-        match self.next_plan("spmm_i8") {
-            KernelPlan::SpmmI8(p) => (p, true),
-            KernelPlan::Spmm(p) => (p, false),
-            other => panic!("replay diverged from captured graph: wanted spmm_i8, got {other:?}"),
-        }
-    }
-
-    /// Next captured SDDMM plan (replay phase; panics on divergence).
-    pub fn next_sddmm_plan(&self) -> SddmmPlan {
-        match self.next_plan("sddmm") {
-            KernelPlan::Sddmm(p) => p,
-            other => panic!("replay diverged from captured graph: wanted sddmm, got {other:?}"),
-        }
-    }
-
-    /// Next captured attention plan (replay phase; panics on divergence).
-    pub fn next_attn_plan(&self) -> AttnPlan {
-        match self.next_plan("attn") {
-            KernelPlan::Attn(p) => p,
-            other => panic!("replay diverged from captured graph: wanted attn, got {other:?}"),
-        }
     }
 
     /// Record one kernel launch during capture (no-op during replay —
@@ -390,6 +357,7 @@ impl ExecCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halfgnn_tune::plan::{AttnPlan, SddmmPlan, SpmmPlan};
 
     fn r(addr: usize, bytes: usize) -> BufRef {
         BufRef { addr, bytes }
@@ -446,21 +414,22 @@ mod tests {
         ctx.seal();
         for _ in 0..2 {
             ctx.begin_epoch();
-            assert_eq!(ctx.next_spmm_plan(), sp);
-            assert_eq!(ctx.next_sddmm_plan(), sd);
-            assert!(ctx.next_attn_plan().fused);
+            assert_eq!(ctx.next_plan(), KernelPlan::Spmm(sp));
+            assert_eq!(ctx.next_plan(), KernelPlan::Sddmm(sd));
+            assert_eq!(ctx.next_plan(), KernelPlan::Attn(AttnPlan { fused: true }));
             ctx.end_epoch();
         }
     }
 
     #[test]
     #[should_panic(expected = "replay diverged")]
-    fn wrong_plan_kind_panics() {
+    fn overconsumed_plan_stream_panics() {
         let ctx = ExecCtx::capturing();
         ctx.record_plan(KernelPlan::Spmm(SpmmPlan::default()));
         ctx.seal();
         ctx.begin_epoch();
-        ctx.next_sddmm_plan();
+        ctx.next_plan();
+        ctx.next_plan();
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! [`Elem`] trait that holds the precision policy: each model's step is
 //! written once, generic over `f32` and [`Half`].
 //!
-//! When a [`DistCtx`] is attached the dispatch layer also *shards* every
-//! sparse operation: each simulated device runs the global kernel tiling
-//! clamped to its row (or edge) window, after a metered halo exchange of
-//! the remote operand rows, and the per-shard outputs are pasted back into
-//! the global tensor. Because windowed launches are bitwise slices of the
+//! Every sparse op has one launch body, run through one windowed-launch
+//! helper (`Dispatch::launch`). Without a [`DistCtx`] the helper runs the
+//! kernel once over the whole graph. With one attached it *shards* the
+//! op: each simulated device runs the global kernel tiling clamped to its
+//! row (or edge) window, after a metered halo exchange of the remote
+//! operand rows, and the per-shard outputs are pasted back into the
+//! global tensor. Because windowed launches are bitwise slices of the
 //! full launch (see `halfgnn-kernels`), sharded float training is
 //! bit-identical to single-device training; sharded half training differs
 //! only where the gradient all-reduce genuinely re-quantizes on the f16
@@ -15,6 +17,11 @@
 //! softmax-grad, …) are replicated on every device and never dispatched
 //! through a window: their operands already ride along with the feature
 //! halos, so they contribute zero additional communication.
+//!
+//! Every tuned plan — HalfGNN and INT8 SpMM, SDDMM, attention fusion — is
+//! resolved in one place too (`Dispatch::plan`): replay reads the next
+//! captured plan; otherwise the tuner or the untuned default decides, and
+//! capture records the decision.
 
 use crate::dist::DistCtx;
 use crate::gat::ATTN_SLOPE;
@@ -23,8 +30,8 @@ use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_graph::partition::Shard;
 use halfgnn_half::Half;
 use halfgnn_kernels::baseline::cusparse::{self, EdgeWeightsF32};
-use halfgnn_kernels::common::{EdgeWeights, Reduce, ScalePlacement, Tiling, WriteStrategy};
-use halfgnn_kernels::fused::{self, FusedAttnForward};
+use halfgnn_kernels::common::{EdgeWeights, Reduce, ScalePlacement, Tiling};
+use halfgnn_kernels::fused;
 use halfgnn_kernels::{baseline::dgl_sddmm, baseline::ge_spmm, edge_ops, halfgnn_sddmm};
 use halfgnn_kernels::{halfgnn_spmm, quant_spmm};
 use halfgnn_sim::KernelStats;
@@ -32,6 +39,7 @@ use halfgnn_tensor::Ops;
 use halfgnn_tune::plan::{AttnPlan, KernelPlan, SddmmPlan};
 use halfgnn_tune::{SpmmPlan, SpmmVariant, Tuner};
 use std::borrow::Cow;
+use Part::{Edges, Rows};
 
 /// Which GNN architecture to train.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,15 +202,7 @@ impl Dispatch<'static> {
 impl<'t> Dispatch<'t> {
     /// Dispatch through a tuner (`tuning: Auto` / `Cached`).
     pub fn tuned(mode: PrecisionMode, tuner: &'t Tuner) -> Dispatch<'t> {
-        Dispatch {
-            mode,
-            tuner: Some(tuner),
-            fusion: false,
-            dist: None,
-            exec: None,
-            force_spmm: None,
-            quant_seed: 0,
-        }
+        Dispatch { tuner: Some(tuner), ..Dispatch::untuned(mode) }
     }
 
     /// Explicitly force (or forbid forcing) the fused attention pipeline.
@@ -237,18 +237,73 @@ impl<'t> Dispatch<'t> {
         self
     }
 
-    /// Capture hook: record a sparse-kernel launch into the execution
-    /// graph (no-op without a context or after it is sealed).
-    fn capture_node(
+    /// The one launch path of every windowed sparse op. Without a
+    /// [`DistCtx`], `kernel` runs once over the whole graph and its own
+    /// outputs come back. With one, each shard exchanges `halo`'s remote
+    /// rows, launches its `win` window, logs the compute on its device,
+    /// and pastes its `parts` of the outputs (`f`-wide rows or edges) into
+    /// global tensors. Windowed launches are bitwise slices of the full
+    /// launch, so the pasted tensors are the single-device outputs exactly.
+    #[allow(clippy::too_many_arguments)]
+    fn launch<E: Elem, const K: usize>(
         &self,
+        ops: &mut Ops,
+        g: &GraphView,
         op: &'static str,
-        inputs: &[BufRef],
-        outputs: &[BufRef],
-        win: Option<(usize, usize)>,
-    ) {
-        if let Some(ctx) = self.exec {
-            ctx.record_node(op, inputs, outputs, win);
+        ins: &[BufRef],
+        halo: Option<Halo<'_>>,
+        win: Part,
+        parts: [(Part, usize); K],
+        mut kernel: impl FnMut(&mut Ops, (usize, usize)) -> ([Vec<E>; K], KernelStats),
+    ) -> [Vec<E>; K] {
+        let mut run = |ops: &mut Ops, shard: Option<&Shard>| {
+            let w = win.range(g, shard);
+            let (ys, stats) = kernel(ops, w);
+            if let (Some(ctx), Some(s)) = (self.dist, shard) {
+                ctx.log_compute(s.index, stats.time_us);
+            }
+            ops.record(stats);
+            if let Some(ctx) = self.exec {
+                ctx.record_node(op, ins, &ys.each_ref().map(|y| buf_ref(y)), shard.map(|_| w));
+            }
+            ys
+        };
+        let Some(ctx) = self.dist else { return run(ops, None) };
+        let mut out = parts.map(|(part, f)| vec![E::default(); part.range(g, None).1 * f]);
+        for shard in &ctx.plan.shards {
+            // The halo's one wire choice: f32 for the float pipeline, INT8
+            // under `PrecisionMode::I8`, f16 for every other half mode. The
+            // gathered wire buffers are only charged: kernels read `x`.
+            match halo {
+                Some(Halo::F32(x, f)) => drop(ctx.exchange_halo_f32(ops, x, f, shard)),
+                Some(Halo::Half(x, f)) if self.mode == PrecisionMode::I8 => {
+                    drop(ctx.exchange_halo_i8(ops, x, f, shard, self.quant_seed))
+                }
+                Some(Halo::Half(x, f)) => drop(ctx.exchange_halo_half(ops, x, f, shard)),
+                None => {}
+            }
+            let ys = run(ops, Some(shard));
+            for ((o, y), (part, f)) in out.iter_mut().zip(&ys).zip(parts) {
+                let (lo, hi) = part.range(g, Some(shard));
+                o[lo * f..hi * f].copy_from_slice(&y[lo * f..hi * f]);
+            }
         }
+        out
+    }
+
+    /// The one plan-resolution point: HalfGNN and INT8 SpMM, SDDMM and
+    /// attention fusion all resolve here. Replay reads the next captured
+    /// plan with zero tuner lookups; otherwise `resolve` asks the tuner or
+    /// takes the untuned default, and capture records what it picked.
+    fn plan(&self, resolve: impl FnOnce() -> KernelPlan) -> KernelPlan {
+        if let Some(ctx) = self.exec.filter(|ctx| ctx.is_replaying()) {
+            return ctx.next_plan();
+        }
+        let plan = resolve();
+        if let Some(ctx) = self.exec {
+            ctx.record_plan(plan);
+        }
+        plan
     }
 
     /// Whether GAT's attention chain runs the fused single-pass kernels
@@ -263,41 +318,62 @@ impl<'t> Dispatch<'t> {
         if !halfgnn || !f.is_multiple_of(2) {
             return false;
         }
-        // Replay pulls the captured decision; capture records whatever the
-        // eager resolution below decides. Both sit after the early returns
-        // so the plan stream pairs up launch-for-launch across epochs.
-        if let Some(ctx) = self.exec {
-            if ctx.is_replaying() {
-                return ctx.next_attn_plan().fused;
-            }
+        // The plan is resolved after the early returns so the plan stream
+        // pairs up launch-for-launch across epochs.
+        match self.plan(|| {
+            let fused = self.fusion || self.tuner.is_some_and(|t| t.attn_plan(&g.csr, f).fused);
+            KernelPlan::Attn(AttnPlan { fused })
+        }) {
+            KernelPlan::Attn(p) => p.fused,
+            other => diverged("attn", other),
         }
-        let fused = if self.fusion {
-            true
-        } else {
-            match self.tuner {
-                Some(t) => t.attn_plan(&g.csr, f).fused,
-                None => false,
-            }
-        };
-        if let Some(ctx) = self.exec {
-            ctx.record_plan(KernelPlan::Attn(AttnPlan { fused }));
-        }
-        fused
     }
 }
 
 impl<'t> From<PrecisionMode> for Dispatch<'t> {
     fn from(mode: PrecisionMode) -> Dispatch<'t> {
-        Dispatch {
-            mode,
-            tuner: None,
-            fusion: false,
-            dist: None,
-            exec: None,
-            force_spmm: None,
-            quant_seed: 0,
+        Dispatch::untuned(mode)
+    }
+}
+
+/// A replayed plan of the wrong kind for its dispatch site: the epoch's
+/// launch sequence left the captured one.
+fn diverged(want: &str, got: KernelPlan) -> ! {
+    panic!("replay diverged from captured graph: wanted {want}, got {got:?}")
+}
+
+/// A sparse op's column-indexed operand and its width: the remote rows
+/// each shard gathers before its windowed launch.
+#[derive(Clone, Copy)]
+enum Halo<'a> {
+    /// The float pipeline's operand, on the f32 wire.
+    F32(&'a [f32], usize),
+    /// A half mode's operand, on the f16 wire (INT8 under I8).
+    Half(&'a [Half], usize),
+}
+
+/// The global range one windowed launch owns: rows, or the edges those
+/// rows own (shards own contiguous row ranges, so their edge ranges are
+/// exactly the CSR slices of those rows).
+#[derive(Clone, Copy)]
+enum Part {
+    Rows,
+    Edges,
+}
+
+impl Part {
+    /// `shard`'s range, or the whole graph's without one.
+    fn range(self, g: &GraphView, shard: Option<&Shard>) -> (usize, usize) {
+        match self {
+            Rows => shard.map_or((0, g.n()), |s| s.row_range),
+            Edges => shard.map_or((0, g.nnz()), |s| s.edge_range),
         }
     }
+}
+
+/// A one-output kernel's result in [`Dispatch::launch`]'s shape.
+fn one<T>((y, stats): (Vec<T>, KernelStats)) -> ([Vec<T>; 1], KernelStats) {
+    ([y], stats)
 }
 
 /// GCN degree-norm placement (§3.1.3 discusses all three).
@@ -314,48 +390,6 @@ pub enum GcnNorm {
     Both,
 }
 
-// ---------------------------------------------------------------------
-// Sharded paste loops. Row-parallel kernels produce global-sized outputs
-// that are bitwise slices of the full launch inside the shard's row
-// window; edge-level kernels likewise inside the shard's edge window
-// (shards own contiguous row ranges, so their edge ranges are exactly the
-// CSR slices of those rows). Pasting every shard's window therefore
-// reassembles the single-device output exactly.
-// ---------------------------------------------------------------------
-
-fn sharded_rows<T: Copy>(
-    ops: &mut Ops,
-    ctx: &DistCtx,
-    n: usize,
-    f: usize,
-    zero: T,
-    mut run: impl FnMut(&mut Ops, &Shard) -> Vec<T>,
-) -> Vec<T> {
-    let mut out = vec![zero; n * f];
-    for shard in &ctx.plan.shards {
-        let y = run(ops, shard);
-        let (r0, r1) = shard.row_range;
-        out[r0 * f..r1 * f].copy_from_slice(&y[r0 * f..r1 * f]);
-    }
-    out
-}
-
-fn sharded_edges<T: Copy>(
-    ops: &mut Ops,
-    ctx: &DistCtx,
-    nnz: usize,
-    zero: T,
-    mut run: impl FnMut(&mut Ops, &Shard) -> Vec<T>,
-) -> Vec<T> {
-    let mut out = vec![zero; nnz];
-    for shard in &ctx.plan.shards {
-        let y = run(ops, shard);
-        let (e0, e1) = shard.edge_range;
-        out[e0..e1].copy_from_slice(&y[e0..e1]);
-    }
-    out
-}
-
 /// Record a kernel's stats into `ops` and return its output.
 fn record<T>(ops: &mut Ops, (y, stats): (Vec<T>, KernelStats)) -> Vec<T> {
     ops.record(stats);
@@ -368,141 +402,16 @@ fn spmm_inputs<T>(x: &[T], w: Option<&[T]>, row_scale: Option<&[T]>) -> Vec<BufR
     [Some(x), w, row_scale].into_iter().flatten().map(buf_ref).collect()
 }
 
-/// The single HalfGNN SpMM plan-resolution point: every SpMMv/SpMMve
-/// dispatch in every model funnels through here. `scaling` is decided by
-/// the caller (mode + aggregation semantics); the *plan* — write
-/// strategy, tile geometry, edge- vs vertex-parallel skeleton — comes
-/// from the tuner when one is attached and is the untuned default
-/// otherwise, keeping `tuning: Off` runs bit-identical to the pre-tuner
-/// trainer. `win` clamps the launch to a shard's global row window.
-#[allow(clippy::too_many_arguments)]
-fn halfgnn_spmm_planned(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: EdgeWeights<'_>,
-    x: &[Half],
-    f: usize,
-    row_scale: Option<&[Half]>,
-    scaling: ScalePlacement,
-    d: Dispatch<'_>,
-    win: (usize, usize),
-) -> (Vec<Half>, KernelStats) {
-    let plan = match d.exec {
-        Some(ctx) if ctx.is_replaying() => ctx.next_spmm_plan(),
-        exec => {
-            let mut plan = match d.tuner {
-                Some(t) => t.spmm_plan(&g.csr, f, !w.is_ones(), scaling),
-                None => SpmmPlan::default(),
-            };
-            // A forced skeleton overrides both default and tuned routing
-            // (and is recorded, so replay reproduces the forced variant).
-            if let Some(v) = d.force_spmm {
-                plan.variant = v;
-            }
-            if let Some(ctx) = exec {
-                ctx.record_plan(KernelPlan::Spmm(plan));
-            }
-            plan
-        }
-    };
-    match plan.variant {
-        SpmmVariant::EdgeParallel => halfgnn_spmm::spmm_window(
-            ops.dev,
-            &g.coo,
-            w,
-            x,
-            f,
-            row_scale,
-            &plan.to_spmm_config(scaling),
-            win,
-        ),
-        // The canonical COO edge order equals CSR order, so edge-weight
-        // tensors remain valid under the vertex-parallel skeleton.
-        SpmmVariant::VertexParallel => halfgnn_spmm::spmm_vertex_parallel_window(
-            ops.dev, &g.csr, w, x, f, row_scale, scaling, win,
-        ),
-    }
-}
-
-/// The INT8 kernel's untuned geometry: its single vertex-parallel
-/// skeleton at the paper-default group size (candidate #0 of
-/// `spmm_i8_candidates`).
-fn default_i8_plan() -> SpmmPlan {
-    SpmmPlan {
-        variant: SpmmVariant::VertexParallel,
-        writes: WriteStrategy::Staged,
-        edges_per_warp: 64,
-        warps_per_cta: 4,
-    }
-}
-
-/// One windowed INT8 SpMM launch, or its f16 fallback. With a tuner
-/// attached the quantized kernel runs only where the f64 oracle found a
-/// clean (no divergence, no saturation) candidate; a `None` plan means
-/// every candidate was oracle-dirty on this shape and the site must run
-/// the f16 HalfGNN kernel instead. The fallback decision is captured, so
-/// replay never re-tunes a vetoed site back onto the quantized path.
-#[allow(clippy::too_many_arguments)]
-fn spmm_i8_planned(
-    ops: &mut Ops,
-    g: &GraphView,
-    w: EdgeWeights<'_>,
-    x: &[Half],
-    f: usize,
-    row_scale: Option<&[Half]>,
-    d: Dispatch<'_>,
-    win: (usize, usize),
-) -> (Vec<Half>, KernelStats) {
-    let (plan, quantized) = match d.exec {
-        Some(ctx) if ctx.is_replaying() => ctx.next_spmm_i8_plan(),
-        exec => {
-            let resolved = match d.tuner {
-                Some(t) => match t.spmm_i8_plan(&g.csr, f, !w.is_ones(), d.quant_seed) {
-                    Some(p) => (p, true),
-                    None => (SpmmPlan::default(), false),
-                },
-                None => (default_i8_plan(), true),
-            };
-            if let Some(ctx) = exec {
-                ctx.record_plan(match resolved {
-                    (p, true) => KernelPlan::SpmmI8(p),
-                    (p, false) => KernelPlan::Spmm(p),
-                });
-            }
-            resolved
-        }
-    };
-    if quantized {
-        let tiling =
-            Tiling { edges_per_warp: plan.edges_per_warp, warps_per_cta: plan.warps_per_cta };
-        quant_spmm::spmm_i8_window(ops.dev, &g.csr, w, x, f, row_scale, tiling, d.quant_seed, win)
-    } else {
-        // Oracle-vetoed fallback: the f16 kernels with I8's correctness
-        // scaling (discretized — the mode property).
-        let scaling = if row_scale.is_some() { d.mode.scaling() } else { ScalePlacement::None };
-        let mut plan = plan;
-        if let Some(v) = d.force_spmm {
-            plan.variant = v;
-        }
-        match plan.variant {
-            SpmmVariant::EdgeParallel => halfgnn_spmm::spmm_window(
-                ops.dev,
-                &g.coo,
-                w,
-                x,
-                f,
-                row_scale,
-                &plan.to_spmm_config(scaling),
-                win,
-            ),
-            SpmmVariant::VertexParallel => halfgnn_spmm::spmm_vertex_parallel_window(
-                ops.dev, &g.csr, w, x, f, row_scale, scaling, win,
-            ),
-        }
-    }
-}
-
-/// One windowed half SpMM launch under the mode's kernel system.
+/// One windowed half SpMM launch under the mode's kernel system. HalfGNN
+/// runs the tuner's plan, or the untuned default without a tuner (keeping
+/// `tuning: Off` runs bit-identical to the pre-tuner trainer); the plan
+/// picks write strategy, tile geometry and the edge- vs vertex-parallel
+/// skeleton, while `scaling` stays the mode's decision. INT8 runs the
+/// quantized kernel where the f64 oracle found a clean (no divergence, no
+/// saturation) candidate; where every candidate was oracle-dirty it
+/// resolves an f16 plan and runs the HalfGNN kernel instead. The fallback
+/// decision is captured, so replay never re-tunes a vetoed site back onto
+/// the quantized path.
 #[allow(clippy::too_many_arguments)]
 fn spmm_half_window(
     ops: &mut Ops,
@@ -516,17 +425,63 @@ fn spmm_half_window(
 ) -> (Vec<Half>, KernelStats) {
     match d.mode {
         PrecisionMode::HalfNaive => {
-            cusparse::spmm_half_window(ops.dev, &g.coo, w, x, f, row_scale, win)
+            return cusparse::spmm_half_window(ops.dev, &g.coo, w, x, f, row_scale, win)
         }
-        PrecisionMode::HalfGnn | PrecisionMode::HalfGnnNoDiscretize => {
-            // A per-row scale means mean-style aggregation: its placement
-            // is the mode's correctness property. A plain sum never
-            // scales.
-            let scaling = if row_scale.is_some() { d.mode.scaling() } else { ScalePlacement::None };
-            halfgnn_spmm_planned(ops, g, w, x, f, row_scale, scaling, d, win)
-        }
-        PrecisionMode::I8 => spmm_i8_planned(ops, g, w, x, f, row_scale, d, win),
         PrecisionMode::Float => unreachable!("float path uses the f32 dispatch"),
+        PrecisionMode::HalfGnn | PrecisionMode::HalfGnnNoDiscretize | PrecisionMode::I8 => {}
+    }
+    // A per-row scale means mean-style aggregation: its placement is the
+    // mode's correctness property. A plain sum never scales.
+    let scaling = if row_scale.is_some() { d.mode.scaling() } else { ScalePlacement::None };
+    let weighted = !w.is_ones();
+    let plan = d.plan(|| {
+        let mut plan = match (d.mode, d.tuner) {
+            // INT8's untuned geometry: its one vertex-parallel skeleton at
+            // the paper-default group size (candidate #0 of
+            // `spmm_i8_candidates`).
+            (PrecisionMode::I8, None) => {
+                let vp = SpmmPlan { variant: SpmmVariant::VertexParallel, ..SpmmPlan::default() };
+                return KernelPlan::SpmmI8(vp);
+            }
+            (PrecisionMode::I8, Some(t)) => {
+                match t.spmm_i8_plan(&g.csr, f, weighted, d.quant_seed) {
+                    Some(p) => return KernelPlan::SpmmI8(p),
+                    None => SpmmPlan::default(),
+                }
+            }
+            (_, Some(t)) => t.spmm_plan(&g.csr, f, weighted, scaling),
+            (_, None) => SpmmPlan::default(),
+        };
+        // A forced skeleton overrides both default and tuned routing (and
+        // is recorded, so replay reproduces the forced variant).
+        if let Some(v) = d.force_spmm {
+            plan.variant = v;
+        }
+        KernelPlan::Spmm(plan)
+    });
+    match plan {
+        KernelPlan::SpmmI8(p) if d.mode == PrecisionMode::I8 => {
+            let t = Tiling { edges_per_warp: p.edges_per_warp, warps_per_cta: p.warps_per_cta };
+            quant_spmm::spmm_i8_window(ops.dev, &g.csr, w, x, f, row_scale, t, d.quant_seed, win)
+        }
+        KernelPlan::Spmm(p) => match p.variant {
+            SpmmVariant::EdgeParallel => halfgnn_spmm::spmm_window(
+                ops.dev,
+                &g.coo,
+                w,
+                x,
+                f,
+                row_scale,
+                &p.to_spmm_config(scaling),
+                win,
+            ),
+            // The canonical COO edge order equals CSR order, so edge-weight
+            // tensors remain valid under the vertex-parallel skeleton.
+            SpmmVariant::VertexParallel => halfgnn_spmm::spmm_vertex_parallel_window(
+                ops.dev, &g.csr, w, x, f, row_scale, scaling, win,
+            ),
+        },
+        other => diverged("spmm", other),
     }
 }
 
@@ -551,20 +506,16 @@ fn sddmm_half_window(
         // reductions to quantize) and the operands already rode the INT8
         // halo wire — re-quantizing them buys no bytes.
         PrecisionMode::HalfGnn | PrecisionMode::HalfGnnNoDiscretize | PrecisionMode::I8 => {
-            let plan = match d.exec {
-                Some(ctx) if ctx.is_replaying() => ctx.next_sddmm_plan(),
-                exec => {
-                    // `default_for` round-trips `widest_for` exactly, so
-                    // the captured plan replays bit-identically.
-                    let plan = match d.tuner {
-                        Some(t) => t.sddmm_plan(&g.csr, f),
-                        None => SddmmPlan::default_for(f),
-                    };
-                    if let Some(ctx) = exec {
-                        ctx.record_plan(KernelPlan::Sddmm(plan));
-                    }
-                    plan
-                }
+            // `default_for` round-trips `widest_for` exactly, so the
+            // captured plan replays bit-identically.
+            let plan = match d.plan(|| {
+                KernelPlan::Sddmm(match d.tuner {
+                    Some(t) => t.sddmm_plan(&g.csr, f),
+                    None => SddmmPlan::default_for(f),
+                })
+            }) {
+                KernelPlan::Sddmm(p) => p,
+                other => diverged("sddmm", other),
             };
             halfgnn_sddmm::sddmm_window(ops.dev, &g.coo, u, v, f, &plan.to_sddmm_config(), win)
         }
@@ -590,7 +541,7 @@ fn sddmm_half_window(
 ///
 /// `f32` casts nothing, charges no conversion, ignores
 /// `Ops::loss_scale` and never fuses.
-pub trait Elem: Copy + 'static {
+pub trait Elem: Copy + Default + 'static {
     /// Multiplicative identity.
     const ONE: Self;
     /// Feature widths must be multiples of this (half2 packing).
@@ -871,51 +822,31 @@ impl Elem for f32 {
     ) -> Vec<f32> {
         let ins = spmm_inputs(x, w, row_scale);
         let w = w.map_or(EdgeWeightsF32::Ones, EdgeWeightsF32::Values);
-        match d.dist {
-            None => {
-                // The forced vertex-parallel skeleton (serving) runs the
-                // GE-SpMM row-per-warp kernel: each row reduces its own
-                // neighbors in column order, so output bits are
-                // independent of which other rows share the launch.
-                // Degree norm becomes a post-reduction row scale, same
-                // placement as the cuSPARSE path. (Weighted SpMMve — GAT —
-                // keeps the edge-tiled kernel; serving only dispatches
-                // unweighted GCN aggregation.)
-                let (y, stats) = if d.force_spmm == Some(SpmmVariant::VertexParallel) && w.is_ones()
-                {
-                    let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
-                    if let Some(scale) = row_scale {
-                        for (r, &sc) in scale.iter().enumerate() {
-                            for v in &mut y[r * f..(r + 1) * f] {
-                                *v *= sc;
-                            }
-                        }
-                    }
-                    (y, stats)
-                } else {
-                    cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, (0, g.n()))
-                };
-                ops.record(stats);
-                d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], None);
-                y
+        // The forced vertex-parallel skeleton (serving, single-device
+        // only) runs the GE-SpMM row-per-warp kernel: each row reduces its
+        // own neighbors in column order, so output bits are independent of
+        // which other rows share the launch. Degree norm becomes a
+        // post-reduction row scale, same placement as the cuSPARSE path.
+        // (Weighted SpMMve — GAT — keeps the edge-tiled kernel; serving
+        // only dispatches unweighted GCN aggregation.)
+        let ge =
+            d.dist.is_none() && d.force_spmm == Some(SpmmVariant::VertexParallel) && w.is_ones();
+        let halo = Some(Halo::F32(x, f));
+        let [y] = d.launch(ops, g, "spmm_f32", &ins, halo, Rows, [(Rows, f)], |ops, win| {
+            if !ge {
+                return one(cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, win));
             }
-            Some(ctx) => sharded_rows(ops, ctx, g.n(), f, 0.0f32, |ops, shard| {
-                ctx.exchange_halo_f32(ops, x, f, shard);
-                let (y, stats) = cusparse::spmm_float_window(
-                    ops.dev,
-                    &g.coo,
-                    w,
-                    x,
-                    f,
-                    row_scale,
-                    shard.row_range,
-                );
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                d.capture_node("spmm_f32", &ins, &[buf_ref(&y)], Some(shard.row_range));
-                y
-            }),
-        }
+            let (mut y, stats) = ge_spmm::spmm_float(ops.dev, &g.csr, x, f);
+            if let Some(scale) = row_scale {
+                for (r, &sc) in scale.iter().enumerate() {
+                    for v in &mut y[r * f..(r + 1) * f] {
+                        *v *= sc;
+                    }
+                }
+            }
+            ([y], stats)
+        });
+        y
     }
 
     fn left_norm_adjoint(
@@ -937,23 +868,12 @@ impl Elem for f32 {
         f: usize,
         d: Dispatch<'_>,
     ) -> Vec<f32> {
-        match d.dist {
-            None => {
-                let y = record(ops, dgl_sddmm::sddmm_float(ops.dev, &g.coo, u, v, f));
-                d.capture_node("sddmm_f32", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
-                y
-            }
-            Some(ctx) => sharded_edges(ops, ctx, g.nnz(), 0.0f32, |ops, shard| {
-                ctx.exchange_halo_f32(ops, v, f, shard);
-                let (y, stats) =
-                    dgl_sddmm::sddmm_float_window(ops.dev, &g.coo, u, v, f, shard.edge_range);
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                let ins = [buf_ref(u), buf_ref(v)];
-                d.capture_node("sddmm_f32", &ins, &[buf_ref(&y)], Some(shard.edge_range));
-                y
-            }),
-        }
+        let ins = [buf_ref(u), buf_ref(v)];
+        let halo = Some(Halo::F32(v, f));
+        let [y] = d.launch(ops, g, "sddmm_f32", &ins, halo, Edges, [(Edges, 1)], |ops, win| {
+            one(dgl_sddmm::sddmm_float_window(ops.dev, &g.coo, u, v, f, win))
+        });
+        y
     }
 
     fn edge_reduce(
@@ -963,26 +883,11 @@ impl Elem for f32 {
         op: Reduce,
         d: Dispatch<'_>,
     ) -> Vec<f32> {
-        match d.dist {
-            None => {
-                let y = record(ops, edge_ops::edge_reduce_f32(ops.dev, &g.coo, w, op));
-                d.capture_node("edge_reduce_f32", &[buf_ref(w)], &[buf_ref(&y)], None);
-                y
-            }
-            Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, 0.0f32, |ops, shard| {
-                let (y, stats) =
-                    edge_ops::edge_reduce_f32_window(ops.dev, &g.coo, w, op, shard.row_range);
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                d.capture_node(
-                    "edge_reduce_f32",
-                    &[buf_ref(w)],
-                    &[buf_ref(&y)],
-                    Some(shard.row_range),
-                );
-                y
-            }),
-        }
+        let ins = [buf_ref(w)];
+        let [y] = d.launch(ops, g, "edge_reduce_f32", &ins, None, Rows, [(Rows, 1)], |ops, win| {
+            one(edge_ops::edge_reduce_f32_window(ops.dev, &g.coo, w, op, win))
+        });
+        y
     }
 
     fn grad_gemm(
@@ -1135,26 +1040,11 @@ impl Elem for Half {
     ) -> Vec<Half> {
         let ins = spmm_inputs(x, w, row_scale);
         let w = w.map_or(EdgeWeights::Ones, EdgeWeights::Values);
-        match d.dist {
-            None => {
-                let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, (0, g.n()));
-                ops.record(stats);
-                d.capture_node("spmm_half", &ins, &[buf_ref(&y)], None);
-                y
-            }
-            Some(ctx) => sharded_rows(ops, ctx, g.n(), f, Half::ZERO, |ops, shard| {
-                if d.mode == PrecisionMode::I8 {
-                    ctx.exchange_halo_i8(ops, x, f, shard, d.quant_seed);
-                } else {
-                    ctx.exchange_halo_half(ops, x, f, shard);
-                }
-                let (y, stats) = spmm_half_window(ops, g, w, x, f, row_scale, d, shard.row_range);
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                d.capture_node("spmm_half", &ins, &[buf_ref(&y)], Some(shard.row_range));
-                y
-            }),
-        }
+        let halo = Some(Halo::Half(x, f));
+        let [y] = d.launch(ops, g, "spmm_half", &ins, halo, Rows, [(Rows, f)], |ops, win| {
+            one(spmm_half_window(ops, g, w, x, f, row_scale, d, win))
+        });
+        y
     }
 
     fn left_norm_adjoint(
@@ -1175,27 +1065,12 @@ impl Elem for Half {
         f: usize,
         d: Dispatch<'_>,
     ) -> Vec<Half> {
-        match d.dist {
-            None => {
-                let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, (0, g.nnz()));
-                ops.record(stats);
-                d.capture_node("sddmm_half", &[buf_ref(u), buf_ref(v)], &[buf_ref(&y)], None);
-                y
-            }
-            Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
-                if d.mode == PrecisionMode::I8 {
-                    ctx.exchange_halo_i8(ops, v, f, shard, d.quant_seed);
-                } else {
-                    ctx.exchange_halo_half(ops, v, f, shard);
-                }
-                let (y, stats) = sddmm_half_window(ops, g, u, v, f, d, shard.edge_range);
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                let ins = [buf_ref(u), buf_ref(v)];
-                d.capture_node("sddmm_half", &ins, &[buf_ref(&y)], Some(shard.edge_range));
-                y
-            }),
-        }
+        let ins = [buf_ref(u), buf_ref(v)];
+        let halo = Some(Halo::Half(v, f));
+        let [y] = d.launch(ops, g, "sddmm_half", &ins, halo, Edges, [(Edges, 1)], |ops, win| {
+            one(sddmm_half_window(ops, g, u, v, f, d, win))
+        });
+        y
     }
 
     fn edge_reduce(
@@ -1205,22 +1080,12 @@ impl Elem for Half {
         op: Reduce,
         d: Dispatch<'_>,
     ) -> Vec<Half> {
-        match d.dist {
-            None => {
-                let y = record(ops, halfgnn_spmm::edge_reduce(ops.dev, &g.coo, w, op));
-                d.capture_node("edge_reduce_half", &[buf_ref(w)], &[buf_ref(&y)], None);
-                y
-            }
-            Some(ctx) => sharded_rows(ops, ctx, g.n(), 1, Half::ZERO, |ops, shard| {
-                let (y, stats) =
-                    halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, shard.row_range);
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                let outs = [buf_ref(&y)];
-                d.capture_node("edge_reduce_half", &[buf_ref(w)], &outs, Some(shard.row_range));
-                y
-            }),
-        }
+        let ins = [buf_ref(w)];
+        let [y] =
+            d.launch(ops, g, "edge_reduce_half", &ins, None, Rows, [(Rows, 1)], |ops, win| {
+                one(halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, win))
+            });
+        y
     }
 
     fn grad_gemm(
@@ -1326,46 +1191,14 @@ impl Elem for Half {
             return None;
         }
         let ins = [buf_ref(s_dst), buf_ref(s_src), buf_ref(z)];
-        let outs = |y: &FusedAttnForward| [buf_ref(&y.e), buf_ref(&y.alpha), buf_ref(&y.out)];
-        let y = match d.dist {
-            None => {
-                let (y, stats) =
-                    fused::fused_attn_forward(ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE, z, f);
-                ops.record(stats);
-                d.capture_node("fused_attn_forward", &ins, &outs(&y), None);
-                y
-            }
-            Some(ctx) => {
-                let mut acc = FusedAttnForward {
-                    e: vec![Half::ZERO; g.nnz()],
-                    alpha: vec![Half::ZERO; g.nnz()],
-                    out: vec![Half::ZERO; g.n() * f],
-                };
-                for shard in &ctx.plan.shards {
-                    ctx.exchange_halo_half(ops, z, f, shard);
-                    let (y, stats) = fused::fused_attn_forward_window(
-                        ops.dev,
-                        &g.coo,
-                        s_dst,
-                        s_src,
-                        ATTN_SLOPE,
-                        z,
-                        f,
-                        shard.row_range,
-                    );
-                    ctx.log_compute(shard.index, stats.time_us);
-                    ops.record(stats);
-                    d.capture_node("fused_attn_forward", &ins, &outs(&y), Some(shard.row_range));
-                    let (r0, r1) = shard.row_range;
-                    let (e0, e1) = shard.edge_range;
-                    acc.e[e0..e1].copy_from_slice(&y.e[e0..e1]);
-                    acc.alpha[e0..e1].copy_from_slice(&y.alpha[e0..e1]);
-                    acc.out[r0 * f..r1 * f].copy_from_slice(&y.out[r0 * f..r1 * f]);
-                }
-                acc
-            }
-        };
-        Some([y.e, y.alpha, y.out])
+        let parts = [(Edges, 1), (Edges, 1), (Rows, f)];
+        let halo = Some(Halo::Half(z, f));
+        Some(d.launch(ops, g, "fused_attn_forward", &ins, halo, Rows, parts, |ops, win| {
+            let (y, stats) = fused::fused_attn_forward_window(
+                ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE, z, f, win,
+            );
+            ([y.e, y.alpha, y.out], stats)
+        }))
     }
 
     /// All operands are edge tensors (local to the shard that owns the
@@ -1384,29 +1217,13 @@ impl Elem for Half {
             return None;
         }
         let ins = [buf_ref(alpha), buf_ref(da), buf_ref(e)];
-        Some(match d.dist {
-            None => {
-                let y = fused::fused_softmax_grad(ops.dev, &g.coo, alpha, da, e, ATTN_SLOPE);
-                let y = record(ops, y);
-                d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], None);
-                y
-            }
-            Some(ctx) => sharded_edges(ops, ctx, g.nnz(), Half::ZERO, |ops, shard| {
-                let (y, stats) = fused::fused_softmax_grad_window(
-                    ops.dev,
-                    &g.coo,
-                    alpha,
-                    da,
-                    e,
-                    ATTN_SLOPE,
-                    shard.row_range,
-                );
-                ctx.log_compute(shard.index, stats.time_us);
-                ops.record(stats);
-                d.capture_node("fused_softmax_grad", &ins, &[buf_ref(&y)], Some(shard.row_range));
-                y
-            }),
-        })
+        let [y] =
+            d.launch(ops, g, "fused_softmax_grad", &ins, None, Rows, [(Edges, 1)], |ops, win| {
+                one(fused::fused_softmax_grad_window(
+                    ops.dev, &g.coo, alpha, da, e, ATTN_SLOPE, win,
+                ))
+            });
+        Some(y)
     }
 }
 
@@ -1537,6 +1354,23 @@ mod tests {
         );
         // And the dispatch actually metered traffic.
         assert!(ctx.snapshot().total_bytes() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay diverged")]
+    fn replayed_plan_of_the_wrong_kind_panics() {
+        // The resolver checks each replayed plan's kind: an SDDMM site that
+        // reads a captured SpMM plan has left the captured launch sequence.
+        let dev = DeviceConfig::a100_like();
+        let g = prep();
+        let x = vec![Half::from_f32(0.5); g.n() * 4];
+        let ctx = ExecCtx::capturing();
+        let d = Dispatch::untuned(PrecisionMode::HalfGnn).with_exec(Some(&ctx));
+        let mut ops = Ops::new(&dev);
+        spmm_sum(&mut ops, &g, &x, 4, d);
+        ctx.seal();
+        ctx.begin_epoch();
+        Half::sddmm(&mut ops, &g, &x, &x, 4, d);
     }
 
     #[test]

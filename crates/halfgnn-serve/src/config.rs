@@ -38,12 +38,6 @@ pub struct ServeConfig {
     /// later batch of the same shape (launch overhead stripped). Requires
     /// `batch_window == 1` — see [`CaptureRefused::DynamicBatchShape`].
     pub replay: bool,
-    /// Route dispatch through the cost-model autotuner (serve-shaped
-    /// `KernelKey`s: one per coalesced-subgraph shape bucket).
-    pub tuning: bool,
-    /// Seed for anything the engine randomizes (none today; traces carry
-    /// their own seed).
-    pub seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -58,8 +52,6 @@ impl Default for ServeConfig {
             topology: Topology::Ring,
             partition: PartitionStrategy::Contiguous,
             replay: false,
-            tuning: false,
-            seed: 0,
         }
     }
 }

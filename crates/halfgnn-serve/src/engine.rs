@@ -27,7 +27,6 @@ use halfgnn_nn::snapshot::ModelSnapshot;
 use halfgnn_nn::trainer::ModelKind;
 use halfgnn_sim::{CommsLedger, DeviceConfig, Interconnect, TrafficClass};
 use halfgnn_tensor::Ops;
-use halfgnn_tune::{Tuner, TunerCounters};
 
 /// Modeled cost of answering a request from the embedding cache (a
 /// host-side hash probe; never touches the accelerator queue).
@@ -92,7 +91,6 @@ pub struct ServeEngine<'d> {
     cache: EmbeddingCache,
     plan: Option<ShardPlan>,
     ic: Option<Interconnect>,
-    tuner: Option<Tuner>,
     capture: Option<CaptureState>,
     pub stats: ServeStats,
 }
@@ -131,7 +129,6 @@ impl<'d> ServeEngine<'d> {
         } else {
             (None, None)
         };
-        let tuner = cfg.tuning.then(|| Tuner::auto(dev));
         Ok(ServeEngine {
             dev,
             cfg,
@@ -143,7 +140,6 @@ impl<'d> ServeEngine<'d> {
             cache,
             plan,
             ic,
-            tuner,
             capture: None,
             stats: ServeStats::default(),
         })
@@ -180,10 +176,6 @@ impl<'d> ServeEngine<'d> {
     /// Mutable cache access (warm-up, manual installs, tests).
     pub fn cache_mut(&mut self) -> &mut EmbeddingCache {
         &mut self.cache
-    }
-
-    pub fn tuner_counters(&self) -> Option<TunerCounters> {
-        self.tuner.as_ref().map(Tuner::counters)
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -276,12 +268,8 @@ impl<'d> ServeEngine<'d> {
         // is batch-composition-independent. The edge-tiled skeletons cut
         // rows at global-edge-offset tile boundaries and would drift by
         // ULPs as the batch around a request changes.
-        let dispatch = match &self.tuner {
-            Some(t) => Dispatch::tuned(self.cfg.precision, t),
-            None => Dispatch::untuned(self.cfg.precision),
-        }
-        .with_vertex_parallel_spmm(true)
-        .with_exec(exec);
+        let dispatch =
+            Dispatch::untuned(self.cfg.precision).with_vertex_parallel_spmm(true).with_exec(exec);
         let mut ops = Ops::new(self.dev).with_exec(exec);
         let logits = if self.cfg.precision.is_half() {
             let xs = ops.gather_rows_half(&self.xh, self.f_in, &batch.ball);

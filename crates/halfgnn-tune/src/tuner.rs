@@ -23,7 +23,7 @@ use crate::candidates;
 use crate::key::{Dtype, KernelKey, OpKind};
 use crate::plan::{AttnPlan, KernelPlan, SddmmPlan, SpmmPlan, SpmmVariant};
 use crate::sample::stratified_sample;
-use halfgnn_graph::metrics::degree_stats;
+use halfgnn_graph::metrics::{degree_stats, DegreeStats};
 use halfgnn_graph::partition::PartitionStrategy;
 use halfgnn_graph::{Coo, Csr};
 use halfgnn_half::slice::f32_slice_to_half;
@@ -173,30 +173,19 @@ impl Tuner {
         weighted: bool,
         scaling: ScalePlacement,
     ) -> SpmmPlan {
-        let stats = degree_stats(csr);
         let op = if weighted { OpKind::SpmmVe } else { OpKind::SpmmV };
-        let key =
-            KernelKey::for_graph(op, Dtype::Half, f, csr.num_rows(), csr.nnz(), &stats, scaling)
-                .with_shards(self.shards)
-                .with_partition(self.partition);
-        if let Some(KernelPlan::Spmm(p)) = self.cache.borrow_mut().get(&key) {
-            return p;
-        }
-        let eval = EvalGraph::build(self, csr);
-        let mut best = SpmmPlan::default();
-        let mut best_cycles = f64::INFINITY;
+        let (key, stats) = self.key(op, Dtype::Half, f, csr, scaling);
+        let pick = |p| if let KernelPlan::Spmm(p) = p { Some(p) } else { None };
         let cands = candidates::spmm_candidates(&stats);
-        let evals = cands.len() as u64;
-        for plan in cands {
-            if let Ok(cycles) = self.vet_spmm_on(&eval, f, weighted, scaling, &plan) {
-                if cycles < best_cycles {
-                    best_cycles = cycles;
-                    best = plan;
-                }
-            }
-        }
-        self.commit(&key, KernelPlan::Spmm(best), evals);
-        best
+        self.resolve(
+            csr,
+            &key,
+            (KernelPlan::Spmm, pick),
+            cands,
+            Some(SpmmPlan::default()),
+            |e, p| self.vet_spmm_on(e, f, weighted, scaling, p),
+        )
+        .expect("the default plan stands in when no candidate survives")
     }
 
     /// Resolve the INT8 SpMM plan for aggregating `f`-wide features over
@@ -207,74 +196,25 @@ impl Tuner {
     /// `seed` keys the stochastic-rounding streams the dispatch will run
     /// with, so the vetted kernel is the deployed kernel bit-for-bit.
     pub fn spmm_i8_plan(&self, csr: &Csr, f: usize, weighted: bool, seed: u64) -> Option<SpmmPlan> {
-        let stats = degree_stats(csr);
         let op = if weighted { OpKind::SpmmVe } else { OpKind::SpmmV };
-        let key = KernelKey::for_graph(
-            op,
-            Dtype::I8,
-            f,
-            csr.num_rows(),
-            csr.nnz(),
-            &stats,
-            ScalePlacement::Discretized,
-        )
-        .with_shards(self.shards)
-        .with_partition(self.partition);
-        if let Some(KernelPlan::SpmmI8(p)) = self.cache.borrow_mut().get(&key) {
-            return Some(p);
-        }
-        let eval = EvalGraph::build(self, csr);
-        let mut best: Option<SpmmPlan> = None;
-        let mut best_cycles = f64::INFINITY;
+        let (key, _) = self.key(op, Dtype::I8, f, csr, ScalePlacement::Discretized);
+        let pick = |p| if let KernelPlan::SpmmI8(p) = p { Some(p) } else { None };
         let cands = candidates::spmm_i8_candidates();
-        let evals = cands.len() as u64;
-        for plan in cands {
-            if let Ok(cycles) = self.vet_spmm_i8_on(&eval, f, weighted, seed, &plan) {
-                if cycles < best_cycles {
-                    best_cycles = cycles;
-                    best = Some(plan);
-                }
-            }
-        }
-        match best {
-            Some(p) => self.commit(&key, KernelPlan::SpmmI8(p), evals),
-            None => self.cache.borrow_mut().record_evaluations(evals),
-        }
-        best
+        self.resolve(csr, &key, (KernelPlan::SpmmI8, pick), cands, None, |e, p| {
+            self.vet_spmm_i8_on(e, f, weighted, seed, p)
+        })
     }
 
     /// Resolve the SDDMM plan for `f`-wide features over this graph.
     pub fn sddmm_plan(&self, csr: &Csr, f: usize) -> SddmmPlan {
-        let stats = degree_stats(csr);
-        let key = KernelKey::for_graph(
-            OpKind::Sddmm,
-            Dtype::Half,
-            f,
-            csr.num_rows(),
-            csr.nnz(),
-            &stats,
-            ScalePlacement::None,
-        )
-        .with_shards(self.shards)
-        .with_partition(self.partition);
-        if let Some(KernelPlan::Sddmm(p)) = self.cache.borrow_mut().get(&key) {
-            return p;
-        }
-        let eval = EvalGraph::build(self, csr);
-        let mut best = SddmmPlan::default_for(f);
-        let mut best_cycles = f64::INFINITY;
+        let (key, _) = self.key(OpKind::Sddmm, Dtype::Half, f, csr, ScalePlacement::None);
+        let pick = |p| if let KernelPlan::Sddmm(p) = p { Some(p) } else { None };
         let cands = candidates::sddmm_candidates(f);
-        let evals = cands.len() as u64;
-        for plan in cands {
-            if let Ok(cycles) = self.vet_sddmm_on(&eval, f, &plan) {
-                if cycles < best_cycles {
-                    best_cycles = cycles;
-                    best = plan;
-                }
-            }
-        }
-        self.commit(&key, KernelPlan::Sddmm(best), evals);
-        best
+        let default = Some(SddmmPlan::default_for(f));
+        self.resolve(csr, &key, (KernelPlan::Sddmm, pick), cands, default, |e, p| {
+            self.vet_sddmm_on(e, f, p)
+        })
+        .expect("the default plan stands in when no candidate survives")
     }
 
     /// Resolve the attention-pipeline plan (fused vs. unfused chain) for
@@ -285,47 +225,78 @@ impl Tuner {
         if !f.is_multiple_of(2) {
             return AttnPlan::default();
         }
-        let stats = degree_stats(csr);
-        let key = KernelKey::for_graph(
-            OpKind::Attn,
-            Dtype::Half,
-            f,
-            csr.num_rows(),
-            csr.nnz(),
-            &stats,
-            ScalePlacement::None,
+        let (key, _) = self.key(OpKind::Attn, Dtype::Half, f, csr, ScalePlacement::None);
+        let pick = |p| if let KernelPlan::Attn(p) = p { Some(p) } else { None };
+        let cands = candidates::attn_candidates();
+        self.resolve(
+            csr,
+            &key,
+            (KernelPlan::Attn, pick),
+            cands,
+            Some(AttnPlan::default()),
+            |e, p| self.vet_attn_on(e, f, p),
         )
-        .with_shards(self.shards)
-        .with_partition(self.partition);
-        if let Some(KernelPlan::Attn(p)) = self.cache.borrow_mut().get(&key) {
-            return p;
+        .expect("the default plan stands in when no candidate survives")
+    }
+
+    /// The cache key for one dispatch over `csr`, keyed to this tuner's
+    /// shard count and partition strategy, and the degree statistics it
+    /// buckets (the SpMM candidates are pruned by them too).
+    fn key(
+        &self,
+        op: OpKind,
+        dtype: Dtype,
+        f: usize,
+        csr: &Csr,
+        scaling: ScalePlacement,
+    ) -> (KernelKey, DegreeStats) {
+        let stats = degree_stats(csr);
+        let key = KernelKey::for_graph(op, dtype, f, csr.num_rows(), csr.nnz(), &stats, scaling)
+            .with_shards(self.shards)
+            .with_partition(self.partition);
+        (key, stats)
+    }
+
+    /// The one resolution loop behind every typed entry point: a cached
+    /// plan of the entry's kind is a hit; a miss vets every candidate on
+    /// the evaluation graph and commits the argmin of modeled cycles among
+    /// the survivors, or `fallback` when none survives. A `None` fallback
+    /// is never cached: the miss only counts its evaluations.
+    fn resolve<P: Copy>(
+        &self,
+        csr: &Csr,
+        key: &KernelKey,
+        (wrap, pick): Kind<P>,
+        cands: Vec<P>,
+        fallback: Option<P>,
+        vet: impl Fn(&EvalGraph, &P) -> Result<f64, Rejection>,
+    ) -> Option<P> {
+        if let Some(p) = self.cache.borrow_mut().get(key).and_then(pick) {
+            return Some(p);
         }
         let eval = EvalGraph::build(self, csr);
-        let mut best = AttnPlan::default();
-        let mut best_cycles = f64::INFINITY;
-        let cands = candidates::attn_candidates();
         let evals = cands.len() as u64;
+        let mut best = fallback;
+        let mut best_cycles = f64::INFINITY;
         for plan in cands {
-            if let Ok(cycles) = self.vet_attn_on(&eval, f, &plan) {
+            if let Ok(cycles) = vet(&eval, &plan) {
                 if cycles < best_cycles {
                     best_cycles = cycles;
-                    best = plan;
+                    best = Some(plan);
                 }
             }
         }
-        self.commit(&key, KernelPlan::Attn(best), evals);
-        best
-    }
-
-    fn commit(&self, key: &KernelKey, plan: KernelPlan, evals: u64) {
         let mut cache = self.cache.borrow_mut();
-        cache.insert(key, plan);
         cache.record_evaluations(evals);
-        if let Some(path) = &self.cache_path {
-            // Persistence is best-effort: an unwritable path costs the
-            // next process a re-tune, not this one a crash.
-            let _ = cache.save(path);
+        if let Some(p) = best {
+            cache.insert(key, wrap(p));
+            if let Some(path) = &self.cache_path {
+                // Persistence is best-effort: an unwritable path costs the
+                // next process a re-tune, not this one a crash.
+                let _ = cache.save(path);
+            }
         }
+        best
     }
 
     // -----------------------------------------------------------------
@@ -357,10 +328,7 @@ impl Tuner {
     ) -> Result<f64, Rejection> {
         let x = eval.features(self.seed ^ 1, eval.coo.num_cols() * f);
         let weights = weighted.then(|| eval.features(self.seed ^ 2, eval.coo.nnz()));
-        let w = match &weights {
-            Some(vals) => EdgeWeights::Values(vals),
-            None => EdgeWeights::Ones,
-        };
+        let w = weights.as_deref().map_or(EdgeWeights::Ones, EdgeWeights::Values);
         let row_scale =
             (scaling != ScalePlacement::None).then(|| row_scales_mean(&eval.coo.degrees()));
         let ((_, stats, report), summary) = overflow::isolated(|| match plan.variant {
@@ -414,10 +382,7 @@ impl Tuner {
     ) -> Result<f64, Rejection> {
         let x = eval.features(self.seed ^ 1, eval.coo.num_cols() * f);
         let weights = weighted.then(|| eval.features(self.seed ^ 2, eval.coo.nnz()));
-        let w = match &weights {
-            Some(vals) => EdgeWeights::Values(vals),
-            None => EdgeWeights::Ones,
-        };
+        let w = weights.as_deref().map_or(EdgeWeights::Ones, EdgeWeights::Values);
         let row_scale = row_scales_mean(&eval.csr.degrees());
         let tiling =
             Tiling { edges_per_warp: plan.edges_per_warp, warps_per_cta: plan.warps_per_cta };
@@ -539,7 +504,11 @@ impl Tuner {
     }
 }
 
-/// Oracle + provenance gate shared by both vetting paths.
+/// A typed plan's place in the cache: how it wraps into a [`KernelPlan`],
+/// and how a cached plan of its kind unwraps.
+type Kind<P> = (fn(P) -> KernelPlan, fn(KernelPlan) -> Option<P>);
+
+/// Oracle + provenance gate shared by all four vetting paths.
 fn gate(report: &oracle::DivergenceReport, summary: &overflow::Summary) -> Result<(), Rejection> {
     if !report.is_ok() || report.nonfinite_got > 0 {
         return Err(Rejection::Divergence(format!("{report}")));

@@ -25,7 +25,7 @@ fn usage() -> ! {
          [--precision float|halfgnn] [--hops N] [--batch-window N] \
          [--cache-kb N] [--cache-precision f16|f32] [--shards N] \
          [--topology ring|alltoall] [--partition contiguous|balanced|1p5d] \
-         [--replay] [--tuning] [--requests N] [--mean-gap-us F] \
+         [--replay] [--requests N] [--mean-gap-us F] \
          [--hot-fraction F] [--hot-vertices N] [--trace-seed N] \
          [--epochs N] [--hidden N] (quick-train when no --snapshot)"
     );
@@ -88,7 +88,6 @@ fn main() {
                 })
             }
             "--replay" => cfg.replay = true,
-            "--tuning" => cfg.tuning = true,
             "--requests" => trace_cfg.requests = val().parse().unwrap_or_else(|_| usage()),
             "--mean-gap-us" => trace_cfg.mean_gap_us = val().parse().unwrap_or_else(|_| usage()),
             "--hot-fraction" => trace_cfg.hot_fraction = val().parse().unwrap_or_else(|_| usage()),
@@ -204,12 +203,6 @@ fn main() {
             engine.config().shards,
             engine.config().topology.tag(),
             engine.stats.halo_time_us
-        );
-    }
-    if let Some(c) = engine.tuner_counters() {
-        println!(
-            "plan cache     : {} hits, {} misses, {} evaluations",
-            c.hits, c.misses, c.evaluations
         );
     }
 

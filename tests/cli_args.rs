@@ -262,6 +262,7 @@ fn serve_rejects_illegal_configs_with_named_errors() {
             "--replay requires --batch-window 1",
         ),
         (vec!["--dataset", "cora", "--frobnicate"], "unknown flag"),
+        (vec!["--dataset", "cora", "--tuning"], "unknown flag"),
         (vec!["--dataset", "cora", "--precision", "f64"], "unknown precision"),
         (vec!["--dataset", "cora", "--cache-precision", "f8"], "unknown cache precision"),
         (vec!["--dataset", "cora", "--topology", "torus"], "unknown topology"),

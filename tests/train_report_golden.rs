@@ -1,8 +1,11 @@
-//! Golden pin of whole training reports: five Sim runs on Cora that
+//! Golden pin of whole training reports: seven Sim runs on Cora that
 //! together reach every branch of the epoch loop — full batch and
 //! sampled batches, float, half and INT8, tuned and fused, sharded with
 //! replay, streamed edges — printed with `{:#?}` and compared byte for
-//! byte with `tests/golden/train_reports.txt`.
+//! byte with `tests/golden/train_reports.txt`. The last two also reach
+//! every tuned plan path under sharding and replay: GAT where the tuner
+//! picks fused attention and vertex-parallel SpMMve, and INT8 GCN whose
+//! tuned `spmm_i8v` launches read INT8 halos.
 //!
 //! The text covers every `TrainReport` field, so any change to what a run
 //! computes or reports shows up here. Three replay fields are zeroed
@@ -62,6 +65,26 @@ fn configs() -> Vec<(&'static str, TrainConfig)> {
         (
             "gin float, mini-batch",
             TrainConfig { batch_size: Some(128), ..base(ModelKind::Gin, PrecisionMode::Float, 2) },
+        ),
+        (
+            "gat halfgnn, 2 shards, tuned, replay",
+            TrainConfig {
+                tuning: Tuning::Auto,
+                shards: 2,
+                replay: true,
+                ..base(ModelKind::Gat, PrecisionMode::HalfGnn, 3)
+            },
+        ),
+        (
+            "gcn i8, 2 shards, balanced, all-to-all, tuned, replay",
+            TrainConfig {
+                tuning: Tuning::Auto,
+                shards: 2,
+                partition: PartitionStrategy::DegreeBalanced,
+                topology: Topology::AllToAll,
+                replay: true,
+                ..base(ModelKind::Gcn, PrecisionMode::I8, 3)
+            },
         ),
     ]
 }
