@@ -4,7 +4,7 @@
 
 use crate::experiments::{fig1_datasets, random_features_f, random_features_h, SEED};
 use crate::{fx, geomean, us, Table};
-use halfgnn_kernels::baseline::cusparse::{self, EdgeWeightsF32};
+use halfgnn_kernels::baseline::cusparse;
 use halfgnn_kernels::baseline::dgl_sddmm;
 use halfgnn_kernels::common::EdgeWeights;
 use halfgnn_nn::trainer::{train, ModelKind, PrecisionMode, TrainConfig};
@@ -24,7 +24,7 @@ pub fn fig1a(quick: bool) -> Table {
         for &f in feats {
             let xf = random_features_f(&data, f, 7);
             let xh = random_features_h(&data, f, 7);
-            let (_, sf) = cusparse::spmm_float(&dev, &data.coo, EdgeWeightsF32::Ones, &xf, f, None);
+            let (_, sf) = cusparse::spmm_float(&dev, &data.coo, EdgeWeights::Ones, &xf, f, None);
             let (_, sh) = cusparse::spmm_half(&dev, &data.coo, EdgeWeights::Ones, &xh, f, None);
             let ratio = sh.time_us / sf.time_us;
             ratios.push(ratio);

@@ -40,14 +40,8 @@ pub fn fig10(quick: bool) -> Table {
         );
         let (_, half) =
             cusparse::spmm_half(&dev, &data.coo, EdgeWeights::Values(&wh), &xh, f, None);
-        let (_, float) = cusparse::spmm_float(
-            &dev,
-            &data.coo,
-            cusparse::EdgeWeightsF32::Values(&wf),
-            &xf,
-            f,
-            None,
-        );
+        let (_, float) =
+            cusparse::spmm_float(&dev, &data.coo, EdgeWeights::Values(&wf), &xf, f, None);
         for (i, s) in [&ours, &half, &float].iter().enumerate() {
             acc[i][0] += s.mem_bw_utilization;
             acc[i][1] += s.sm_utilization;

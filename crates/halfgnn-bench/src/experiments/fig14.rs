@@ -4,7 +4,6 @@
 
 use crate::experiments::{perf_datasets, random_features_f, random_features_h, SEED};
 use crate::{fx, geomean, Table};
-use halfgnn_kernels::baseline::cusparse::EdgeWeightsF32;
 use halfgnn_kernels::common::EdgeWeights;
 use halfgnn_kernels::huang;
 use halfgnn_sim::DeviceConfig;
@@ -22,7 +21,7 @@ pub fn run(quick: bool) -> Table {
         let data = ds.load(SEED);
         let xf = random_features_f(&data, f, 11);
         let xh = random_features_h(&data, f, 11);
-        let (_, float) = huang::spmm_float(&dev, &data.adj, EdgeWeightsF32::Ones, &xf, f);
+        let (_, float) = huang::spmm_float(&dev, &data.adj, EdgeWeights::Ones, &xf, f);
         let (_, half2) = huang::spmm_half2(&dev, &data.adj, EdgeWeights::Ones, &xh, f);
         let s = float.time_us / half2.time_us;
         all.push(s);

@@ -83,8 +83,7 @@ pub fn spmm_vs_float(quick: bool) -> Table {
         for &f in &[32usize, 64] {
             let xf = crate::experiments::random_features_f(&data, f, 4);
             let xh = random_features_h(&data, f, 4);
-            let (_, base) =
-                cusparse::spmm_float(&dev, &data.coo, cusparse::EdgeWeightsF32::Ones, &xf, f, None);
+            let (_, base) = cusparse::spmm_float(&dev, &data.coo, EdgeWeights::Ones, &xf, f, None);
             let (_, ours) = halfgnn_spmm::spmm(
                 &dev,
                 &data.coo,

@@ -27,18 +27,23 @@
 //! [`overflow`] module exploits that choke point to record, under the
 //! opt-in `provenance` feature, the first op site that produced an
 //! INF/NaN — the forensic trail behind the paper's Fig. 1c NaN collapse.
+//!
+//! [`Scalar`] is the element-type contract the rest of the workspace
+//! writes its precision-generic ops against: implemented for `f32` and
+//! [`Half`], its arithmetic is the Fig. 3b intrinsics, which on `f32`
+//! reduce to the native operators.
 
-pub mod bf16;
 pub mod f16;
 pub mod intrinsics;
 pub mod overflow;
 pub mod quant;
+pub mod scalar;
 pub mod slice;
 pub mod vec2;
 pub mod vec48;
 
-pub use bf16::Bf16;
 pub use f16::Half;
+pub use scalar::Scalar;
 pub use vec2::Half2;
 pub use vec48::{Half4, Half8};
 

@@ -20,36 +20,12 @@ use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
 
-/// Float edge weights for the float kernel.
-#[derive(Clone, Copy, Debug)]
-pub enum EdgeWeightsF32<'a> {
-    /// Implicit ones (SpMMv).
-    Ones,
-    /// Explicit weights (SpMMve).
-    Values(&'a [f32]),
-}
-
-impl<'a> EdgeWeightsF32<'a> {
-    /// Weight of edge `e`.
-    pub fn get(&self, e: usize) -> f32 {
-        match self {
-            EdgeWeightsF32::Ones => 1.0,
-            EdgeWeightsF32::Values(w) => w[e],
-        }
-    }
-
-    /// True for the SpMMv case.
-    pub fn is_ones(&self) -> bool {
-        matches!(self, EdgeWeightsF32::Ones)
-    }
-}
-
 /// cuSPARSE-float SpMM: `Y ← A_w X` in `f32` with sum reduction and
 /// optional post-reduction row scaling (how DGL applies degree norm).
 pub fn spmm_float(
     dev: &DeviceConfig,
     coo: &Coo,
-    w: EdgeWeightsF32,
+    w: EdgeWeights<f32>,
     x: &[f32],
     f: usize,
     row_scale: Option<&[f32]>,
@@ -65,7 +41,7 @@ pub fn spmm_float(
 pub fn spmm_float_window(
     dev: &DeviceConfig,
     coo: &Coo,
-    w: EdgeWeightsF32,
+    w: EdgeWeights<f32>,
     x: &[f32],
     f: usize,
     row_scale: Option<&[f32]>,
@@ -349,7 +325,7 @@ mod tests {
         let g = random_graph(200, 900, 1);
         let f = 32;
         let x = random_f32(g.num_cols() * f, 1.0, 2);
-        let (y, stats) = spmm_float(&dev(), &g, EdgeWeightsF32::Ones, &x, f, None);
+        let (y, stats) = spmm_float(&dev(), &g, EdgeWeights::Ones, &x, f, None);
         let want = spmm_f64(&g, EdgeWeights::Ones, &f32_to_f64(&x), f, Reduce::Sum, None);
         assert_close_f32(&y, &want, 1e-4, 1e-4, "cusparse float");
         assert!(stats.totals.atomics_f32 > 0, "balanced design uses atomics");
@@ -392,7 +368,7 @@ mod tests {
         let xf = random_f32(g.num_cols() * f, 0.5, 6);
         let x = f32_slice_to_half(&xf);
         let (_, sh) = spmm_half(&dev(), &g, EdgeWeights::Ones, &x, f, None);
-        let (_, sf) = spmm_float(&dev(), &g, EdgeWeightsF32::Ones, &xf, f, None);
+        let (_, sf) = spmm_float(&dev(), &g, EdgeWeights::Ones, &xf, f, None);
         assert!(
             sh.cycles > sf.cycles,
             "half {} should be slower than float {}",
@@ -405,7 +381,7 @@ mod tests {
     fn float_post_scale_applies() {
         let g = Coo::from_edges(2, 2, &[(0, 0), (0, 1)]);
         let x = vec![4.0f32, 8.0];
-        let (y, _) = spmm_float(&dev(), &g, EdgeWeightsF32::Ones, &x, 1, Some(&[0.5, 1.0]));
+        let (y, _) = spmm_float(&dev(), &g, EdgeWeights::Ones, &x, 1, Some(&[0.5, 1.0]));
         assert_eq!(y, vec![6.0, 0.0]);
     }
 
@@ -421,21 +397,14 @@ mod tests {
         let n = g.num_rows();
         let cuts = [0, 43, n / 2, n];
 
-        let (full_f, _) = spmm_float(&dev(), &g, EdgeWeightsF32::Ones, &xf, f, Some(&scale_f));
+        let (full_f, _) = spmm_float(&dev(), &g, EdgeWeights::Ones, &xf, f, Some(&scale_f));
         let (full_h, _) = spmm_half(&dev(), &g, EdgeWeights::Ones, &xh, f, None);
         let mut pasted_f = vec![0f32; n * f];
         let mut pasted_h = vec![Half::ZERO; n * f];
         for win in cuts.windows(2) {
             let (r0, r1) = (win[0], win[1]);
-            let (pf, _) = spmm_float_window(
-                &dev(),
-                &g,
-                EdgeWeightsF32::Ones,
-                &xf,
-                f,
-                Some(&scale_f),
-                (r0, r1),
-            );
+            let (pf, _) =
+                spmm_float_window(&dev(), &g, EdgeWeights::Ones, &xf, f, Some(&scale_f), (r0, r1));
             assert!(pf[..r0 * f].iter().chain(&pf[r1 * f..]).all(|v| *v == 0.0));
             pasted_f[r0 * f..r1 * f].copy_from_slice(&pf[r0 * f..r1 * f]);
             let (ph, _) = spmm_half_window(&dev(), &g, EdgeWeights::Ones, &xh, f, None, (r0, r1));
@@ -456,7 +425,7 @@ mod tests {
         let g = Coo::from_edges(2, 2, &[(0, 0), (0, 1)]);
         let wf = [2.0f32, 0.5];
         let x = vec![1.0f32, 10.0];
-        let (y, _) = spmm_float(&dev(), &g, EdgeWeightsF32::Values(&wf), &x, 1, None);
+        let (y, _) = spmm_float(&dev(), &g, EdgeWeights::Values(&wf), &x, 1, None);
         assert_eq!(y[0], 7.0);
 
         let wh = f32_slice_to_half(&wf);

@@ -1,7 +1,7 @@
 //! Shared kernel vocabulary: reduction modes, scaling placement, write
 //! strategies, vector widths, and the edge-tiling geometry.
 
-use halfgnn_half::Half;
+use halfgnn_half::{Half, Scalar};
 
 /// Where degree-norm scaling happens relative to the SpMM reduction
 /// (§5.2.2).
@@ -70,22 +70,22 @@ impl VectorWidth {
 }
 
 /// Edge weights for SpMM: `SpMMv` (implicit ones) or `SpMMve` (explicit
-/// edge-level tensor).
+/// edge-level tensor), in the kernel's element type (half by default).
 #[derive(Clone, Copy, Debug)]
-pub enum EdgeWeights<'a> {
+pub enum EdgeWeights<'a, T = Half> {
     /// All weights are 1.0 — GCN/GIN's kernel; no weight tensor is stored
     /// or loaded.
     Ones,
     /// Explicit per-edge weights (attention scores in GAT).
-    Values(&'a [Half]),
+    Values(&'a [T]),
 }
 
-impl<'a> EdgeWeights<'a> {
+impl<T: Scalar> EdgeWeights<'_, T> {
     /// Weight of edge `e`.
     #[inline(always)]
-    pub fn get(&self, e: usize) -> Half {
+    pub fn get(&self, e: usize) -> T {
         match self {
-            EdgeWeights::Ones => Half::ONE,
+            EdgeWeights::Ones => T::ONE,
             EdgeWeights::Values(w) => w[e],
         }
     }
@@ -96,30 +96,10 @@ impl<'a> EdgeWeights<'a> {
     }
 }
 
-/// Finiteness probe shared by the generic kernel skeletons, so the
-/// simulator's [`halfgnn_sim::WarpCounters::nonfinite_values`] telemetry
-/// works for both half and float functional values.
-pub trait FiniteCheck: Copy {
-    /// True for INF or NaN.
-    fn is_nonfinite(&self) -> bool;
-}
-
-impl FiniteCheck for Half {
-    fn is_nonfinite(&self) -> bool {
-        !Half::is_finite(*self)
-    }
-}
-
-impl FiniteCheck for f32 {
-    fn is_nonfinite(&self) -> bool {
-        !f32::is_finite(*self)
-    }
-}
-
 /// Count of non-finite values in a slice (the per-tile quantity kernels
 /// report through [`halfgnn_sim::WarpCtx::nonfinite_values`]).
-pub fn count_nonfinite<T: FiniteCheck>(vals: &[T]) -> u64 {
-    vals.iter().filter(|v| v.is_nonfinite()).count() as u64
+pub fn count_nonfinite<T: Scalar>(vals: &[T]) -> u64 {
+    vals.iter().filter(|v| !v.is_finite()).count() as u64
 }
 
 /// Edge-tile geometry for edge-parallel kernels: the discretization unit of
@@ -267,9 +247,9 @@ mod tests {
     #[test]
     fn edge_weights_accessor() {
         let w = [Half::from_f32(2.0), Half::from_f32(3.0)];
-        assert_eq!(EdgeWeights::Ones.get(1), Half::ONE);
+        assert_eq!(EdgeWeights::<Half>::Ones.get(1), Half::ONE);
         assert_eq!(EdgeWeights::Values(&w).get(1).to_f32(), 3.0);
-        assert!(EdgeWeights::Ones.is_ones());
+        assert!(EdgeWeights::<Half>::Ones.is_ones());
         assert!(!EdgeWeights::Values(&w).is_ones());
     }
 

@@ -22,7 +22,7 @@
 use crate::common::count_nonfinite;
 use halfgnn_graph::VertexId;
 use halfgnn_half::intrinsics::hadd;
-use halfgnn_half::{overflow, quant, Half};
+use halfgnn_half::{overflow, quant, Half, Scalar};
 use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
@@ -32,30 +32,32 @@ const ROWS_PER_WARP: usize = 8;
 const WARPS_PER_CTA: usize = 4;
 
 /// Gather the feature rows named by `halo` (global vertex ids) from the
-/// global tensor `x` (`num_vertices × f`, half) into a packed
-/// `|halo| × f` wire buffer.
-pub fn halo_gather_half(
+/// global tensor `x` (`num_vertices × f`) into a packed `|halo| × f` wire
+/// buffer: `halo_gather_f16` for a half tensor, `halo_gather_f32` — the
+/// payload the FP16 exchange halves — for a float one.
+pub fn halo_gather<T: Scalar>(
     dev: &DeviceConfig,
-    x: &[Half],
+    x: &[T],
     f: usize,
     halo: &[VertexId],
-) -> (Vec<Half>, KernelStats) {
+) -> (Vec<T>, KernelStats) {
     assert!(x.len().is_multiple_of(f.max(1)), "X shape mismatch");
+    let bytes = T::BYTES;
     let n = halo.len();
     let rows_per_cta = ROWS_PER_WARP * WARPS_PER_CTA;
     let num_ctas = n.div_ceil(rows_per_cta).max(1);
 
     let mut space = AddrSpace::new();
     let idx_base = space.alloc(n, 4);
-    let x_base = space.alloc(x.len(), 2);
-    let out_base = space.alloc(n * f, 2);
+    let x_base = space.alloc(x.len(), bytes);
+    let out_base = space.alloc(n * f, bytes);
 
     let (cta_outs, stats) = launch(
         dev,
-        "halo_gather_f16",
+        T::pick("halo_gather_f16", "halo_gather_f32"),
         LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA },
         |cta| {
-            let mut writes: WriteList<Half> = WriteList::new();
+            let mut writes: WriteList<T> = WriteList::new();
             for wi in 0..WARPS_PER_CTA {
                 let lo = (cta.id * WARPS_PER_CTA + wi) * ROWS_PER_WARP;
                 let hi = (lo + ROWS_PER_WARP).min(n);
@@ -64,14 +66,15 @@ pub fn halo_gather_half(
                 }
                 let mut warp = cta.warp(wi);
                 warp.load_contiguous(idx_base + lo as u64 * 4, hi - lo, 4);
-                // Scattered source rows, half2-cast loads.
+                // Scattered source rows, word (half2-cast) loads.
                 warp.load_feature_rows(
-                    (lo..hi).map(|i| x_base + halo[i] as u64 * (f as u64 * 2)),
-                    f * 2,
+                    (lo..hi).map(|i| x_base + halo[i] as u64 * (f * bytes) as u64),
+                    f * bytes,
                     4,
                 );
                 // Packed destination: fully coalesced stores.
-                warp.store_contiguous(out_base + (lo * f) as u64 * 2, (hi - lo) * f / 2, 4);
+                let words = (hi - lo) * f * bytes / 4;
+                warp.store_contiguous(out_base + (lo * f * bytes) as u64, words, 4);
                 for (i, &src_row) in halo.iter().enumerate().take(hi).skip(lo) {
                     let src = src_row as usize * f;
                     let vals = x[src..src + f].to_vec();
@@ -83,59 +86,7 @@ pub fn halo_gather_half(
         },
     );
 
-    let mut out = vec![Half::ZERO; n * f];
-    commit_all(cta_outs, &mut out);
-    (out, stats)
-}
-
-/// [`halo_gather_half`] for the float pipeline: same structure, 4-byte
-/// elements — the wire payload the FP16 exchange halves.
-pub fn halo_gather_f32(
-    dev: &DeviceConfig,
-    x: &[f32],
-    f: usize,
-    halo: &[VertexId],
-) -> (Vec<f32>, KernelStats) {
-    assert!(x.len().is_multiple_of(f.max(1)), "X shape mismatch");
-    let n = halo.len();
-    let rows_per_cta = ROWS_PER_WARP * WARPS_PER_CTA;
-    let num_ctas = n.div_ceil(rows_per_cta).max(1);
-
-    let mut space = AddrSpace::new();
-    let idx_base = space.alloc(n, 4);
-    let x_base = space.alloc(x.len(), 4);
-    let out_base = space.alloc(n * f, 4);
-
-    let (cta_outs, stats) = launch(
-        dev,
-        "halo_gather_f32",
-        LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA },
-        |cta| {
-            let mut writes: WriteList<f32> = WriteList::new();
-            for wi in 0..WARPS_PER_CTA {
-                let lo = (cta.id * WARPS_PER_CTA + wi) * ROWS_PER_WARP;
-                let hi = (lo + ROWS_PER_WARP).min(n);
-                if lo >= hi {
-                    continue;
-                }
-                let mut warp = cta.warp(wi);
-                warp.load_contiguous(idx_base + lo as u64 * 4, hi - lo, 4);
-                warp.load_feature_rows(
-                    (lo..hi).map(|i| x_base + halo[i] as u64 * (f as u64 * 4)),
-                    f * 4,
-                    4,
-                );
-                warp.store_contiguous(out_base + (lo * f) as u64 * 4, (hi - lo) * f, 4);
-                for (i, &src_row) in halo.iter().enumerate().take(hi).skip(lo) {
-                    let src = src_row as usize * f;
-                    writes.assign(i * f, x[src..src + f].to_vec());
-                }
-            }
-            writes
-        },
-    );
-
-    let mut out = vec![0f32; n * f];
+    let mut out = vec![T::ZERO; n * f];
     commit_all(cta_outs, &mut out);
     (out, stats)
 }
@@ -251,7 +202,7 @@ pub const HALO_I8_SITE: &str = "halo_i8";
 /// Quantization stream site for the INT8 gradient all-reduce wire.
 pub const ALLREDUCE_I8_SITE: &str = "allreduce_i8";
 
-/// [`halo_gather_half`] with an INT8 wire: the packed rows are quantized
+/// [`halo_gather`] with an INT8 wire: the packed rows are quantized
 /// host-side into [`quant::BLOCK`]-element scale blocks over the *flat
 /// wire buffer* (blocks may straddle rows — this is a wire format, not a
 /// tensor layout), stochastically rounded as a pure function of
@@ -260,9 +211,9 @@ pub const ALLREDUCE_I8_SITE: &str = "allreduce_i8";
 /// f32 (exact power-of-two scales), never back through f16: a code at
 /// +127 under a large exponent could overflow binary16 where the source
 /// value did not.
-pub fn halo_gather_i8(
+pub fn halo_gather_i8<T: Scalar>(
     dev: &DeviceConfig,
-    x: &[Half],
+    x: &[T],
     f: usize,
     halo: &[VertexId],
     seed: u64,
@@ -285,7 +236,7 @@ pub fn halo_gather_i8(
 
     let mut space = AddrSpace::new();
     let idx_base = space.alloc(n, 4);
-    let x_base = space.alloc(x.len(), 2);
+    let x_base = space.alloc(x.len(), T::BYTES);
     let out_base = space.alloc(n * f, 1);
 
     let (cta_outs, stats) = launch(
@@ -302,13 +253,13 @@ pub fn halo_gather_i8(
                 }
                 let mut warp = cta.warp(wi);
                 warp.load_contiguous(idx_base + lo as u64 * 4, hi - lo, 4);
-                // Scattered f16 source rows, half2-cast loads.
+                // Scattered source rows, word (half2-cast) loads.
                 warp.load_feature_rows(
-                    (lo..hi).map(|i| x_base + halo[i] as u64 * (f as u64 * 2)),
-                    f * 2,
+                    (lo..hi).map(|i| x_base + halo[i] as u64 * (f * T::BYTES) as u64),
+                    f * T::BYTES,
                     4,
                 );
-                // Quantize (f16 → i8 codes), then fully coalesced 1-byte
+                // Quantize to i8 codes, then fully coalesced 1-byte
                 // stores packed four to a word.
                 warp.convert_ops((((hi - lo) * f) as u64).div_ceil(32).max(1));
                 warp.store_contiguous(out_base + (lo * f) as u64, ((hi - lo) * f).div_ceil(4), 4);
@@ -444,8 +395,8 @@ mod tests {
         let xf = random_f32(20 * f, 1.0, 1);
         let xh = f32_slice_to_half(&xf);
         let halo: Vec<u32> = vec![3, 7, 7, 19, 0];
-        let (gh, sh) = halo_gather_half(&dev(), &xh, f, &halo);
-        let (gf, _) = halo_gather_f32(&dev(), &xf, f, &halo);
+        let (gh, sh) = halo_gather(&dev(), &xh, f, &halo);
+        let (gf, _) = halo_gather(&dev(), &xf, f, &halo);
         for (i, &v) in halo.iter().enumerate() {
             assert_eq!(&gh[i * f..(i + 1) * f], &xh[v as usize * f..(v as usize + 1) * f]);
             assert_eq!(&gf[i * f..(i + 1) * f], &xf[v as usize * f..(v as usize + 1) * f]);
@@ -455,7 +406,7 @@ mod tests {
 
     #[test]
     fn halo_gather_empty_is_fine() {
-        let (g, _) = halo_gather_half(&dev(), &f32_slice_to_half(&random_f32(8, 1.0, 2)), 2, &[]);
+        let (g, _) = halo_gather(&dev(), &f32_slice_to_half(&random_f32(8, 1.0, 2)), 2, &[]);
         assert!(g.is_empty());
     }
 
@@ -464,8 +415,8 @@ mod tests {
         let f = 8;
         let x = f32_slice_to_half(&random_f32(100 * f, 1.0, 3));
         let halo: Vec<u32> = (0..100).filter(|v| v % 3 == 0).collect();
-        let (sim, _) = halo_gather_half(&dev(), &x, f, &halo);
-        let (fast, fs) = halo_gather_half(&dev().fast(), &x, f, &halo);
+        let (sim, _) = halo_gather(&dev(), &x, f, &halo);
+        let (fast, fs) = halo_gather(&dev().fast(), &x, f, &halo);
         assert_eq!(
             sim.iter().map(|h| h.to_bits()).collect::<Vec<u16>>(),
             fast.iter().map(|h| h.to_bits()).collect::<Vec<u16>>()

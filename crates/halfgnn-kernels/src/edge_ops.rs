@@ -1,5 +1,8 @@
 //! Edge-level elementwise kernels — the pieces of edge-softmax (Eq. 1) and
-//! its backward pass.
+//! its backward pass, each written once over [`Scalar`]: the half
+//! instantiation is what HalfGNN and DGL-half execute (half intrinsics,
+//! 2-byte elements), the `f32` one what DGL's float GAT executes (float
+//! arithmetic, 4-byte elements, `_f32` kernel names).
 //!
 //! These are where mixed-precision training leaks performance (§3.1.2):
 //! PyTorch AMP force-promotes `exp` (and friends) to float, dragging every
@@ -8,10 +11,9 @@
 //! the paper's shadow API (§5.3), which stays in half because
 //! `exp(e_ij − m_i) ∈ (0, 1]` cannot overflow.
 
-use crate::common::{count_nonfinite, FiniteCheck, Tiling};
+use crate::common::{count_nonfinite, Tiling};
 use halfgnn_graph::Coo;
-use halfgnn_half::intrinsics::{hadd, hdiv, hexp, hmul, hsub};
-use halfgnn_half::{overflow, Half};
+use halfgnn_half::{overflow, Scalar};
 use halfgnn_sim::launch::{launch, LaunchParams};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
@@ -27,7 +29,7 @@ struct EdgeMapCost {
     edge_loads: u32,
     /// Half instructions per 32 edges.
     half_instrs: u64,
-    /// Float instructions per 32 edges (AMP-promoted ops).
+    /// Float instructions per 32 edges (float kernels, AMP-promoted ops).
     float_instrs: u64,
     /// Conversion instructions per 32 edges (h2f/f2h round trips).
     convert_instrs: u64,
@@ -36,18 +38,34 @@ struct EdgeMapCost {
     f32_roundtrips: u32,
 }
 
+impl EdgeMapCost {
+    /// A kernel computing natively in `T`: `instrs` per 32 edges on `T`'s
+    /// pipe, no conversions.
+    fn native<T: Scalar>(row_gathers: u32, col_gathers: u32, edge_loads: u32, instrs: u64) -> Self {
+        let (half_instrs, float_instrs) = if T::HALF { (instrs, 0) } else { (0, instrs) };
+        EdgeMapCost {
+            row_gathers,
+            col_gathers,
+            edge_loads,
+            half_instrs,
+            float_instrs,
+            convert_instrs: 0,
+            f32_roundtrips: 0,
+        }
+    }
+}
+
 /// Shared edge-parallel skeleton: loads per the cost profile, computes
-/// `op(e)` functionally, stores one element per edge. Generic over the
-/// element type so the float baselines share the structure.
-fn edge_map<T: Copy + Default + Send + FiniteCheck>(
+/// `op(e)` functionally, stores one element per edge.
+fn edge_map<T: Scalar>(
     dev: &DeviceConfig,
     name: &'static str,
     coo: &Coo,
-    elem_bytes: usize,
     cost: EdgeMapCost,
     op: impl Fn(usize, u32, u32) -> T + Sync,
 ) -> (Vec<T>, KernelStats) {
     let _site = overflow::site(name);
+    let elem_bytes = T::BYTES;
     let nnz = coo.nnz();
     let tiling = Tiling::default();
     let num_ctas = tiling.num_ctas(nnz);
@@ -134,39 +152,25 @@ fn edge_map<T: Copy + Default + Send + FiniteCheck>(
 
 /// `e_ij ← LeakyReLU(s_src[row] + s_dst[col])` — GAT's raw attention
 /// logits from per-vertex projections (an SDDMM variant).
-pub fn src_dst_add_leakyrelu(
+pub fn src_dst_add_leakyrelu<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    s_src: &[Half],
-    s_dst: &[Half],
+    s_src: &[T],
+    s_dst: &[T],
     slope: f32,
-) -> (Vec<Half>, KernelStats) {
+) -> (Vec<T>, KernelStats) {
     assert_eq!(s_src.len(), coo.num_rows());
     assert_eq!(s_dst.len(), coo.num_cols());
-    let slope_h = Half::from_f32(slope);
-    edge_map(
-        dev,
-        "edge_add_leakyrelu",
-        coo,
-        2,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 1,
-            edge_loads: 0,
-            half_instrs: 3,
-            float_instrs: 0,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |_, r, c| {
-            let v = hadd(s_src[r as usize], s_dst[c as usize]);
-            if v.to_f32() >= 0.0 {
-                v
-            } else {
-                hmul(v, slope_h)
-            }
-        },
-    )
+    let slope = T::from_f32(slope);
+    let name = T::pick("edge_add_leakyrelu", "edge_add_leakyrelu_f32");
+    edge_map(dev, name, coo, EdgeMapCost::native::<T>(1, 1, 0, 3), |_, r, c| {
+        let v = s_src[r as usize].add(s_dst[c as usize]);
+        if v.to_f32() >= 0.0 {
+            v
+        } else {
+            v.mul(slope)
+        }
+    })
 }
 
 /// `out ← exp(e − m[row])`, the numerically-stabilized softmax numerator.
@@ -175,27 +179,19 @@ pub fn src_dst_add_leakyrelu(
 ///   arithmetic; safe because the argument is ≤ 0.
 /// * `shadow == false`: PyTorch-AMP behaviour — h2f on the input, float
 ///   `exp`, f2h on the output; same values, extra conversion traffic.
-pub fn sub_row_exp(
+///
+/// An `f32` kernel has nothing to promote: `shadow` changes nothing.
+pub fn sub_row_exp<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    e: &[Half],
-    m: &[Half],
+    e: &[T],
+    m: &[T],
     shadow: bool,
-) -> (Vec<Half>, KernelStats) {
+) -> (Vec<T>, KernelStats) {
     assert_eq!(e.len(), coo.nnz());
     assert_eq!(m.len(), coo.num_rows());
-    let cost = if shadow {
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 0,
-            edge_loads: 1,
-            half_instrs: 4,
-            float_instrs: 0,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        }
-    } else {
-        EdgeMapCost {
+    if T::HALF && !shadow {
+        let cost = EdgeMapCost {
             row_gathers: 1,
             col_gathers: 0,
             edge_loads: 1,
@@ -203,396 +199,78 @@ pub fn sub_row_exp(
             float_instrs: 4,
             convert_instrs: 3,
             f32_roundtrips: 2,
-        }
-    };
-    edge_map(
-        dev,
-        if shadow { "edge_sub_exp_shadow" } else { "edge_sub_exp_amp" },
-        coo,
-        2,
-        cost,
-        |ei, r, _| {
-            if shadow {
-                hexp(hsub(e[ei], m[r as usize]))
-            } else {
-                // AMP: promote, compute in f32, round back.
-                Half::from_f32((e[ei].to_f32() - m[r as usize].to_f32()).exp())
-            }
-        },
-    )
+        };
+        // AMP: promote, compute in f32, round back.
+        return edge_map(dev, "edge_sub_exp_amp", coo, cost, |ei, r, _| {
+            T::from_f32((e[ei].to_f32() - m[r as usize].to_f32()).exp())
+        });
+    }
+    let name = T::pick("edge_sub_exp_shadow", "edge_sub_exp_f32");
+    edge_map(dev, name, coo, EdgeMapCost::native::<T>(1, 0, 1, 4), |ei, r, _| {
+        e[ei].sub(m[r as usize]).exp()
+    })
 }
 
 /// `α ← e / z[row]`, the softmax normalization.
-pub fn div_row(dev: &DeviceConfig, coo: &Coo, e: &[Half], z: &[Half]) -> (Vec<Half>, KernelStats) {
+pub fn div_row<T: Scalar>(
+    dev: &DeviceConfig,
+    coo: &Coo,
+    e: &[T],
+    z: &[T],
+) -> (Vec<T>, KernelStats) {
     assert_eq!(e.len(), coo.nnz());
     assert_eq!(z.len(), coo.num_rows());
-    edge_map(
-        dev,
-        "edge_div_row",
-        coo,
-        2,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 0,
-            edge_loads: 1,
-            half_instrs: 2,
-            float_instrs: 0,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, r, _| hdiv(e[ei], z[r as usize]),
-    )
+    let name = T::pick("edge_div_row", "edge_div_row_f32");
+    edge_map(dev, name, coo, EdgeMapCost::native::<T>(1, 0, 1, 2), |ei, r, _| {
+        e[ei].div(z[r as usize])
+    })
 }
 
 /// Elementwise product of two edge tensors (softmax backward).
-pub fn mul(dev: &DeviceConfig, coo: &Coo, a: &[Half], b: &[Half]) -> (Vec<Half>, KernelStats) {
+pub fn mul<T: Scalar>(dev: &DeviceConfig, coo: &Coo, a: &[T], b: &[T]) -> (Vec<T>, KernelStats) {
     assert_eq!(a.len(), coo.nnz());
     assert_eq!(b.len(), coo.nnz());
-    edge_map(
-        dev,
-        "edge_mul",
-        coo,
-        2,
-        EdgeMapCost {
-            row_gathers: 0,
-            col_gathers: 0,
-            edge_loads: 2,
-            half_instrs: 1,
-            float_instrs: 0,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, _, _| hmul(a[ei], b[ei]),
-    )
+    let name = T::pick("edge_mul", "edge_mul_f32");
+    edge_map(dev, name, coo, EdgeMapCost::native::<T>(0, 0, 2, 1), |ei, _, _| a[ei].mul(b[ei]))
 }
 
 /// Edge-softmax backward: `δe ← α ⊙ (δα − t[row])` where
 /// `t_i = Σ_j α_ij·δα_ij` (computed by an `edge_reduce` sum).
-pub fn softmax_grad(
+pub fn softmax_grad<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    alpha: &[Half],
-    dalpha: &[Half],
-    t: &[Half],
-) -> (Vec<Half>, KernelStats) {
+    alpha: &[T],
+    dalpha: &[T],
+    t: &[T],
+) -> (Vec<T>, KernelStats) {
     assert_eq!(alpha.len(), coo.nnz());
     assert_eq!(dalpha.len(), coo.nnz());
     assert_eq!(t.len(), coo.num_rows());
-    edge_map(
-        dev,
-        "edge_softmax_grad",
-        coo,
-        2,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 0,
-            edge_loads: 2,
-            half_instrs: 2,
-            float_instrs: 0,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, r, _| hmul(alpha[ei], hsub(dalpha[ei], t[r as usize])),
-    )
+    let name = T::pick("edge_softmax_grad", "edge_softmax_grad_f32");
+    edge_map(dev, name, coo, EdgeMapCost::native::<T>(1, 0, 2, 2), |ei, r, _| {
+        alpha[ei].mul(dalpha[ei].sub(t[r as usize]))
+    })
 }
 
 /// LeakyReLU backward on edge logits: `δx ← δy · (x ≥ 0 ? 1 : slope)`.
-pub fn leakyrelu_grad(
+pub fn leakyrelu_grad<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    pre: &[Half],
-    grad: &[Half],
+    pre: &[T],
+    grad: &[T],
     slope: f32,
-) -> (Vec<Half>, KernelStats) {
+) -> (Vec<T>, KernelStats) {
     assert_eq!(pre.len(), coo.nnz());
     assert_eq!(grad.len(), coo.nnz());
-    let slope_h = Half::from_f32(slope);
-    edge_map(
-        dev,
-        "edge_leakyrelu_grad",
-        coo,
-        2,
-        EdgeMapCost {
-            row_gathers: 0,
-            col_gathers: 0,
-            edge_loads: 2,
-            half_instrs: 2,
-            float_instrs: 0,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, _, _| {
-            if pre[ei].to_f32() >= 0.0 {
-                grad[ei]
-            } else {
-                hmul(grad[ei], slope_h)
-            }
-        },
-    )
-}
-
-// ---------------------------------------------------------------------
-// Float variants — what DGL's float GAT executes. Same structure, 4-byte
-// elements, float arithmetic (no conversions).
-// ---------------------------------------------------------------------
-
-/// Float `e_ij ← LeakyReLU(s_src[row] + s_dst[col])`.
-pub fn src_dst_add_leakyrelu_f32(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    s_src: &[f32],
-    s_dst: &[f32],
-    slope: f32,
-) -> (Vec<f32>, KernelStats) {
-    assert_eq!(s_src.len(), coo.num_rows());
-    assert_eq!(s_dst.len(), coo.num_cols());
-    edge_map(
-        dev,
-        "edge_add_leakyrelu_f32",
-        coo,
-        4,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 1,
-            edge_loads: 0,
-            half_instrs: 0,
-            float_instrs: 3,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |_, r, c| {
-            let v = s_src[r as usize] + s_dst[c as usize];
-            if v >= 0.0 {
-                v
-            } else {
-                v * slope
-            }
-        },
-    )
-}
-
-/// Float `out ← exp(e − m[row])`.
-pub fn sub_row_exp_f32(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    e: &[f32],
-    m: &[f32],
-) -> (Vec<f32>, KernelStats) {
-    assert_eq!(e.len(), coo.nnz());
-    assert_eq!(m.len(), coo.num_rows());
-    edge_map(
-        dev,
-        "edge_sub_exp_f32",
-        coo,
-        4,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 0,
-            edge_loads: 1,
-            half_instrs: 0,
-            float_instrs: 4,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, r, _| (e[ei] - m[r as usize]).exp(),
-    )
-}
-
-/// Float `α ← e / z[row]`.
-pub fn div_row_f32(dev: &DeviceConfig, coo: &Coo, e: &[f32], z: &[f32]) -> (Vec<f32>, KernelStats) {
-    assert_eq!(e.len(), coo.nnz());
-    assert_eq!(z.len(), coo.num_rows());
-    edge_map(
-        dev,
-        "edge_div_row_f32",
-        coo,
-        4,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 0,
-            edge_loads: 1,
-            half_instrs: 0,
-            float_instrs: 2,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, r, _| e[ei] / z[r as usize],
-    )
-}
-
-/// Float elementwise edge product.
-pub fn mul_f32(dev: &DeviceConfig, coo: &Coo, a: &[f32], b: &[f32]) -> (Vec<f32>, KernelStats) {
-    assert_eq!(a.len(), coo.nnz());
-    assert_eq!(b.len(), coo.nnz());
-    edge_map(
-        dev,
-        "edge_mul_f32",
-        coo,
-        4,
-        EdgeMapCost {
-            row_gathers: 0,
-            col_gathers: 0,
-            edge_loads: 2,
-            half_instrs: 0,
-            float_instrs: 1,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, _, _| a[ei] * b[ei],
-    )
-}
-
-/// Float edge-softmax backward.
-pub fn softmax_grad_f32(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    alpha: &[f32],
-    dalpha: &[f32],
-    t: &[f32],
-) -> (Vec<f32>, KernelStats) {
-    assert_eq!(alpha.len(), coo.nnz());
-    assert_eq!(dalpha.len(), coo.nnz());
-    assert_eq!(t.len(), coo.num_rows());
-    edge_map(
-        dev,
-        "edge_softmax_grad_f32",
-        coo,
-        4,
-        EdgeMapCost {
-            row_gathers: 1,
-            col_gathers: 0,
-            edge_loads: 2,
-            half_instrs: 0,
-            float_instrs: 2,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, r, _| alpha[ei] * (dalpha[ei] - t[r as usize]),
-    )
-}
-
-/// Float LeakyReLU backward on edge logits.
-pub fn leakyrelu_grad_f32(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    pre: &[f32],
-    grad: &[f32],
-    slope: f32,
-) -> (Vec<f32>, KernelStats) {
-    assert_eq!(pre.len(), coo.nnz());
-    assert_eq!(grad.len(), coo.nnz());
-    edge_map(
-        dev,
-        "edge_leakyrelu_grad_f32",
-        coo,
-        4,
-        EdgeMapCost {
-            row_gathers: 0,
-            col_gathers: 0,
-            edge_loads: 2,
-            half_instrs: 0,
-            float_instrs: 2,
-            convert_instrs: 0,
-            f32_roundtrips: 0,
-        },
-        |ei, _, _| if pre[ei] >= 0.0 { grad[ei] } else { grad[ei] * slope },
-    )
-}
-
-/// Float per-row reduction of an edge tensor (the float counterpart of
-/// [`crate::halfgnn_spmm::edge_reduce`]).
-pub fn edge_reduce_f32(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    w: &[f32],
-    op: crate::common::Reduce,
-) -> (Vec<f32>, KernelStats) {
-    edge_reduce_f32_window(dev, coo, w, op, (0, coo.num_rows()))
-}
-
-/// [`edge_reduce_f32`] restricted to the global row window `[r0, r1)` with
-/// the same global-tiling alignment as
-/// [`crate::halfgnn_spmm::edge_reduce_window`]: window rows are
-/// bit-identical to the full run, rows outside hold the reduction identity.
-pub fn edge_reduce_f32_window(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    w: &[f32],
-    op: crate::common::Reduce,
-    row_window: (usize, usize),
-) -> (Vec<f32>, KernelStats) {
-    use crate::common::{Reduce, Tiling};
-    use halfgnn_sim::launch::{launch, LaunchParams};
-    assert_eq!(w.len(), coo.nnz());
-    let (r0, r1) = row_window;
-    assert!(r0 <= r1 && r1 <= coo.num_rows(), "bad row window {row_window:?}");
-    let nnz = coo.nnz();
-    let tiling = Tiling::default();
-    let off = crate::halfgnn_spmm::row_offsets_of(coo);
-    let (e0, e1) = (off[r0], off[r1]);
-    let (cta_lo, cta_hi) = tiling.cta_range(e0, e1);
-    let num_ctas = cta_hi - cta_lo;
-    let rows = coo.rows();
-    let mut space = AddrSpace::new();
-    let rows_base = space.alloc(nnz, 4);
-    let w_base = space.alloc(nnz, 4);
-    let y_base = space.alloc(coo.num_rows(), 4);
-    let init = match op {
-        Reduce::Sum => 0.0f32,
-        Reduce::Max => f32::NEG_INFINITY,
-    };
-    let combine = |a: f32, b: f32| match op {
-        Reduce::Sum => a + b,
-        Reduce::Max => a.max(b),
-    };
-    let (cta_outs, stats) = launch(
-        dev,
-        "edge_reduce_f32",
-        LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
-        |cta| {
-            let mut partials: Vec<(u32, f32)> = Vec::new();
-            for wi in 0..tiling.warps_per_cta {
-                let (s, e) = tiling.warp_range_in(cta.id + cta_lo, wi, e0, e1);
-                if s >= e {
-                    continue;
-                }
-                let n = e - s;
-                let mut warp = cta.warp(wi);
-                warp.load_contiguous(rows_base + s as u64 * 4, n, 4);
-                warp.load_contiguous(w_base + s as u64 * 4, n, 4);
-                warp.float_ops((n as u64).div_ceil(32));
-                let mut acc = init;
-                let mut seg_row = rows[s];
-                for ei in s..e {
-                    let r = rows[ei];
-                    if r != seg_row {
-                        partials.push((seg_row, acc));
-                        warp.store_contiguous(y_base + seg_row as u64 * 4, 1, 4);
-                        acc = init;
-                        seg_row = r;
-                    }
-                    acc = combine(acc, w[ei]);
-                }
-                partials.push((seg_row, acc));
-                warp.store_contiguous(y_base + seg_row as u64 * 4, 1, 4);
-            }
-            partials
-        },
-    );
-    let mut y = vec![init; coo.num_rows()];
-    for partials in cta_outs {
-        for (r, v) in partials {
-            y[r as usize] = combine(y[r as usize], v);
+    let slope = T::from_f32(slope);
+    let name = T::pick("edge_leakyrelu_grad", "edge_leakyrelu_grad_f32");
+    edge_map(dev, name, coo, EdgeMapCost::native::<T>(0, 0, 2, 2), |ei, _, _| {
+        if pre[ei].to_f32() >= 0.0 {
+            grad[ei]
+        } else {
+            grad[ei].mul(slope)
         }
-    }
-    if op == crate::common::Reduce::Max {
-        for r in r0..r1 {
-            if off[r] == off[r + 1] {
-                y[r] = 0.0;
-            }
-        }
-    }
-    (y, stats)
+    })
 }
 
 #[cfg(test)]
@@ -602,6 +280,7 @@ mod tests {
     use crate::halfgnn_spmm::edge_reduce;
     use halfgnn_graph::{gen, Csr};
     use halfgnn_half::slice::f32_slice_to_half;
+    use halfgnn_half::Half;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

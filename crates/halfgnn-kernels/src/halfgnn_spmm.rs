@@ -27,9 +27,9 @@
 
 use crate::common::{count_nonfinite, EdgeWeights, Reduce, ScalePlacement, Tiling, WriteStrategy};
 use halfgnn_graph::Coo;
-use halfgnn_half::intrinsics::{hadd, hmax, hmul};
+use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow;
-use halfgnn_half::Half;
+use halfgnn_half::{Half, Scalar};
 use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
@@ -429,13 +429,14 @@ pub fn spmm_window(
 /// SpMM variants edge-softmax needs (`max` for `m_i`, `sum` for the
 /// denominator). Edge-parallel with the same segment classification as
 /// [`spmm`]; no overflow protection is needed for `Max`, and the softmax
-/// `Sum` is bounded by the degree (each term ≤ 1).
-pub fn edge_reduce(
+/// `Sum` is bounded by the degree (each term ≤ 1). The `f32`
+/// instantiation is the float GAT's `edge_reduce_f32`.
+pub fn edge_reduce<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    w: &[Half],
+    w: &[T],
     op: Reduce,
-) -> (Vec<Half>, KernelStats) {
+) -> (Vec<T>, KernelStats) {
     edge_reduce_window(dev, coo, w, op, (0, coo.num_rows()))
 }
 
@@ -443,20 +444,25 @@ pub fn edge_reduce(
 /// same global-tiling alignment as [`spmm_window`]: window rows are
 /// bit-identical to the full run; rows outside the window hold the
 /// reduction identity and must not be read.
-pub fn edge_reduce_window(
+pub fn edge_reduce_window<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    w: &[Half],
+    w: &[T],
     op: Reduce,
     row_window: (usize, usize),
-) -> (Vec<Half>, KernelStats) {
+) -> (Vec<T>, KernelStats) {
     assert_eq!(w.len(), coo.nnz(), "edge tensor length mismatch");
     let (r0, r1) = row_window;
     assert!(r0 <= r1 && r1 <= coo.num_rows(), "bad row window {row_window:?}");
-    let _site = overflow::site(match op {
-        Reduce::Sum => "edge_reduce_sum",
-        Reduce::Max => "edge_reduce_max",
-    });
+    let name = T::pick(
+        match op {
+            Reduce::Sum => "edge_reduce_sum",
+            Reduce::Max => "edge_reduce_max",
+        },
+        "edge_reduce_f32",
+    );
+    let _site = overflow::site(name);
+    let bytes = T::BYTES;
     let nnz = coo.nnz();
     let tiling = Tiling::default();
     let rows = coo.rows();
@@ -467,29 +473,23 @@ pub fn edge_reduce_window(
 
     let mut space = AddrSpace::new();
     let rows_base = space.alloc(nnz, 4);
-    let w_base = space.alloc(nnz, 2);
-    let y_base = space.alloc(coo.num_rows(), 2);
+    let w_base = space.alloc(nnz, bytes);
+    let y_base = space.alloc(coo.num_rows(), bytes);
 
     let init = match op {
-        Reduce::Sum => Half::ZERO,
-        Reduce::Max => Half::NEG_INFINITY,
+        Reduce::Sum => T::ZERO,
+        Reduce::Max => T::NEG_INFINITY,
     };
-    let combine = |a: Half, b: Half| match op {
-        Reduce::Sum => hadd(a, b),
-        Reduce::Max => hmax(a, b),
+    let combine = |a: T, b: T| match op {
+        Reduce::Sum => a.add(b),
+        Reduce::Max => a.max(b),
     };
 
-    let (cta_outs, stats) = launch(
-        dev,
-        match op {
-            Reduce::Sum => "edge_reduce_sum",
-            Reduce::Max => "edge_reduce_max",
-        },
-        LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
-        |cta| {
+    let (cta_outs, stats) =
+        launch(dev, name, LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta }, |cta| {
             // Partials cross warp/CTA boundaries; resolve everything in the
             // sequential commit (a scalar per boundary row — negligible).
-            let mut partials: Vec<(u32, Half)> = Vec::new();
+            let mut partials: Vec<(u32, T)> = Vec::new();
             for wi in 0..tiling.warps_per_cta {
                 let (s, e) = tiling.warp_range_in(cta.id + cta_lo, wi, e0, e1);
                 if s >= e {
@@ -498,8 +498,13 @@ pub fn edge_reduce_window(
                 let n = e - s;
                 let mut warp = cta.warp(wi);
                 warp.load_contiguous(rows_base + s as u64 * 4, n, 4);
-                warp.load_contiguous(w_base + s as u64 * 2, n.div_ceil(2), 4);
-                warp.half2_ops((n as u64).div_ceil(64));
+                // Half loads as half2-cast words, two edges per lane.
+                warp.load_contiguous(w_base + (s * bytes) as u64, (n * bytes).div_ceil(4), 4);
+                if T::HALF {
+                    warp.half2_ops((n as u64).div_ceil(64));
+                } else {
+                    warp.float_ops((n as u64).div_ceil(32));
+                }
                 let mut acc = init;
                 let mut seg_row = rows[s];
                 for ei in s..e {
@@ -509,7 +514,7 @@ pub fn edge_reduce_window(
                             warp.nonfinite_values(1);
                         }
                         partials.push((seg_row, acc));
-                        warp.store_contiguous(y_base + seg_row as u64 * 2, 1, 2);
+                        warp.store_contiguous(y_base + (seg_row as usize * bytes) as u64, 1, bytes);
                         acc = init;
                         seg_row = r;
                     }
@@ -519,11 +524,10 @@ pub fn edge_reduce_window(
                     warp.nonfinite_values(1);
                 }
                 partials.push((seg_row, acc));
-                warp.store_contiguous(y_base + seg_row as u64 * 2, 1, 2);
+                warp.store_contiguous(y_base + (seg_row as usize * bytes) as u64, 1, bytes);
             }
             partials
-        },
-    );
+        });
 
     let mut y = vec![init; coo.num_rows()];
     for partials in cta_outs {
@@ -536,7 +540,7 @@ pub fn edge_reduce_window(
         // reference).
         for r in r0..r1 {
             if row_offsets[r] == row_offsets[r + 1] {
-                y[r] = Half::ZERO;
+                y[r] = T::ZERO;
             }
         }
     }

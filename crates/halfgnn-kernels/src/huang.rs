@@ -10,7 +10,6 @@
 //! fetch one position earlier, and replaces atomics with the
 //! staging-buffer protocol.
 
-use crate::baseline::cusparse::EdgeWeightsF32;
 use crate::common::EdgeWeights;
 use halfgnn_graph::Csr;
 use halfgnn_half::intrinsics::{hadd, hmul};
@@ -48,7 +47,7 @@ fn build_groups_of(csr: &Csr, group: usize) -> Vec<(u32, usize, usize)> {
 pub fn spmm_float(
     dev: &DeviceConfig,
     csr: &Csr,
-    w: EdgeWeightsF32,
+    w: EdgeWeights<f32>,
     x: &[f32],
     f: usize,
 ) -> (Vec<f32>, KernelStats) {
@@ -74,7 +73,7 @@ pub fn spmm_float(
                 let Some(&(row, off, len)) = groups.get(gi) else { break };
                 let mut warp = cta.warp(wi);
                 warp.load_contiguous(cols_base + off as u64 * 4, len, 4);
-                if !matches!(w, EdgeWeightsF32::Ones) {
+                if !w.is_ones() {
                     warp.load_contiguous(w_base + off as u64 * 4, len, 4);
                 }
                 let cols = &csr.cols()[off..off + len];
@@ -413,8 +412,8 @@ mod tests {
         let xf: Vec<f32> = (0..csr.num_cols() * f).map(|_| rng.gen_range(-0.5..0.5)).collect();
         let xh = f32_slice_to_half(&xf);
         let fast = dev().fast();
-        let (sim_f, _) = spmm_float(&dev(), &csr, EdgeWeightsF32::Ones, &xf, f);
-        let (fast_f, _) = spmm_float(&fast, &csr, EdgeWeightsF32::Ones, &xf, f);
+        let (sim_f, _) = spmm_float(&dev(), &csr, EdgeWeights::Ones, &xf, f);
+        let (fast_f, _) = spmm_float(&fast, &csr, EdgeWeights::Ones, &xf, f);
         assert_eq!(
             sim_f.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
             fast_f.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
@@ -434,7 +433,7 @@ mod tests {
         let f = 16;
         let mut rng = StdRng::seed_from_u64(3);
         let x: Vec<f32> = (0..csr.num_cols() * f).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let (y, stats) = spmm_float(&dev(), &csr, EdgeWeightsF32::Ones, &x, f);
+        let (y, stats) = spmm_float(&dev(), &csr, EdgeWeights::Ones, &x, f);
         let want =
             spmm_f64(&csr.to_coo(), EdgeWeights::Ones, &f32_to_f64(&x), f, Reduce::Sum, None);
         assert_close_f32(&y, &want, 1e-4, 1e-4, "huang float");
@@ -521,7 +520,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let xf: Vec<f32> = (0..csr.num_cols() * f).map(|_| rng.gen_range(-0.5..0.5)).collect();
         let x = f32_slice_to_half(&xf);
-        let (_, sf) = spmm_float(&dev(), &csr, EdgeWeightsF32::Ones, &xf, f);
+        let (_, sf) = spmm_float(&dev(), &csr, EdgeWeights::Ones, &xf, f);
         let (_, sh) = spmm_half2(&dev(), &csr, EdgeWeights::Ones, &x, f);
         let speedup = sf.cycles / sh.cycles;
         assert!(

@@ -22,14 +22,13 @@
 //! debugging session) can get a report in one call. Reports are cheap:
 //! only the first and worst divergences are stored, never all of them.
 
-use crate::baseline::cusparse::EdgeWeightsF32;
 use crate::common::{EdgeWeights, Reduce, ScalePlacement, VectorWidth};
 use crate::halfgnn_spmm::SpmmConfig;
 use crate::{
     baseline, dist, edge_ops, fused, halfgnn_sddmm, halfgnn_spmm, huang, quant_spmm, reference,
 };
 use halfgnn_graph::{Coo, Csr};
-use halfgnn_half::Half;
+use halfgnn_half::{Half, Scalar};
 use halfgnn_sim::{DeviceConfig, KernelStats};
 use std::fmt;
 
@@ -324,12 +323,8 @@ pub fn compare_f32(
 // f64 reference and returns (output, stats, report).
 // ---------------------------------------------------------------------
 
-fn weights_f64(w: &EdgeWeights<'_>, nnz: usize) -> Vec<f64> {
-    (0..nnz).map(|e| w.get(e).to_f64()).collect()
-}
-
-fn weights_f32_f64(w: &EdgeWeightsF32<'_>, nnz: usize) -> Vec<f64> {
-    (0..nnz).map(|e| w.get(e) as f64).collect()
+fn weights_f64<T: Scalar>(w: &EdgeWeights<'_, T>, nnz: usize) -> Vec<f64> {
+    (0..nnz).map(|e| w.get(e).to_f32() as f64).collect()
 }
 
 /// Oracle for [`halfgnn_spmm::spmm`] (HalfGNN SpMMv/SpMMve).
@@ -446,19 +441,21 @@ pub fn check_spmm_i8(
     (got, stats, report)
 }
 
-/// Oracle for [`halfgnn_spmm::edge_reduce`].
-pub fn check_edge_reduce(
+/// Oracle for [`halfgnn_spmm::edge_reduce`], in either precision.
+pub fn check_edge_reduce<T: Scalar>(
     dev: &DeviceConfig,
     coo: &Coo,
-    w: &[Half],
+    w: &[T],
     op: Reduce,
     tol: Tolerance,
-) -> (Vec<Half>, KernelStats, DivergenceReport) {
+) -> (Vec<T>, KernelStats, DivergenceReport) {
     let (got, stats) = halfgnn_spmm::edge_reduce(dev, coo, w, op);
-    let want = reference::edge_reduce_f64(coo, &reference::half_to_f64(w), op);
+    let to_f64 = |xs: &[T]| xs.iter().map(|v| v.to_f32() as f64).collect::<Vec<_>>();
+    let want = reference::edge_reduce_f64(coo, &to_f64(w), op);
     let degrees = coo.degrees();
-    let report =
-        compare_half("edge_reduce", &got, &want, &Layout::PerRow { degrees: &degrees }, tol);
+    let layout = Layout::PerRow { degrees: &degrees };
+    let name = T::pick("edge_reduce", "edge_reduce_f32");
+    let report = compare_f64(name, &to_f64(&got), &want, &layout, tol);
     (got, stats, report)
 }
 
@@ -489,7 +486,7 @@ pub fn check_sddmm(
 pub fn check_cusparse_spmm_float(
     dev: &DeviceConfig,
     coo: &Coo,
-    w: EdgeWeightsF32<'_>,
+    w: EdgeWeights<'_, f32>,
     x: &[f32],
     f: usize,
     row_scale: Option<&[f32]>,
@@ -498,7 +495,7 @@ pub fn check_cusparse_spmm_float(
     let (got, stats) = baseline::cusparse::spmm_float(dev, coo, w, x, f, row_scale);
     let want = spmm_ref_f64(
         coo,
-        &weights_f32_f64(&w, coo.nnz()),
+        &weights_f64(&w, coo.nnz()),
         &reference::f32_to_f64(x),
         f,
         row_scale.map(reference::f32_to_f64).as_deref(),
@@ -608,15 +605,14 @@ pub fn check_dgl_sddmm_half(
 pub fn check_huang_spmm_float(
     dev: &DeviceConfig,
     csr: &Csr,
-    w: EdgeWeightsF32<'_>,
+    w: EdgeWeights<'_, f32>,
     x: &[f32],
     f: usize,
     tol: Tolerance,
 ) -> (Vec<f32>, KernelStats, DivergenceReport) {
     let (got, stats) = huang::spmm_float(dev, csr, w, x, f);
     let coo = csr.to_coo();
-    let want =
-        spmm_ref_f64(&coo, &weights_f32_f64(&w, coo.nnz()), &reference::f32_to_f64(x), f, None);
+    let want = spmm_ref_f64(&coo, &weights_f64(&w, coo.nnz()), &reference::f32_to_f64(x), f, None);
     let degrees = csr.degrees();
     let report = compare_f32(
         "huang_spmm_float",
@@ -910,23 +906,7 @@ pub fn check_fused_softmax_grad(
     (got, stats, report)
 }
 
-/// Oracle for [`edge_ops::edge_reduce_f32`].
-pub fn check_edge_reduce_f32(
-    dev: &DeviceConfig,
-    coo: &Coo,
-    w: &[f32],
-    op: Reduce,
-    tol: Tolerance,
-) -> (Vec<f32>, KernelStats, DivergenceReport) {
-    let (got, stats) = edge_ops::edge_reduce_f32(dev, coo, w, op);
-    let want = reference::edge_reduce_f64(coo, &reference::f32_to_f64(w), op);
-    let degrees = coo.degrees();
-    let report =
-        compare_f32("edge_reduce_f32", &got, &want, &Layout::PerRow { degrees: &degrees }, tol);
-    (got, stats, report)
-}
-
-/// Oracle for [`dist::halo_gather_half`]: the reference is direct f64
+/// Oracle for [`dist::halo_gather`]: the reference is direct f64
 /// indexing of the named rows, so any tolerance violation is a packing
 /// bug, not rounding (the gather copies bits).
 pub fn check_halo_gather(
@@ -936,7 +916,7 @@ pub fn check_halo_gather(
     halo: &[u32],
     tol: Tolerance,
 ) -> (Vec<Half>, KernelStats, DivergenceReport) {
-    let (got, stats) = dist::halo_gather_half(dev, x, f, halo);
+    let (got, stats) = dist::halo_gather(dev, x, f, halo);
     let mut want = Vec::with_capacity(halo.len() * f);
     for &v in halo {
         want.extend(x[v as usize * f..(v as usize + 1) * f].iter().map(|h| h.to_f64()));
@@ -1146,7 +1126,7 @@ mod tests {
         check_edge_reduce(&d, &g, &wh, Reduce::Max, tol_h).2.assert_ok();
         check_edge_reduce(&d, &g, &wh, Reduce::Sum, tol_h).2.assert_ok();
         check_sddmm(&d, &g, &xh, &xh, f, VectorWidth::Half8, tol_h).2.assert_ok();
-        check_cusparse_spmm_float(&d, &g, EdgeWeightsF32::Values(&wf), &xf, f, None, tol_f)
+        check_cusparse_spmm_float(&d, &g, EdgeWeights::Values(&wf), &xf, f, None, tol_f)
             .2
             .assert_ok();
         check_cusparse_spmm_half(&d, &g, EdgeWeights::Values(&wh), &xh, f, None, tol_h)
@@ -1155,7 +1135,7 @@ mod tests {
         check_ge_spmm_float(&d, &csr, &xf, f, tol_f).2.assert_ok();
         check_dgl_sddmm_float(&d, &g, &xf, &xf, f, tol_f).2.assert_ok();
         check_dgl_sddmm_half(&d, &g, &xh, &xh, f, tol_h).2.assert_ok();
-        check_huang_spmm_float(&d, &csr, EdgeWeightsF32::Ones, &xf, f, tol_f).2.assert_ok();
+        check_huang_spmm_float(&d, &csr, EdgeWeights::Ones, &xf, f, tol_f).2.assert_ok();
         check_huang_spmm_half2(&d, &csr, EdgeWeights::Ones, &xh, f, false, tol_h).2.assert_ok();
         check_huang_spmm_half2(&d, &csr, EdgeWeights::Ones, &xh, f, true, tol_h).2.assert_ok();
         check_src_dst_add_leakyrelu(&d, &g, &row_h, &row_h, 0.2, tol_h).2.assert_ok();
@@ -1174,8 +1154,8 @@ mod tests {
         let (fwd, _, r) = check_fused_attn_forward(&d, &g, &row_h, &row_h, 0.2, &zf, f, tol_h);
         r.assert_ok();
         check_fused_softmax_grad(&d, &g, &fwd.alpha, &wh, &fwd.e, 0.2, tol_h).2.assert_ok();
-        check_edge_reduce_f32(&d, &g, &wf, Reduce::Sum, tol_f).2.assert_ok();
-        check_edge_reduce_f32(&d, &g, &wf, Reduce::Max, tol_f).2.assert_ok();
+        check_edge_reduce(&d, &g, &wf, Reduce::Sum, tol_f).2.assert_ok();
+        check_edge_reduce(&d, &g, &wf, Reduce::Max, tol_f).2.assert_ok();
         let halo: Vec<u32> = (0..g.num_cols() as u32).step_by(7).collect();
         check_halo_gather(&d, &xh, f, &halo, tol_h).2.assert_ok();
         let partials: Vec<Vec<f32>> = (0..3).map(|_| wf.clone()).collect();

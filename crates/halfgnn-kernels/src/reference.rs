@@ -75,7 +75,7 @@ pub fn sddmm_f64(coo: &Coo, u: &[f64], v: &[f64], f: usize) -> Vec<f64> {
 }
 
 /// Per-row reduction of an edge tensor in f64 — ground truth for
-/// [`crate::halfgnn_spmm::edge_reduce`] and [`crate::edge_ops::edge_reduce_f32`].
+/// [`crate::halfgnn_spmm::edge_reduce`] in either precision.
 /// Rows with no edges are defined as 0 under `Max`, matching the kernels.
 pub fn edge_reduce_f64(coo: &Coo, w: &[f64], op: Reduce) -> Vec<f64> {
     assert_eq!(w.len(), coo.nnz(), "edge tensor shape mismatch");

@@ -4,7 +4,7 @@
 use halfgnn_graph::{Coo, Csr};
 use halfgnn_half::slice::f32_slice_to_half;
 use halfgnn_half::Half;
-use halfgnn_kernels::baseline::cusparse::{self, EdgeWeightsF32};
+use halfgnn_kernels::baseline::cusparse;
 use halfgnn_kernels::common::{EdgeWeights, Reduce, ScalePlacement, VectorWidth};
 use halfgnn_kernels::{edge_ops, halfgnn_sddmm, halfgnn_spmm, huang};
 use halfgnn_sim::DeviceConfig;
@@ -25,10 +25,10 @@ fn empty_graph_every_kernel() {
     assert!(y.iter().all(|v| v.is_zero()));
     let (s, _) = halfgnn_sddmm::sddmm(&dev(), &coo, &x, &x, 8, VectorWidth::Half8);
     assert!(s.is_empty());
-    let (m, _) = halfgnn_spmm::edge_reduce(&dev(), &coo, &[], Reduce::Max);
+    let (m, _) = halfgnn_spmm::edge_reduce::<Half>(&dev(), &coo, &[], Reduce::Max);
     assert!(m.iter().all(|v| v.is_zero()));
     let xf = vec![1.0f32; 6 * 8];
-    let (yf, _) = cusparse::spmm_float(&dev(), &coo, EdgeWeightsF32::Ones, &xf, 8, None);
+    let (yf, _) = cusparse::spmm_float(&dev(), &coo, EdgeWeights::Ones, &xf, 8, None);
     assert!(yf.iter().all(|&v| v == 0.0));
 }
 

@@ -5,7 +5,7 @@
 use halfgnn_graph::{Coo, Csr, VertexId};
 use halfgnn_half::slice::f32_slice_to_half;
 use halfgnn_half::{overflow, Half};
-use halfgnn_kernels::baseline::cusparse::{self, EdgeWeightsF32};
+use halfgnn_kernels::baseline::cusparse;
 use halfgnn_kernels::baseline::dgl_sddmm;
 use halfgnn_kernels::common::{EdgeWeights, Reduce, ScalePlacement, VectorWidth};
 use halfgnn_kernels::reference;
@@ -189,7 +189,7 @@ proptest! {
         let wf: Vec<f32> = w.iter().map(|h| h.to_f32()).collect();
         let (yh, _) = cusparse::spmm_half(&dev, &coo, EdgeWeights::Values(&w), &x, f, None);
         let (yf, _) =
-            cusparse::spmm_float(&dev, &coo, EdgeWeightsF32::Values(&wf), &xf, f, None);
+            cusparse::spmm_float(&dev, &coo, EdgeWeights::Values(&wf), &xf, f, None);
         for (a, b) in yh.iter().zip(&yf) {
             prop_assert!((a.to_f32() - b).abs() <= 0.05 + 0.05 * b.abs(), "{a} vs {b}");
         }
@@ -199,7 +199,7 @@ proptest! {
     fn huang_variants_agree((csr, f, x, _w) in arb_case()) {
         let dev = DeviceConfig::a100_like();
         let xf: Vec<f32> = x.iter().map(|h| h.to_f32()).collect();
-        let (yf, sf) = huang::spmm_float(&dev, &csr, EdgeWeightsF32::Ones, &xf, f);
+        let (yf, sf) = huang::spmm_float(&dev, &csr, EdgeWeights::Ones, &xf, f);
         let (yh, sh) = huang::spmm_half2(&dev, &csr, EdgeWeights::Ones, &x, f);
         for (a, b) in yh.iter().zip(&yf) {
             prop_assert!((a.to_f32() - b).abs() <= 0.08 + 0.05 * b.abs(), "{a} vs {b}");

@@ -39,7 +39,7 @@ use halfgnn_graph::partition::{partition, PartitionStrategy, Shard, ShardPlan};
 use halfgnn_graph::reach::khop_ball;
 use halfgnn_graph::sample::NeighborAccess;
 use halfgnn_graph::{Csr, VertexId};
-use halfgnn_half::Half;
+use halfgnn_half::{Half, Scalar};
 use halfgnn_kernels::dist as dist_kernels;
 use halfgnn_sim::interconnect::{
     CommEvent, CommsLedger, Interconnect, OverlapTimeline, Topology, TrafficClass,
@@ -281,51 +281,43 @@ impl DistCtx {
         self.timeline.borrow_mut().log(shard.index, CommEvent::Halo(event_us));
     }
 
-    /// Run `shard`'s half halo gather (pack the remote rows it needs into
-    /// the wire buffer) and charge the exchange. Returns the wire buffer.
-    /// The gather always runs — replay records an identical kernel
-    /// sequence whatever the cache state.
-    pub fn exchange_halo_half(
+    /// Run `shard`'s halo gather (pack the remote rows it needs into the
+    /// wire buffer) and charge the exchange: 2 bytes per element on the
+    /// f16 wire, twice that on the float pipeline's f32 wire. Returns the
+    /// wire buffer. The gather always runs — replay records an identical
+    /// kernel sequence whatever the cache state.
+    pub fn exchange_halo<T: Scalar>(
         &self,
         ops: &mut Ops,
-        x: &[Half],
+        x: &[T],
         f: usize,
         shard: &Shard,
-    ) -> Vec<Half> {
-        let (wire, stats) = dist_kernels::halo_gather_half(ops.dev, x, f, &shard.halo);
+    ) -> Vec<T> {
+        let (wire, stats) = dist_kernels::halo_gather(ops.dev, x, f, &shard.halo);
         ops.record(stats);
         if let Some(ctx) = ops.exec {
-            ctx.record_node("halo_gather_half", &[buf_ref(x)], &[buf_ref(&wire)], None);
+            let op = T::pick("halo_gather_half", "halo_gather_f32");
+            ctx.record_node(op, &[buf_ref(x)], &[buf_ref(&wire)], None);
         }
-        let bytes: Vec<u8> = wire.iter().flat_map(|h| h.to_bits().to_le_bytes()).collect();
-        self.charge_halo(shard, &bytes, f, 2);
+        let mut bytes = Vec::with_capacity(wire.len() * T::BYTES);
+        for v in &wire {
+            bytes.extend_from_slice(&v.bits().to_le_bytes()[..T::BYTES]);
+        }
+        self.charge_halo(shard, &bytes, f, T::BYTES);
         wire
     }
 
-    /// [`Self::exchange_halo_half`] for the float pipeline: same rows,
-    /// twice the bytes on every link.
-    pub fn exchange_halo_f32(&self, ops: &mut Ops, x: &[f32], f: usize, shard: &Shard) -> Vec<f32> {
-        let (wire, stats) = dist_kernels::halo_gather_f32(ops.dev, x, f, &shard.halo);
-        ops.record(stats);
-        if let Some(ctx) = ops.exec {
-            ctx.record_node("halo_gather_f32", &[buf_ref(x)], &[buf_ref(&wire)], None);
-        }
-        let bytes: Vec<u8> = wire.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
-        self.charge_halo(shard, &bytes, f, 4);
-        wire
-    }
-
-    /// [`Self::exchange_halo_half`] for the INT8 wire: the gather
+    /// [`Self::exchange_halo`] for the INT8 wire: the gather
     /// quantizes the packed remote rows into per-64-element scale-block
     /// INT8 codes on the sender (deterministic stochastic rounding keyed
     /// by `seed`), so the wire moves 1 byte/element — half the f16 path,
     /// a quarter of float. The receiver dequantizes straight to f32; the
     /// codes never round-trip through f16, because a ±127 code under a
     /// large block exponent can exceed binary16 range.
-    pub fn exchange_halo_i8(
+    pub fn exchange_halo_i8<T: Scalar>(
         &self,
         ops: &mut Ops,
-        x: &[Half],
+        x: &[T],
         f: usize,
         shard: &Shard,
         seed: u64,
@@ -433,12 +425,12 @@ mod tests {
         let xh = f32_slice_to_half(&xf);
         let mut ops = Ops::new(&dev);
         for s in &c.plan.shards {
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         let half_bytes = c.snapshot().halo_bytes;
         c.reset_epoch();
         for s in &c.plan.shards {
-            c.exchange_halo_f32(&mut ops, &xf, f, s);
+            c.exchange_halo(&mut ops, &xf, f, s);
         }
         let float_bytes = c.snapshot().halo_bytes;
         assert!(half_bytes > 0);
@@ -468,7 +460,7 @@ mod tests {
         let mut ops = Ops::new(&dev);
         for s in &c.plan.shards {
             assert!(s.halo.is_empty(), "one shard owns everything");
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         c.charge_allreduce_f32(100);
         assert_eq!(c.snapshot().total_bytes(), 0);
@@ -483,7 +475,7 @@ mod tests {
         let mut ops = Ops::new(&dev);
         // Epoch 0: cold, every wire row is a miss.
         for s in &c.plan.shards {
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         let cold = c.snapshot().halo_bytes;
         let s0 = c.halo_cache_stats();
@@ -493,7 +485,7 @@ mod tests {
         // Epoch 1: static sources, every row hits, zero bytes.
         c.reset_epoch();
         for s in &c.plan.shards {
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         let warm = c.snapshot().halo_bytes;
         let s1 = c.halo_cache_stats();
@@ -522,14 +514,14 @@ mod tests {
         let xh = f32_slice_to_half(&(0..8 * f).map(|i| i as f32 * 0.1).collect::<Vec<_>>());
         let mut ops = Ops::new(&dev);
         for s in &c.plan.shards {
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         c.reset_epoch();
         // Invalidate one wire row of shard 0; only it is refetched.
         let &(victim, _) = &c.plan.wire_rows(0)[0];
         c.invalidate_halo_rows(&[victim]);
         for s in &c.plan.shards {
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         let stats = c.halo_cache_stats();
         assert_eq!(stats.misses, 1, "exactly the invalidated row refetches");
@@ -546,9 +538,9 @@ mod tests {
         let xh = f32_slice_to_half(&vec![0.5; 8 * f]);
         let mut ops = Ops::new(&dev);
         for s in &c.plan.shards {
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
             c.log_compute(s.index, 12.5);
-            c.exchange_halo_half(&mut ops, &xh, f, s);
+            c.exchange_halo(&mut ops, &xh, f, s);
         }
         c.charge_allreduce_f32(64);
         let t = c.timeline();

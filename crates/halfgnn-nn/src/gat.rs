@@ -25,10 +25,11 @@
 
 use crate::gcn::StepOutput;
 use crate::graphdata::GraphView;
-use crate::models::{spmmve, Dispatch, Elem};
+use crate::models::{edge_reduce, record, spmmve, sub_row_exp, Dispatch, Elem};
 use crate::params::{GatGrads, GatParams};
 use halfgnn_half::{overflow, Half};
 use halfgnn_kernels::common::Reduce;
+use halfgnn_kernels::edge_ops;
 use halfgnn_tensor::Ops;
 
 /// LeakyReLU slope for attention logits (the GAT paper's 0.2).
@@ -55,20 +56,21 @@ fn layer_forward<E: Elem>(
     d: Dispatch<'_>,
 ) -> LayerState<E> {
     let n = g.n();
-    let z = E::gemm(ops, x, w, false, n, f_in, f_out);
-    let s_src = E::gemm(ops, &z, a_src, false, n, f_out, 1);
-    let s_dst = E::gemm(ops, &z, a_dst, false, n, f_out, 1);
+    let z = ops.gemm(x, false, w, false, n, f_in, f_out);
+    let s_src = ops.gemm(&z, false, a_src, false, n, f_out, 1);
+    let s_dst = ops.gemm(&z, false, a_dst, false, n, f_out, 1);
     // Fused: one pass over the edges — scores, running row-max, shadow
     // exp, row-sum, normalize, aggregate. The kernel's own provenance site
     // nests under the ambient layer site ("gat.layerN/fused_attn").
     if let Some([e, alpha, out]) = E::fused_attn_forward(ops, g, &s_dst, &s_src, &z, f_out, d) {
         return LayerState { z, e, alpha, out };
     }
-    let e = E::attn_scores(ops, g, &s_dst, &s_src);
-    let m = E::edge_reduce(ops, g, &e, Reduce::Max, d);
-    let en = E::sub_row_exp(ops, g, &e, &m, d);
-    let zs = E::edge_reduce(ops, g, &en, Reduce::Sum, d);
-    let alpha = E::div_row(ops, g, &en, &zs);
+    let e =
+        record(ops, edge_ops::src_dst_add_leakyrelu(ops.dev, &g.coo, &s_dst, &s_src, ATTN_SLOPE));
+    let m = edge_reduce(ops, g, &e, Reduce::Max, d);
+    let en = sub_row_exp(ops, g, &e, &m, d);
+    let zs = edge_reduce(ops, g, &en, Reduce::Sum, d);
+    let alpha = record(ops, edge_ops::div_row(ops.dev, &g.coo, &en, &zs));
     let out = spmmve(ops, g, &alpha, &z, f_out, d);
     LayerState { z, e, alpha, out }
 }
@@ -99,29 +101,30 @@ fn layer_backward<E: Elem>(
     let de = match E::fused_softmax_grad(ops, g, &state.alpha, &dalpha, &state.e, f_out, d) {
         Some(de) => de,
         None => {
-            let prod = E::edge_mul(ops, g, &state.alpha, &dalpha);
-            let t = E::edge_reduce(ops, g, &prod, Reduce::Sum, d);
-            let de_soft = E::softmax_grad(ops, g, &state.alpha, &dalpha, &t);
+            let prod = record(ops, edge_ops::mul(ops.dev, &g.coo, &state.alpha, &dalpha));
+            let t = edge_reduce(ops, g, &prod, Reduce::Sum, d);
+            let de_soft =
+                record(ops, edge_ops::softmax_grad(ops.dev, &g.coo, &state.alpha, &dalpha, &t));
             // LeakyReLU gate: sign(post) == sign(pre) for slope > 0, so
             // the saved post-activation suffices.
-            E::leakyrelu_grad(ops, g, &state.e, &de_soft)
+            record(ops, edge_ops::leakyrelu_grad(ops.dev, &g.coo, &state.e, &de_soft, ATTN_SLOPE))
         }
     };
     // δs_dst[i] = Σ_j δe_ij ; δs_src[j] = Σ_i δe_ij (reduce on Âᵀ).
-    let ds_dst = E::edge_reduce(ops, g, &de, Reduce::Sum, d);
+    let ds_dst = edge_reduce(ops, g, &de, Reduce::Sum, d);
     let de_t = g.permute_to_transpose(&de);
-    let ds_src = E::edge_reduce(ops, g, &de_t, Reduce::Sum, d);
+    let ds_src = edge_reduce(ops, g, &de_t, Reduce::Sum, d);
     // δz = δz_agg + δs_dst ⊗ a_dst + δs_src ⊗ a_src.
-    let outer_dst = E::gemm(ops, &ds_dst, a_dst, true, n, 1, f_out);
-    let outer_src = E::gemm(ops, &ds_src, a_src, true, n, 1, f_out);
-    let tmp = E::scale_add(ops, E::ONE, &dz_agg, E::ONE, &outer_dst);
-    let dz = E::scale_add(ops, E::ONE, &tmp, E::ONE, &outer_src);
+    let outer_dst = ops.gemm(&ds_dst, false, a_dst, true, n, 1, f_out);
+    let outer_src = ops.gemm(&ds_src, false, a_src, true, n, 1, f_out);
+    let tmp = ops.scale_add(E::ONE, &dz_agg, E::ONE, &outer_dst);
+    let dz = ops.scale_add(E::ONE, &tmp, E::ONE, &outer_src);
     // Parameter and input gradients (vertex contractions → all-reduced
     // when sharded).
     let da_dst = E::grad_gemm(ops, &state.z, &ds_dst, f_out, n, 1, d);
     let da_src = E::grad_gemm(ops, &state.z, &ds_src, f_out, n, 1, d);
     let dw = E::grad_gemm(ops, x, &dz, f_in, n, f_out, d);
-    let dx = E::gemm(ops, &dz, w, true, n, f_out, f_in);
+    let dx = ops.gemm(&dz, false, w, true, n, f_out, f_in);
     (dx, dw, da_src, da_dst)
 }
 
@@ -143,7 +146,7 @@ pub fn step<E: Elem>(
 
     let layer1 = overflow::site("gat.layer1");
     let l1 = layer_forward(ops, g, x, &w1, &a_src1, &a_dst1, f_in, h, d);
-    let h1 = E::relu(ops, &l1.out);
+    let h1 = ops.relu(&l1.out);
     drop(layer1);
     let layer2 = overflow::site("gat.layer2");
     let mut l2 = layer_forward(ops, g, &h1, &w2, &a_src2, &a_dst2, h, c, d);
@@ -158,7 +161,7 @@ pub fn step<E: Elem>(
         layer_backward(ops, g, &l2, &h1, &w2, &a_src2, &a_dst2, &dout, h, c, d);
     drop(bwd2);
     let _bwd1 = overflow::site("gat.layer1.backward");
-    let dl1 = E::relu_grad(ops, &l1.out, &dh1);
+    let dl1 = ops.relu_grad(&l1.out, &dh1);
     let (_, dw1, da_src1, da_dst1) =
         layer_backward(ops, g, &l1, x, &w1, &a_src1, &a_dst1, &dl1, f_in, h, d);
 
@@ -312,7 +315,7 @@ pub fn step_multihead<E: Elem>(
         .collect();
     let head_outs: Vec<Vec<E>> = states.iter_mut().map(|s| std::mem::take(&mut s.out)).collect();
     let cat = concat_heads(&head_outs, n, d);
-    let h1 = E::relu(ops, &cat);
+    let h1 = ops.relu(&cat);
     drop(layer1);
 
     // ---- Layer 2: single head over the concatenated features.
@@ -329,7 +332,7 @@ pub fn step_multihead<E: Elem>(
         layer_backward(ops, g, &l2, &h1, &w2, &a_src2, &a_dst2, &dout, p.hidden, c, dsp);
     drop(bwd2);
     let _bwd1 = overflow::site("gat.layer1.backward");
-    let dcat = E::relu_grad(ops, &cat, &dh1);
+    let dcat = ops.relu_grad(&cat, &dh1);
     let mut grads = MultiHeadGatGrads {
         w1: Vec::with_capacity(p.heads),
         a_src1: Vec::with_capacity(p.heads),

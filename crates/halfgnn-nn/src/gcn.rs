@@ -42,11 +42,11 @@ fn agg<E: Elem>(
     match norm {
         GcnNorm::Right => spmm_mean(ops, g, x, f, d),
         GcnNorm::Left => {
-            let scaled = E::row_scale(ops, x, E::mean_scale(g), f);
+            let scaled = ops.row_scale(x, E::mean_scale(g), f);
             spmm_sum(ops, g, &scaled, f, d)
         }
         GcnNorm::Both => {
-            let scaled = E::row_scale(ops, x, E::inv_sqrt_scale(g), f);
+            let scaled = ops.row_scale(x, E::inv_sqrt_scale(g), f);
             E::spmm(ops, g, None, &scaled, f, Some(E::inv_sqrt_scale(g)), d)
         }
     }
@@ -64,7 +64,7 @@ fn agg_backward<E: Elem>(
     match norm {
         // (D⁻¹Â)ᵀ = Â D⁻¹: scale first, then sum.
         GcnNorm::Right => {
-            let scaled = E::row_scale(ops, dy, E::mean_scale(g), f);
+            let scaled = ops.row_scale(dy, E::mean_scale(g), f);
             spmm_sum(ops, g, &scaled, f, d)
         }
         // (ÂD⁻¹)ᵀ = D⁻¹Â: sum first, then scale — the §3.1.3 backward trap.
@@ -110,19 +110,19 @@ fn forward_pass<'a, E: Elem>(
     let layer1 = overflow::site("gcn.layer1");
     let (lin_in, a1) = if f_in <= h {
         let ax = agg(ops, g, x, f_in, norm, d);
-        let z1 = E::gemm(ops, &ax, &w1, false, n, f_in, h);
-        let a1 = E::bias_add(ops, &z1, &b1);
+        let z1 = ops.gemm(&ax, false, &w1, false, n, f_in, h);
+        let a1 = ops.bias_add(&z1, &b1);
         (Cow::Owned(ax), a1)
     } else {
-        let z1 = E::gemm(ops, x, &w1, false, n, f_in, h);
-        let z1 = E::bias_add(ops, &z1, &b1);
+        let z1 = ops.gemm(x, false, &w1, false, n, f_in, h);
+        let z1 = ops.bias_add(&z1, &b1);
         (Cow::Borrowed(x), agg(ops, g, &z1, h, norm, d))
     };
     drop(layer1);
     let layer2 = overflow::site("gcn.layer2");
-    let h1 = E::relu(ops, &a1);
-    let z2 = E::gemm(ops, &h1, &w2, false, n, h, c);
-    let z2 = E::bias_add(ops, &z2, &b2);
+    let h1 = ops.relu(&a1);
+    let z2 = ops.gemm(&h1, false, &w2, false, n, h, c);
+    let z2 = ops.bias_add(&z2, &b2);
     let out = agg(ops, g, &z2, c, norm, d);
     drop(layer2);
 
@@ -170,8 +170,8 @@ pub fn step<E: Elem>(
     let dz2 = agg_backward(ops, g, &dout, c, norm, d);
     let dw2 = E::grad_gemm(ops, &fwd.h1, &dz2, h, n, c, d);
     let db2 = E::grad_colsum(ops, &dz2, c, d);
-    let dh1 = E::gemm(ops, &dz2, &fwd.w2, true, n, c, h);
-    let da1 = E::relu_grad(ops, &fwd.a1, &dh1);
+    let dh1 = ops.gemm(&dz2, false, &fwd.w2, true, n, c, h);
+    let da1 = ops.relu_grad(&fwd.a1, &dh1);
     // Aggregate-first: a1 = agg(X)W + b, so the SpMM is upstream of the
     // GeMM and δW = agg(X)ᵀ δa1 needs no adjoint SpMM.
     let dz1 = if f_in <= h { da1 } else { agg_backward(ops, g, &da1, h, norm, d) };

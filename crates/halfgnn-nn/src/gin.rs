@@ -55,16 +55,16 @@ pub fn step<E: Elem>(
     // rows have already overflowed by the time it runs.
     let layer1 = overflow::site("gin.layer1");
     let agg1 = spmm_mean(ops, g, x, f_in, d);
-    let comb1 = E::scale_add(ops, one_eps, x, agg_scale, &agg1);
-    let z1 = E::gemm(ops, &comb1, &w1, false, n, f_in, h);
-    let z1 = E::bias_add(ops, &z1, &b1);
-    let h1 = E::relu(ops, &z1);
+    let comb1 = ops.scale_add(one_eps, x, agg_scale, &agg1);
+    let z1 = ops.gemm(&comb1, false, &w1, false, n, f_in, h);
+    let z1 = ops.bias_add(&z1, &b1);
+    let h1 = ops.relu(&z1);
     drop(layer1);
     let layer2 = overflow::site("gin.layer2");
     let agg2 = spmm_mean(ops, g, &h1, h, d);
-    let comb2 = E::scale_add(ops, one_eps, &h1, agg_scale, &agg2);
-    let z2 = E::gemm(ops, &comb2, &w2, false, n, h, c);
-    let out = E::bias_add(ops, &z2, &b2);
+    let comb2 = ops.scale_add(one_eps, &h1, agg_scale, &agg2);
+    let z2 = ops.gemm(&comb2, false, &w2, false, n, h, c);
+    let out = ops.bias_add(&z2, &b2);
     drop(layer2);
 
     let logits = E::logits(ops, out);
@@ -75,13 +75,13 @@ pub fn step<E: Elem>(
     let dout = E::loss_grad(ops, dlogits);
     let dw2 = E::grad_gemm(ops, &comb2, &dout, h, n, c, d);
     let db2 = E::grad_colsum(ops, &dout, c, d);
-    let dcomb2 = E::gemm(ops, &dout, &w2, true, n, c, h);
+    let dcomb2 = ops.gemm(&dout, false, &w2, true, n, c, h);
     // comb2 = (1+ε)h1 + λ·mean(h1)  ⇒  δh1 = (1+ε)δcomb2 + λ·Âᵀ(δcomb2/deg):
     // mean's adjoint is row-scale-then-sum.
-    let scaled2 = E::row_scale(ops, &dcomb2, E::mean_scale(g), h);
+    let scaled2 = ops.row_scale(&dcomb2, E::mean_scale(g), h);
     let back2 = spmm_sum(ops, g, &scaled2, h, d);
-    let dh1 = E::scale_add(ops, one_eps, &dcomb2, agg_scale, &back2);
-    let dz1 = E::relu_grad(ops, &z1, &dh1);
+    let dh1 = ops.scale_add(one_eps, &dcomb2, agg_scale, &back2);
+    let dz1 = ops.relu_grad(&z1, &dh1);
     let dw1 = E::grad_gemm(ops, &comb1, &dz1, f_in, n, h, d);
     let db1 = E::grad_colsum(ops, &dz1, h, d);
 

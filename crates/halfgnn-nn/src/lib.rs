@@ -8,10 +8,11 @@
 //! feeds f32 gradients to Adam. Each model's step is written once, generic
 //! over [`models::Elem`], the element type of its state tensors: `f32`
 //! for the `Float` baseline, [`halfgnn_half::Half`] for every half mode.
-//! The trait owns everything the two precisions do differently — which
-//! kernel each op runs, and the AMP boundary (weight casts, promoted
-//! logits, loss scaling, gradient unscaling). Within half, which kernel
-//! *system* runs is decided by [`trainer::PrecisionMode`]:
+//! Elementwise arithmetic is [`halfgnn_half::Scalar`]'s; the trait owns
+//! the rest of what the two precisions do differently — the AMP boundary
+//! (weight casts, promoted logits, loss scaling, gradient unscaling) and
+//! the sparse ops whose kernel system or wire differs. Within half, which
+//! kernel *system* runs is decided by [`trainer::PrecisionMode`]:
 //!
 //! | mode | SpMM | SDDMM | exp | meaning |
 //! |---|---|---|---|---|

@@ -1,7 +1,10 @@
 //! Model and precision-mode selection, the kernel dispatch layer that
 //! routes a model's operations to the right system's kernels, and the
 //! [`Elem`] trait that holds the precision policy: each model's step is
-//! written once, generic over `f32` and [`Half`].
+//! written once, generic over `f32` and [`Half`]. The arithmetic of an
+//! element is [`Scalar`]'s, so the steps call the dense ops and the GAT
+//! edge ops directly; `Elem` keeps the AMP boundary and the ops whose
+//! kernel system or wire differs by precision.
 //!
 //! Every sparse op has one launch body, run through one windowed-launch
 //! helper (`Dispatch::launch`). Without a [`DistCtx`] the helper runs the
@@ -28,8 +31,8 @@ use crate::gat::ATTN_SLOPE;
 use crate::graphdata::GraphView;
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_graph::partition::Shard;
-use halfgnn_half::Half;
-use halfgnn_kernels::baseline::cusparse::{self, EdgeWeightsF32};
+use halfgnn_half::{Half, Scalar};
+use halfgnn_kernels::baseline::cusparse;
 use halfgnn_kernels::common::{EdgeWeights, Reduce, ScalePlacement, Tiling};
 use halfgnn_kernels::fused;
 use halfgnn_kernels::{baseline::dgl_sddmm, baseline::ge_spmm, edge_ops, halfgnn_sddmm};
@@ -240,18 +243,19 @@ impl<'t> Dispatch<'t> {
     /// The one launch path of every windowed sparse op. Without a
     /// [`DistCtx`], `kernel` runs once over the whole graph and its own
     /// outputs come back. With one, each shard exchanges `halo`'s remote
-    /// rows, launches its `win` window, logs the compute on its device,
-    /// and pastes its `parts` of the outputs (`f`-wide rows or edges) into
-    /// global tensors. Windowed launches are bitwise slices of the full
-    /// launch, so the pasted tensors are the single-device outputs exactly.
+    /// rows (`halo` is the column-indexed operand and its width), launches
+    /// its `win` window, logs the compute on its device, and pastes its
+    /// `parts` of the outputs (`f`-wide rows or edges) into global tensors.
+    /// Windowed launches are bitwise slices of the full launch, so the
+    /// pasted tensors are the single-device outputs exactly.
     #[allow(clippy::too_many_arguments)]
-    fn launch<E: Elem, const K: usize>(
+    fn launch<E: Scalar, const K: usize>(
         &self,
         ops: &mut Ops,
         g: &GraphView,
         op: &'static str,
         ins: &[BufRef],
-        halo: Option<Halo<'_>>,
+        halo: Option<(&[E], usize)>,
         win: Part,
         parts: [(Part, usize); K],
         mut kernel: impl FnMut(&mut Ops, (usize, usize)) -> ([Vec<E>; K], KernelStats),
@@ -271,15 +275,15 @@ impl<'t> Dispatch<'t> {
         let Some(ctx) = self.dist else { return run(ops, None) };
         let mut out = parts.map(|(part, f)| vec![E::default(); part.range(g, None).1 * f]);
         for shard in &ctx.plan.shards {
-            // The halo's one wire choice: f32 for the float pipeline, INT8
-            // under `PrecisionMode::I8`, f16 for every other half mode. The
-            // gathered wire buffers are only charged: kernels read `x`.
+            // The halo's one wire choice: INT8 under `PrecisionMode::I8`,
+            // otherwise the operand's own precision — f32 for the float
+            // pipeline, f16 for every other half mode. The gathered wire
+            // buffers are only charged: kernels read `x`.
             match halo {
-                Some(Halo::F32(x, f)) => drop(ctx.exchange_halo_f32(ops, x, f, shard)),
-                Some(Halo::Half(x, f)) if self.mode == PrecisionMode::I8 => {
+                Some((x, f)) if self.mode == PrecisionMode::I8 => {
                     drop(ctx.exchange_halo_i8(ops, x, f, shard, self.quant_seed))
                 }
-                Some(Halo::Half(x, f)) => drop(ctx.exchange_halo_half(ops, x, f, shard)),
+                Some((x, f)) => drop(ctx.exchange_halo(ops, x, f, shard)),
                 None => {}
             }
             let ys = run(ops, Some(shard));
@@ -342,16 +346,6 @@ fn diverged(want: &str, got: KernelPlan) -> ! {
     panic!("replay diverged from captured graph: wanted {want}, got {got:?}")
 }
 
-/// A sparse op's column-indexed operand and its width: the remote rows
-/// each shard gathers before its windowed launch.
-#[derive(Clone, Copy)]
-enum Halo<'a> {
-    /// The float pipeline's operand, on the f32 wire.
-    F32(&'a [f32], usize),
-    /// A half mode's operand, on the f16 wire (INT8 under I8).
-    Half(&'a [Half], usize),
-}
-
 /// The global range one windowed launch owns: rows, or the edges those
 /// rows own (shards own contiguous row ranges, so their edge ranges are
 /// exactly the CSR slices of those rows).
@@ -391,7 +385,7 @@ pub enum GcnNorm {
 }
 
 /// Record a kernel's stats into `ops` and return its output.
-fn record<T>(ops: &mut Ops, (y, stats): (Vec<T>, KernelStats)) -> Vec<T> {
+pub(crate) fn record<T>(ops: &mut Ops, (y, stats): (Vec<T>, KernelStats)) -> Vec<T> {
     ops.record(stats);
     y
 }
@@ -525,29 +519,31 @@ fn sddmm_half_window(
 
 // ---------------------------------------------------------------------
 // The precision policy. Each model's step is written once over
-// `E: Elem`; the two impls below hold everything that differs between
-// the DGL-float baseline and the half modes.
+// `E: Elem`; the two impls below hold what differs between the
+// DGL-float baseline and the half modes beyond the element arithmetic
+// itself, which `Scalar` owns.
 // ---------------------------------------------------------------------
 
 /// The element type of a step's state tensors — `f32` for the DGL-float
-/// baseline, [`Half`] for every half mode — and the one place that knows
-/// what differs between the two precisions:
+/// baseline, [`Half`] for every half mode. How an element computes,
+/// rounds, names and charges an op is [`Scalar`]'s, so the dense ops
+/// (`Ops::gemm`, `Ops::relu`, …) and the GAT edge ops (`edge_ops::*`,
+/// [`edge_reduce`], `sub_row_exp`) are called directly, once, for both.
+/// `Elem` holds only what genuinely differs by precision:
 ///
-/// * which kernel each dense, sparse and GAT edge op launches (within
-///   half, the [`Dispatch`]'s mode then picks the kernel *system*);
 /// * the AMP boundary (Micikevicius et al.): casting the f32 master
 ///   weights, promoting the logits to the f32 loss, loss scaling, and
-///   returning weight gradients to the f32 master domain.
+///   returning weight gradients to the f32 master domain;
+/// * the ops whose kernel *system* or wire differs: cuSPARSE/DGL-float
+///   against the half systems the [`Dispatch`]'s mode picks from, the
+///   f32 against the f16/INT8 gradient all-reduce, and the fused
+///   attention kernels only HalfGNN has.
 ///
 /// `f32` casts nothing, charges no conversion, ignores
 /// `Ops::loss_scale` and never fuses.
-pub trait Elem: Copy + Default + 'static {
-    /// Multiplicative identity.
-    const ONE: Self;
+pub trait Elem: Scalar {
     /// Feature widths must be multiples of this (half2 packing).
     const LANES: usize;
-    /// Round an f32 constant into this precision.
-    fn from_f32(v: f32) -> Self;
     /// The graph's per-row mean scale `1/deg`.
     fn mean_scale(g: &GraphView) -> &[Self];
     /// The graph's per-row symmetric-norm scale `1/√deg`.
@@ -567,27 +563,6 @@ pub trait Elem: Copy + Default + 'static {
     fn master_grad(ops: &mut Ops, grad: Vec<Self>) -> Vec<f32>;
     /// Divide master-domain gradients by the loss scale, in order.
     fn unscale<'g>(ops: &mut Ops, grads: impl IntoIterator<Item = &'g mut Vec<f32>>);
-
-    /// `A·B` (`A·Bᵀ` with `tb`), `A: m×k`; half runs on tensor cores.
-    fn gemm(
-        ops: &mut Ops,
-        a: &[Self],
-        b: &[Self],
-        tb: bool,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Vec<Self>;
-    /// Row-broadcast bias add.
-    fn bias_add(ops: &mut Ops, x: &[Self], bias: &[Self]) -> Vec<Self>;
-    /// ReLU (NaN propagates).
-    fn relu(ops: &mut Ops, x: &[Self]) -> Vec<Self>;
-    /// ReLU backward `δy · 1[x > 0]`.
-    fn relu_grad(ops: &mut Ops, x: &[Self], dy: &[Self]) -> Vec<Self>;
-    /// `a·x + b·y`.
-    fn scale_add(ops: &mut Ops, a: Self, x: &[Self], b: Self, y: &[Self]) -> Vec<Self>;
-    /// Scale row `r` of an `n×f` tensor by `scale[r]`.
-    fn row_scale(ops: &mut Ops, x: &[Self], scale: &[Self], f: usize) -> Vec<Self>;
 
     /// SpMM over Â with edge weights `w` (SpMMve) or ones (SpMMv) and an
     /// optional per-row scale (mean-style aggregation). One launch, or —
@@ -624,15 +599,6 @@ pub trait Elem: Copy + Default + 'static {
         f: usize,
         d: Dispatch<'_>,
     ) -> Vec<Self>;
-    /// Per-row reduction of an edge tensor (softmax max/denominator).
-    /// Edges live with the rows that own them: no halo when sharded.
-    fn edge_reduce(
-        ops: &mut Ops,
-        g: &GraphView,
-        w: &[Self],
-        op: Reduce,
-        d: Dispatch<'_>,
-    ) -> Vec<Self>;
     /// Weight gradient `AᵀB` contracted over vertices (`A: n×m`,
     /// `B: n×c`). A sharded device holds only the rows it owns, so the
     /// full gradient is the all-reduce of per-shard partials: half moves
@@ -653,32 +619,6 @@ pub trait Elem: Copy + Default + 'static {
     /// promotes the sum) and all-reduced like [`Elem::grad_gemm`].
     fn grad_colsum(ops: &mut Ops, x: &[Self], c: usize, d: Dispatch<'_>) -> Vec<f32>;
 
-    /// GAT's attention logits `LeakyReLU(s_dst[i] + s_src[j])` per edge.
-    fn attn_scores(ops: &mut Ops, g: &GraphView, s_dst: &[Self], s_src: &[Self]) -> Vec<Self>;
-    /// `exp(e − m[row])`. Half runs the shadow API (§5.3), legal because
-    /// the argument is ≤ 0, except under `HalfNaive`, which pays AMP's
-    /// promotion to float with a tensor round trip (§3.1.2).
-    fn sub_row_exp(
-        ops: &mut Ops,
-        g: &GraphView,
-        e: &[Self],
-        m: &[Self],
-        d: Dispatch<'_>,
-    ) -> Vec<Self>;
-    /// `e / z[row]`, the softmax normalization.
-    fn div_row(ops: &mut Ops, g: &GraphView, e: &[Self], z: &[Self]) -> Vec<Self>;
-    /// Elementwise product of two edge tensors.
-    fn edge_mul(ops: &mut Ops, g: &GraphView, a: &[Self], b: &[Self]) -> Vec<Self>;
-    /// Edge-softmax backward `α · (δα − t[row])`.
-    fn softmax_grad(
-        ops: &mut Ops,
-        g: &GraphView,
-        alpha: &[Self],
-        da: &[Self],
-        t: &[Self],
-    ) -> Vec<Self>;
-    /// LeakyReLU backward, gated on the saved post-activation `e`.
-    fn leakyrelu_grad(ops: &mut Ops, g: &GraphView, e: &[Self], de: &[Self]) -> Vec<Self>;
     /// GAT's fused attention forward `[e, α, out]`: SDDMM, edge softmax
     /// and SpMM in one pass. `None` when the dispatch runs the unfused
     /// chain for `f`-wide features — always, unless overridden: only the
@@ -743,15 +683,46 @@ pub fn spmmve<E: Elem>(
     E::spmm(ops, g, Some(w), x, f, None, d)
 }
 
-/// The DGL-float baseline: cuSPARSE SpMM (mean aggregation post-scales,
-/// as DGL does), DGL's SDDMM and edge ops.
-impl Elem for f32 {
-    const ONE: f32 = 1.0;
-    const LANES: usize = 1;
+/// Per-row reduction of an edge tensor (softmax max/denominator).
+/// Edges live with the rows that own them: no halo when sharded.
+pub fn edge_reduce<E: Scalar>(
+    ops: &mut Ops,
+    g: &GraphView,
+    w: &[E],
+    op: Reduce,
+    d: Dispatch<'_>,
+) -> Vec<E> {
+    let name = E::pick("edge_reduce_half", "edge_reduce_f32");
+    let [y] = d.launch(ops, g, name, &[buf_ref(w)], None, Rows, [(Rows, 1)], |ops, win| {
+        one(halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, win))
+    });
+    y
+}
 
-    fn from_f32(v: f32) -> f32 {
-        v
+/// `exp(e − m[row])`. Half runs the shadow API (§5.3), legal because the
+/// argument is ≤ 0, except under `HalfNaive`, which pays AMP's promotion
+/// to float with a tensor round trip (§3.1.2).
+pub(crate) fn sub_row_exp<E: Scalar>(
+    ops: &mut Ops,
+    g: &GraphView,
+    e: &[E],
+    m: &[E],
+    d: Dispatch<'_>,
+) -> Vec<E> {
+    let shadow = d.mode != PrecisionMode::HalfNaive;
+    let y = record(ops, edge_ops::sub_row_exp(ops.dev, &g.coo, e, m, shadow));
+    if !shadow {
+        // The AMP path materialized float tensors: count the conversions.
+        ops.tensor_conversions += 2;
+        ops.converted_elems += 2 * g.nnz() as u64;
     }
+    y
+}
+
+/// The DGL-float baseline: cuSPARSE SpMM (mean aggregation post-scales,
+/// as DGL does), DGL's SDDMM, the f32 gradient wire.
+impl Elem for f32 {
+    const LANES: usize = 1;
 
     fn mean_scale(g: &GraphView) -> &[f32] {
         &g.mean_scale_f
@@ -779,38 +750,6 @@ impl Elem for f32 {
 
     fn unscale<'g>(_: &mut Ops, _: impl IntoIterator<Item = &'g mut Vec<f32>>) {}
 
-    fn gemm(
-        ops: &mut Ops,
-        a: &[f32],
-        b: &[f32],
-        tb: bool,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Vec<f32> {
-        ops.gemm_f32(a, false, b, tb, m, k, n)
-    }
-
-    fn bias_add(ops: &mut Ops, x: &[f32], bias: &[f32]) -> Vec<f32> {
-        ops.bias_add_f32(x, bias)
-    }
-
-    fn relu(ops: &mut Ops, x: &[f32]) -> Vec<f32> {
-        ops.relu_f32(x)
-    }
-
-    fn relu_grad(ops: &mut Ops, x: &[f32], dy: &[f32]) -> Vec<f32> {
-        ops.relu_grad_f32(x, dy)
-    }
-
-    fn scale_add(ops: &mut Ops, a: f32, x: &[f32], b: f32, y: &[f32]) -> Vec<f32> {
-        ops.scale_add_f32(a, x, b, y)
-    }
-
-    fn row_scale(ops: &mut Ops, x: &[f32], scale: &[f32], f: usize) -> Vec<f32> {
-        ops.row_scale_f32(x, scale, f)
-    }
-
     fn spmm(
         ops: &mut Ops,
         g: &GraphView,
@@ -821,7 +760,7 @@ impl Elem for f32 {
         d: Dispatch<'_>,
     ) -> Vec<f32> {
         let ins = spmm_inputs(x, w, row_scale);
-        let w = w.map_or(EdgeWeightsF32::Ones, EdgeWeightsF32::Values);
+        let w = w.map_or(EdgeWeights::Ones, EdgeWeights::Values);
         // The forced vertex-parallel skeleton (serving, single-device
         // only) runs the GE-SpMM row-per-warp kernel: each row reduces its
         // own neighbors in column order, so output bits are independent of
@@ -831,7 +770,7 @@ impl Elem for f32 {
         // only dispatches unweighted GCN aggregation.)
         let ge =
             d.dist.is_none() && d.force_spmm == Some(SpmmVariant::VertexParallel) && w.is_ones();
-        let halo = Some(Halo::F32(x, f));
+        let halo = Some((x, f));
         let [y] = d.launch(ops, g, "spmm_f32", &ins, halo, Rows, [(Rows, f)], |ops, win| {
             if !ge {
                 return one(cusparse::spmm_float_window(ops.dev, &g.coo, w, x, f, row_scale, win));
@@ -857,7 +796,7 @@ impl Elem for f32 {
         d: Dispatch<'_>,
     ) -> Vec<f32> {
         let summed = spmm_sum(ops, g, x, f, d);
-        ops.row_scale_f32(&summed, &g.mean_scale_f, f)
+        ops.row_scale(&summed, &g.mean_scale_f, f)
     }
 
     fn sddmm(
@@ -869,23 +808,9 @@ impl Elem for f32 {
         d: Dispatch<'_>,
     ) -> Vec<f32> {
         let ins = [buf_ref(u), buf_ref(v)];
-        let halo = Some(Halo::F32(v, f));
+        let halo = Some((v, f));
         let [y] = d.launch(ops, g, "sddmm_f32", &ins, halo, Edges, [(Edges, 1)], |ops, win| {
             one(dgl_sddmm::sddmm_float_window(ops.dev, &g.coo, u, v, f, win))
-        });
-        y
-    }
-
-    fn edge_reduce(
-        ops: &mut Ops,
-        g: &GraphView,
-        w: &[f32],
-        op: Reduce,
-        d: Dispatch<'_>,
-    ) -> Vec<f32> {
-        let ins = [buf_ref(w)];
-        let [y] = d.launch(ops, g, "edge_reduce_f32", &ins, None, Rows, [(Rows, 1)], |ops, win| {
-            one(edge_ops::edge_reduce_f32_window(ops.dev, &g.coo, w, op, win))
         });
         y
     }
@@ -899,7 +824,7 @@ impl Elem for f32 {
         c: usize,
         d: Dispatch<'_>,
     ) -> Vec<f32> {
-        let y = ops.gemm_f32(a, true, b, false, m, n, c);
+        let y = ops.gemm(a, true, b, false, m, n, c);
         if let Some(ctx) = d.dist {
             ctx.charge_allreduce_f32(y.len());
         }
@@ -907,59 +832,18 @@ impl Elem for f32 {
     }
 
     fn grad_colsum(ops: &mut Ops, x: &[f32], c: usize, d: Dispatch<'_>) -> Vec<f32> {
-        let y = ops.colsum_f32(x, c);
+        let y = ops.colsum(x, c);
         if let Some(ctx) = d.dist {
             ctx.charge_allreduce_f32(y.len());
         }
         y
-    }
-
-    fn attn_scores(ops: &mut Ops, g: &GraphView, s_dst: &[f32], s_src: &[f32]) -> Vec<f32> {
-        record(ops, edge_ops::src_dst_add_leakyrelu_f32(ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE))
-    }
-
-    fn sub_row_exp(
-        ops: &mut Ops,
-        g: &GraphView,
-        e: &[f32],
-        m: &[f32],
-        _: Dispatch<'_>,
-    ) -> Vec<f32> {
-        record(ops, edge_ops::sub_row_exp_f32(ops.dev, &g.coo, e, m))
-    }
-
-    fn div_row(ops: &mut Ops, g: &GraphView, e: &[f32], z: &[f32]) -> Vec<f32> {
-        record(ops, edge_ops::div_row_f32(ops.dev, &g.coo, e, z))
-    }
-
-    fn edge_mul(ops: &mut Ops, g: &GraphView, a: &[f32], b: &[f32]) -> Vec<f32> {
-        record(ops, edge_ops::mul_f32(ops.dev, &g.coo, a, b))
-    }
-
-    fn softmax_grad(
-        ops: &mut Ops,
-        g: &GraphView,
-        alpha: &[f32],
-        da: &[f32],
-        t: &[f32],
-    ) -> Vec<f32> {
-        record(ops, edge_ops::softmax_grad_f32(ops.dev, &g.coo, alpha, da, t))
-    }
-
-    fn leakyrelu_grad(ops: &mut Ops, g: &GraphView, e: &[f32], de: &[f32]) -> Vec<f32> {
-        record(ops, edge_ops::leakyrelu_grad_f32(ops.dev, &g.coo, e, de, ATTN_SLOPE))
     }
 }
 
 /// Every half mode: the [`Dispatch`]'s mode picks DGL/cuSPARSE-f16,
 /// HalfGNN or INT8 kernels per op; the AMP boundary casts and scales.
 impl Elem for Half {
-    const ONE: Half = Half::ONE;
     const LANES: usize = 2;
-
-    fn from_f32(v: f32) -> Half {
-        Half::from_f32(v)
-    }
 
     fn mean_scale(g: &GraphView) -> &[Half] {
         &g.mean_scale_h
@@ -997,38 +881,6 @@ impl Elem for Half {
         }
     }
 
-    fn gemm(
-        ops: &mut Ops,
-        a: &[Half],
-        b: &[Half],
-        tb: bool,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Vec<Half> {
-        ops.gemm_half(a, false, b, tb, m, k, n)
-    }
-
-    fn bias_add(ops: &mut Ops, x: &[Half], bias: &[Half]) -> Vec<Half> {
-        ops.bias_add_half(x, bias)
-    }
-
-    fn relu(ops: &mut Ops, x: &[Half]) -> Vec<Half> {
-        ops.relu_half(x)
-    }
-
-    fn relu_grad(ops: &mut Ops, x: &[Half], dy: &[Half]) -> Vec<Half> {
-        ops.relu_grad_half(x, dy)
-    }
-
-    fn scale_add(ops: &mut Ops, a: Half, x: &[Half], b: Half, y: &[Half]) -> Vec<Half> {
-        ops.scale_add_half(a, x, b, y)
-    }
-
-    fn row_scale(ops: &mut Ops, x: &[Half], scale: &[Half], f: usize) -> Vec<Half> {
-        ops.row_scale_half(x, scale, f)
-    }
-
     fn spmm(
         ops: &mut Ops,
         g: &GraphView,
@@ -1040,7 +892,7 @@ impl Elem for Half {
     ) -> Vec<Half> {
         let ins = spmm_inputs(x, w, row_scale);
         let w = w.map_or(EdgeWeights::Ones, EdgeWeights::Values);
-        let halo = Some(Halo::Half(x, f));
+        let halo = Some((x, f));
         let [y] = d.launch(ops, g, "spmm_half", &ins, halo, Rows, [(Rows, f)], |ops, win| {
             one(spmm_half_window(ops, g, w, x, f, row_scale, d, win))
         });
@@ -1066,25 +918,10 @@ impl Elem for Half {
         d: Dispatch<'_>,
     ) -> Vec<Half> {
         let ins = [buf_ref(u), buf_ref(v)];
-        let halo = Some(Halo::Half(v, f));
+        let halo = Some((v, f));
         let [y] = d.launch(ops, g, "sddmm_half", &ins, halo, Edges, [(Edges, 1)], |ops, win| {
             one(sddmm_half_window(ops, g, u, v, f, d, win))
         });
-        y
-    }
-
-    fn edge_reduce(
-        ops: &mut Ops,
-        g: &GraphView,
-        w: &[Half],
-        op: Reduce,
-        d: Dispatch<'_>,
-    ) -> Vec<Half> {
-        let ins = [buf_ref(w)];
-        let [y] =
-            d.launch(ops, g, "edge_reduce_half", &ins, None, Rows, [(Rows, 1)], |ops, win| {
-                one(halfgnn_spmm::edge_reduce_window(ops.dev, &g.coo, w, op, win))
-            });
         y
     }
 
@@ -1097,14 +934,14 @@ impl Elem for Half {
         c: usize,
         d: Dispatch<'_>,
     ) -> Vec<Half> {
-        let Some(ctx) = d.dist else { return ops.gemm_half(a, true, b, false, m, n, c) };
+        let Some(ctx) = d.dist else { return ops.gemm(a, true, b, false, m, n, c) };
         let partials: Vec<Vec<Half>> = ctx
             .plan
             .shards
             .iter()
             .map(|s| {
                 let (r0, r1) = s.row_range;
-                ops.gemm_half(&a[r0 * m..r1 * m], true, &b[r0 * c..r1 * c], false, m, r1 - r0, c)
+                ops.gemm(&a[r0 * m..r1 * m], true, &b[r0 * c..r1 * c], false, m, r1 - r0, c)
             })
             .collect();
         if d.mode == PrecisionMode::I8 {
@@ -1115,14 +952,14 @@ impl Elem for Half {
     }
 
     fn grad_colsum(ops: &mut Ops, x: &[Half], c: usize, d: Dispatch<'_>) -> Vec<f32> {
-        let Some(ctx) = d.dist else { return ops.colsum_half(x, c) };
+        let Some(ctx) = d.dist else { return ops.colsum(x, c) };
         let partials: Vec<Vec<f32>> = ctx
             .plan
             .shards
             .iter()
             .map(|s| {
                 let (r0, r1) = s.row_range;
-                ops.colsum_half(&x[r0 * c..r1 * c], c)
+                ops.colsum(&x[r0 * c..r1 * c], c)
             })
             .collect();
         if d.mode == PrecisionMode::I8 {
@@ -1130,49 +967,6 @@ impl Elem for Half {
         } else {
             ctx.allreduce_f32_on_f16_wire(ops, &partials)
         }
-    }
-
-    fn attn_scores(ops: &mut Ops, g: &GraphView, s_dst: &[Half], s_src: &[Half]) -> Vec<Half> {
-        record(ops, edge_ops::src_dst_add_leakyrelu(ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE))
-    }
-
-    fn sub_row_exp(
-        ops: &mut Ops,
-        g: &GraphView,
-        e: &[Half],
-        m: &[Half],
-        d: Dispatch<'_>,
-    ) -> Vec<Half> {
-        let shadow = d.mode != PrecisionMode::HalfNaive;
-        let y = record(ops, edge_ops::sub_row_exp(ops.dev, &g.coo, e, m, shadow));
-        if !shadow {
-            // The AMP path materialized float tensors: count the conversions.
-            ops.tensor_conversions += 2;
-            ops.converted_elems += 2 * g.nnz() as u64;
-        }
-        y
-    }
-
-    fn div_row(ops: &mut Ops, g: &GraphView, e: &[Half], z: &[Half]) -> Vec<Half> {
-        record(ops, edge_ops::div_row(ops.dev, &g.coo, e, z))
-    }
-
-    fn edge_mul(ops: &mut Ops, g: &GraphView, a: &[Half], b: &[Half]) -> Vec<Half> {
-        record(ops, edge_ops::mul(ops.dev, &g.coo, a, b))
-    }
-
-    fn softmax_grad(
-        ops: &mut Ops,
-        g: &GraphView,
-        alpha: &[Half],
-        da: &[Half],
-        t: &[Half],
-    ) -> Vec<Half> {
-        record(ops, edge_ops::softmax_grad(ops.dev, &g.coo, alpha, da, t))
-    }
-
-    fn leakyrelu_grad(ops: &mut Ops, g: &GraphView, e: &[Half], de: &[Half]) -> Vec<Half> {
-        record(ops, edge_ops::leakyrelu_grad(ops.dev, &g.coo, e, de, ATTN_SLOPE))
     }
 
     /// Sharded runs halo-exchange `z` once for the whole fused pass — the
@@ -1192,7 +986,7 @@ impl Elem for Half {
         }
         let ins = [buf_ref(s_dst), buf_ref(s_src), buf_ref(z)];
         let parts = [(Edges, 1), (Edges, 1), (Rows, f)];
-        let halo = Some(Halo::Half(z, f));
+        let halo = Some((z, f));
         Some(d.launch(ops, g, "fused_attn_forward", &ins, halo, Rows, parts, |ops, win| {
             let (y, stats) = fused::fused_attn_forward_window(
                 ops.dev, &g.coo, s_dst, s_src, ATTN_SLOPE, z, f, win,
@@ -1332,8 +1126,8 @@ mod tests {
             Half::sddmm(&mut ops, &g, &xh, &xh, f, shard)
         );
         assert_eq!(
-            Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, single),
-            Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, shard)
+            edge_reduce::<Half>(&mut ops, &g, &wh, Reduce::Max, single),
+            edge_reduce::<Half>(&mut ops, &g, &wh, Reduce::Max, shard)
         );
 
         let fsingle = Dispatch::untuned(PrecisionMode::Float);
@@ -1344,8 +1138,8 @@ mod tests {
             f32::sddmm(&mut ops, &g, &xf, &xf, f, fshard)
         );
         assert_eq!(
-            f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fsingle),
-            f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fshard)
+            edge_reduce::<f32>(&mut ops, &g, &wf, Reduce::Sum, fsingle),
+            edge_reduce::<f32>(&mut ops, &g, &wf, Reduce::Sum, fshard)
         );
         // Float grad reductions are the exact global contraction.
         assert_eq!(

@@ -143,18 +143,18 @@ pub fn step<E: Elem>(
     // ---- Forward.
     let layer1 = overflow::site("sage.layer1");
     let m1 = spmm_mean(ops, g, x, f_in, d);
-    let zs1 = E::gemm(ops, x, &w_self1, false, n, f_in, h);
-    let zn1 = E::gemm(ops, &m1, &w_neigh1, false, n, f_in, h);
-    let z1 = E::scale_add(ops, one, &zs1, one, &zn1);
-    let z1 = E::bias_add(ops, &z1, &b1);
-    let h1 = E::relu(ops, &z1);
+    let zs1 = ops.gemm(x, false, &w_self1, false, n, f_in, h);
+    let zn1 = ops.gemm(&m1, false, &w_neigh1, false, n, f_in, h);
+    let z1 = ops.scale_add(one, &zs1, one, &zn1);
+    let z1 = ops.bias_add(&z1, &b1);
+    let h1 = ops.relu(&z1);
     drop(layer1);
     let layer2 = overflow::site("sage.layer2");
     let m2 = spmm_mean(ops, g, &h1, h, d);
-    let zs2 = E::gemm(ops, &h1, &w_self2, false, n, h, c);
-    let zn2 = E::gemm(ops, &m2, &w_neigh2, false, n, h, c);
-    let z2 = E::scale_add(ops, one, &zs2, one, &zn2);
-    let out = E::bias_add(ops, &z2, &b2);
+    let zs2 = ops.gemm(&h1, false, &w_self2, false, n, h, c);
+    let zn2 = ops.gemm(&m2, false, &w_neigh2, false, n, h, c);
+    let z2 = ops.scale_add(one, &zs2, one, &zn2);
+    let out = ops.bias_add(&z2, &b2);
     drop(layer2);
 
     let logits = E::logits(ops, out);
@@ -167,12 +167,12 @@ pub fn step<E: Elem>(
     let dw_neigh2 = E::grad_gemm(ops, &m2, &dout, h, n, c, d);
     let db2 = E::grad_colsum(ops, &dout, c, d);
     // δh1 = δz2 W_self2ᵀ + meanᵀ(δz2) W_neigh2ᵀ  (mean adjoint: scale+sum).
-    let dh_self = E::gemm(ops, &dout, &w_self2, true, n, c, h);
-    let dm2 = E::gemm(ops, &dout, &w_neigh2, true, n, c, h);
-    let scaled = E::row_scale(ops, &dm2, E::mean_scale(g), h);
+    let dh_self = ops.gemm(&dout, false, &w_self2, true, n, c, h);
+    let dm2 = ops.gemm(&dout, false, &w_neigh2, true, n, c, h);
+    let scaled = ops.row_scale(&dm2, E::mean_scale(g), h);
     let dh_neigh = spmm_sum(ops, g, &scaled, h, d);
-    let dh1 = E::scale_add(ops, one, &dh_self, one, &dh_neigh);
-    let dz1 = E::relu_grad(ops, &z1, &dh1);
+    let dh1 = ops.scale_add(one, &dh_self, one, &dh_neigh);
+    let dz1 = ops.relu_grad(&z1, &dh1);
     let dw_self1 = E::grad_gemm(ops, x, &dz1, f_in, n, h, d);
     let dw_neigh1 = E::grad_gemm(ops, &m1, &dz1, f_in, n, h, d);
     let db1 = E::grad_colsum(ops, &dz1, h, d);

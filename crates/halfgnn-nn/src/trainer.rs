@@ -782,9 +782,9 @@ impl Sampled {
             // charged gather kernel; label/mask rows are host-side views.
             let ids = &sub.global_ids;
             let (x, xh) = if cfg.precision.is_half() {
-                (Vec::new(), ops.gather_rows_half(run.xh, data.spec.feat, ids))
+                (Vec::new(), ops.gather_rows(run.xh, data.spec.feat, ids))
             } else {
-                (ops.gather_rows_f32(&data.features, data.spec.feat, ids), Vec::new())
+                (ops.gather_rows(&data.features, data.spec.feat, ids), Vec::new())
             };
             let labels: Vec<u32> = ids.iter().map(|&v| data.labels[v as usize]).collect();
             let mask: Vec<bool> = (0..sub.n()).map(|i| i < sub.n_seeds).collect();

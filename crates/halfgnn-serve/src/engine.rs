@@ -272,10 +272,10 @@ impl<'d> ServeEngine<'d> {
             Dispatch::untuned(self.cfg.precision).with_vertex_parallel_spmm(true).with_exec(exec);
         let mut ops = Ops::new(self.dev).with_exec(exec);
         let logits = if self.cfg.precision.is_half() {
-            let xs = ops.gather_rows_half(&self.xh, self.f_in, &batch.ball);
+            let xs = ops.gather_rows(&self.xh, self.f_in, &batch.ball);
             gcn::forward(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
         } else {
-            let xs = ops.gather_rows_f32(&self.x, self.f_in, &batch.ball);
+            let xs = ops.gather_rows(&self.x, self.f_in, &batch.ball);
             gcn::forward(&mut ops, &g, &self.params, &xs, dispatch, GcnNorm::Right)
         };
         (logits, ops.total_time_us())
@@ -614,7 +614,7 @@ mod tests {
         let g = GraphView::full(&batch.csr);
         let d = Dispatch::untuned(PrecisionMode::Float).with_exec(Some(&ctx));
         let mut ops = Ops::new(&dev).with_exec(Some(&ctx));
-        let xs = ops.gather_rows_f32(&x, 8, &batch.ball);
+        let xs = ops.gather_rows(&x, 8, &batch.ball);
         let p = TwoLayerParams::new(8, 6, 4, 3);
         let labels = vec![0u32; batch.n()];
         let mask = vec![true; batch.n()];

@@ -15,7 +15,7 @@
 
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
-use halfgnn_half::Half;
+use halfgnn_half::{Half, Scalar};
 use halfgnn_sim::launch::{launch, LaunchParams};
 use halfgnn_sim::{DeviceConfig, KernelStats};
 use rayon::prelude::*;
@@ -83,11 +83,6 @@ impl<'d> Ops<'d> {
         if let Some(ctx) = self.exec {
             ctx.record_node(op, inputs, outputs, None);
         }
-    }
-
-    /// Total modeled cycles across all logged kernels.
-    pub fn total_cycles(&self) -> f64 {
-        self.log.iter().map(|s| s.cycles).sum()
     }
 
     /// Total modeled time in microseconds.
@@ -194,84 +189,52 @@ impl<'d> Ops<'d> {
     /// Gather feature rows: `out[i, :] = x[ids[i], :]` with row width `f`.
     /// The batch loader's kernel — pulls a subgraph's feature rows out of
     /// the global feature matrix (one extra index read per element).
-    pub fn gather_rows_f32(&mut self, x: &[f32], f: usize, ids: &[u32]) -> Vec<f32> {
-        self.charge_elementwise("gather_rows_f32", ids.len() * f, 4, 2, 1, 1, false);
+    pub fn gather_rows<T: Scalar>(&mut self, x: &[T], f: usize, ids: &[u32]) -> Vec<T> {
+        let name = T::pick("gather_rows_f16", "gather_rows_f32");
+        self.charge_elementwise(name, ids.len() * f, T::BYTES, 2, 1, 1, T::HALF);
         let mut out = Vec::with_capacity(ids.len() * f);
         for &id in ids {
             let r = id as usize * f;
             out.extend_from_slice(&x[r..r + f]);
         }
-        self.trace("gather_rows_f32", &[buf_ref(x)], &[buf_ref(&out)]);
+        self.trace(name, &[buf_ref(x)], &[buf_ref(&out)]);
         out
     }
 
-    /// [`Ops::gather_rows_f32`] for half tensors (half the bytes moved).
+    /// [`Ops::gather_rows`] of a half tensor.
     pub fn gather_rows_half(&mut self, x: &[Half], f: usize, ids: &[u32]) -> Vec<Half> {
-        self.charge_elementwise("gather_rows_f16", ids.len() * f, 2, 2, 1, 1, true);
-        let mut out = Vec::with_capacity(ids.len() * f);
-        for &id in ids {
-            let r = id as usize * f;
-            out.extend_from_slice(&x[r..r + f]);
-        }
-        self.trace("gather_rows_f16", &[buf_ref(x)], &[buf_ref(&out)]);
-        out
+        self.gather_rows(x, f, ids)
     }
 
-    /// `C[m×n] ← op(A)[m×k] · op(B)[k×n]` in f32. `ta`/`tb` transpose the
-    /// stored operands (A is stored `m×k` or `k×m` accordingly).
+    /// `C[m×n] ← op(A)[m×k] · op(B)[k×n]`. `ta`/`tb` transpose the stored
+    /// operands (A is stored `m×k` or `k×m` accordingly). Half runs as
+    /// PyTorch AMP does: tensor cores (modeled at 4× float throughput),
+    /// f32 accumulation, half storage — each operand is widened once.
     #[allow(clippy::too_many_arguments)]
-    pub fn gemm_f32(
+    pub fn gemm<T: Scalar>(
         &mut self,
-        a: &[f32],
+        a: &[T],
         ta: bool,
-        b: &[f32],
+        b: &[T],
         tb: bool,
         m: usize,
         k: usize,
         n: usize,
-    ) -> Vec<f32> {
+    ) -> Vec<T> {
         assert_eq!(a.len(), m * k, "A shape");
         assert_eq!(b.len(), k * n, "B shape");
-        self.charge_gemm("gemm_f32", m, k, n, 4, 1.0);
-        let out = matmul(a, ta, b, tb, m, k, n);
-        self.trace("gemm_f32", &[buf_ref(a), buf_ref(b)], &[buf_ref(&out)]);
+        let name = T::pick("gemm_f16_tc", "gemm_f32");
+        self.charge_gemm::<T>(name, m, k, n);
+        let out = T::narrow(matmul(&T::widen(a), ta, &T::widen(b), tb, m, k, n));
+        self.trace(name, &[buf_ref(a), buf_ref(b)], &[buf_ref(&out)]);
         out
     }
 
-    /// Half GeMM as PyTorch AMP runs it: tensor cores, f32 accumulation,
-    /// half storage. Modeled at 4× float throughput.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gemm_half(
-        &mut self,
-        a: &[Half],
-        ta: bool,
-        b: &[Half],
-        tb: bool,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) -> Vec<Half> {
-        assert_eq!(a.len(), m * k, "A shape");
-        assert_eq!(b.len(), k * n, "B shape");
-        self.charge_gemm("gemm_f16_tc", m, k, n, 2, 4.0);
-        let af = half_slice_to_f32(a);
-        let bf = half_slice_to_f32(b);
-        let out = f32_slice_to_half(&matmul(&af, ta, &bf, tb, m, k, n));
-        self.trace("gemm_f16_tc", &[buf_ref(a), buf_ref(b)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// GeMM cost: 64×64 output tiles, `mnk` MACs at `speedup`× float
-    /// throughput, streaming operand tiles.
-    fn charge_gemm(
-        &mut self,
-        name: &str,
-        m: usize,
-        k: usize,
-        n: usize,
-        elem_bytes: usize,
-        speedup: f64,
-    ) {
+    /// GeMM cost: 64×64 output tiles, `mnk` MACs (at 4× float throughput
+    /// on half tensor cores), streaming operand tiles.
+    fn charge_gemm<T: Scalar>(&mut self, name: &str, m: usize, k: usize, n: usize) {
+        let elem_bytes = T::BYTES;
+        let speedup = if T::HALF { 4.0 } else { 1.0 };
         let tiles_m = m.div_ceil(64).max(1);
         let tiles_n = n.div_ceil(64).max(1);
         let num_ctas = tiles_m * tiles_n;
@@ -286,7 +249,7 @@ impl<'d> Ops<'d> {
                     warp.load_contiguous((cta_id * 7919) as u64, 16 * k, elem_bytes);
                     warp.load_contiguous(((cta_id + 1) * 104729) as u64, 16 * k, elem_bytes);
                     warp.smem_accesses((k as u64).div_ceil(8));
-                    if speedup > 1.0 {
+                    if T::HALF {
                         warp.half2_ops(fma_per_warp);
                     } else {
                         warp.float_ops(fma_per_warp);
@@ -297,160 +260,101 @@ impl<'d> Ops<'d> {
         self.record(stats);
     }
 
-    /// ReLU in f32. NaN propagates (as in PyTorch): an overflowed
-    /// activation must not silently launder back to zero.
-    pub fn relu_f32(&mut self, x: &[f32]) -> Vec<f32> {
-        self.charge_elementwise("relu_f32", x.len(), 4, 1, 1, 1, false);
-        let out: Vec<f32> =
-            x.iter().map(|&v| if v.is_nan() || v > 0.0 { v } else { 0.0 }).collect();
-        self.trace("relu_f32", &[buf_ref(x)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// ReLU in half (dtype-preserving under AMP). NaN propagates.
-    pub fn relu_half(&mut self, x: &[Half]) -> Vec<Half> {
-        self.charge_elementwise("relu_f16", x.len(), 2, 1, 1, 1, true);
-        let out: Vec<Half> = x
+    /// ReLU, dtype-preserving (as under AMP). NaN propagates (as in
+    /// PyTorch): an overflowed activation must not silently launder back
+    /// to zero.
+    pub fn relu<T: Scalar>(&mut self, x: &[T]) -> Vec<T> {
+        let name = T::pick("relu_f16", "relu_f32");
+        self.charge_elementwise(name, x.len(), T::BYTES, 1, 1, 1, T::HALF);
+        let out: Vec<T> = x
             .iter()
-            .map(|&v| if v.is_nan() || v.to_f32() > 0.0 { v } else { Half::ZERO })
+            .map(|&v| {
+                let f = v.to_f32();
+                if f.is_nan() || f > 0.0 {
+                    v
+                } else {
+                    T::ZERO
+                }
+            })
             .collect();
-        self.trace("relu_f16", &[buf_ref(x)], &[buf_ref(&out)]);
+        self.trace(name, &[buf_ref(x)], &[buf_ref(&out)]);
         out
     }
 
     /// ReLU backward: `δx = δy · 1[x > 0]` (NaN inputs propagate NaN).
-    pub fn relu_grad_f32(&mut self, x: &[f32], dy: &[f32]) -> Vec<f32> {
-        self.charge_elementwise("relu_grad_f32", x.len(), 4, 2, 1, 1, false);
-        let out: Vec<f32> = x
+    pub fn relu_grad<T: Scalar>(&mut self, x: &[T], dy: &[T]) -> Vec<T> {
+        let name = T::pick("relu_grad_f16", "relu_grad_f32");
+        self.charge_elementwise(name, x.len(), T::BYTES, 2, 1, 1, T::HALF);
+        let out: Vec<T> = x
             .iter()
             .zip(dy)
             .map(|(&v, &g)| {
-                if v.is_nan() {
+                let f = v.to_f32();
+                if f.is_nan() {
                     v
-                } else if v > 0.0 {
+                } else if f > 0.0 {
                     g
                 } else {
-                    0.0
+                    T::ZERO
                 }
             })
             .collect();
-        self.trace("relu_grad_f32", &[buf_ref(x), buf_ref(dy)], &[buf_ref(&out)]);
+        self.trace(name, &[buf_ref(x), buf_ref(dy)], &[buf_ref(&out)]);
         out
     }
 
-    /// ReLU backward in half (NaN inputs propagate NaN).
-    pub fn relu_grad_half(&mut self, x: &[Half], dy: &[Half]) -> Vec<Half> {
-        self.charge_elementwise("relu_grad_f16", x.len(), 2, 2, 1, 1, true);
-        let out: Vec<Half> = x
-            .iter()
-            .zip(dy)
-            .map(|(&v, &g)| {
-                if v.is_nan() {
-                    v
-                } else if v.to_f32() > 0.0 {
-                    g
-                } else {
-                    Half::ZERO
-                }
-            })
-            .collect();
-        self.trace("relu_grad_f16", &[buf_ref(x), buf_ref(dy)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// Row-broadcast bias add in f32 (`x: m×n`, `bias: n`).
-    pub fn bias_add_f32(&mut self, x: &[f32], bias: &[f32]) -> Vec<f32> {
+    /// Row-broadcast bias add (`x: m×n`, `bias: n`).
+    pub fn bias_add<T: Scalar>(&mut self, x: &[T], bias: &[T]) -> Vec<T> {
         let n = bias.len();
-        self.charge_elementwise("bias_f32", x.len(), 4, 2, 1, 1, false);
-        let out: Vec<f32> = x.iter().enumerate().map(|(i, &v)| v + bias[i % n]).collect();
-        self.trace("bias_f32", &[buf_ref(x), buf_ref(bias)], &[buf_ref(&out)]);
+        let name = T::pick("bias_f16", "bias_f32");
+        self.charge_elementwise(name, x.len(), T::BYTES, 2, 1, 1, T::HALF);
+        let out: Vec<T> = x.iter().enumerate().map(|(i, &v)| v.add(bias[i % n])).collect();
+        self.trace(name, &[buf_ref(x), buf_ref(bias)], &[buf_ref(&out)]);
         out
     }
 
-    /// Row-broadcast bias add in half.
-    pub fn bias_add_half(&mut self, x: &[Half], bias: &[Half]) -> Vec<Half> {
-        let n = bias.len();
-        self.charge_elementwise("bias_f16", x.len(), 2, 2, 1, 1, true);
-        let out: Vec<Half> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| halfgnn_half::intrinsics::hadd(v, bias[i % n]))
-            .collect();
-        self.trace("bias_f16", &[buf_ref(x), buf_ref(bias)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// `out ← a·x + b·y` in half (GIN's Eq. 4 aggregation combine).
-    pub fn scale_add_half(&mut self, a: Half, x: &[Half], b: Half, y: &[Half]) -> Vec<Half> {
+    /// `out ← a·x + b·y` (GIN's Eq. 4 aggregation combine).
+    pub fn scale_add<T: Scalar>(&mut self, a: T, x: &[T], b: T, y: &[T]) -> Vec<T> {
         assert_eq!(x.len(), y.len());
-        self.charge_elementwise("scale_add_f16", x.len(), 2, 2, 1, 2, true);
-        use halfgnn_half::intrinsics::{hadd, hmul};
-        let out: Vec<Half> =
-            x.iter().zip(y).map(|(&xv, &yv)| hadd(hmul(a, xv), hmul(b, yv))).collect();
-        self.trace("scale_add_f16", &[buf_ref(x), buf_ref(y)], &[buf_ref(&out)]);
+        let name = T::pick("scale_add_f16", "scale_add_f32");
+        self.charge_elementwise(name, x.len(), T::BYTES, 2, 1, 2, T::HALF);
+        let out: Vec<T> = x.iter().zip(y).map(|(&xv, &yv)| a.mul(xv).add(b.mul(yv))).collect();
+        self.trace(name, &[buf_ref(x), buf_ref(y)], &[buf_ref(&out)]);
         out
     }
 
-    /// `out ← a·x + b·y` in f32.
-    pub fn scale_add_f32(&mut self, a: f32, x: &[f32], b: f32, y: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), y.len());
-        self.charge_elementwise("scale_add_f32", x.len(), 4, 2, 1, 2, false);
-        let out: Vec<f32> = x.iter().zip(y).map(|(&xv, &yv)| a * xv + b * yv).collect();
-        self.trace("scale_add_f32", &[buf_ref(x), buf_ref(y)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// Scale each row of an `n×f` f32 tensor by `scale[row]` (degree-norm
+    /// Scale each row of an `n×f` tensor by `scale[row]` (degree-norm
     /// applied on the input side, as right-norm backward requires).
-    pub fn row_scale_f32(&mut self, x: &[f32], scale: &[f32], f: usize) -> Vec<f32> {
+    pub fn row_scale<T: Scalar>(&mut self, x: &[T], scale: &[T], f: usize) -> Vec<T> {
         assert_eq!(x.len(), scale.len() * f);
-        self.charge_elementwise("row_scale_f32", x.len(), 4, 1, 1, 1, false);
-        let out: Vec<f32> = x.iter().enumerate().map(|(i, &v)| v * scale[i / f]).collect();
-        self.trace("row_scale_f32", &[buf_ref(x), buf_ref(scale)], &[buf_ref(&out)]);
+        let name = T::pick("row_scale_f16", "row_scale_f32");
+        self.charge_elementwise(name, x.len(), T::BYTES, 1, 1, 1, T::HALF);
+        let out: Vec<T> = x.iter().enumerate().map(|(i, &v)| v.mul(scale[i / f])).collect();
+        self.trace(name, &[buf_ref(x), buf_ref(scale)], &[buf_ref(&out)]);
         out
     }
 
-    /// Row scaling in half.
-    pub fn row_scale_half(&mut self, x: &[Half], scale: &[Half], f: usize) -> Vec<Half> {
-        assert_eq!(x.len(), scale.len() * f);
-        self.charge_elementwise("row_scale_f16", x.len(), 2, 1, 1, 1, true);
-        let out: Vec<Half> = x
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| halfgnn_half::intrinsics::hmul(v, scale[i / f]))
-            .collect();
-        self.trace("row_scale_f16", &[buf_ref(x), buf_ref(scale)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// Column sums of an `m×n` f32 tensor (bias gradients). Promoted to
-    /// float under AMP (it is a `Sum`), so there is no half variant.
-    pub fn colsum_f32(&mut self, x: &[f32], n: usize) -> Vec<f32> {
+    /// Column sums of an `m×n` tensor (bias gradients), accumulated in
+    /// f32: AMP promotes a `Sum`, so a half input pays a counted
+    /// promotion and there is no half output.
+    pub fn colsum<T: Scalar>(&mut self, x: &[T], n: usize) -> Vec<f32> {
         assert!(n > 0 && x.len().is_multiple_of(n));
-        self.charge_elementwise("colsum_f32", x.len(), 4, 1, 0, 1, false);
-        let mut out = vec![0f32; n];
-        for row in x.chunks(n) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
+        let name = T::pick("colsum_f16_promoted", "colsum_f32");
+        if T::HALF {
+            self.tensor_conversions += 1;
+            self.converted_elems += x.len() as u64;
         }
-        self.trace("colsum_f32", &[buf_ref(x)], &[buf_ref(&out)]);
-        out
-    }
-
-    /// Column sums of a half tensor, accumulated in f32 (AMP-promoted).
-    pub fn colsum_half(&mut self, x: &[Half], n: usize) -> Vec<f32> {
-        assert!(n > 0 && x.len().is_multiple_of(n));
-        self.tensor_conversions += 1;
-        self.converted_elems += x.len() as u64;
-        self.charge_elementwise("colsum_f16_promoted", x.len(), 2, 1, 0, 2, false);
+        // The promotion's conversion is a second instruction per element,
+        // on the float pipe.
+        let instrs = if T::HALF { 2 } else { 1 };
+        self.charge_elementwise(name, x.len(), T::BYTES, 1, 0, instrs, false);
         let mut out = vec![0f32; n];
         for row in x.chunks(n) {
             for (o, &v) in out.iter_mut().zip(row) {
                 *o += v.to_f32();
             }
         }
-        self.trace("colsum_f16_promoted", &[buf_ref(x)], &[buf_ref(&out)]);
+        self.trace(name, &[buf_ref(x)], &[buf_ref(&out)]);
         out
     }
 
@@ -593,13 +497,13 @@ mod tests {
         let d = dev();
         let mut ops = Ops::new(&d);
         let x = [0.0, 1.0, 10.0, 11.0, 20.0, 21.0];
-        let out = ops.gather_rows_f32(&x, 2, &[2, 0, 2]);
+        let out = ops.gather_rows(&x, 2, &[2, 0, 2]);
         assert_eq!(out, vec![20.0, 21.0, 0.0, 1.0, 20.0, 21.0]);
         assert_eq!(ops.kernel_count(), 1, "gather must appear in the kernel log");
         let xh = f32_slice_to_half(&x);
-        let outh = ops.gather_rows_half(&xh, 2, &[1]);
+        let outh = ops.gather_rows(&xh, 2, &[1]);
         assert_eq!(half_slice_to_f32(&outh), vec![10.0, 11.0]);
-        let empty = ops.gather_rows_f32(&x, 2, &[]);
+        let empty = ops.gather_rows(&x, 2, &[]);
         assert!(empty.is_empty());
     }
 
@@ -609,10 +513,10 @@ mod tests {
         let mut ops = Ops::new(&d);
         let a: Vec<f32> = (0..6).map(|i| i as f32 * 0.5).collect(); // 2x3
         let b: Vec<f32> = (0..12).map(|i| (i as f32 - 6.0) * 0.25).collect(); // 3x4
-        let cf = ops.gemm_f32(&a, false, &b, false, 2, 3, 4);
+        let cf = ops.gemm(&a, false, &b, false, 2, 3, 4);
         let ah = f32_slice_to_half(&a);
         let bh = f32_slice_to_half(&b);
-        let ch = ops.gemm_half(&ah, false, &bh, false, 2, 3, 4);
+        let ch = ops.gemm(&ah, false, &bh, false, 2, 3, 4);
         for (f, h) in cf.iter().zip(&ch) {
             assert!((f - h.to_f32()).abs() < 0.01, "{f} vs {h}");
         }
@@ -625,10 +529,10 @@ mod tests {
         let mut ops = Ops::new(&d);
         let m = 512;
         let a = vec![0.01f32; m * m];
-        ops.gemm_f32(&a, false, &a, false, m, m, m);
+        ops.gemm(&a, false, &a, false, m, m, m);
         let f32_cycles = ops.log.last().unwrap().cycles;
         let ah = f32_slice_to_half(&a);
-        ops.gemm_half(&ah, false, &ah, false, m, m, m);
+        ops.gemm(&ah, false, &ah, false, m, m, m);
         let f16_cycles = ops.log.last().unwrap().cycles;
         assert!(
             f16_cycles < f32_cycles,
@@ -654,11 +558,11 @@ mod tests {
         let d = dev();
         let mut ops = Ops::new(&d);
         let x = [1.0f32, -2.0, 0.0, 3.0];
-        assert_eq!(ops.relu_f32(&x), vec![1.0, 0.0, 0.0, 3.0]);
+        assert_eq!(ops.relu(&x), vec![1.0, 0.0, 0.0, 3.0]);
         let dy = [1.0f32; 4];
-        assert_eq!(ops.relu_grad_f32(&x, &dy), vec![1.0, 0.0, 0.0, 1.0]);
+        assert_eq!(ops.relu_grad(&x, &dy), vec![1.0, 0.0, 0.0, 1.0]);
         let xh = f32_slice_to_half(&x);
-        let rh = ops.relu_half(&xh);
+        let rh = ops.relu(&xh);
         assert_eq!(rh[1], Half::ZERO);
         assert_eq!(rh[3].to_f32(), 3.0);
     }
@@ -669,12 +573,12 @@ mod tests {
         let mut ops = Ops::new(&d);
         let x = [1.0f32, 2.0, 3.0, 4.0]; // 2x2
         let bias = [10.0f32, 20.0];
-        assert_eq!(ops.bias_add_f32(&x, &bias), vec![11.0, 22.0, 13.0, 24.0]);
-        let r = ops.scale_add_f32(2.0, &x, 0.5, &[4.0, 4.0, 4.0, 4.0]);
+        assert_eq!(ops.bias_add(&x, &bias), vec![11.0, 22.0, 13.0, 24.0]);
+        let r = ops.scale_add(2.0, &x, 0.5, &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(r, vec![4.0, 6.0, 8.0, 10.0]);
         let xh = f32_slice_to_half(&x);
         let yh = f32_slice_to_half(&[4.0, 4.0, 4.0, 4.0]);
-        let rh = ops.scale_add_half(Half::from_f32(2.0), &xh, Half::from_f32(0.5), &yh);
+        let rh = ops.scale_add(Half::from_f32(2.0), &xh, Half::from_f32(0.5), &yh);
         assert_eq!(rh[0].to_f32(), 4.0);
         assert_eq!(rh[3].to_f32(), 10.0);
     }

@@ -35,7 +35,7 @@ proptest! {
         };
         let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
         let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        let got = ops.gemm_f32(&a, false, &b, false, m, k, n);
+        let got = ops.gemm(&a, false, &b, false, m, k, n);
         let want = naive_matmul(&a, &b, m, k, n);
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((g - w).abs() < 1e-4, "{g} vs {w}");
@@ -56,7 +56,7 @@ proptest! {
         };
         let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
         let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        let base = ops.gemm_f32(&a, false, &b, false, m, k, n);
+        let base = ops.gemm(&a, false, &b, false, m, k, n);
         // Store A transposed (k×m) and flip the flag.
         let mut at = vec![0f32; m * k];
         for i in 0..m {
@@ -64,14 +64,14 @@ proptest! {
                 at[l * m + i] = a[i * k + l];
             }
         }
-        let via_ta = ops.gemm_f32(&at, true, &b, false, m, k, n);
+        let via_ta = ops.gemm(&at, true, &b, false, m, k, n);
         let mut bt = vec![0f32; k * n];
         for l in 0..k {
             for j in 0..n {
                 bt[j * k + l] = b[l * n + j];
             }
         }
-        let via_tb = ops.gemm_f32(&a, false, &bt, true, m, k, n);
+        let via_tb = ops.gemm(&a, false, &bt, true, m, k, n);
         for i in 0..base.len() {
             prop_assert!((base[i] - via_ta[i]).abs() < 1e-4);
             prop_assert!((base[i] - via_tb[i]).abs() < 1e-4);
@@ -89,8 +89,8 @@ proptest! {
         };
         let a: Vec<f32> = (0..m * k).map(|_| next()).collect();
         let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-        let cf = ops.gemm_f32(&a, false, &b, false, m, k, n);
-        let ch = ops.gemm_half(&f32_slice_to_half(&a), false, &f32_slice_to_half(&b), false, m, k, n);
+        let cf = ops.gemm(&a, false, &b, false, m, k, n);
+        let ch = ops.gemm(&f32_slice_to_half(&a), false, &f32_slice_to_half(&b), false, m, k, n);
         for (f, h) in cf.iter().zip(&ch) {
             // f32-accumulated tensor-core GeMM: error bounded by the input
             // and output roundings only.
@@ -102,15 +102,15 @@ proptest! {
     fn relu_idempotent_and_masked(vals in prop::collection::vec(-10f32..10.0, 1..128)) {
         let dev = DeviceConfig::a100_like();
         let mut ops = Ops::new(&dev);
-        let once = ops.relu_f32(&vals);
-        let twice = ops.relu_f32(&once);
+        let once = ops.relu(&vals);
+        let twice = ops.relu(&once);
         prop_assert_eq!(&once, &twice);
         for (o, v) in once.iter().zip(&vals) {
             prop_assert!(*o == v.max(0.0));
         }
         // Grad is the indicator: relu_grad(x, 1) ∈ {0, 1}.
         let ones = vec![1f32; vals.len()];
-        let g = ops.relu_grad_f32(&vals, &ones);
+        let g = ops.relu_grad(&vals, &ones);
         for (gi, v) in g.iter().zip(&vals) {
             prop_assert_eq!(*gi, if *v > 0.0 { 1.0 } else { 0.0 });
         }
@@ -126,8 +126,8 @@ proptest! {
         let x: Vec<f32> = (0..rows * f).map(|i| (i as f32 * 0.37).sin()).collect();
         let s = &scale[..rows];
         let inv: Vec<f32> = s.iter().map(|v| 1.0 / v).collect();
-        let y = ops.row_scale_f32(&x, s, f);
-        let back = ops.row_scale_f32(&y, &inv, f);
+        let y = ops.row_scale(&x, s, f);
+        let back = ops.row_scale(&y, &inv, f);
         for (a, b) in x.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-5);
         }

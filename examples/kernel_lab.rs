@@ -63,12 +63,11 @@ fn main() {
     show("HalfGNN (atomic ablation)", &s);
     let (_, s) = cusparse::spmm_half(&dev, &data.coo, EdgeWeights::Values(&wh), &xh, f, None);
     show("cuSPARSE-half (DGL-half)", &s);
-    let (_, s) =
-        cusparse::spmm_float(&dev, &data.coo, cusparse::EdgeWeightsF32::Values(&wf), &xf, f, None);
+    let (_, s) = cusparse::spmm_float(&dev, &data.coo, EdgeWeights::Values(&wf), &xf, f, None);
     show("cuSPARSE-float", &s);
     let (_, s) = ge_spmm::spmm_float(&dev, &data.adj, &xf, f);
     show("GE-SpMM (vertex-par f32)", &s);
-    let (_, s) = huang::spmm_float(&dev, &data.adj, cusparse::EdgeWeightsF32::Ones, &xf, f);
+    let (_, s) = huang::spmm_float(&dev, &data.adj, EdgeWeights::Ones, &xf, f);
     show("Huang-float", &s);
     let (_, s) = huang::spmm_half2(&dev, &data.adj, EdgeWeights::Ones, &xh, f);
     show("Huang-half2 (§5.4)", &s);

@@ -68,9 +68,9 @@ fn halo_trace_matches_hand_computed_bytes_messages_and_time() {
             let mut ops = Ops::new(&dev);
             for shard in &ctx.plan.shards {
                 if elem_bytes == 2 {
-                    ctx.exchange_halo_half(&mut ops, &xh, F, shard);
+                    ctx.exchange_halo(&mut ops, &xh, F, shard);
                 } else {
-                    ctx.exchange_halo_f32(&mut ops, &xf, F, shard);
+                    ctx.exchange_halo(&mut ops, &xf, F, shard);
                 }
             }
             let ledger = ctx.snapshot();
@@ -143,7 +143,7 @@ fn one5d_halo_charges_match_the_hand_computed_group_union() {
         assert_eq!(ctx.plan.shards[1].halo, vec![0, 1, 2]);
         let mut ops = Ops::new(&dev);
         for shard in &ctx.plan.shards {
-            ctx.exchange_halo_half(&mut ops, &xh, F, shard);
+            ctx.exchange_halo(&mut ops, &xh, F, shard);
         }
         let ledger = ctx.snapshot();
         assert_eq!(ledger.halo_bytes, want_bytes, "c={c}");

@@ -47,7 +47,7 @@ fn arb_case() -> impl Strategy<Value = (Csr, usize, Vec<f32>, Vec<(VertexId, Ver
 /// One full epoch of halo exchanges (every shard, one layer) over `x`.
 fn exchange_epoch(ops: &mut Ops, ctx: &DistCtx, x: &[Half], f: usize) {
     for sh in &ctx.plan.shards {
-        ctx.exchange_halo_half(ops, x, f, sh);
+        ctx.exchange_halo(ops, x, f, sh);
     }
 }
 

@@ -23,7 +23,9 @@ use halfgnn::kernels::reference;
 use halfgnn::nn::dist::DistCtx;
 use halfgnn::nn::gcn;
 use halfgnn::nn::graphdata::GraphView;
-use halfgnn::nn::models::{spmm_mean, spmm_sum, spmmve, Dispatch, Elem, GcnNorm, PrecisionMode};
+use halfgnn::nn::models::{
+    edge_reduce, spmm_mean, spmm_sum, spmmve, Dispatch, Elem, GcnNorm, PrecisionMode,
+};
 use halfgnn::nn::params::TwoLayerParams;
 use halfgnn::sim::interconnect::Topology;
 use halfgnn::sim::DeviceConfig;
@@ -111,14 +113,14 @@ proptest! {
         let want_sum_h = spmm_sum(&mut ops, &g, &xh, f, h1);
         let want_ve_h = spmmve(&mut ops, &g, &wh, &xh, f, h1);
         let want_sddmm_h = Half::sddmm(&mut ops, &g, &xh, &xh, f, h1);
-        let want_max_h = Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, h1);
+        let want_max_h = edge_reduce::<Half>(&mut ops, &g, &wh, Reduce::Max, h1);
         let want_gemm_h = Half::grad_gemm(&mut ops, &xh, &xh, f, n, f, h1);
         let want_colsum_h = Half::grad_colsum(&mut ops, &xh, f, h1);
         let want_mean_f = spmm_mean(&mut ops, &g, &xf, f, f1);
         let want_sum_f = spmm_sum(&mut ops, &g, &xf, f, f1);
         let want_ve_f = spmmve(&mut ops, &g, &wf, &xf, f, f1);
         let want_sddmm_f = f32::sddmm(&mut ops, &g, &xf, &xf, f, f1);
-        let want_sum_ef = f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, f1);
+        let want_sum_ef = edge_reduce::<f32>(&mut ops, &g, &wf, Reduce::Sum, f1);
         let want_gemm_f = f32::grad_gemm(&mut ops, &xf, &xf, f, n, f, f1);
         let want_colsum_f = f32::grad_colsum(&mut ops, &xf, f, f1);
 
@@ -133,7 +135,7 @@ proptest! {
                 prop_assert_eq!(&spmmve(&mut ops, &g, &wh, &xh, f, hd), &want_ve_h);
                 prop_assert_eq!(&Half::sddmm(&mut ops, &g, &xh, &xh, f, hd), &want_sddmm_h);
                 prop_assert_eq!(
-                    &Half::edge_reduce(&mut ops, &g, &wh, Reduce::Max, hd),
+                    &edge_reduce::<Half>(&mut ops, &g, &wh, Reduce::Max, hd),
                     &want_max_h
                 );
                 prop_assert_eq!(&spmm_mean(&mut ops, &g, &xf, f, fd), &want_mean_f);
@@ -141,7 +143,7 @@ proptest! {
                 prop_assert_eq!(&spmmve(&mut ops, &g, &wf, &xf, f, fd), &want_ve_f);
                 prop_assert_eq!(&f32::sddmm(&mut ops, &g, &xf, &xf, f, fd), &want_sddmm_f);
                 prop_assert_eq!(
-                    &f32::edge_reduce(&mut ops, &g, &wf, Reduce::Sum, fd),
+                    &edge_reduce::<f32>(&mut ops, &g, &wf, Reduce::Sum, fd),
                     &want_sum_ef
                 );
                 // Float gradient reductions: the exact global contraction.
