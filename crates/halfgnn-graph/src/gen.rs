@@ -118,8 +118,9 @@ pub fn sbm(
     let mut start = 0u64;
     for &size in block_sizes {
         let b = size as u64;
+        let mut pairs = TriangleCursor::new(b);
         for rank in bernoulli_ranks(b * b.saturating_sub(1) / 2, p_in, &mut rng) {
-            let (i, j) = triangle_unrank(rank, b);
+            let (i, j) = pairs.pair(rank);
             edges.push(((start + i) as VertexId, (start + j) as VertexId));
         }
         start += b;
@@ -127,8 +128,9 @@ pub fn sbm(
     // Inter-block edges: sample the global pair list at rate p_out and drop
     // the (few) same-block hits; the overdraw factor is 1/(1-Σ(sᵢ/n)²).
     let total = (n as u64) * (n as u64 - 1) / 2;
+    let mut pairs = TriangleCursor::new(n as u64);
     for rank in bernoulli_ranks(total, p_out, &mut rng) {
-        let (i, j) = triangle_unrank(rank, n as u64);
+        let (i, j) = pairs.pair(rank);
         if labels[i as usize] != labels[j as usize] {
             edges.push((i as VertexId, j as VertexId));
         }
@@ -158,20 +160,34 @@ fn bernoulli_ranks(total: u64, p: f64, rng: &mut StdRng) -> Vec<u64> {
     }
 }
 
-/// Map a linear rank in `0..n*(n-1)/2` to an upper-triangle pair `(i, j)`,
-/// `i < j`.
-fn triangle_unrank(rank: u64, n: u64) -> (u64, u64) {
-    // Row i starts at offset i*n - i*(i+1)/2 - i... solve by scanning rows
-    // arithmetically: remaining pairs after row i is (n-1-i) per row.
-    let mut i = 0u64;
-    let mut r = rank;
-    loop {
-        let row_len = n - 1 - i;
-        if r < row_len {
-            return (i, i + 1 + r);
+/// Maps ascending linear ranks in `0..n*(n-1)/2` to upper-triangle pairs
+/// `(i, j)`, `i < j`, in row-major order. Row `i` holds the `n - 1 - i`
+/// pairs `(i, i+1..n)`; the cursor resumes from the row of the previous
+/// rank, so a whole ascending stream (what [`bernoulli_ranks`] yields)
+/// costs O(n + ranks) rather than a scan from row 0 per rank.
+struct TriangleCursor {
+    n: u64,
+    row: u64,
+    row_start: u64,
+}
+
+impl TriangleCursor {
+    fn new(n: u64) -> TriangleCursor {
+        TriangleCursor { n, row: 0, row_start: 0 }
+    }
+
+    /// The pair of `rank`, which must not be below the previous rank.
+    fn pair(&mut self, rank: u64) -> (u64, u64) {
+        debug_assert!(rank >= self.row_start, "ranks must ascend");
+        loop {
+            let row_len = self.n - 1 - self.row;
+            let r = rank - self.row_start;
+            if r < row_len {
+                return (self.row, self.row + 1 + r);
+            }
+            self.row_start += row_len;
+            self.row += 1;
         }
-        r -= row_len;
-        i += 1;
     }
 }
 
@@ -318,13 +334,31 @@ mod tests {
     }
 
     #[test]
-    fn triangle_unrank_is_bijective_small() {
+    fn triangle_cursor_is_bijective_small() {
         let n = 7u64;
         let mut seen = std::collections::HashSet::new();
+        let mut pairs = TriangleCursor::new(n);
+        let mut last = None;
         for r in 0..n * (n - 1) / 2 {
-            let (i, j) = triangle_unrank(r, n);
+            let (i, j) = pairs.pair(r);
             assert!(i < j && j < n);
             assert!(seen.insert((i, j)));
+            // Row-major order: each pair follows the previous one.
+            assert!(last < Some((i, j)));
+            last = Some((i, j));
         }
+        assert_eq!(seen.len() as u64, n * (n - 1) / 2);
+    }
+
+    #[test]
+    fn triangle_cursor_skips_rows_between_sparse_ranks() {
+        let n = 100u64;
+        let mut pairs = TriangleCursor::new(n);
+        // Rank 0 is (0, 1); row 0 holds 99 pairs, row 1 holds 98, so rank
+        // 99 + 98 = 197 is the first pair of row 2; the last rank is the
+        // last pair (98, 99).
+        assert_eq!(pairs.pair(0), (0, 1));
+        assert_eq!(pairs.pair(197), (2, 3));
+        assert_eq!(pairs.pair(n * (n - 1) / 2 - 1), (98, 99));
     }
 }

@@ -86,6 +86,7 @@ impl Half {
 
     /// The pure, uninstrumented conversion — identical numerics to
     /// [`Half::from_f32`], never observed by overflow tracking.
+    #[inline]
     pub fn from_f32_raw(value: f32) -> Half {
         let x = value.to_bits();
         let sign = ((x >> 16) & 0x8000) as u16;
@@ -139,6 +140,7 @@ impl Half {
     }
 
     /// Widen to `f32`. Exact: every binary16 value is representable in `f32`.
+    #[inline]
     pub fn to_f32(self) -> f32 {
         let h = self.0;
         let sign = ((h & 0x8000) as u32) << 16;

@@ -6,7 +6,10 @@
 //! propagation through follow-up operations. This crate implements binary16
 //! from scratch (bit-level, round-to-nearest-even) rather than wrapping a
 //! hardware type, so every overflow the paper describes is reproduced
-//! deterministically on any host.
+//! deterministically on any host. The hot loops' per-lane sequences are
+//! also offered as [`slice`] row kernels, which on x86-64 hosts with F16C
+//! run eight lanes per step on the hardware conversions while producing
+//! the software path's bits and overflow record.
 //!
 //! Three arithmetic paths mirror Fig. 3 of the paper:
 //!
@@ -27,6 +30,9 @@
 //! [`overflow`] module exploits that choke point to record, under the
 //! opt-in `provenance` feature, the first op site that produced an
 //! INF/NaN — the forensic trail behind the paper's Fig. 1c NaN collapse.
+//! (The row kernels' eight-lane blocks add their finite conversions to
+//! that record in bulk, and round every non-finite lane through
+//! `Half::from_f32` itself.)
 //!
 //! [`Scalar`] is the element-type contract the rest of the workspace
 //! writes its precision-generic ops against: implemented for `f32` and

@@ -7,7 +7,10 @@
 //! value created upstream. Every arithmetic path in this crate (implicit
 //! promotion, intrinsics, `Half2`/`Half4`/`Half8`) funnels its final
 //! rounding through [`crate::Half::from_f32`], which makes that function a
-//! single choke point where provenance can be observed.
+//! single choke point where provenance can be observed. The eight-lane row
+//! kernels (`crate::slice`) are the one bulk exception: a block whose
+//! outputs are all finite adds its conversion count in one step, and any
+//! other block goes through `Half::from_f32` lane by lane.
 //!
 //! This module is an **opt-in** recorder for that choke point:
 //!
@@ -105,6 +108,11 @@ pub struct Summary {
 }
 
 impl Summary {
+    /// The empty window (const, so the recorder's thread-local needs no
+    /// lazy initialisation).
+    const EMPTY: Summary =
+        Summary { conversions: 0, overflows: 0, inf_propagated: 0, nan_propagated: 0, first: None };
+
     /// Total non-finite conversions of any kind.
     pub fn nonfinite(&self) -> u64 {
         self.overflows + self.inf_propagated + self.nan_propagated
@@ -132,7 +140,7 @@ const UNLABELED: &str = "<unlabeled>";
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static SITES: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    static WINDOW: RefCell<Summary> = RefCell::new(Summary::default());
+    static WINDOW: RefCell<Summary> = const { RefCell::new(Summary::EMPTY) };
 }
 
 /// Start a tracking window on this thread, clearing any previous one.
@@ -212,6 +220,32 @@ pub(crate) fn record(input: f32, out: Half) {
     if !ACTIVE.with(|a| a.get()) {
         return;
     }
+    if out.is_finite() {
+        WINDOW.with(|w| w.borrow_mut().conversions += 1);
+    } else {
+        record_nonfinite(input, out);
+    }
+}
+
+/// Count `n` conversions that all produced finite halves, as one add: the
+/// bulk form of `n` `record` calls on finite outputs, used by the
+/// eight-lane row kernels (`crate::slice`). A no-op outside a tracking
+/// window and without the `provenance` feature, like `record`.
+#[inline]
+#[cfg_attr(not(feature = "provenance"), allow(unused_variables))]
+pub(crate) fn count_clean(n: u64) {
+    #[cfg(feature = "provenance")]
+    if n > 0 && ACTIVE.with(|a| a.get()) {
+        WINDOW.with(|w| w.borrow_mut().conversions += n);
+    }
+}
+
+/// The rare half of [`record`]: classify a non-finite conversion, count it
+/// and keep it as the window's first event when it is one.
+#[cfg(feature = "provenance")]
+#[cold]
+#[inline(never)]
+fn record_nonfinite(input: f32, out: Half) {
     WINDOW.with(|w| {
         let mut s = w.borrow_mut();
         s.conversions += 1;
@@ -221,10 +255,8 @@ pub(crate) fn record(input: f32, out: Half) {
             } else {
                 NonfiniteKind::InfPropagated
             }
-        } else if out.is_nan() {
-            NonfiniteKind::NanPropagated
         } else {
-            return;
+            NonfiniteKind::NanPropagated
         };
         match kind {
             NonfiniteKind::Overflow => s.overflows += 1,

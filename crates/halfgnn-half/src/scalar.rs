@@ -17,7 +17,7 @@
 //! [`hmax`]: crate::intrinsics::hmax
 
 use crate::f16::Half;
-use crate::slice::{f32_slice_to_half, half_slice_to_f32};
+use crate::slice::{add_row, axpby, f32_slice_to_half, half_slice_to_f32, scale_row};
 use std::borrow::Cow;
 use std::ops::AddAssign;
 
@@ -110,6 +110,23 @@ pub trait Scalar: Copy + Default + AddAssign + Send + Sync + 'static {
     fn is_finite(self) -> bool {
         self.to_f32().is_finite()
     }
+
+    /// `a·x + b·y` elementwise over equal-length `x` and `y`, each product
+    /// and the sum rounded once.
+    fn scale_add(a: Self, x: &[Self], b: Self, y: &[Self]) -> Vec<Self> {
+        x.iter().zip(y).map(|(&xv, &yv)| a.mul(xv).add(b.mul(yv))).collect()
+    }
+
+    /// `x + bias` with `bias` broadcast over the rows of `x`.
+    fn bias_add(x: &[Self], bias: &[Self]) -> Vec<Self> {
+        let n = bias.len();
+        x.iter().enumerate().map(|(i, &v)| v.add(bias[i % n])).collect()
+    }
+
+    /// Row `r` of the `f`-wide `x` times `scale[r]`.
+    fn row_scale(x: &[Self], scale: &[Self], f: usize) -> Vec<Self> {
+        x.iter().enumerate().map(|(i, &v)| v.mul(scale[i / f])).collect()
+    }
 }
 
 impl Scalar for f32 {
@@ -182,6 +199,31 @@ impl Scalar for Half {
     #[inline(always)]
     fn is_finite(self) -> bool {
         Half::is_finite(self)
+    }
+
+    /// The [`axpby`] row kernel: the default's bits and overflow record.
+    fn scale_add(a: Half, x: &[Half], b: Half, y: &[Half]) -> Vec<Half> {
+        let mut out = vec![Half::ZERO; x.len()];
+        axpby(a, x, b, y, &mut out);
+        out
+    }
+
+    /// The [`add_row`] row kernel, one row at a time.
+    fn bias_add(x: &[Half], bias: &[Half]) -> Vec<Half> {
+        let mut out = x.to_vec();
+        for row in out.chunks_mut(bias.len().max(1)) {
+            add_row(row, &bias[..row.len()]);
+        }
+        out
+    }
+
+    /// The [`scale_row`] row kernel, one row at a time.
+    fn row_scale(x: &[Half], scale: &[Half], f: usize) -> Vec<Half> {
+        let mut out = x.to_vec();
+        for (r, row) in out.chunks_mut(f.max(1)).enumerate() {
+            scale_row(row, scale[r]);
+        }
+        out
     }
 }
 
@@ -283,6 +325,37 @@ mod tests {
                 assert!(same_f32(Scalar::mul(a, b), a * b));
                 assert!(same_f32(Scalar::div(a, b), a / b));
                 assert!(same_f32(Scalar::max(a, b), a.max(b)));
+            }
+        }
+    }
+
+    #[test]
+    fn half_slice_methods_are_the_per_element_bodies() {
+        // Rows of every width around the eight-lane blocks, with a
+        // non-finite value every few elements.
+        let table = operand_table();
+        for n in [1usize, 3, 8, 13] {
+            let m = 5;
+            let x: Vec<Half> = (0..m * n).map(|i| table[(i * 7 + n) % table.len()]).collect();
+            let y: Vec<Half> = (0..m * n).map(|i| table[(i * 5 + 3) % table.len()]).collect();
+            let (bias, scale) = (&y[..n], &y[..m]);
+            let (a, b) = (Half::from_f32(0.75), Half::from_f32(-3.0));
+            let want_sa: Vec<Half> =
+                x.iter().zip(&y).map(|(&xv, &yv)| a.mul(xv).add(b.mul(yv))).collect();
+            let want_ba: Vec<Half> =
+                x.iter().enumerate().map(|(i, &v)| v.add(bias[i % n])).collect();
+            let want_rs: Vec<Half> =
+                x.iter().enumerate().map(|(i, &v)| v.mul(scale[i / n])).collect();
+            let pairs = [
+                (Half::scale_add(a, &x, b, &y), want_sa, "scale_add"),
+                (Half::bias_add(&x, bias), want_ba, "bias_add"),
+                (Half::row_scale(&x, scale, n), want_rs, "row_scale"),
+            ];
+            for (got, want, op) in pairs {
+                assert_eq!(got.len(), want.len(), "{op} n={n}");
+                for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert!(same_half(g, w), "{op} n={n} lane {i}: {g:?} vs {w:?}");
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! Slice utilities: alignment-checked vector reinterpretation, bulk
-//! conversion, and feature padding.
+//! conversion, the row kernels, and feature padding.
 //!
 //! §4.1.2 of the paper: "a simple type-casting of the features tensor to
 //! half2 allows us to use the half2 data type for data-loading ... hardware
@@ -8,9 +8,24 @@
 //! error instead of a slice when the length is odd or the base address is
 //! misaligned, which is what forces *feature padding* for odd feature
 //! lengths (e.g. Reddit's 41 classes).
+//!
+//! **Row kernels.** [`fma_row`], [`scale_row`], [`add_row`], [`axpby`] and
+//! the bulk conversions ([`convert_f32_to_half_into`],
+//! [`convert_half_to_f32_into`]) are the per-lane intrinsic sequences the
+//! kernels' hot loops repeat over a feature row. Each is defined as its
+//! per-lane loop of [`crate::intrinsics`] calls, and produces that loop's
+//! values and overflow record (`crate::overflow`): every conversion
+//! counted, and the first non-finite one reported with its site, index,
+//! input and kind. On x86-64 hosts with F16C and AVX (detected at run
+//! time) they run eight lanes per step; elsewhere they run the per-lane
+//! loop itself.
 
 use crate::f16::Half;
+use crate::intrinsics::{hadd, hmul};
 use crate::vec2::Half2;
+
+#[cfg(target_arch = "x86_64")]
+mod f16c;
 
 /// Why a vector-type cast of a half slice was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,27 +89,120 @@ pub const fn pad_feature_len(len: usize, width: usize) -> usize {
 
 /// Convert an `f32` slice to freshly allocated halves (rounding each).
 pub fn f32_slice_to_half(src: &[f32]) -> Vec<Half> {
-    src.iter().map(|&v| Half::from_f32(v)).collect()
+    let mut out = vec![Half::ZERO; src.len()];
+    convert_f32_to_half_into(src, &mut out);
+    out
 }
 
 /// Convert a half slice to freshly allocated `f32`s (exact widening).
 pub fn half_slice_to_f32(src: &[Half]) -> Vec<f32> {
-    src.iter().map(|v| v.to_f32()).collect()
+    let mut out = vec![0.0; src.len()];
+    convert_half_to_f32_into(src, &mut out);
+    out
 }
 
-/// Copy-convert into an existing buffer without allocating.
+/// Copy-convert into an existing buffer without allocating:
+/// `dst[i] ← Half::from_f32(src[i])`.
 pub fn convert_f32_to_half_into(src: &[f32], dst: &mut [Half]) {
     assert_eq!(src.len(), dst.len(), "conversion buffers must match");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = Half::from_f32(*s);
+    #[cfg(target_arch = "x86_64")]
+    if f16c::narrow(src, dst) {
+        return;
     }
+    lanes::narrow(src, dst);
 }
 
-/// Copy-convert halves into an existing `f32` buffer without allocating.
+/// Copy-convert halves into an existing `f32` buffer without allocating:
+/// `dst[i] ← src[i].to_f32()`.
 pub fn convert_half_to_f32_into(src: &[Half], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "conversion buffers must match");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.to_f32();
+    #[cfg(target_arch = "x86_64")]
+    if f16c::widen(src, dst) {
+        return;
+    }
+    lanes::widen(src, dst);
+}
+
+/// `acc[i] ← hadd(acc[i], hmul(w, x[i]))`: one weighted neighbor row
+/// joining an accumulator (the SpMM and attention aggregation step).
+pub fn fma_row(acc: &mut [Half], w: Half, x: &[Half]) {
+    assert_eq!(acc.len(), x.len(), "row lengths must match");
+    #[cfg(target_arch = "x86_64")]
+    if f16c::fma_row(acc, w, x) {
+        return;
+    }
+    lanes::fma_row(acc, w, x);
+}
+
+/// `v[i] ← hmul(v[i], s)`: a row scaled by one factor (degree scaling).
+pub fn scale_row(v: &mut [Half], s: Half) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::scale_row(v, s) {
+        return;
+    }
+    lanes::scale_row(v, s);
+}
+
+/// `acc[i] ← hadd(acc[i], x[i])`: two partial rows merged.
+pub fn add_row(acc: &mut [Half], x: &[Half]) {
+    assert_eq!(acc.len(), x.len(), "row lengths must match");
+    #[cfg(target_arch = "x86_64")]
+    if f16c::add_row(acc, x) {
+        return;
+    }
+    lanes::add_row(acc, x);
+}
+
+/// `out[i] ← hadd(hmul(a, x[i]), hmul(b, y[i]))`: a scaled sum of two rows.
+pub fn axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
+    assert!(x.len() == out.len() && y.len() == out.len(), "row lengths must match");
+    #[cfg(target_arch = "x86_64")]
+    if f16c::axpby(a, x, b, y, out) {
+        return;
+    }
+    lanes::axpby(a, x, b, y, out);
+}
+
+/// The row kernels as per-lane intrinsic loops: what runs on hosts
+/// without F16C, and what the eight-lane path falls back to for any block
+/// that meets an Inf or NaN. Callers have checked the lengths.
+mod lanes {
+    use super::*;
+
+    pub(super) fn narrow(src: &[f32], dst: &mut [Half]) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = Half::from_f32(s);
+        }
+    }
+
+    pub(super) fn widen(src: &[Half], dst: &mut [f32]) {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s.to_f32();
+        }
+    }
+
+    pub(super) fn fma_row(acc: &mut [Half], w: Half, x: &[Half]) {
+        for (a, &xv) in acc.iter_mut().zip(x) {
+            *a = hadd(*a, hmul(w, xv));
+        }
+    }
+
+    pub(super) fn scale_row(v: &mut [Half], s: Half) {
+        for a in v {
+            *a = hmul(*a, s);
+        }
+    }
+
+    pub(super) fn add_row(acc: &mut [Half], x: &[Half]) {
+        for (a, &xv) in acc.iter_mut().zip(x) {
+            *a = hadd(*a, xv);
+        }
+    }
+
+    pub(super) fn axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
+        for ((o, &xv), &yv) in out.iter_mut().zip(x).zip(y) {
+            *o = hadd(hmul(a, xv), hmul(b, yv));
+        }
     }
 }
 

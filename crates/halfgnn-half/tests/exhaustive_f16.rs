@@ -1,7 +1,10 @@
 //! Exhaustive binary16 validation: every one of the 2^16 bit patterns
 //! round-trips through `f32`, and the round-to-nearest-even boundaries the
 //! paper's overflow analysis (§3.1.3) depends on are pinned value by value.
+//! The bulk conversions of `halfgnn_half::slice` (eight lanes at a time on
+//! hosts with F16C) are held to the scalar conversions bit for bit.
 
+use halfgnn_half::slice::{convert_f32_to_half_into, convert_half_to_f32_into};
 use halfgnn_half::Half;
 
 /// `half → f32 → half` must be the identity on every bit pattern: the
@@ -47,10 +50,9 @@ fn exhaustive_f64_widening_matches_f32() {
 /// binary16 bits)`; the cases cover tie-to-even at mantissa granularity,
 /// the subnormal/zero underflow boundary, and the 65504/65520 overflow
 /// cliff — with both signs.
-#[test]
-fn rne_boundary_table() {
+fn rne_cases() -> Vec<(f32, u16, &'static str)> {
     let ulp = |p: i32| 2.0_f32.powi(p);
-    let cases: &[(f32, u16, &str)] = &[
+    vec![
         // --- ties around 1.0 (half ulp there is 2^-10, half of it 2^-11)
         (1.0, 0x3C00, "exact one"),
         (1.0 + ulp(-11), 0x3C00, "tie below odd: to even mantissa 0"),
@@ -82,13 +84,89 @@ fn rne_boundary_table() {
         // --- signed zero
         (0.0, 0x0000, "+0"),
         (-0.0, 0x8000, "-0"),
-    ];
-    for (input, want, why) in cases {
-        let got = Half::from_f32(*input).to_bits();
-        assert_eq!(got, *want, "{why}: from_f32({input:e}) = {got:#06x}, want {want:#06x}");
+    ]
+}
+
+#[test]
+fn rne_boundary_table() {
+    for (input, want, why) in rne_cases() {
+        let got = Half::from_f32(input).to_bits();
+        assert_eq!(got, want, "{why}: from_f32({input:e}) = {got:#06x}, want {want:#06x}");
     }
     // NaN quietization: any f32 NaN converts to a binary16 NaN.
     assert!(Half::from_f32(f32::NAN).is_nan());
+}
+
+/// Bulk-narrow `src` and compare every lane with `Half::from_f32_raw`.
+fn assert_bulk_narrowing_is_scalar(src: &[f32]) {
+    let mut got = vec![Half::ZERO; src.len()];
+    convert_f32_to_half_into(src, &mut got);
+    for (&v, h) in src.iter().zip(&got) {
+        let want = Half::from_f32_raw(v).to_bits();
+        assert_eq!(h.to_bits(), want, "narrow({:#010x}) = {:#06x}", v.to_bits(), h.to_bits());
+    }
+}
+
+/// The bulk narrowing on the boundary table, once in table order and once
+/// with every row in its own eight-lane block next to ordinary values.
+#[test]
+fn bulk_narrowing_matches_the_rne_boundary_table() {
+    let inputs: Vec<f32> = rne_cases().iter().map(|&(v, _, _)| v).collect();
+    assert_bulk_narrowing_is_scalar(&inputs);
+    let spread: Vec<f32> = inputs.iter().flat_map(|&v| [0.5, v, 1.0, -3.0, 7.0]).collect();
+    assert_bulk_narrowing_is_scalar(&spread);
+    for (input, want, why) in rne_cases() {
+        let mut got = [Half::ZERO; 9];
+        convert_f32_to_half_into(&[input; 9], &mut got);
+        assert!(got.iter().all(|h| h.to_bits() == want), "{why}: bulk narrowing of {input:e}");
+    }
+}
+
+/// A strided sweep over the f32 bit patterns: every exponent, both signs,
+/// NaN payloads and the rounding ties between them.
+#[test]
+fn bulk_narrowing_equals_from_f32_raw_on_a_strided_sweep() {
+    const STRIDE: u64 = 4099; // prime, so the low mantissa bits vary too
+    let src: Vec<f32> =
+        (0..(1u64 << 32) / STRIDE).map(|i| f32::from_bits((i * STRIDE) as u32)).collect();
+    assert_bulk_narrowing_is_scalar(&src);
+}
+
+/// The full sweep: every one of the 2^32 f32 patterns, in 2^16 slices.
+/// About 16 s in a release build; CI runs it with `--ignored`.
+#[test]
+#[ignore = "full 2^32 sweep; run with --release -- --ignored"]
+fn bulk_narrowing_equals_from_f32_raw_on_all_2_32_patterns() {
+    let mut src = vec![0f32; 1 << 16];
+    for hi in 0..=u16::MAX as u32 {
+        for (lo, v) in src.iter_mut().enumerate() {
+            *v = f32::from_bits(hi << 16 | lo as u32);
+        }
+        assert_bulk_narrowing_is_scalar(&src);
+    }
+}
+
+/// The bulk widening equals `to_f32` bit for bit on every pattern, the
+/// 1,022 signaling NaNs included (hardware widening would quiet them).
+/// The patterns run once in order and once permuted, so non-finite values
+/// share eight-lane blocks with finite ones.
+#[test]
+fn bulk_widening_equals_to_f32_on_all_65536_patterns() {
+    let in_order: Vec<Half> = (0..=u16::MAX).map(Half::from_bits).collect();
+    // An odd multiplier permutes 0..2^16.
+    let permuted: Vec<Half> =
+        (0..=u16::MAX).map(|i| Half::from_bits(i.wrapping_mul(40_503))).collect();
+    for all in [in_order, permuted] {
+        let mut got = vec![0f32; all.len()];
+        convert_half_to_f32_into(&all, &mut got);
+        let mut signaling = 0;
+        for (h, v) in all.iter().zip(&got) {
+            let want = h.to_f32().to_bits();
+            assert_eq!(v.to_bits(), want, "widen({:#06x}) = {:#010x}", h.to_bits(), v.to_bits());
+            signaling += usize::from(h.is_nan() && h.to_bits() & 0x0200 == 0);
+        }
+        assert_eq!(signaling, 1022);
+    }
 }
 
 /// The instrumented and raw conversion paths must be numerically identical

@@ -1,0 +1,258 @@
+//! The row kernels of `halfgnn_half::slice` against their per-lane
+//! intrinsic loops: the same output bits, and the same overflow record,
+//! field for field, with a tracking window open, with none open, and
+//! inside `overflow::isolated`.
+//!
+//! Lengths 0–41 cover every tail of the eight-lane blocks; ±Inf, quiet
+//! and signaling NaNs, and operands whose products or sums overflow are
+//! injected at random lanes. Without the `provenance` feature every
+//! summary is empty on both sides, so the outputs carry the comparison.
+
+use halfgnn_half::intrinsics::{hadd, hmul};
+use halfgnn_half::overflow::{self, Summary};
+use halfgnn_half::slice::{
+    add_row, axpby, convert_f32_to_half_into, convert_half_to_f32_into, fma_row, scale_row,
+};
+use halfgnn_half::{splitmix64, Half};
+
+/// A keyed stream of draws.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = splitmix64(self.0);
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    /// Mostly ordinary values, with the non-finite and overflowing
+    /// operands mixed in at random lanes.
+    fn half(&mut self) -> Half {
+        let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+        match self.below(40) {
+            0 => Half::INFINITY,
+            1 => Half::NEG_INFINITY,
+            2 => Half::NAN,
+            // Signaling NaNs: quiet bit clear, payload non-zero.
+            3 => {
+                Half::from_bits(0x7C01 | (self.below(0x1FF) as u16) | (self.below(2) << 15) as u16)
+            }
+            // Products of two of these overflow; sums of two nearly do.
+            4..=6 => Half::from_f32(sign * (200.0 + 400.0 * self.unit())),
+            7 | 8 => Half::from_f32(sign * (30_000.0 + 35_000.0 * self.unit())),
+            9 => Half::from_bits(self.below(0x400) as u16), // subnormal or zero
+            _ => Half::from_f32(sign * 4.0 * self.unit()),
+        }
+    }
+
+    fn row(&mut self, n: usize) -> Vec<Half> {
+        (0..n).map(|_| self.half()).collect()
+    }
+
+    /// `f32` inputs for narrowing: ordinary values, the rounding cliffs,
+    /// and non-finite values with payloads.
+    fn f32_value(&mut self) -> f32 {
+        let sign = if self.below(2) == 0 { 1.0 } else { -1.0 };
+        match self.below(24) {
+            0 => f32::INFINITY * sign,
+            1 => f32::from_bits(0x7F80_0001 | (self.next() as u32 & 0x807F_FFFF)), // NaN
+            2 => sign * (65_504.0 + 32.0 * self.unit()), // around the Inf cliff
+            3 => sign * 2f32.powi(-25) * (1.0 + self.unit()), // underflow ties
+            4 => f32::from_bits(self.next() as u32),     // any pattern
+            _ => sign * 1000.0 * self.unit(),
+        }
+    }
+}
+
+/// Bit patterns of a half row.
+fn bits(v: &[Half]) -> Vec<u16> {
+    v.iter().map(|h| h.to_bits()).collect()
+}
+
+/// Bit patterns of an arithmetic result, with every NaN as one pattern:
+/// Rust leaves the payload of a NaN that `f32` arithmetic returns
+/// unspecified (the compiler may swap the operands of a commutative op),
+/// so the per-lane loop's own payloads can differ between two builds.
+/// Conversions are integer code, so the bulk conversions compare exactly.
+fn value_bits(v: &[Half]) -> Vec<u16> {
+    v.iter().map(|h| if h.is_nan() { 0x7E00 } else { h.to_bits() }).collect()
+}
+
+/// `f(…)` three ways — inside an open window, with no window, and inside
+/// `isolated` within an open window — returning its output and what each
+/// way recorded. All three ways must compute the same values.
+fn records(f: impl Fn() -> Vec<Half>) -> (Vec<Half>, [String; 3]) {
+    let show = |s: &Summary| format!("{s:?}");
+
+    overflow::begin();
+    let open = {
+        let _site = overflow::site("row");
+        f()
+    };
+    let window = overflow::take();
+
+    // No window: the closed window `take` just emptied must stay empty.
+    let closed = f();
+    let after = overflow::take();
+    assert_eq!(show(&after), show(&Summary::default()), "recorded with no window open");
+
+    overflow::begin();
+    let _ = Half::from_f32(1e9); // an outer event the inner run must not see
+    let (inner, nested) = overflow::isolated(|| {
+        let _site = overflow::site("inner");
+        f()
+    });
+    let outer = overflow::take();
+
+    assert_eq!(value_bits(&closed), value_bits(&open), "no window changed the values");
+    assert_eq!(value_bits(&inner), value_bits(&open), "isolation changed the values");
+    (open, [show(&window), show(&nested), show(&outer)])
+}
+
+/// Every length 0–41, several draws each.
+fn cases() -> impl Iterator<Item = (usize, Draws)> {
+    (0..=41usize).flat_map(|n| (0..12u64).map(move |k| (n, Draws((n as u64) << 32 | k))))
+}
+
+#[test]
+fn fma_row_is_the_per_lane_hmul_hadd_loop() {
+    for (n, mut d) in cases() {
+        let (acc0, x) = (d.row(n), d.row(n));
+        let w = if d.below(4) == 0 { d.half() } else { Half::from_f32(d.unit() * 2.0) };
+        let (want, want_rec) = records(|| {
+            let mut acc = acc0.clone();
+            for (a, &xv) in acc.iter_mut().zip(&x) {
+                *a = hadd(*a, hmul(w, xv));
+            }
+            acc
+        });
+        let (got, got_rec) = records(|| {
+            let mut acc = acc0.clone();
+            fma_row(&mut acc, w, &x);
+            acc
+        });
+        assert_eq!(value_bits(&got), value_bits(&want), "fma_row n={n} w={w:?}");
+        assert_eq!(got_rec, want_rec, "fma_row record n={n}");
+    }
+}
+
+#[test]
+fn scale_row_is_the_per_lane_hmul_loop() {
+    for (n, mut d) in cases() {
+        let v0 = d.row(n);
+        let s = if d.below(4) == 0 { d.half() } else { Half::from_f32(d.unit() * 300.0) };
+        let (want, want_rec) = records(|| {
+            let mut v = v0.clone();
+            for a in v.iter_mut() {
+                *a = hmul(*a, s);
+            }
+            v
+        });
+        let (got, got_rec) = records(|| {
+            let mut v = v0.clone();
+            scale_row(&mut v, s);
+            v
+        });
+        assert_eq!(value_bits(&got), value_bits(&want), "scale_row n={n} s={s:?}");
+        assert_eq!(got_rec, want_rec, "scale_row record n={n}");
+    }
+}
+
+#[test]
+fn add_row_is_the_per_lane_hadd_loop() {
+    for (n, mut d) in cases() {
+        let (acc0, x) = (d.row(n), d.row(n));
+        let (want, want_rec) = records(|| {
+            let mut acc = acc0.clone();
+            for (a, &xv) in acc.iter_mut().zip(&x) {
+                *a = hadd(*a, xv);
+            }
+            acc
+        });
+        let (got, got_rec) = records(|| {
+            let mut acc = acc0.clone();
+            add_row(&mut acc, &x);
+            acc
+        });
+        assert_eq!(value_bits(&got), value_bits(&want), "add_row n={n}");
+        assert_eq!(got_rec, want_rec, "add_row record n={n}");
+    }
+}
+
+#[test]
+fn axpby_is_the_per_lane_two_product_sum() {
+    for (n, mut d) in cases() {
+        let (x, y) = (d.row(n), d.row(n));
+        let a = if d.below(4) == 0 { d.half() } else { Half::from_f32(d.unit() * 3.0) };
+        let b = if d.below(4) == 0 { d.half() } else { Half::from_f32(-d.unit()) };
+        let (want, want_rec) =
+            records(|| x.iter().zip(&y).map(|(&xv, &yv)| hadd(hmul(a, xv), hmul(b, yv))).collect());
+        let (got, got_rec) = records(|| {
+            let mut out = vec![Half::ZERO; n];
+            axpby(a, &x, b, &y, &mut out);
+            out
+        });
+        assert_eq!(value_bits(&got), value_bits(&want), "axpby n={n} a={a:?} b={b:?}");
+        assert_eq!(got_rec, want_rec, "axpby record n={n}");
+    }
+}
+
+#[test]
+fn bulk_narrowing_is_the_per_lane_from_f32_loop() {
+    for (n, mut d) in cases() {
+        let src: Vec<f32> = (0..n).map(|_| d.f32_value()).collect();
+        let (want, want_rec) = records(|| src.iter().map(|&v| Half::from_f32(v)).collect());
+        let (got, got_rec) = records(|| {
+            let mut out = vec![Half::ZERO; n];
+            convert_f32_to_half_into(&src, &mut out);
+            out
+        });
+        assert_eq!(bits(&got), bits(&want), "narrow n={n}");
+        assert_eq!(got_rec, want_rec, "narrow record n={n}");
+    }
+}
+
+#[test]
+fn bulk_widening_is_the_per_lane_to_f32_loop() {
+    for (n, mut d) in cases() {
+        let src = d.row(n);
+        let want: Vec<u32> = src.iter().map(|h| h.to_f32().to_bits()).collect();
+        let mut got = vec![0f32; n];
+        convert_half_to_f32_into(&src, &mut got);
+        let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "widen n={n}");
+    }
+}
+
+#[test]
+fn the_first_event_is_the_scalar_paths_even_deep_in_a_long_row() {
+    // One overflowing lane late in a 1,000-lane row, after many clean
+    // blocks: its index counts every earlier conversion exactly.
+    let x: Vec<Half> =
+        (0..1000).map(|i| Half::from_f32(if i == 777 { 600.0 } else { 0.5 })).collect();
+    let w = Half::from_f32(200.0); // 600 · 200 = 1.2e5 overflows
+    let (want, want_rec) = records(|| {
+        let mut acc = vec![Half::ONE; 1000];
+        for (a, &xv) in acc.iter_mut().zip(&x) {
+            *a = hadd(*a, hmul(w, xv));
+        }
+        acc
+    });
+    let (got, got_rec) = records(|| {
+        let mut acc = vec![Half::ONE; 1000];
+        fma_row(&mut acc, w, &x);
+        acc
+    });
+    assert_eq!(value_bits(&got), value_bits(&want));
+    assert_eq!(got_rec, want_rec);
+    if cfg!(feature = "provenance") {
+        assert!(want_rec[0].contains("conversion_index: 1554"), "{}", want_rec[0]);
+    }
+}

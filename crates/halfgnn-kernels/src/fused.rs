@@ -38,6 +38,7 @@ use crate::halfgnn_spmm::row_offsets_of;
 use halfgnn_graph::Coo;
 use halfgnn_half::intrinsics::{hadd, hdiv, hexp, hmax, hmul, hsub};
 use halfgnn_half::overflow;
+use halfgnn_half::slice::{add_row, fma_row};
 use halfgnn_half::Half;
 use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
@@ -239,18 +240,13 @@ pub fn fused_attn_forward_window(
                     {
                         let mut batch_acc = vec![Half::ZERO; f];
                         for &k in batch {
-                            let a = row_alpha[k];
                             let c = cols[rs + k] as usize;
-                            for (bv, &zv) in batch_acc.iter_mut().zip(&z[c * f..(c + 1) * f]) {
-                                *bv = hadd(*bv, hmul(a, zv));
-                            }
+                            fma_row(&mut batch_acc, row_alpha[k], &z[c * f..(c + 1) * f]);
                         }
                         if bi == 0 {
                             acc = batch_acc;
                         } else {
-                            for (a, b) in acc.iter_mut().zip(&batch_acc) {
-                                *a = hadd(*a, *b);
-                            }
+                            add_row(&mut acc, &batch_acc);
                             warp.half2_ops(half2_lanes.div_ceil(32)); // batch join
                         }
                     }

@@ -29,6 +29,7 @@ use crate::common::{count_nonfinite, EdgeWeights, Reduce, ScalePlacement, Tiling
 use halfgnn_graph::Coo;
 use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow;
+use halfgnn_half::slice::{add_row, fma_row, scale_row};
 use halfgnn_half::{Half, Scalar};
 use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
@@ -210,10 +211,7 @@ pub fn spmm_window(
                     let mut vals = std::mem::replace(acc, vec![Half::ZERO; f]);
                     match cfg.scaling {
                         ScalePlacement::Discretized => {
-                            let sc = scale_of(row);
-                            for v in vals.iter_mut() {
-                                *v = hmul(*v, sc);
-                            }
+                            scale_row(&mut vals, scale_of(row));
                             warp.half2_ops(half2_lanes.div_ceil(32));
                         }
                         ScalePlacement::PreReduction
@@ -271,14 +269,16 @@ pub fn spmm_window(
                     let c = cols[ei] as usize;
                     let wv = w.get(ei);
                     let xr = &x[c * f..(c + 1) * f];
-                    let pre = cfg.scaling == ScalePlacement::PreReduction;
-                    let sc = if pre { scale_of(r) } else { Half::ONE };
-                    for (a, &xv) in acc.iter_mut().zip(xr) {
-                        // half2 FMA semantics lanewise; Pre scales each
-                        // product before it joins the accumulator.
-                        let prod = hmul(wv, xv);
-                        let prod = if pre { hmul(prod, sc) } else { prod };
-                        *a = hadd(*a, prod);
+                    if cfg.scaling == ScalePlacement::PreReduction {
+                        // Pre scales each product before it joins the
+                        // accumulator.
+                        let sc = scale_of(r);
+                        for (a, &xv) in acc.iter_mut().zip(xr) {
+                            *a = hadd(*a, hmul(hmul(wv, xv), sc));
+                        }
+                    } else {
+                        // half2 FMA semantics lanewise.
+                        fma_row(&mut acc, wv, xr);
                     }
                 }
                 flush(&mut warp, &mut boundary, &mut out, &mut acc, seg_row, seg_start, e);
@@ -295,9 +295,7 @@ pub fn spmm_window(
                 for entry in boundary {
                     match merged.last_mut() {
                         Some(last) if last.row == entry.row => {
-                            for (a, b) in last.vals.iter_mut().zip(&entry.vals) {
-                                *a = hadd(*a, *b);
-                            }
+                            add_row(&mut last.vals, &entry.vals);
                             warp0.smem_accesses(merge_instrs * 2);
                             warp0.half2_ops(merge_instrs);
                         }
@@ -378,9 +376,7 @@ pub fn spmm_window(
         let mut cur = it.next().expect("non-empty");
         for entry in it {
             if entry.row == cur.row {
-                for (a, b) in cur.vals.iter_mut().zip(&entry.vals) {
-                    *a = hadd(*a, *b);
-                }
+                add_row(&mut cur.vals, &entry.vals);
             } else {
                 wl.assign(std::mem::take(&mut cur.row) as usize * f, std::mem::take(&mut cur.vals));
                 cur = entry;
@@ -414,10 +410,7 @@ pub fn spmm_window(
             },
         );
         for r in r0..r1 {
-            let sc = scale[r];
-            for v in &mut y[r * f..(r + 1) * f] {
-                *v = hmul(*v, sc);
-            }
+            scale_row(&mut y[r * f..(r + 1) * f], scale[r]);
         }
         stats = stats.then(&post_stats);
     }
@@ -651,22 +644,22 @@ pub fn spmm_vertex_parallel_window(
                 }
 
                 let mut acc = vec![Half::ZERO; f];
-                let pre = scaling == ScalePlacement::PreReduction;
                 let sc = scale_of(row);
                 for (k, &c) in cols.iter().enumerate() {
                     let wv = w.get(off + k);
-                    for (a, &xv) in acc.iter_mut().zip(&x[c as usize * f..(c as usize + 1) * f]) {
-                        let prod = hmul(wv, xv);
-                        let prod = if pre { hmul(prod, sc) } else { prod };
-                        *a = hadd(*a, prod);
+                    let xr = &x[c as usize * f..(c as usize + 1) * f];
+                    if scaling == ScalePlacement::PreReduction {
+                        for (a, &xv) in acc.iter_mut().zip(xr) {
+                            *a = hadd(*a, hmul(hmul(wv, xv), sc));
+                        }
+                    } else {
+                        fma_row(&mut acc, wv, xr);
                     }
                 }
                 // Discretized scaling: each ≤64-neighbor group is scaled
                 // before it joins the rest of the row.
                 if scaling == ScalePlacement::Discretized {
-                    for v in acc.iter_mut() {
-                        *v = hmul(*v, sc);
-                    }
+                    scale_row(&mut acc, sc);
                     warp.half2_ops(half2_lanes.div_ceil(32));
                 }
                 warp.nonfinite_values(count_nonfinite(&acc));
@@ -714,9 +707,7 @@ pub fn spmm_vertex_parallel_window(
         let mut wl: WriteList<Half> = WriteList::new();
         for (r, vals) in it {
             if r == cur_row {
-                for (a, b) in cur_vals.iter_mut().zip(&vals) {
-                    *a = hadd(*a, *b);
-                }
+                add_row(&mut cur_vals, &vals);
             } else {
                 wl.assign(cur_row as usize * f, std::mem::take(&mut cur_vals));
                 cur_row = r;
@@ -732,10 +723,7 @@ pub fn spmm_vertex_parallel_window(
     if scaling == ScalePlacement::PostReduction {
         let scale = row_scale.expect("checked above");
         for r in r0..r1 {
-            let sc = scale[r];
-            for v in &mut y[r * f..(r + 1) * f] {
-                *v = hmul(*v, sc);
-            }
+            scale_row(&mut y[r * f..(r + 1) * f], scale[r]);
         }
     }
     (y, stats)

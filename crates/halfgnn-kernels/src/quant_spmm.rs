@@ -172,9 +172,16 @@ pub fn spmm_i8_window(
                     };
                     let xrow = &qx.q[c as usize * f..(c as usize + 1) * f];
                     let xexp = &qx.exps[c as usize * epr..(c as usize + 1) * epr];
-                    for (j, (a, &qxv)) in acc.iter_mut().zip(xrow).enumerate() {
-                        let prod = qwv * qxv as i32;
-                        *a += prod as f32 * exp2(ewv + xexp[j / quant::BLOCK] as i32);
+                    // The scale is constant over each block: one `exp2`
+                    // per (edge, block) leaves a plain multiply-add that
+                    // the compiler can vectorise.
+                    let blocks = acc.chunks_mut(quant::BLOCK).zip(xrow.chunks(quant::BLOCK));
+                    for ((ab, xb), &xe) in blocks.zip(xexp) {
+                        let scale = exp2(ewv + xe as i32);
+                        for (a, &qxv) in ab.iter_mut().zip(xb) {
+                            let prod = qwv * qxv as i32;
+                            *a += prod as f32 * scale;
+                        }
                     }
                 }
                 // Discretized scaling + one rounding into f16 per group,

@@ -305,10 +305,9 @@ impl<'d> Ops<'d> {
 
     /// Row-broadcast bias add (`x: m×n`, `bias: n`).
     pub fn bias_add<T: Scalar>(&mut self, x: &[T], bias: &[T]) -> Vec<T> {
-        let n = bias.len();
         let name = T::pick("bias_f16", "bias_f32");
         self.charge_elementwise(name, x.len(), T::BYTES, 2, 1, 1, T::HALF);
-        let out: Vec<T> = x.iter().enumerate().map(|(i, &v)| v.add(bias[i % n])).collect();
+        let out = T::bias_add(x, bias);
         self.trace(name, &[buf_ref(x), buf_ref(bias)], &[buf_ref(&out)]);
         out
     }
@@ -318,7 +317,7 @@ impl<'d> Ops<'d> {
         assert_eq!(x.len(), y.len());
         let name = T::pick("scale_add_f16", "scale_add_f32");
         self.charge_elementwise(name, x.len(), T::BYTES, 2, 1, 2, T::HALF);
-        let out: Vec<T> = x.iter().zip(y).map(|(&xv, &yv)| a.mul(xv).add(b.mul(yv))).collect();
+        let out = T::scale_add(a, x, b, y);
         self.trace(name, &[buf_ref(x), buf_ref(y)], &[buf_ref(&out)]);
         out
     }
@@ -329,7 +328,7 @@ impl<'d> Ops<'d> {
         assert_eq!(x.len(), scale.len() * f);
         let name = T::pick("row_scale_f16", "row_scale_f32");
         self.charge_elementwise(name, x.len(), T::BYTES, 1, 1, 1, T::HALF);
-        let out: Vec<T> = x.iter().enumerate().map(|(i, &v)| v.mul(scale[i / f])).collect();
+        let out = T::row_scale(x, scale, f);
         self.trace(name, &[buf_ref(x), buf_ref(scale)], &[buf_ref(&out)]);
         out
     }
@@ -444,9 +443,19 @@ impl<'d> Ops<'d> {
 /// Rayon-parallel matmul with transpose flags. Deterministic at any thread
 /// count: each worker owns disjoint output rows and the per-row reduction
 /// order is fixed, so results are bit-identical to a serial run.
+///
+/// A transposed `B` (stored `n×k`) is first laid out row-major `k×n`
+/// once per call, so the inner loop streams contiguous rows either way;
+/// every output still sums its `k` products in ascending `l`.
 fn matmul(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize) -> Vec<f32> {
     let get_a = |i: usize, l: usize| if ta { a[l * m + i] } else { a[i * k + l] };
-    let get_b = |l: usize, j: usize| if tb { b[j * k + l] } else { b[l * n + j] };
+    let bt: Vec<f32>;
+    let b = if tb {
+        bt = (0..k * n).map(|i| b[(i % n) * k + i / n]).collect();
+        &bt
+    } else {
+        b
+    };
     let mut c = vec![0f32; m * n];
     c.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
         for l in 0..k {
@@ -454,15 +463,9 @@ fn matmul(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize
             if av == 0.0 {
                 continue;
             }
-            if tb {
-                for (j, cv) in row.iter_mut().enumerate() {
-                    *cv += av * get_b(l, j);
-                }
-            } else {
-                let brow = &b[l * n..(l + 1) * n];
-                for (cv, &bv) in row.iter_mut().zip(brow) {
-                    *cv += av * bv;
-                }
+            let brow = &b[l * n..(l + 1) * n];
+            for (cv, &bv) in row.iter_mut().zip(brow) {
+                *cv += av * bv;
             }
         }
     });
