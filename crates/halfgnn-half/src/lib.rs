@@ -6,10 +6,11 @@
 //! propagation through follow-up operations. This crate implements binary16
 //! from scratch (bit-level, round-to-nearest-even) rather than wrapping a
 //! hardware type, so every overflow the paper describes is reproduced
-//! deterministically on any host. The hot loops' per-lane sequences are
+//! deterministically on any host. The hot loops' per-lane sequences —
+//! and SDDMM's per-edge dot tree and the dense GEMM's output rows — are
 //! also offered as [`slice`] row kernels, which on x86-64 hosts with F16C
-//! run eight lanes per step on the hardware conversions while producing
-//! the software path's bits and overflow record.
+//! and AVX run eight lanes per step while producing the software path's
+//! bits and overflow record.
 //!
 //! Three arithmetic paths mirror Fig. 3 of the paper:
 //!

@@ -17,8 +17,7 @@
 //! [`hmax`]: crate::intrinsics::hmax
 
 use crate::f16::Half;
-use crate::slice::{add_row, axpby, f32_slice_to_half, half_slice_to_f32, scale_row};
-use std::borrow::Cow;
+use crate::slice::{add_row, axpby, convert_half_to_f32_into, f32_slice_to_half, scale_row};
 use std::ops::AddAssign;
 
 /// An element type a kernel can run in: `f32` (the float baseline) or
@@ -56,11 +55,9 @@ pub trait Scalar: Copy + Default + AddAssign + Send + Sync + 'static {
         }
     }
 
-    /// A tensor widened to `f32` once (borrowed when it already is).
-    #[inline]
-    fn widen(xs: &[Self]) -> Cow<'_, [f32]> {
-        Cow::Owned(xs.iter().map(|v| v.to_f32()).collect())
-    }
+    /// `xs` widened into the equal-length `dst`; true when every element
+    /// is finite.
+    fn widen_into(xs: &[Self], dst: &mut [f32]) -> bool;
 
     /// An `f32` tensor rounded into this precision (moved when it
     /// already is).
@@ -151,9 +148,9 @@ impl Scalar for f32 {
         self.to_bits()
     }
 
-    #[inline]
-    fn widen(xs: &[f32]) -> Cow<'_, [f32]> {
-        Cow::Borrowed(xs)
+    fn widen_into(xs: &[f32], dst: &mut [f32]) -> bool {
+        dst.copy_from_slice(xs);
+        xs.iter().fold(true, |finite, v| finite & v.is_finite())
     }
 
     #[inline]
@@ -184,9 +181,9 @@ impl Scalar for Half {
         self.to_bits() as u32
     }
 
-    #[inline]
-    fn widen(xs: &[Half]) -> Cow<'_, [f32]> {
-        Cow::Owned(half_slice_to_f32(xs))
+    /// The bulk conversion, which reports non-finite blocks.
+    fn widen_into(xs: &[Half], dst: &mut [f32]) -> bool {
+        convert_half_to_f32_into(xs, dst)
     }
 
     #[inline]
@@ -366,8 +363,11 @@ mod tests {
         assert_eq!(<f32 as Scalar>::pick("relu_f16", "relu_f32"), "relu_f32");
         assert_eq!((<Half as Scalar>::BYTES, <f32 as Scalar>::BYTES), (2, 4));
         let xs = [1.5f32, -2.0];
-        assert!(matches!(f32::widen(&xs), Cow::Borrowed(_)));
         let hs = Half::narrow(xs.to_vec());
-        assert_eq!(Half::widen(&hs).as_ref(), &xs);
+        assert_eq!(hs, [Half::from_f32(1.5), Half::from_f32(-2.0)]);
+        let mut back = [0f32; 2];
+        assert!(Half::widen_into(&hs, &mut back) && back == xs);
+        assert!(!f32::widen_into(&[f32::NAN, 1.0], &mut back));
+        assert!(!Half::widen_into(&[Half::ONE, Half::INFINITY], &mut back));
     }
 }

@@ -12,13 +12,15 @@
 //! **Row kernels.** [`fma_row`], [`scale_row`], [`add_row`], [`axpby`] and
 //! the bulk conversions ([`convert_f32_to_half_into`],
 //! [`convert_half_to_f32_into`]) are the per-lane intrinsic sequences the
-//! kernels' hot loops repeat over a feature row. Each is defined as its
-//! per-lane loop of [`crate::intrinsics`] calls, and produces that loop's
-//! values and overflow record (`crate::overflow`): every conversion
+//! kernels' hot loops repeat over a feature row; [`dot_half2_trees`] is
+//! SDDMM's per-edge dot product ([`dot_half2_tree`]) over a tile of edges,
+//! and [`gemm_row`] one output row of the dense `f32` GEMM. Each is
+//! defined as its per-lane (per-edge, per-product) loop, and produces that
+//! loop's values and overflow record (`crate::overflow`): every conversion
 //! counted, and the first non-finite one reported with its site, index,
 //! input and kind. On x86-64 hosts with F16C and AVX (detected at run
-//! time) they run eight lanes per step; elsewhere they run the per-lane
-//! loop itself.
+//! time) they run eight lanes per step; elsewhere they run the loop
+//! itself.
 
 use crate::f16::Half;
 use crate::intrinsics::{hadd, hmul};
@@ -106,21 +108,21 @@ pub fn half_slice_to_f32(src: &[Half]) -> Vec<f32> {
 pub fn convert_f32_to_half_into(src: &[f32], dst: &mut [Half]) {
     assert_eq!(src.len(), dst.len(), "conversion buffers must match");
     #[cfg(target_arch = "x86_64")]
-    if f16c::narrow(src, dst) {
+    if f16c::narrow(src, dst).is_some() {
         return;
     }
     lanes::narrow(src, dst);
 }
 
 /// Copy-convert halves into an existing `f32` buffer without allocating:
-/// `dst[i] ← src[i].to_f32()`.
-pub fn convert_half_to_f32_into(src: &[Half], dst: &mut [f32]) {
+/// `dst[i] ← src[i].to_f32()`. Returns whether every element is finite.
+pub fn convert_half_to_f32_into(src: &[Half], dst: &mut [f32]) -> bool {
     assert_eq!(src.len(), dst.len(), "conversion buffers must match");
     #[cfg(target_arch = "x86_64")]
-    if f16c::widen(src, dst) {
-        return;
+    if let Some(finite) = f16c::widen(src, dst) {
+        return finite;
     }
-    lanes::widen(src, dst);
+    lanes::widen(src, dst)
 }
 
 /// `acc[i] ← hadd(acc[i], hmul(w, x[i]))`: one weighted neighbor row
@@ -128,7 +130,7 @@ pub fn convert_half_to_f32_into(src: &[Half], dst: &mut [f32]) {
 pub fn fma_row(acc: &mut [Half], w: Half, x: &[Half]) {
     assert_eq!(acc.len(), x.len(), "row lengths must match");
     #[cfg(target_arch = "x86_64")]
-    if f16c::fma_row(acc, w, x) {
+    if f16c::fma_row(acc, w, x).is_some() {
         return;
     }
     lanes::fma_row(acc, w, x);
@@ -137,7 +139,7 @@ pub fn fma_row(acc: &mut [Half], w: Half, x: &[Half]) {
 /// `v[i] ← hmul(v[i], s)`: a row scaled by one factor (degree scaling).
 pub fn scale_row(v: &mut [Half], s: Half) {
     #[cfg(target_arch = "x86_64")]
-    if f16c::scale_row(v, s) {
+    if f16c::scale_row(v, s).is_some() {
         return;
     }
     lanes::scale_row(v, s);
@@ -147,7 +149,7 @@ pub fn scale_row(v: &mut [Half], s: Half) {
 pub fn add_row(acc: &mut [Half], x: &[Half]) {
     assert_eq!(acc.len(), x.len(), "row lengths must match");
     #[cfg(target_arch = "x86_64")]
-    if f16c::add_row(acc, x) {
+    if f16c::add_row(acc, x).is_some() {
         return;
     }
     lanes::add_row(acc, x);
@@ -157,10 +159,97 @@ pub fn add_row(acc: &mut [Half], x: &[Half]) {
 pub fn axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
     assert!(x.len() == out.len() && y.len() == out.len(), "row lengths must match");
     #[cfg(target_arch = "x86_64")]
-    if f16c::axpby(a, x, b, y, out) {
+    if f16c::axpby(a, x, b, y, out).is_some() {
         return;
     }
     lanes::axpby(a, x, b, y, out);
+}
+
+/// `out[j] ← out[j] + a·b[r·n + j]` for each `(r, a)` of `pairs` in turn,
+/// where `n = out.len()` and `b` holds rows of `n`: `pairs` weighting rows
+/// of `b` into one output row of a dense GEMM. Each product is an `f32`
+/// `mul`, then an `add` (never FMA), so an output sums its products in the
+/// pairs' order with the scalar loop's roundings.
+pub fn gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::gemm_row(pairs, b, out).is_some() {
+        return;
+    }
+    lanes::gemm_row(pairs, b, out);
+}
+
+/// Half-precision dot product with the exact reduction shape of the SDDMM
+/// kernel (§5.1): `threads` threads each accumulate a strided stripe of
+/// `lanes` features per step into a half2 register (`hfma2`), an
+/// in-register fold, then a binary shuffle tree of half2 adds across the
+/// threads, and a final `hadd` of the two lanes. `u.len()` features, a
+/// multiple of `lanes`; `1 ≤ threads ≤ 32`.
+pub fn dot_half2_tree(u: &[Half], v: &[Half], threads: usize, lanes: usize) -> Half {
+    assert!((1..=32).contains(&threads), "{threads} threads: a warp has 1 to 32");
+    let f = u.len();
+    // Per-thread half2 accumulators.
+    let mut accs = [Half2::ZERO; 32];
+    let accs = &mut accs[..threads];
+    let chunk = lanes; // features one thread loads per iteration
+    let stride = threads * chunk;
+    for (t, acc) in accs.iter_mut().enumerate() {
+        let mut base = t * chunk;
+        while base < f {
+            // Fold this chunk's half2 words into the accumulator.
+            let mut j = 0;
+            while j < chunk && base + j < f {
+                let a = Half2::new(u[base + j], u[base + j + 1]);
+                let b = Half2::new(v[base + j], v[base + j + 1]);
+                *acc = a.fma2(b, *acc);
+                j += 2;
+            }
+            base += stride;
+        }
+    }
+    // Shuffle tree across threads (half2 adds), then the final fold.
+    let mut width = threads.next_power_of_two();
+    while width > 1 {
+        width /= 2;
+        for t in 0..width {
+            if t + width < accs.len() {
+                accs[t] = accs[t].add2(accs[t + width]);
+            }
+        }
+    }
+    hadd(accs[0].lo, accs[0].hi)
+}
+
+/// `out[i] ← dot_half2_tree(u row rows[i], v row cols[i], threads, lanes)`
+/// for every `i`, where `u` and `v` hold rows of `f` halves: the per-edge
+/// dot products of an SDDMM tile. On F16C hosts, when `lanes` is 2, 4 or
+/// 8 and divides `f`, eight edges run per step, one per lane, each in its
+/// own edge's order.
+#[allow(clippy::too_many_arguments)]
+pub fn dot_half2_trees(
+    u: &[Half],
+    rows: &[u32],
+    v: &[Half],
+    cols: &[u32],
+    f: usize,
+    threads: usize,
+    lanes: usize,
+    out: &mut [Half],
+) {
+    assert!(rows.len() == out.len() && cols.len() == out.len(), "one row pair per output");
+    assert!((1..=32).contains(&threads), "{threads} threads: a warp has 1 to 32");
+    #[cfg(target_arch = "x86_64")]
+    if matches!(lanes, 2 | 4 | 8)
+        && f.is_multiple_of(lanes)
+        && f16c::dot_half2_trees(u, rows, v, cols, f, threads, lanes, out).is_some()
+    {
+        return;
+    }
+    lanes::dot_half2_trees(u, rows, v, cols, f, threads, lanes, out);
+}
+
+/// Row `r` of a matrix of `f`-wide rows.
+fn feature_row(x: &[Half], r: u32, f: usize) -> &[Half] {
+    &x[r as usize * f..][..f]
 }
 
 /// The row kernels as per-lane intrinsic loops: what runs on hosts
@@ -175,10 +264,13 @@ mod lanes {
         }
     }
 
-    pub(super) fn widen(src: &[Half], dst: &mut [f32]) {
+    pub(super) fn widen(src: &[Half], dst: &mut [f32]) -> bool {
+        let mut finite = true;
         for (d, s) in dst.iter_mut().zip(src) {
             *d = s.to_f32();
+            finite &= s.is_finite();
         }
+        finite
     }
 
     pub(super) fn fma_row(acc: &mut [Half], w: Half, x: &[Half]) {
@@ -202,6 +294,32 @@ mod lanes {
     pub(super) fn axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
         for ((o, &xv), &yv) in out.iter_mut().zip(x).zip(y) {
             *o = hadd(hmul(a, xv), hmul(b, yv));
+        }
+    }
+
+    pub(super) fn gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        for &(r, a) in pairs {
+            let row = &b[r as usize * n..][..n];
+            for (o, &bv) in out.iter_mut().zip(row) {
+                *o += a * bv;
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn dot_half2_trees(
+        u: &[Half],
+        rows: &[u32],
+        v: &[Half],
+        cols: &[u32],
+        f: usize,
+        threads: usize,
+        lanes: usize,
+        out: &mut [Half],
+    ) {
+        for ((o, &r), &c) in out.iter_mut().zip(rows).zip(cols) {
+            *o = dot_half2_tree(feature_row(u, r, f), feature_row(v, c, f), threads, lanes);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The row kernels eight lanes at a time, on x86-64 hosts with F16C
 //! (hardware binary16 ↔ f32 conversion) and AVX.
 //!
-//! Each kernel returns `false` without touching its buffers when the host
+//! Each kernel returns `None` without touching its buffers when the host
 //! lacks either extension, and the caller runs the per-lane loop instead.
 //! A block whose outputs are all finite equals the per-lane loop's bit for
 //! bit because:
@@ -24,6 +24,15 @@
 //! added to the overflow window as one count; that count is flushed
 //! before any per-lane block runs, so the window's event index stays
 //! exact.
+//!
+//! Two kernels run other shapes on the same blocks. [`dot_half2_trees`]
+//! puts one SDDMM edge in each lane: every lane runs its edge's stripe
+//! accumulation, shuffle tree and fold, so a block of eight finite results
+//! is the per-edge loop's. [`gemm_row`] is `f32` only (no conversion, no
+//! record): it holds up to 64 output columns in registers, the last one to
+//! eight of them under a lane mask, and adds one weighted `B` row per
+//! step, `mul` then `add`, in the pairs' order, which is the scalar loop's
+//! order for every output.
 
 use super::lanes;
 use crate::f16::Half;
@@ -33,33 +42,46 @@ use std::arch::x86_64::*;
 /// Lanes per block: one `__m256` of `f32`, one `__m128i` of halves.
 const LANES: usize = 8;
 
+/// Output columns [`gemm_row`] holds in registers: eight `__m256`.
+const GEMM_COLS: usize = 8 * LANES;
+
+/// SDDMM accumulators per edge: two halves for each of up to 32 threads.
+const DOT_SLOTS: usize = 64;
+
 fn available() -> bool {
     is_x86_feature_detected!("avx") && is_x86_feature_detected!("f16c")
 }
 
 /// The safe entry points: run the `#[target_feature]` body only after the
-/// run-time check, and report whether it ran.
+/// run-time check, and return its result, or `None` when it could not run.
 macro_rules! entry_points {
-    ($($name:ident($($arg:ident: $ty:ty),*) => $body:ident;)*) => {$(
-        pub(super) fn $name($($arg: $ty),*) -> bool {
+    ($($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? => $body:ident;)*) => {$(
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn $name($($arg: $ty),*) -> Option<entry_points!(@ret $($ret)?)> {
             if !available() {
-                return false;
+                return None;
             }
             // SAFETY: the body only needs AVX and F16C, and both were
             // detected on this host just above.
-            unsafe { $body($($arg),*) };
-            true
+            Some(unsafe { $body($($arg),*) })
         }
     )*};
+    (@ret) => { () };
+    (@ret $ret:ty) => { $ret };
 }
 
 entry_points! {
     narrow(src: &[f32], dst: &mut [Half]) => narrow_avx;
-    widen(src: &[Half], dst: &mut [f32]) => widen_avx;
+    widen(src: &[Half], dst: &mut [f32]) -> bool => widen_avx;
     fma_row(acc: &mut [Half], w: Half, x: &[Half]) => fma_row_avx;
     scale_row(v: &mut [Half], s: Half) => scale_row_avx;
     add_row(acc: &mut [Half], x: &[Half]) => add_row_avx;
     axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) => axpby_avx;
+    gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) => gemm_row_avx;
+    dot_half2_trees(
+        u: &[Half], rows: &[u32], v: &[Half], cols: &[u32],
+        f: usize, threads: usize, lanes: usize, out: &mut [Half]
+    ) => dot_half2_trees_avx;
 }
 
 /// Conversions of clean blocks not yet added to the overflow window.
@@ -88,17 +110,20 @@ fn narrow_avx(src: &[f32], dst: &mut [Half]) {
 }
 
 #[target_feature(enable = "avx,f16c")]
-fn widen_avx(src: &[Half], dst: &mut [f32]) {
+fn widen_avx(src: &[Half], dst: &mut [f32]) -> bool {
+    let mut finite = true;
     for (s, d) in src.chunks(LANES).zip(dst.chunks_mut(LANES)) {
         let h = load(s);
         // Signaling NaNs widen differently in hardware; the per-lane loop
         // keeps the software payloads for every non-finite block.
         if nonfinite(h) {
+            finite = false;
             lanes::widen(s, d);
         } else {
             store_f32(d, to_f32(h));
         }
     }
+    finite
 }
 
 #[target_feature(enable = "avx,f16c")]
@@ -173,6 +198,216 @@ fn axpby_avx(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
         }
     }
     pending.flush();
+}
+
+#[target_feature(enable = "avx,f16c")]
+fn gemm_row_avx(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
+    let n = out.len();
+    let mut c0 = 0;
+    while c0 < n {
+        let w = (n - c0).min(GEMM_COLS);
+        let o = &mut out[c0..c0 + w];
+        match w.div_ceil(LANES) {
+            1 => gemm_cols::<1>(pairs, b, n, c0, o),
+            2 => gemm_cols::<2>(pairs, b, n, c0, o),
+            3 => gemm_cols::<3>(pairs, b, n, c0, o),
+            4 => gemm_cols::<4>(pairs, b, n, c0, o),
+            5 => gemm_cols::<5>(pairs, b, n, c0, o),
+            6 => gemm_cols::<6>(pairs, b, n, c0, o),
+            7 => gemm_cols::<7>(pairs, b, n, c0, o),
+            _ => gemm_cols::<8>(pairs, b, n, c0, o),
+        }
+        c0 += w;
+    }
+}
+
+/// Columns `c0..c0 + out.len()` of one [`gemm_row`] output (`out`, more
+/// than `8(R − 1)` and at most `8R` of them), held in `R` registers across
+/// every pair. The last register covers the remaining one to eight
+/// columns through a lane mask: its masked-off lanes are neither read nor
+/// written.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn gemm_cols<const R: usize>(
+    pairs: &[(u32, f32)],
+    b: &[f32],
+    n: usize,
+    c0: usize,
+    out: &mut [f32],
+) {
+    let w = out.len();
+    let last = LANES * (R - 1);
+    let mask = lane_mask(w - last);
+    let mut acc = [_mm256_setzero_ps(); R];
+    for (q, a) in acc.iter_mut().enumerate().take(R - 1) {
+        *a = load_f32(&out[LANES * q..LANES * (q + 1)]);
+    }
+    // SAFETY: `out` holds `w` `f32`s; the mask reads lanes `last..w`.
+    acc[R - 1] = unsafe { _mm256_maskload_ps(out.as_ptr().add(last), mask) };
+    for &(r, a) in pairs {
+        let row = &b[r as usize * n + c0..][..w];
+        let av = _mm256_set1_ps(a);
+        for (q, acc) in acc.iter_mut().enumerate() {
+            let bv = if q + 1 < R {
+                // SAFETY: `q < R − 1`, so the eight `f32`s read lie below
+                // `last < w`, inside `row`; `loadu` needs no alignment.
+                unsafe { _mm256_loadu_ps(row.as_ptr().add(LANES * q)) }
+            } else {
+                // SAFETY: the mask reads lanes `last..w` of `row`, which
+                // holds `w` `f32`s.
+                unsafe { _mm256_maskload_ps(row.as_ptr().add(last), mask) }
+            };
+            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, bv));
+        }
+    }
+    for (q, a) in acc.iter().enumerate().take(R - 1) {
+        store_f32(&mut out[LANES * q..LANES * (q + 1)], *a);
+    }
+    // SAFETY: as for the masked load, into `out`.
+    unsafe { _mm256_maskstore_ps(out.as_mut_ptr().add(last), mask, acc[R - 1]) };
+}
+
+/// A lane mask selecting the first `t` (one to eight) of eight lanes.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn lane_mask(t: usize) -> __m256i {
+    const ONES_THEN_ZEROS: [i32; 2 * LANES] =
+        [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let m = &ONES_THEN_ZEROS[LANES - t..2 * LANES - t];
+    // SAFETY: `m` holds eight `i32`s, the 32 bytes read; `loadu` needs no
+    // alignment.
+    unsafe { _mm256_loadu_si256(m.as_ptr().cast()) }
+}
+
+#[target_feature(enable = "avx,f16c")]
+#[allow(clippy::too_many_arguments)]
+fn dot_half2_trees_avx(
+    u: &[Half],
+    rows: &[u32],
+    v: &[Half],
+    cols: &[u32],
+    f: usize,
+    threads: usize,
+    lanes: usize,
+    out: &mut [Half],
+) {
+    // One conversion per feature (the `hfma2` lanes), two per tree add
+    // (`threads − 1` of them) and the final `hadd`.
+    let per_edge = f + 2 * (threads - 1) + 1;
+    let mut pending = Pending(0);
+    let mut e = 0;
+    while e + LANES <= out.len() {
+        let (rs, cs) = (&rows[e..e + LANES], &cols[e..e + LANES]);
+        let mut us = [&u[..0]; LANES];
+        let mut vs = [&v[..0]; LANES];
+        for q in 0..LANES {
+            us[q] = super::feature_row(u, rs[q], f);
+            vs[q] = super::feature_row(v, cs[q], f);
+        }
+        let r = dot_block(&us, &vs, f, threads, lanes);
+        let o = &mut out[e..e + LANES];
+        if nonfinite(r) {
+            pending.flush();
+            lanes::dot_half2_trees(u, rs, v, cs, f, threads, lanes, o);
+        } else {
+            store(o, r);
+            pending.0 += (LANES * per_edge) as u64;
+        }
+        e += LANES;
+    }
+    pending.flush();
+    lanes::dot_half2_trees(u, &rows[e..], v, &cols[e..], f, threads, lanes, &mut out[e..]);
+}
+
+/// Eight edges' `dot_half2_tree`s, one per lane. Accumulator slot `2t`
+/// (`2t + 1`) is thread `t`'s low (high) half2 lane; a feature at position
+/// `p` of its stride window goes to thread `p / lanes`, lane `p % 2`, and
+/// features arrive in ascending order, so each slot sums its stripe in the
+/// per-edge order. Slots hold `f32`s rounded to half after every step.
+#[target_feature(enable = "avx,f16c")]
+fn dot_block(
+    us: &[&[Half]; LANES],
+    vs: &[&[Half]; LANES],
+    f: usize,
+    threads: usize,
+    lanes: usize,
+) -> __m128i {
+    let (stride, shift) = (threads * lanes, lanes.trailing_zeros());
+    let mut acc = [_mm256_setzero_ps(); DOT_SLOTS];
+    let mut p = 0;
+    let mut x = 0;
+    while x < f {
+        let w = (f - x).min(LANES);
+        let (ut, vt) = (transpose(us, x, w), transpose(vs, x, w));
+        for (&uf, &vf) in ut.iter().zip(&vt).take(w) {
+            let slot = (p >> shift) << 1 | (p & 1);
+            let prod = _mm256_mul_ps(to_f32(uf), to_f32(vf));
+            acc[slot] = round(_mm256_add_ps(prod, acc[slot]));
+            p += 1;
+            if p == stride {
+                p = 0;
+            }
+        }
+        x += w;
+    }
+    let mut width = threads.next_power_of_two();
+    while width > 1 {
+        width /= 2;
+        for t in 0..width {
+            if t + width < threads {
+                let (lo, hi) = (2 * (t + width), 2 * (t + width) + 1);
+                acc[2 * t] = round(_mm256_add_ps(acc[2 * t], acc[lo]));
+                acc[2 * t + 1] = round(_mm256_add_ps(acc[2 * t + 1], acc[hi]));
+            }
+        }
+    }
+    to_half(_mm256_add_ps(acc[0], acc[1]))
+}
+
+/// Features `x..x + w` (`w ≤ 8`) of eight rows, feature-major: entry `i`
+/// holds feature `x + i` of every row, lane `q` from row `q`. Lanes past
+/// `w` are zero.
+#[target_feature(enable = "avx,f16c")]
+fn transpose(rows: &[&[Half]; LANES], x: usize, w: usize) -> [__m128i; LANES] {
+    let mut r = [_mm_setzero_si128(); LANES];
+    for (q, row) in rows.iter().enumerate() {
+        r[q] = load(&row[x..x + w]);
+    }
+    // Interleave 16-, then 32-, then 64-bit pieces: an 8×8 transpose.
+    let a0 = _mm_unpacklo_epi16(r[0], r[1]);
+    let a1 = _mm_unpackhi_epi16(r[0], r[1]);
+    let a2 = _mm_unpacklo_epi16(r[2], r[3]);
+    let a3 = _mm_unpackhi_epi16(r[2], r[3]);
+    let a4 = _mm_unpacklo_epi16(r[4], r[5]);
+    let a5 = _mm_unpackhi_epi16(r[4], r[5]);
+    let a6 = _mm_unpacklo_epi16(r[6], r[7]);
+    let a7 = _mm_unpackhi_epi16(r[6], r[7]);
+    let b0 = _mm_unpacklo_epi32(a0, a2);
+    let b1 = _mm_unpackhi_epi32(a0, a2);
+    let b2 = _mm_unpacklo_epi32(a1, a3);
+    let b3 = _mm_unpackhi_epi32(a1, a3);
+    let b4 = _mm_unpacklo_epi32(a4, a6);
+    let b5 = _mm_unpackhi_epi32(a4, a6);
+    let b6 = _mm_unpacklo_epi32(a5, a7);
+    let b7 = _mm_unpackhi_epi32(a5, a7);
+    [
+        _mm_unpacklo_epi64(b0, b4),
+        _mm_unpackhi_epi64(b0, b4),
+        _mm_unpacklo_epi64(b1, b5),
+        _mm_unpackhi_epi64(b1, b5),
+        _mm_unpacklo_epi64(b2, b6),
+        _mm_unpackhi_epi64(b2, b6),
+        _mm_unpacklo_epi64(b3, b7),
+        _mm_unpackhi_epi64(b3, b7),
+    ]
+}
+
+/// Eight `f32` lanes rounded to binary16 and widened back: what storing
+/// a half and loading it again does to a value.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn round(v: __m256) -> __m256 {
+    to_f32(to_half(v))
 }
 
 /// Round eight `f32` lanes to binary16, to nearest even.

@@ -1,7 +1,8 @@
 //! The row kernels of `halfgnn_half::slice` against their per-lane
-//! intrinsic loops: the same output bits, and the same overflow record,
-//! field for field, with a tracking window open, with none open, and
-//! inside `overflow::isolated`.
+//! intrinsic loops (per edge for `dot_half2_trees`, per product for
+//! `gemm_row`): the same output bits, and the same overflow record, field
+//! for field, with a tracking window open, with none open, and inside
+//! `overflow::isolated`.
 //!
 //! Lengths 0–41 cover every tail of the eight-lane blocks; ±Inf, quiet
 //! and signaling NaNs, and operands whose products or sums overflow are
@@ -11,7 +12,8 @@
 use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow::{self, Summary};
 use halfgnn_half::slice::{
-    add_row, axpby, convert_f32_to_half_into, convert_half_to_f32_into, fma_row, scale_row,
+    add_row, axpby, convert_f32_to_half_into, convert_half_to_f32_into, dot_half2_tree,
+    dot_half2_trees, fma_row, gemm_row, scale_row,
 };
 use halfgnn_half::{splitmix64, Half};
 
@@ -225,9 +227,59 @@ fn bulk_widening_is_the_per_lane_to_f32_loop() {
         let src = d.row(n);
         let want: Vec<u32> = src.iter().map(|h| h.to_f32().to_bits()).collect();
         let mut got = vec![0f32; n];
-        convert_half_to_f32_into(&src, &mut got);
+        let finite = convert_half_to_f32_into(&src, &mut got);
         let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want, "widen n={n}");
+        assert_eq!(finite, src.iter().all(|h| h.is_finite()), "widen's finiteness n={n}");
+    }
+}
+
+#[test]
+fn gemm_row_is_the_per_product_mul_add_loop() {
+    for (n, mut d) in cases() {
+        let rows = 1 + d.below(5) as usize;
+        let b: Vec<f32> = (0..rows * n).map(|_| d.f32_value()).collect();
+        let pairs: Vec<(u32, f32)> =
+            (0..d.below(9)).map(|_| (d.below(rows as u64) as u32, d.f32_value())).collect();
+        let out0: Vec<f32> = (0..n).map(|_| d.f32_value()).collect();
+        let mut want = out0.clone();
+        for &(r, a) in &pairs {
+            for (o, &bv) in want.iter_mut().zip(&b[r as usize * n..]) {
+                *o += a * bv;
+            }
+        }
+        let mut got = out0.clone();
+        gemm_row(&pairs, &b, &mut got);
+        let bits = |v: &[f32]| -> Vec<u32> {
+            v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "gemm_row n={n} pairs={pairs:?}");
+    }
+}
+
+#[test]
+fn dot_half2_trees_is_the_per_edge_tree() {
+    for (e, mut d) in cases() {
+        for (f, lanes) in [(2, 2), (8, 2), (12, 4), (64, 8), (72, 8), (96, 2)] {
+            let threads = (f / lanes).clamp(1, 32);
+            let (u, v) = (d.row(5 * f), d.row(3 * f));
+            let rows: Vec<u32> = (0..e).map(|_| d.below(5) as u32).collect();
+            let cols: Vec<u32> = (0..e).map(|_| d.below(3) as u32).collect();
+            let row = |x: &[Half], r: u32| x[r as usize * f..][..f].to_vec();
+            let (want, want_rec) = records(|| {
+                let pairs = rows.iter().zip(&cols);
+                pairs
+                    .map(|(&r, &c)| dot_half2_tree(&row(&u, r), &row(&v, c), threads, lanes))
+                    .collect()
+            });
+            let (got, got_rec) = records(|| {
+                let mut out = vec![Half::ZERO; e];
+                dot_half2_trees(&u, &rows, &v, &cols, f, threads, lanes, &mut out);
+                out
+            });
+            assert_eq!(value_bits(&got), value_bits(&want), "edges={e} f={f} lanes={lanes}");
+            assert_eq!(got_rec, want_rec, "record edges={e} f={f} lanes={lanes}");
+        }
     }
 }
 

@@ -14,8 +14,8 @@
 
 use crate::common::{Tiling, VectorWidth};
 use halfgnn_graph::Coo;
-use halfgnn_half::intrinsics::hadd;
-use halfgnn_half::{Half, Half2};
+use halfgnn_half::slice::dot_half2_trees;
+use halfgnn_half::Half;
 use halfgnn_sim::launch::{launch, LaunchParams};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
@@ -200,13 +200,19 @@ pub fn sddmm_window(
                 // Functional computation, faithful to the reduction tree:
                 // each thread accumulates its feature stripe in a half2
                 // register, the stripes tree-combine in half2, and the final
-                // half2 folds to one half.
-                let mut vals = Vec::with_capacity(n);
-                for ei in s..e {
-                    let ur = &u[rows[ei] as usize * f..rows[ei] as usize * f + f];
-                    let vc = &v[cols[ei] as usize * f..cols[ei] as usize * f + f];
-                    vals.push(dot_half2_tree(ur, vc, threads_per_edge, width.lanes()));
-                }
+                // half2 folds to one half (`dot_half2_tree`, eight edges at
+                // a time on F16C hosts).
+                let mut vals = vec![Half::ZERO; n];
+                dot_half2_trees(
+                    u,
+                    &rows[s..e],
+                    v,
+                    &cols[s..e],
+                    f,
+                    threads_per_edge,
+                    width.lanes(),
+                    &mut vals,
+                );
                 warp.nonfinite_values(crate::common::count_nonfinite(&vals));
                 out.push((s, vals));
             }
@@ -223,49 +229,13 @@ pub fn sddmm_window(
     (result, stats)
 }
 
-/// Half-precision dot product with the exact reduction shape of the kernel:
-/// per-thread half2 accumulation over a strided stripe, in-register fold,
-/// then a binary shuffle tree across threads.
-fn dot_half2_tree(u: &[Half], v: &[Half], threads: usize, lanes: usize) -> Half {
-    let f = u.len();
-    // Per-thread half2 accumulators.
-    let mut accs: Vec<Half2> = vec![Half2::ZERO; threads];
-    let chunk = lanes; // features one thread loads per iteration
-    let stride = threads * chunk;
-    for (t, acc) in accs.iter_mut().enumerate() {
-        let mut base = t * chunk;
-        while base < f {
-            // Fold this chunk's half2 words into the accumulator.
-            let mut j = 0;
-            while j < chunk && base + j < f {
-                let a = Half2::new(u[base + j], u[base + j + 1]);
-                let b = Half2::new(v[base + j], v[base + j + 1]);
-                *acc = a.fma2(b, *acc);
-                j += 2;
-            }
-            base += stride;
-        }
-    }
-    // Shuffle tree across threads (half2 adds), then the final fold.
-    let mut width = threads.next_power_of_two();
-    while width > 1 {
-        width /= 2;
-        for t in 0..width {
-            if t + width < accs.len() {
-                accs[t] = accs[t].add2(accs[t + width]);
-            }
-        }
-    }
-    hadd(accs[0].lo, accs[0].hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::{assert_close_half, half_to_f64, sddmm_f64};
     use halfgnn_graph::gen;
     use halfgnn_graph::Csr;
-    use halfgnn_half::slice::f32_slice_to_half;
+    use halfgnn_half::slice::{dot_half2_tree, f32_slice_to_half};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

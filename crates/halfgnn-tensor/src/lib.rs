@@ -9,11 +9,13 @@
 //! instruction class and the kernel name (`relu_f32`/`relu_f16`, …).
 //! [`ops::Ops`] also counts every tensor-level dtype conversion — the
 //! §3.1.2 tax of AMP's promotions, reproduced in the `conversions`
-//! experiment.
+//! experiment. [`gemm`] is the host GEMM behind `Ops::gemm`: zero-aware,
+//! register-blocked, and bit-identical to its scalar reference loop.
 //!
 //! [`memory::MemoryTracker`] accounts every tensor allocation so Fig. 6's
 //! training-memory comparison can be regenerated analytically.
 
+pub mod gemm;
 pub mod memory;
 pub mod ops;
 

@@ -18,7 +18,6 @@ use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
 use halfgnn_half::{Half, Scalar};
 use halfgnn_sim::launch::{launch, LaunchParams};
 use halfgnn_sim::{DeviceConfig, KernelStats};
-use rayon::prelude::*;
 
 /// Execution context: device, kernel log, conversion counters.
 pub struct Ops<'d> {
@@ -209,7 +208,8 @@ impl<'d> Ops<'d> {
     /// `C[m×n] ← op(A)[m×k] · op(B)[k×n]`. `ta`/`tb` transpose the stored
     /// operands (A is stored `m×k` or `k×m` accordingly). Half runs as
     /// PyTorch AMP does: tensor cores (modeled at 4× float throughput),
-    /// f32 accumulation, half storage — each operand is widened once.
+    /// f32 accumulation, half storage — the operand rows the product
+    /// reads are widened, and the output narrowed once ([`crate::gemm`]).
     #[allow(clippy::too_many_arguments)]
     pub fn gemm<T: Scalar>(
         &mut self,
@@ -225,7 +225,7 @@ impl<'d> Ops<'d> {
         assert_eq!(b.len(), k * n, "B shape");
         let name = T::pick("gemm_f16_tc", "gemm_f32");
         self.charge_gemm::<T>(name, m, k, n);
-        let out = T::narrow(matmul(&T::widen(a), ta, &T::widen(b), tb, m, k, n));
+        let out = crate::gemm::gemm(a, ta, b, tb, m, k, n);
         self.trace(name, &[buf_ref(a), buf_ref(b)], &[buf_ref(&out)]);
         out
     }
@@ -440,38 +440,6 @@ impl<'d> Ops<'d> {
     }
 }
 
-/// Rayon-parallel matmul with transpose flags. Deterministic at any thread
-/// count: each worker owns disjoint output rows and the per-row reduction
-/// order is fixed, so results are bit-identical to a serial run.
-///
-/// A transposed `B` (stored `n×k`) is first laid out row-major `k×n`
-/// once per call, so the inner loop streams contiguous rows either way;
-/// every output still sums its `k` products in ascending `l`.
-fn matmul(a: &[f32], ta: bool, b: &[f32], tb: bool, m: usize, k: usize, n: usize) -> Vec<f32> {
-    let get_a = |i: usize, l: usize| if ta { a[l * m + i] } else { a[i * k + l] };
-    let bt: Vec<f32>;
-    let b = if tb {
-        bt = (0..k * n).map(|i| b[(i % n) * k + i / n]).collect();
-        &bt
-    } else {
-        b
-    };
-    let mut c = vec![0f32; m * n];
-    c.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-        for l in 0..k {
-            let av = get_a(i, l);
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[l * n..(l + 1) * n];
-            for (cv, &bv) in row.iter_mut().zip(brow) {
-                *cv += av * bv;
-            }
-        }
-    });
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,20 +447,6 @@ mod tests {
 
     fn dev() -> DeviceConfig {
         DeviceConfig::a100_like()
-    }
-
-    #[test]
-    fn matmul_hand_checked() {
-        // A = [[1,2],[3,4]], B = [[5,6],[7,8]]
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [5.0, 6.0, 7.0, 8.0];
-        assert_eq!(matmul(&a, false, &b, false, 2, 2, 2), vec![19.0, 22.0, 43.0, 50.0]);
-        // Aᵀ stored: columns become rows.
-        let at = [1.0, 3.0, 2.0, 4.0];
-        assert_eq!(matmul(&at, true, &b, false, 2, 2, 2), vec![19.0, 22.0, 43.0, 50.0]);
-        // Bᵀ stored.
-        let bt = [5.0, 7.0, 6.0, 8.0];
-        assert_eq!(matmul(&a, false, &bt, true, 2, 2, 2), vec![19.0, 22.0, 43.0, 50.0]);
     }
 
     #[test]

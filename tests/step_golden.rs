@@ -179,8 +179,14 @@ impl Digest {
 
 /// One golden line: the launch count and the digest of the step's kernel
 /// log, conversion counters and (when given) its loss, gradients and
-/// logits.
+/// logits. Every hashed value must be finite: the payload of a NaN that
+/// `f32` arithmetic returns is unspecified, so a digest of one would pin
+/// a build.
 fn line(name: &str, ops: &Ops, loss: Option<f32>, grads: &[f32], logits: &[f32]) -> String {
+    let costs = ops.log.iter().flat_map(|s| [s.cycles, s.time_us]);
+    assert!(costs.clone().all(f64::is_finite), "{name}: a non-finite kernel cost");
+    let values = loss.iter().chain(grads).chain(logits);
+    assert!(values.clone().all(|v| v.is_finite()), "{name}: a non-finite loss, gradient or logit");
     let mut h = Digest::new();
     for s in &ops.log {
         h.bytes(&s.name);
