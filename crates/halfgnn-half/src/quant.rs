@@ -25,8 +25,10 @@
 //! [`crate::overflow`] so the tuner can gate quantized kernel plans on a
 //! saturation-clean window the same way it gates f16 plans on an
 //! overflow-clean one. Unlike the overflow hook it is always compiled
-//! (no feature gate): the inactive cost is one `Cell` read per
-//! quantized element, and there is no pre-existing hot path to protect.
+//! (no feature gate): the inactive cost is one `Cell` read per call,
+//! plus one per flagged element. A quantization made once and reused
+//! (the INT8 SpMM's operands) is recorded by [`credit`]ing its
+//! [`isolated`] summary wherever the quantization is used.
 
 use crate::splitmix64;
 use std::cell::{Cell, RefCell};
@@ -45,9 +47,19 @@ pub const QMAX: i32 = 127;
 /// domain-separates quantization from the sampler, which chains the same
 /// words through a different prefix.
 pub fn sr_uniform(seed: u64, site: u64, index: u64) -> f32 {
-    let mut s = splitmix64(seed ^ 0x2545_f491_4f6c_dd1d);
-    s = splitmix64(s ^ site);
-    s = splitmix64(s ^ index);
+    uniform(stream_prefix(seed, site), index)
+}
+
+/// The `(seed, site)` links of [`sr_uniform`]'s chain, shared by every
+/// index of one stream.
+fn stream_prefix(seed: u64, site: u64) -> u64 {
+    splitmix64(splitmix64(seed ^ 0x2545_f491_4f6c_dd1d) ^ site)
+}
+
+/// [`sr_uniform`] with the stream's prefix already chained.
+#[inline(always)]
+fn uniform(prefix: u64, index: u64) -> f32 {
+    let s = splitmix64(prefix ^ index);
     ((s >> 40) as f32) * (1.0 / (1u64 << 24) as f32)
 }
 
@@ -86,7 +98,17 @@ pub fn block_exponent(max_abs: f32) -> i32 {
 /// coin from the `(seed, site, index)` stream. Clamps to `±QMAX` and
 /// records saturation provenance when the scale cannot represent `v`.
 pub fn quantize_sr(v: f32, e: i32, seed: u64, site: u64, index: u64) -> i8 {
-    observe();
+    observe(1);
+    round(v, (2.0f64).powi(-e), stream_prefix(seed, site), site, index)
+}
+
+/// The one stochastic-rounding body behind [`quantize_sr`] and
+/// [`quantize_blocks`]: `v · down` (`down = 2^-e`) rounded down, plus one
+/// when the coin `uniform(prefix, index)` falls below the fraction, then
+/// clamped to `±QMAX`. A non-finite input or a clamp is recorded here, in
+/// element order; callers count the quantized elements themselves.
+#[inline(always)]
+fn round(v: f32, down: f64, prefix: u64, site: u64, index: u64) -> i8 {
     if !v.is_finite() {
         record_event(site, index, v, true);
         return if v.is_nan() {
@@ -97,9 +119,9 @@ pub fn quantize_sr(v: f32, e: i32, seed: u64, site: u64, index: u64) -> i8 {
             QMAX as i8
         };
     }
-    let scaled = v as f64 * (2.0f64).powi(-e);
-    let floor = scaled.floor();
-    let u = sr_uniform(seed, site, index) as f64;
+    let scaled = v as f64 * down;
+    let floor = floor(scaled);
+    let u = uniform(prefix, index) as f64;
     let q = floor + if u < scaled - floor { 1.0 } else { 0.0 };
     if q > QMAX as f64 {
         record_event(site, index, v, false);
@@ -109,6 +131,28 @@ pub fn quantize_sr(v: f32, e: i32, seed: u64, site: u64, index: u64) -> i8 {
         -QMAX as i8
     } else {
         q as i8
+    }
+}
+
+/// `f64::floor` as [`round`] needs it, without the libm call that
+/// `floor` is on baseline x86-64: truncate through `i64`, then step down
+/// from a negative non-integer.
+///
+/// Below `2^63` in magnitude the truncation is exact (an `f64` that large
+/// is already an integer) and so is the result. Beyond, and at ±Inf, the
+/// cast saturates to ±2^63, so the result can differ from the true floor,
+/// but both are ±2^63 or further out: `round` clamps either one to the
+/// same ±127 code and records the same event. A NaN (`0 · Inf` under an
+/// extreme exponent) gives 0 here and NaN from `floor`; either way the
+/// coin's comparison with the NaN fails and `round` returns code 0 with
+/// no event.
+#[inline(always)]
+fn floor(x: f64) -> f64 {
+    let t = x as i64 as f64;
+    if t > x {
+        t - 1.0
+    } else {
+        t
     }
 }
 
@@ -148,17 +192,38 @@ impl QuantizedBlocks {
 /// so callers quantizing disjoint regions of one logical tensor get the
 /// same codes whatever the work division.
 pub fn quantize_blocks(vals: &[f32], seed: u64, site: u64, base_index: u64) -> QuantizedBlocks {
-    let mut q = Vec::with_capacity(vals.len());
-    let mut exps = Vec::with_capacity(vals.len().div_ceil(BLOCK));
+    let mut out = QuantizedBlocks {
+        q: Vec::with_capacity(vals.len()),
+        exps: Vec::with_capacity(vals.len().div_ceil(BLOCK)),
+    };
+    quantize_blocks_into(vals, seed, site, base_index, &mut out);
+    out
+}
+
+/// [`quantize_blocks`] appending its codes and exponents to `out`. Each
+/// element is [`quantize_sr`] at its block's exponent: the stream prefix
+/// and the exponent bias are read once per call, `2^-e` is computed once
+/// per block, and the window's count is added once per call.
+pub fn quantize_blocks_into(
+    vals: &[f32],
+    seed: u64,
+    site: u64,
+    base_index: u64,
+    out: &mut QuantizedBlocks,
+) {
+    let prefix = stream_prefix(seed, site);
+    let bias = exponent_bias();
+    observe(vals.len() as u64);
     for (bi, block) in vals.chunks(BLOCK).enumerate() {
         let max_abs = block.iter().fold(0f32, |m, v| m.max(v.abs()));
-        let e = block_exponent(max_abs) + exponent_bias();
-        exps.push(e as i16);
-        for (j, &v) in block.iter().enumerate() {
-            q.push(quantize_sr(v, e, seed, site, base_index + (bi * BLOCK + j) as u64));
-        }
+        let e = block_exponent(max_abs) + bias;
+        out.exps.push(e as i16);
+        let down = (2.0f64).powi(-e);
+        let base = base_index + (bi * BLOCK) as u64;
+        out.q.extend(
+            block.iter().zip(base..).map(|(&v, index)| round(v, down, prefix, site, index)),
+        );
     }
-    QuantizedBlocks { q, exps }
 }
 
 /// One saturation event: the INT8 analogue of an overflow event.
@@ -274,11 +339,20 @@ pub fn isolated<T>(f: impl FnOnce() -> T) -> (T, SatSummary) {
     (out, summary)
 }
 
-fn observe() {
+/// Merge `summary` into this thread's open window, exactly as if the
+/// quantizations it counts ran again here: counts add, and the window's
+/// earlier first event is kept. A no-op when no window is open.
+pub fn credit(summary: &SatSummary) {
+    if is_active() {
+        WINDOW.with(|w| w.borrow_mut().merge(summary.clone()));
+    }
+}
+
+fn observe(quantized: u64) {
     if !ACTIVE.with(|a| a.get()) {
         return;
     }
-    WINDOW.with(|w| w.borrow_mut().quantized += 1);
+    WINDOW.with(|w| w.borrow_mut().quantized += quantized);
 }
 
 fn record_event(site: u64, index: u64, input: f32, nonfinite: bool) {

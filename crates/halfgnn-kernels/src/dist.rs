@@ -30,6 +30,8 @@ use halfgnn_sim::{DeviceConfig, KernelStats};
 /// Rows a halo-gather warp packs per iteration.
 const ROWS_PER_WARP: usize = 8;
 const WARPS_PER_CTA: usize = 4;
+/// Wire elements the INT8 halo gather widens at a time: whole blocks.
+const PACK: usize = 64 * quant::BLOCK;
 
 /// Gather the feature rows named by `halo` (global vertex ids) from the
 /// global tensor `x` (`num_vertices × f`) into a packed `|halo| × f` wire
@@ -207,10 +209,10 @@ pub const ALLREDUCE_I8_SITE: &str = "allreduce_i8";
 /// wire buffer* (blocks may straddle rows — this is a wire format, not a
 /// tensor layout), stochastically rounded as a pure function of
 /// `(seed, site, flat wire index)`. The payload is 1 byte/element —
-/// half the f16 wire, a quarter of float. The receiver dequantizes to
-/// f32 (exact power-of-two scales), never back through f16: a code at
-/// +127 under a large exponent could overflow binary16 where the source
-/// value did not.
+/// half the f16 wire, a quarter of float. A receiver that reads the codes
+/// dequantizes them to f32 ([`quant::QuantizedBlocks::dequantize`], exact
+/// power-of-two scales), never back through f16: a code at +127 under a
+/// large exponent could overflow binary16 where the source value did not.
 pub fn halo_gather_i8<T: Scalar>(
     dev: &DeviceConfig,
     x: &[T],
@@ -224,15 +226,29 @@ pub fn halo_gather_i8<T: Scalar>(
     let num_ctas = n.div_ceil(rows_per_cta).max(1);
 
     // Host-side pure pre-quantization of the packed wire buffer — on the
-    // caller's thread, so the saturation window sees every element.
-    let mut pack = vec![0f32; n * f];
-    for (i, &src_row) in halo.iter().enumerate() {
-        let src = src_row as usize * f;
-        for (dst, h) in pack[i * f..(i + 1) * f].iter_mut().zip(&x[src..src + f]) {
-            *dst = h.to_f32();
+    // caller's thread, so the saturation window sees every element. The
+    // rows are packed and quantized `PACK` elements at a time; each pack
+    // starts on a block boundary of the flat wire, so its blocks are the
+    // wire's.
+    let site = quant::site_key(HALO_I8_SITE);
+    let total = n * f;
+    let mut wire = quant::QuantizedBlocks {
+        q: Vec::with_capacity(total),
+        exps: Vec::with_capacity(total.div_ceil(quant::BLOCK)),
+    };
+    let mut pack = vec![0f32; PACK.min(total)];
+    for start in (0..total).step_by(PACK) {
+        let end = (start + PACK).min(total);
+        let mut i = start;
+        while i < end {
+            let (row, col) = (i / f, i % f);
+            let len = (f - col).min(end - i);
+            let src = halo[row] as usize * f + col;
+            T::widen_into(&x[src..src + len], &mut pack[i - start..i - start + len]);
+            i += len;
         }
+        quant::quantize_blocks_into(&pack[..end - start], seed, site, start as u64, &mut wire);
     }
-    let wire = quant::quantize_blocks(&pack, seed, quant::site_key(HALO_I8_SITE), 0);
 
     let mut space = AddrSpace::new();
     let idx_base = space.alloc(n, 4);
@@ -291,6 +307,10 @@ pub fn halo_gather_i8<T: Scalar>(
 /// version's half adds), and the result dequantizes by the exact
 /// power-of-two `2^e`. The absolute error per element is bounded by
 /// `S · 2^e` deterministically, and is unbiased in expectation.
+///
+/// The rounding runs host-side on the caller's thread, in bucket → shard
+/// → element order, before the launch: the saturation window sees every
+/// code whatever the worker-thread count.
 pub fn allreduce_i8_stochastic(
     dev: &DeviceConfig,
     partials: &[Vec<f32>],
@@ -313,6 +333,23 @@ pub fn allreduce_i8_stochastic(
 
     let buckets = n.div_ceil(bucket).max(1);
     let num_ctas = buckets.div_ceil(WARPS_PER_CTA).max(1);
+
+    // Per bucket: the joint exponent, then every shard's codes, in the
+    // order sequential CTAs would round them.
+    let mut exps = Vec::with_capacity(buckets);
+    let mut codes = vec![0i8; num_shards * n];
+    for lo in (0..n).step_by(bucket) {
+        let hi = (lo + bucket).min(n);
+        let max_abs =
+            partials.iter().flat_map(|p| p[lo..hi].iter()).fold(0f32, |m, v| m.max(v.abs()));
+        let e = quant::block_exponent(max_abs);
+        exps.push(e);
+        for (s, p) in partials.iter().enumerate() {
+            for (i, &v) in (lo..hi).zip(&p[lo..hi]) {
+                codes[s * n + i] = quant::quantize_sr(v, e, seed, site, (s * n + i) as u64);
+            }
+        }
+    }
 
     let (cta_outs, stats) = launch(
         dev,
@@ -339,12 +376,7 @@ pub fn allreduce_i8_stochastic(
                     warp.load_contiguous(base + lo as u64 * 4, len, 4);
                 }
                 warp.float_ops(num_shards as u64 * chunks); // |v| max scan
-                let max_abs = partials
-                    .iter()
-                    .flat_map(|p| p[lo..hi].iter())
-                    .fold(0f32, |m, v| m.max(v.abs()));
-                let e = quant::block_exponent(max_abs);
-                let up = (2.0f64).powi(e);
+                let up = (2.0f64).powi(exps[bi]);
 
                 // Stochastic quantize + exact i32 accumulation on the
                 // 1-byte wire, shard order.
@@ -352,10 +384,9 @@ pub fn allreduce_i8_stochastic(
                 warp.float_ops((num_shards as u64 - 1) * chunks); // wire adds
                 warp.store_contiguous(wire_base + lo as u64, len.div_ceil(4), 4);
                 let mut acc = vec![0i32; len];
-                for (s, p) in partials.iter().enumerate() {
-                    for (i, (a, &v)) in acc.iter_mut().zip(&p[lo..hi]).enumerate() {
-                        let idx = (s * n + lo + i) as u64;
-                        *a += quant::quantize_sr(v, e, seed, site, idx) as i32;
+                for shard_codes in codes.chunks_exact(n) {
+                    for (a, &q) in acc.iter_mut().zip(&shard_codes[lo..hi]) {
+                        *a += q as i32;
                     }
                 }
 

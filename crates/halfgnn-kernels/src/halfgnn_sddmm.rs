@@ -59,7 +59,8 @@ impl SddmmConfig {
 ///
 /// `width` selects the data-load vector type (Fig. 12 compares them);
 /// arithmetic is always half2 (wider types have no native arithmetic —
-/// §5.1.2). `f` must be a multiple of `width.lanes()` (feature padding).
+/// §5.1.2), so `width` is half2 or wider. `f` must be a multiple of
+/// `width.lanes()` (feature padding).
 pub fn sddmm(
     dev: &DeviceConfig,
     coo: &Coo,
@@ -110,6 +111,11 @@ pub fn sddmm_window(
     let _site = halfgnn_half::overflow::site("halfgnn_sddmm");
     assert_eq!(u.len(), coo.num_rows() * f, "U shape mismatch");
     assert_eq!(v.len(), coo.num_cols() * f, "V shape mismatch");
+    assert_ne!(
+        width,
+        VectorWidth::Half1,
+        "SDDMM arithmetic is half2: its loads are half2 or wider"
+    );
     assert_eq!(
         f % width.lanes(),
         0,
@@ -331,6 +337,16 @@ mod tests {
         let (_, s2) = sddmm(&dev(), &g, &u, &v, f, VectorWidth::Half2);
         assert_eq!(s8.totals.shuffles, 2);
         assert_eq!(s2.totals.shuffles, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "SDDMM arithmetic is half2")]
+    fn half1_loads_are_rejected_by_name() {
+        let g = random_graph(20, 60, 13);
+        let f = 64;
+        let u = random_halves(g.num_rows() * f, 1.0, 14);
+        let v = random_halves(g.num_cols() * f, 1.0, 15);
+        sddmm(&dev(), &g, &u, &v, f, VectorWidth::Half1);
     }
 
     #[test]

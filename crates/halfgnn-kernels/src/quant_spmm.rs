@@ -9,12 +9,16 @@
 //! pure function of `(seed, site, index)`**:
 //!
 //! * `X` is quantized per row in [`quant::BLOCK`]-element scale blocks
-//!   (stream index = flat element index `r·f + j`), so every window of a
-//!   sharded launch sees bitwise-identical codes.
+//!   (stream index = flat element index `r·f + j`).
 //! * Edge weights are quantized over the global edge array in
 //!   [`quant::BLOCK`]-element blocks (stream index = edge id). `SpMMv`
 //!   (all-ones weights) skips weight quantization entirely — the codes
 //!   would be exact.
+//!
+//! Both are quantized once per sparse op into [`I8Operands`], which every
+//! window of a sharded launch reads. Each window credits the operands'
+//! saturation record to the caller's window, so the record is what
+//! quantizing the full operands again in every window would make.
 //!
 //! Inside a group the kernel models DP4A accumulation: the `i8 × i8`
 //! products are exact in `i32`; each product joins an f32 accumulator
@@ -30,6 +34,7 @@
 use crate::common::{count_nonfinite, EdgeWeights, Tiling};
 use halfgnn_graph::Csr;
 use halfgnn_half::intrinsics::hadd;
+use halfgnn_half::slice::convert_half_to_f32_into;
 use halfgnn_half::{overflow, quant, Half};
 use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
@@ -51,24 +56,46 @@ pub fn exps_per_row(f: usize) -> usize {
 pub fn quantize_features(x: &[Half], f: usize, seed: u64) -> quant::QuantizedBlocks {
     let site = quant::site_key(SITE_X);
     let rows = x.len() / f;
-    let mut q = Vec::with_capacity(x.len());
-    let mut exps = Vec::with_capacity(rows * exps_per_row(f));
+    let mut out = quant::QuantizedBlocks {
+        q: Vec::with_capacity(x.len()),
+        exps: Vec::with_capacity(rows * exps_per_row(f)),
+    };
     let mut row_f32 = vec![0f32; f];
-    for r in 0..rows {
-        for (dst, h) in row_f32.iter_mut().zip(&x[r * f..(r + 1) * f]) {
-            *dst = h.to_f32();
-        }
-        let row = quant::quantize_blocks(&row_f32, seed, site, (r * f) as u64);
-        q.extend_from_slice(&row.q);
-        exps.extend_from_slice(&row.exps);
+    for (r, row) in x.chunks_exact(f).enumerate() {
+        convert_half_to_f32_into(row, &mut row_f32);
+        quant::quantize_blocks_into(&row_f32, seed, site, (r * f) as u64, &mut out);
     }
-    quant::QuantizedBlocks { q, exps }
+    out
 }
 
 /// Quantize the global edge-weight array (stream index = edge id).
 pub fn quantize_edge_weights(w: &EdgeWeights<'_>, nnz: usize, seed: u64) -> quant::QuantizedBlocks {
     let vals: Vec<f32> = (0..nnz).map(|e| w.get(e).to_f32()).collect();
     quant::quantize_blocks(&vals, seed, quant::site_key(SITE_W), 0)
+}
+
+/// One sparse op's INT8 operands: the feature codes, the edge-weight
+/// codes (SpMMve only), and the saturation record that quantizing them
+/// made. Built once per op, on the caller's thread and in an
+/// [`quant::isolated`] window; every [`spmm_i8_window`] of the op reads
+/// the same codes and credits that record to the caller's window.
+pub struct I8Operands {
+    x: quant::QuantizedBlocks,
+    w: Option<quant::QuantizedBlocks>,
+    sat: quant::SatSummary,
+}
+
+impl I8Operands {
+    /// Quantize `x` (`num_cols × f`) and, unless they are all ones, the
+    /// edge weights `w`, keyed by `seed`.
+    pub fn new(csr: &Csr, w: EdgeWeights<'_>, x: &[Half], f: usize, seed: u64) -> I8Operands {
+        assert_eq!(x.len(), csr.num_cols() * f, "X shape mismatch");
+        let ((x, w), sat) = quant::isolated(|| {
+            let qx = quantize_features(x, f, seed);
+            (qx, (!w.is_ones()).then(|| quantize_edge_weights(&w, csr.nnz(), seed)))
+        });
+        I8Operands { x, w, sat }
+    }
 }
 
 /// `Y ← A_w · X` through the INT8 path, full row range.
@@ -83,25 +110,25 @@ pub fn spmm_i8(
     tiling: Tiling,
     seed: u64,
 ) -> (Vec<Half>, KernelStats) {
-    spmm_i8_window(dev, csr, w, x, f, row_scale, tiling, seed, (0, csr.num_rows()))
+    let operands = I8Operands::new(csr, w, x, f, seed);
+    spmm_i8_window(dev, csr, &operands, f, row_scale, tiling, (0, csr.num_rows()))
 }
 
-/// [`spmm_i8`] restricted to the global row window `[r0, r1)`. Neighbor
-/// groups are per-row independent and quantization streams are keyed by
-/// global indices, so window rows are bit-identical to the full run.
-#[allow(clippy::too_many_arguments)]
+/// [`spmm_i8`] over `operands`, restricted to the global row window
+/// `[r0, r1)`. Neighbor groups are per-row independent and quantization
+/// streams are keyed by global indices, so window rows are bit-identical
+/// to the full run.
 pub fn spmm_i8_window(
     dev: &DeviceConfig,
     csr: &Csr,
-    w: EdgeWeights<'_>,
-    x: &[Half],
+    operands: &I8Operands,
     f: usize,
     row_scale: Option<&[Half]>,
     tiling: Tiling,
-    seed: u64,
     row_window: (usize, usize),
 ) -> (Vec<Half>, KernelStats) {
-    assert_eq!(x.len(), csr.num_cols() * f, "X shape mismatch");
+    let I8Operands { x: qx, w: qw, sat } = operands;
+    assert_eq!(qx.q.len(), csr.num_cols() * f, "X shape mismatch");
     assert!(f.is_multiple_of(2), "feature length must be half2-padded");
     let (r0, r1) = row_window;
     assert!(r0 <= r1 && r1 <= csr.num_rows(), "bad row window {row_window:?}");
@@ -110,11 +137,7 @@ pub fn spmm_i8_window(
     let warps_per_cta = tiling.warps_per_cta.max(1);
     let n = csr.num_rows();
     let epr = exps_per_row(f);
-
-    // Host-side pure pre-quantization: full operands, so every window of
-    // a sharded launch sees the same codes.
-    let qx = quantize_features(x, f, seed);
-    let qw = (!w.is_ones()).then(|| quantize_edge_weights(&w, csr.nnz(), seed));
+    quant::credit(sat);
 
     // Neighbor groups: (row, offset, len), never crossing a row.
     let mut groups: Vec<(u32, usize, usize)> = Vec::new();
@@ -132,7 +155,7 @@ pub fn spmm_i8_window(
     let mut space = AddrSpace::new();
     let cols_base = space.alloc(csr.nnz(), 4);
     let w_base = space.alloc(csr.nnz(), 1);
-    let x_base = space.alloc(x.len(), 1);
+    let x_base = space.alloc(qx.q.len(), 1);
     let y_base = space.alloc(n * f, 2);
     let stage_base = space.alloc(groups.len() * (f + 2), 2);
 
@@ -141,7 +164,7 @@ pub fn spmm_i8_window(
 
     let (cta_outs, main_stats) = launch(
         dev,
-        if w.is_ones() { "spmm_i8v" } else { "spmm_i8ve" },
+        if qw.is_none() { "spmm_i8v" } else { "spmm_i8ve" },
         LaunchParams { num_ctas, warps_per_cta },
         |cta| {
             let cta_id = cta.id;
@@ -166,7 +189,7 @@ pub fn spmm_i8_window(
                 let mut acc = vec![0f32; f];
                 for (k, &c) in cols.iter().enumerate() {
                     let e_idx = off + k;
-                    let (qwv, ewv) = match &qw {
+                    let (qwv, ewv) = match qw {
                         Some(qw) => (qw.q[e_idx] as i32, qw.exps[e_idx / quant::BLOCK] as i32),
                         None => (1, 0),
                     };
@@ -311,28 +334,9 @@ mod tests {
         let x = features(33, f);
         let t = Tiling::default();
         let (full, _) = spmm_i8(&DeviceConfig::tiny(), &csr, EdgeWeights::Ones, &x, f, None, t, 3);
-        let (lo, _) = spmm_i8_window(
-            &DeviceConfig::tiny(),
-            &csr,
-            EdgeWeights::Ones,
-            &x,
-            f,
-            None,
-            t,
-            3,
-            (0, 17),
-        );
-        let (hi, _) = spmm_i8_window(
-            &DeviceConfig::tiny(),
-            &csr,
-            EdgeWeights::Ones,
-            &x,
-            f,
-            None,
-            t,
-            3,
-            (17, 33),
-        );
+        let operands = I8Operands::new(&csr, EdgeWeights::Ones, &x, f, 3);
+        let window = |w| spmm_i8_window(&DeviceConfig::tiny(), &csr, &operands, f, None, t, w).0;
+        let (lo, hi) = (window((0, 17)), window((17, 33)));
         for r in 0..33 {
             let src = if r < 17 { &lo } else { &hi };
             for j in 0..f {

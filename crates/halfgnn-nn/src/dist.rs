@@ -311,9 +311,9 @@ impl DistCtx {
     /// quantizes the packed remote rows into per-64-element scale-block
     /// INT8 codes on the sender (deterministic stochastic rounding keyed
     /// by `seed`), so the wire moves 1 byte/element — half the f16 path,
-    /// a quarter of float. The receiver dequantizes straight to f32; the
-    /// codes never round-trip through f16, because a ±127 code under a
-    /// large block exponent can exceed binary16 range.
+    /// a quarter of float. The codes feed the halo cache's byte
+    /// comparison and the saturation record; the kernels read the
+    /// sender's tensor, so no receiver-side buffer is built.
     pub fn exchange_halo_i8<T: Scalar>(
         &self,
         ops: &mut Ops,
@@ -321,7 +321,7 @@ impl DistCtx {
         f: usize,
         shard: &Shard,
         seed: u64,
-    ) -> Vec<f32> {
+    ) {
         let (wire, stats) = dist_kernels::halo_gather_i8(ops.dev, x, f, &shard.halo, seed);
         ops.record(stats);
         if let Some(ctx) = ops.exec {
@@ -329,7 +329,6 @@ impl DistCtx {
         }
         let bytes: Vec<u8> = wire.q.iter().map(|&c| c as u8).collect();
         self.charge_halo(shard, &bytes, f, 1);
-        wire.dequantize()
     }
 
     /// All-reduce per-shard half gradient partials over the f16 wire with

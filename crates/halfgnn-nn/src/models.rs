@@ -42,6 +42,7 @@ use halfgnn_tensor::Ops;
 use halfgnn_tune::plan::{AttnPlan, KernelPlan, SddmmPlan};
 use halfgnn_tune::{SpmmPlan, SpmmVariant, Tuner};
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use Part::{Edges, Rows};
 
 /// Which GNN architecture to train.
@@ -281,7 +282,7 @@ impl<'t> Dispatch<'t> {
             // buffers are only charged: kernels read `x`.
             match halo {
                 Some((x, f)) if self.mode == PrecisionMode::I8 => {
-                    drop(ctx.exchange_halo_i8(ops, x, f, shard, self.quant_seed))
+                    ctx.exchange_halo_i8(ops, x, f, shard, self.quant_seed)
                 }
                 Some((x, f)) => drop(ctx.exchange_halo(ops, x, f, shard)),
                 None => {}
@@ -405,7 +406,8 @@ fn spmm_inputs<T>(x: &[T], w: Option<&[T]>, row_scale: Option<&[T]>) -> Vec<BufR
 /// saturation) candidate; where every candidate was oracle-dirty it
 /// resolves an f16 plan and runs the HalfGNN kernel instead. The fallback
 /// decision is captured, so replay never re-tunes a vetoed site back onto
-/// the quantized path.
+/// the quantized path. The op's INT8 operands are quantized into
+/// `operands` by its first quantized window and read by every later one.
 #[allow(clippy::too_many_arguments)]
 fn spmm_half_window(
     ops: &mut Ops,
@@ -415,6 +417,7 @@ fn spmm_half_window(
     f: usize,
     row_scale: Option<&[Half]>,
     d: Dispatch<'_>,
+    operands: &OnceCell<quant_spmm::I8Operands>,
     win: (usize, usize),
 ) -> (Vec<Half>, KernelStats) {
     match d.mode {
@@ -456,7 +459,9 @@ fn spmm_half_window(
     match plan {
         KernelPlan::SpmmI8(p) if d.mode == PrecisionMode::I8 => {
             let t = Tiling { edges_per_warp: p.edges_per_warp, warps_per_cta: p.warps_per_cta };
-            quant_spmm::spmm_i8_window(ops.dev, &g.csr, w, x, f, row_scale, t, d.quant_seed, win)
+            let q =
+                operands.get_or_init(|| quant_spmm::I8Operands::new(&g.csr, w, x, f, d.quant_seed));
+            quant_spmm::spmm_i8_window(ops.dev, &g.csr, q, f, row_scale, t, win)
         }
         KernelPlan::Spmm(p) => match p.variant {
             SpmmVariant::EdgeParallel => halfgnn_spmm::spmm_window(
@@ -893,8 +898,9 @@ impl Elem for Half {
         let ins = spmm_inputs(x, w, row_scale);
         let w = w.map_or(EdgeWeights::Ones, EdgeWeights::Values);
         let halo = Some((x, f));
+        let operands = OnceCell::new();
         let [y] = d.launch(ops, g, "spmm_half", &ins, halo, Rows, [(Rows, f)], |ops, win| {
-            one(spmm_half_window(ops, g, w, x, f, row_scale, d, win))
+            one(spmm_half_window(ops, g, w, x, f, row_scale, d, &operands, win))
         });
         y
     }

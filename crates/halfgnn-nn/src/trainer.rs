@@ -1131,6 +1131,33 @@ mod tests {
     }
 
     #[test]
+    fn i8_saturation_record_is_thread_count_invariant() {
+        // Every INT8 rounding, the gradient all-reduce's included, runs on
+        // the calling thread, whose window records it: pool workers have
+        // none. So a sharded replayed run records the same summary at any
+        // thread count.
+        let data = Dataset::cora().load(42);
+        let base = TrainConfig {
+            shards: 4,
+            partition: PartitionStrategy::OneP5D { c: 2 },
+            topology: Topology::Ring,
+            replay: true,
+            ..quick_cfg(ModelKind::Gcn, PrecisionMode::I8, 2)
+        };
+        let sim = train(&data, &base);
+        let record = |r: &TrainReport| format!("{:?}", r.saturation_per_epoch);
+        assert!(sim.saturation_per_epoch.iter().all(|s| s.quantized > 0), "{}", record(&sim));
+        for threads in [1, 2, 4] {
+            let fast = train(
+                &data,
+                &TrainConfig { exec: ExecMode::fast_with_threads(threads), ..base.clone() },
+            );
+            assert_eq!(record(&fast), record(&sim), "threads={threads}");
+            assert_eq!(fast.losses, sim.losses, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn halfgnn_trains_faster_than_naive_half() {
         // Needs a graph big enough to fill more than one scheduling wave
         // (like the paper's G4-G16); tiny Cora hides kernel quality behind

@@ -56,10 +56,18 @@ fn widen<T: Scalar>(x: &[T]) -> Vec<f32> {
     out
 }
 
+/// Every bit of a `T` but its sign.
+pub(crate) fn magnitude<T: Scalar>() -> u32 {
+    if T::HALF {
+        0x7FFF
+    } else {
+        0x7FFF_FFFF
+    }
+}
+
 /// ±0, tested on the bits.
 fn is_zero<T: Scalar>(v: T) -> bool {
-    let magnitude = if T::HALF { 0x7FFF } else { 0x7FFF_FFFF };
-    v.bits() & magnitude == 0
+    v.bits() & magnitude::<T>() == 0
 }
 
 fn all_finite<T: Scalar>(xs: &[T]) -> bool {

@@ -13,6 +13,7 @@
 //! sums real elapsed time. Functional results are bit-identical either
 //! way.
 
+use crate::gemm::magnitude;
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
 use halfgnn_half::{Half, Scalar};
@@ -266,17 +267,8 @@ impl<'d> Ops<'d> {
     pub fn relu<T: Scalar>(&mut self, x: &[T]) -> Vec<T> {
         let name = T::pick("relu_f16", "relu_f32");
         self.charge_elementwise(name, x.len(), T::BYTES, 1, 1, 1, T::HALF);
-        let out: Vec<T> = x
-            .iter()
-            .map(|&v| {
-                let f = v.to_f32();
-                if f.is_nan() || f > 0.0 {
-                    v
-                } else {
-                    T::ZERO
-                }
-            })
-            .collect();
+        let out: Vec<T> =
+            x.iter().map(|&v| if is_nan(v) || is_positive(v) { v } else { T::ZERO }).collect();
         self.trace(name, &[buf_ref(x)], &[buf_ref(&out)]);
         out
     }
@@ -289,10 +281,9 @@ impl<'d> Ops<'d> {
             .iter()
             .zip(dy)
             .map(|(&v, &g)| {
-                let f = v.to_f32();
-                if f.is_nan() {
+                if is_nan(v) {
                     v
-                } else if f > 0.0 {
+                } else if is_positive(v) {
                     g
                 } else {
                     T::ZERO
@@ -348,9 +339,11 @@ impl<'d> Ops<'d> {
         let instrs = if T::HALF { 2 } else { 1 };
         self.charge_elementwise(name, x.len(), T::BYTES, 1, 0, instrs, false);
         let mut out = vec![0f32; n];
-        for row in x.chunks(n) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v.to_f32();
+        let mut row_f32 = vec![0f32; n];
+        for row in x.chunks_exact(n) {
+            T::widen_into(row, &mut row_f32);
+            for (o, &v) in out.iter_mut().zip(&row_f32) {
+                *o += v;
             }
         }
         self.trace(name, &[buf_ref(x)], &[buf_ref(&out)]);
@@ -438,6 +431,18 @@ impl<'d> Ops<'d> {
             correct as f32 / count as f32
         }
     }
+}
+
+/// NaN of either sign, tested on the bits: a magnitude above +Inf's.
+fn is_nan<T: Scalar>(v: T) -> bool {
+    let infinity = if T::HALF { 0x7C00 } else { 0x7F80_0000 };
+    v.bits() & magnitude::<T>() > infinity
+}
+
+/// `v > 0`, tested on the bits: sign clear, nonzero and not NaN, so +Inf
+/// and the positive subnormals pass.
+fn is_positive<T: Scalar>(v: T) -> bool {
+    v.bits() & !magnitude::<T>() == 0 && v.bits() != 0 && !is_nan(v)
 }
 
 #[cfg(test)]

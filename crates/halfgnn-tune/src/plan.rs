@@ -191,8 +191,9 @@ impl KernelPlan {
                 Some(if tag == "spmm_i8" { KernelPlan::SpmmI8(p) } else { KernelPlan::Spmm(p) })
             }
             "sddmm" => {
+                // SDDMM arithmetic is half2, so its loads are half2 or
+                // wider: a `half1` entry decodes to a miss and re-tunes.
                 let width = match it.next()? {
-                    "half1" => VectorWidth::Half1,
                     "half2" => VectorWidth::Half2,
                     "half4" => VectorWidth::Half4,
                     "half8" => VectorWidth::Half8,
@@ -292,7 +293,7 @@ mod tests {
                 warps_per_cta: 4,
             }),
             KernelPlan::Sddmm(SddmmPlan {
-                width: VectorWidth::Half1,
+                width: VectorWidth::Half2,
                 sub_warps: false,
                 edges_per_warp: 128,
                 warps_per_cta: 2,
@@ -310,6 +311,17 @@ mod tests {
         for p in plans {
             assert_eq!(KernelPlan::decode(&p.encode()), Some(p), "{}", p.encode());
         }
+    }
+
+    #[test]
+    fn half1_sddmm_plans_decode_to_none() {
+        // SDDMM needs half2 loads for its half2 arithmetic: a cache entry
+        // naming half1 is a miss, never a plan that panics the kernel.
+        assert_eq!(KernelPlan::decode("sddmm:half1:nosub:128:2"), None);
+        assert_eq!(
+            KernelPlan::decode("sddmm:half2:nosub:128:2").map(|p| p.encode()).as_deref(),
+            Some("sddmm:half2:nosub:128:2")
+        );
     }
 
     #[test]

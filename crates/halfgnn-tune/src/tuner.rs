@@ -786,6 +786,29 @@ mod tests {
     }
 
     #[test]
+    fn a_half1_sddmm_cache_entry_is_retuned_not_run() {
+        let dir = std::env::temp_dir().join("halfgnn-tune-half1-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("plans.json");
+        std::fs::remove_file(&path).ok();
+        let g = er_graph();
+
+        let p1 = Tuner::cached(&dev(), &path).sddmm_plan(&g, 64);
+        let json = std::fs::read_to_string(&path).unwrap();
+        let stale = json.replace(&KernelPlan::Sddmm(p1).encode(), "sddmm:half1:nosub:128:2");
+        assert_ne!(stale, json, "{json}");
+        std::fs::write(&path, stale).unwrap();
+
+        let t2 = Tuner::cached(&dev(), &path);
+        let p2 = t2.sddmm_plan(&g, 64);
+        assert_eq!(p2, p1, "the entry re-tunes to the same winner");
+        let c = t2.counters();
+        assert_eq!((c.hits, c.misses), (0, 1), "a half1 entry is a miss");
+        assert!(c.evaluations > 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn cached_mode_persists_across_tuner_instances() {
         let dir = std::env::temp_dir().join("halfgnn-tune-tuner-test");
         std::fs::create_dir_all(&dir).unwrap();

@@ -18,8 +18,9 @@ use halfgnn::graph::{Csr, VertexId};
 use halfgnn::half::quant;
 use halfgnn::half::slice::f32_slice_to_half;
 use halfgnn::half::Half;
-use halfgnn::kernels::common::Reduce;
-use halfgnn::kernels::reference;
+use halfgnn::kernels::common::{EdgeWeights, Reduce};
+use halfgnn::kernels::dist::halo_gather_i8;
+use halfgnn::kernels::{quant_spmm, reference};
 use halfgnn::nn::dist::DistCtx;
 use halfgnn::nn::gcn;
 use halfgnn::nn::graphdata::GraphView;
@@ -517,4 +518,64 @@ fn star_graph_is_bitwise_under_degree_balanced_sharding() {
         assert_eq!(spmm_mean(&mut ops, &g, &xh, f, d), want_spmm, "shards={shards}");
         assert_eq!(Half::sddmm(&mut ops, &g, &xh, &xh, f, d), want_sddmm, "shards={shards}");
     }
+}
+
+/// One INT8 quantization per sparse op: SpMMv and SpMMve over 1–4 shards
+/// return the single-device bits, and record exactly what quantizing the
+/// operands again in every shard's window records, after that shard's
+/// halo wire — with a −4 exponent bias too, which clamps, so `first`
+/// must be the first event of those quantizations in that order.
+#[test]
+fn i8_spmm_quantizes_each_operand_once_per_op() {
+    let dev = DeviceConfig::a100_like();
+    let n = 90;
+    let edges: Vec<(VertexId, VertexId)> = (0..4 * n as VertexId)
+        .map(|i| (i % n as VertexId, (i * 37 + 11) % n as VertexId))
+        .collect();
+    let csr = Csr::from_edges(n, n, &edges).symmetrized_with_self_loops();
+    let g = GraphView::full(&csr);
+    let f = 10;
+    let x: Vec<Half> =
+        (0..n * f).map(|i| Half::from_f32(((i * 7) % 23) as f32 * 0.09 - 1.0)).collect();
+    let w: Vec<Half> =
+        (0..g.nnz()).map(|e| Half::from_f32(((e % 11) as f32 - 5.0) / 6.0)).collect();
+    let mut ops = Ops::new(&dev);
+    let single = Dispatch::untuned(PrecisionMode::I8);
+    for bias in [0, -4] {
+        quant::set_exponent_bias(bias);
+        let want_v = spmm_sum(&mut ops, &g, &x, f, single);
+        let want_ve = spmmve(&mut ops, &g, &w, &x, f, single);
+        let quantize = |weighted: bool| {
+            quant_spmm::quantize_features(&x, f, 0);
+            if weighted {
+                quant_spmm::quantize_edge_weights(&EdgeWeights::Values(&w), g.nnz(), 0);
+            }
+        };
+        for shards in 1..=4 {
+            let ctx = DistCtx::new(&g.csr, shards, PartitionStrategy::Contiguous, Topology::Ring);
+            let d = single.with_dist(Some(&ctx));
+            for (weighted, want) in [(false, &want_v), (true, &want_ve)] {
+                quant::begin();
+                let got = if weighted {
+                    spmmve(&mut ops, &g, &w, &x, f, d)
+                } else {
+                    spmm_sum(&mut ops, &g, &x, f, d)
+                };
+                let sat = quant::take();
+                let label = format!("weighted {weighted}, {shards} shards, bias {bias}");
+                assert_eq!(&got, want, "{label}");
+                let mut expect = quant::SatSummary::default();
+                for s in &ctx.plan.shards {
+                    expect.merge(quant::isolated(|| halo_gather_i8(&dev, &x, f, &s.halo, 0)).1);
+                    expect.merge(quant::isolated(|| quantize(weighted)).1);
+                }
+                assert_eq!(format!("{sat:?}"), format!("{expect:?}"), "{label}");
+                let halo: usize = ctx.plan.shards.iter().map(|s| s.halo.len() * f).sum();
+                let per_op = n * f + if weighted { g.nnz() } else { 0 };
+                assert_eq!(sat.quantized, (shards * per_op + halo) as u64, "{label}");
+                assert_eq!(sat.first.is_some(), bias < 0, "{label}");
+            }
+        }
+    }
+    quant::set_exponent_bias(0);
 }

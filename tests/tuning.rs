@@ -89,3 +89,33 @@ fn cached_tuning_round_trips_through_the_json_file() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_half1_sddmm_cache_entry_retunes_and_trains() {
+    // SDDMM arithmetic is half2, so a cache naming half1 loads must be a
+    // miss that re-tunes, not a plan that crashes the kernel.
+    let dir = std::env::temp_dir().join("halfgnn-e2e-tuning-half1");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("plans.json");
+    std::fs::remove_file(&path).ok();
+    let tuning = Tuning::Cached(path.to_string_lossy().into_owned());
+
+    let data = Dataset::cora().load(42);
+    let first = train(&data, &cfg(ModelKind::Gat, tuning.clone(), 2));
+    let json = std::fs::read_to_string(&path).unwrap();
+    let stale = ["half2", "half4", "half8"]
+        .iter()
+        .fold(json.clone(), |s, w| s.replace(&format!("\"sddmm:{w}:"), "\"sddmm:half1:"));
+    assert_ne!(stale, json, "GAT must have cached an SDDMM plan: {json}");
+    std::fs::write(&path, stale).unwrap();
+
+    let second = train(&data, &cfg(ModelKind::Gat, tuning, 2));
+    let c = second.tuning_counters.unwrap();
+    assert!(c.misses > 0 && c.evaluations > 0, "the half1 entries must re-tune: {c:?}");
+    assert_eq!(
+        first.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+        second.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+        "re-tuning picks the same plans"
+    );
+    std::fs::remove_file(&path).ok();
+}
