@@ -29,14 +29,15 @@
 //! APIs without `cfg` noise. With the feature off, [`take`] simply returns
 //! an empty [`Summary`].
 //!
-//! Thread-locality: the cost-model backend (`ExecMode::Sim`) runs every
-//! CTA sequentially on the calling thread, so one tracking window sees
-//! every conversion of a kernel launch and provenance is exact. The
-//! real-threads fast backend (`ExecMode::Fast`) runs CTAs on pool worker
-//! threads that do not share the recorder's thread-local state —
-//! provenance under fast mode is documented as incomplete (conversions on
-//! workers are simply not recorded); switch to `Sim` when chasing an
-//! overflow. Merging per-worker windows at join points is future work.
+//! Threads: the recorder is thread-local, and a kernel launch may run its
+//! CTAs on pool workers that have no window of their own. The launch
+//! `halfgnn_kernels::common::launch` therefore reads the caller's labels
+//! ([`open_sites`]), runs each CTA in its own window under them
+//! ([`windowed`]), and credits those windows to the caller's in CTA order
+//! ([`credit`]). [`Summary::merge`] offsets a later window's first event
+//! by the earlier window's conversions, so the credited record is, field
+//! for field, what one window over a sequential run records: the same at
+//! every thread count.
 
 #[cfg(feature = "provenance")]
 use crate::Half;
@@ -123,14 +124,21 @@ impl Summary {
         self.first.is_none()
     }
 
-    /// Fold a later window into this one: counts add, and the earlier
-    /// window's first event is kept.
+    /// Fold a later window into this one, so that the result reads as one
+    /// window over both: counts add, and the first event is this window's,
+    /// else the later one's with its `conversion_index` moved past this
+    /// window's conversions.
     pub fn merge(&mut self, later: Summary) {
+        if self.first.is_none() {
+            self.first = later.first.map(|e| OverflowEvent {
+                conversion_index: self.conversions + e.conversion_index,
+                ..e
+            });
+        }
         self.conversions += later.conversions;
         self.overflows += later.overflows;
         self.inf_propagated += later.inf_propagated;
         self.nan_propagated += later.nan_propagated;
-        self.first = self.first.take().or(later.first);
     }
 }
 
@@ -140,6 +148,9 @@ const UNLABELED: &str = "<unlabeled>";
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
     static SITES: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Where this thread's visible labels start in `SITES`: [`windowed`]
+    /// stacks its labels above the thread's own and hides those below.
+    static BASE: Cell<usize> = const { Cell::new(0) };
     static WINDOW: RefCell<Summary> = const { RefCell::new(Summary::EMPTY) };
 }
 
@@ -181,6 +192,42 @@ pub fn isolated<T>(f: impl FnOnce() -> T) -> (T, Summary) {
     WINDOW.with(|w| *w.borrow_mut() = outer_window);
     ACTIVE.with(|a| a.set(outer_active));
     (out, summary)
+}
+
+/// The site labels of this thread's open window, outermost first, or
+/// `None` when no window is open or the recorder is compiled out (nothing
+/// would be recorded). Work handed to other threads carries them into
+/// [`windowed`].
+pub fn open_sites() -> Option<Vec<&'static str>> {
+    (cfg!(feature = "provenance") && is_active())
+        .then(|| SITES.with(|s| s.borrow()[BASE.get()..].to_vec()))
+}
+
+/// Run `f` in its own tracking window under the site labels `sites`, on
+/// whichever thread calls this, and return its output with the window's
+/// summary. This thread's own window and labels are suspended for the
+/// call and restored afterwards, as with [`isolated`].
+pub fn windowed<T>(sites: &[&'static str], f: impl FnOnce() -> T) -> (T, Summary) {
+    let depth = SITES.with(|s| {
+        let mut s = s.borrow_mut();
+        let depth = s.len();
+        s.extend_from_slice(sites);
+        depth
+    });
+    let base = BASE.replace(depth);
+    let out = isolated(f);
+    SITES.with(|s| s.borrow_mut().truncate(depth));
+    BASE.set(base);
+    out
+}
+
+/// Merge `summary` into this thread's open window as if its conversions
+/// had happened here, now (see [`Summary::merge`]). A no-op when no window
+/// is open.
+pub fn credit(summary: Summary) {
+    if is_active() {
+        WINDOW.with(|w| w.borrow_mut().merge(summary));
+    }
 }
 
 /// RAII guard popping its site label (and anything pushed above it) on drop.
@@ -265,7 +312,7 @@ fn record_nonfinite(input: f32, out: Half) {
         }
         if s.first.is_none() {
             let site = SITES.with(|stack| {
-                let stack = stack.borrow();
+                let stack = &stack.borrow()[BASE.get()..];
                 if stack.is_empty() {
                     UNLABELED.to_string()
                 } else {
@@ -410,6 +457,103 @@ mod tests {
         let mut one = Summary::default();
         one.merge(window(7, 3, Some(event("layer1"))));
         assert_eq!(format!("{one:?}"), format!("{:?}", window(7, 3, Some(event("layer1")))));
+    }
+
+    /// Convert `values[range]`, one conversion each, labelled `a` in the
+    /// first half of `values` and `b` in the rest.
+    fn convert(values: &[f32], range: std::ops::Range<usize>) {
+        for i in range {
+            let _g = site(if i < values.len() / 2 { "a" } else { "b" });
+            let _ = Half::from_f32(values[i]);
+        }
+    }
+
+    #[test]
+    fn merged_windows_read_as_one_window_over_their_concatenation() {
+        let stream: Vec<f32> = (0..24)
+            .map(|i| match i {
+                9 => 1e9,
+                13 => f32::NAN,
+                17 => f32::INFINITY,
+                _ => i as f32,
+            })
+            .collect();
+        for clean_prefix in [0, 10, 14, 18, 24] {
+            // Values before `clean_prefix` that were non-finite become
+            // finite, so the first event moves later (or vanishes).
+            let values: Vec<f32> = stream
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i < clean_prefix { i as f32 } else { v })
+                .collect();
+            begin();
+            convert(&values, 0..values.len());
+            let whole = format!("{:?}", take());
+            for cuts in [vec![12], vec![5, 12, 20], vec![0, 9, 10, 24], (0..=24).collect()] {
+                let mut merged = Summary::default();
+                let mut from = 0;
+                for &to in cuts.iter().chain([values.len()].iter()) {
+                    begin();
+                    convert(&values, from..to);
+                    merged.merge(take());
+                    from = to;
+                }
+                assert_eq!(format!("{merged:?}"), whole, "prefix {clean_prefix} cuts {cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_work_on_another_thread_credits_like_a_sequential_run() {
+        let values: Vec<f32> = (0..40).map(|i| if i == 31 { -7e4 } else { i as f32 }).collect();
+        let _layer = site("layer");
+        let _kernel = site("kernel");
+        begin();
+        convert(&values, 0..values.len());
+        let sequential = take();
+
+        begin();
+        convert(&values, 0..4);
+        let sites = open_sites().expect("a window is open");
+        assert_eq!(sites, ["layer", "kernel"]);
+        for from in (4..values.len()).step_by(9) {
+            let (sites, values) = (sites.clone(), values.clone());
+            let ((), window) = std::thread::spawn(move || {
+                assert!(!is_active(), "a pool worker has no window of its own");
+                let out = windowed(&sites, || convert(&values, from..(from + 9).min(values.len())));
+                assert!(!is_active() && open_sites().is_none());
+                out
+            })
+            .join()
+            .unwrap();
+            credit(window);
+        }
+        let credited = take();
+        assert_eq!(format!("{credited:?}"), format!("{sequential:?}"));
+        let first = credited.first.expect("the overflow is recorded");
+        assert_eq!(first.conversion_index, 31);
+        assert_eq!(first.site, "layer/kernel/b");
+    }
+
+    #[test]
+    fn windowed_on_the_calling_thread_hides_and_restores_its_labels() {
+        begin();
+        let _outer = site("outer");
+        let sites = open_sites().unwrap();
+        let ((), inner) = windowed(&sites, || {
+            assert_eq!(open_sites().unwrap(), ["outer"], "labels are not doubled");
+            let _ = Half::from_f32(1e9);
+        });
+        let _ = Half::from_f32(2e9);
+        let outer = take();
+        assert_eq!(inner.first.as_ref().unwrap().site, "outer");
+        assert_eq!(outer.conversions, 1, "the inner conversion stays in its own window");
+        assert_eq!(outer.first.unwrap().site, "outer");
+        // With no window open there is nothing to carry or credit into.
+        assert!(open_sites().is_none());
+        credit(inner);
+        begin();
+        assert_eq!(take().conversions, 0);
     }
 
     #[test]

@@ -78,20 +78,23 @@ pub fn site_key(label: &str) -> u64 {
 /// `max_abs ≤ 127 · 2^e` (0 for an all-zero or non-finite block). With
 /// this choice `|v · 2^-e| ≤ 127` for every in-block value, so clamping
 /// can only fire on a stale or explicit scale.
+///
+/// Read from the bits: for `max_abs = (1 + t) · 2^p` with `t ∈ [0, 1)`,
+/// `127 · 2^(p-6) = (2 − 1/64) · 2^p` covers it unless `t > 63/64`, which
+/// needs `p − 5`, and `127 · 2^(p-7) < 2^p` never does. Widening to `f64`
+/// first normalises `f32` subnormals.
 pub fn block_exponent(max_abs: f32) -> i32 {
     if max_abs == 0.0 || !max_abs.is_finite() {
         return 0;
     }
-    let m = max_abs as f64;
-    let mut e = (m / QMAX as f64).log2().ceil() as i32;
-    // log2/ceil rounding guards: enforce the bound, then minimality.
-    while (QMAX as f64) * (2.0f64).powi(e) < m {
-        e += 1;
+    let bits = (max_abs as f64).to_bits();
+    let p = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    let t = bits & ((1 << 52) - 1);
+    if t > 63 << 46 {
+        p - 5
+    } else {
+        p - 6
     }
-    while (QMAX as f64) * (2.0f64).powi(e - 1) >= m {
-        e -= 1;
-    }
-    e
 }
 
 /// Stochastically round `v · 2^-e` to an INT8 code, drawing the round-up
@@ -396,6 +399,44 @@ mod tests {
         assert_eq!(block_exponent(0.0), 0);
         assert_eq!(block_exponent(f32::INFINITY), 0);
         assert_eq!(block_exponent(f32::NAN), 0);
+    }
+
+    /// `block_exponent`'s earlier body, kept as its reference: libm
+    /// `log2` and `ceil`, then a search enforcing the bound and minimality.
+    fn block_exponent_by_search(max_abs: f32) -> i32 {
+        if max_abs == 0.0 || !max_abs.is_finite() {
+            return 0;
+        }
+        let m = max_abs as f64;
+        let mut e = (m / QMAX as f64).log2().ceil() as i32;
+        while (QMAX as f64) * (2.0f64).powi(e) < m {
+            e += 1;
+        }
+        while (QMAX as f64) * (2.0f64).powi(e - 1) >= m {
+            e -= 1;
+        }
+        e
+    }
+
+    #[test]
+    fn block_exponent_matches_the_search_on_boundaries_subnormals_and_a_sweep() {
+        let check = |v: f32| {
+            assert_eq!(block_exponent(v), block_exponent_by_search(v), "{v:e} ({:#x})", v.to_bits())
+        };
+        // Every normal exponent at both ends of its mantissa range and
+        // around the 63/64 cut where the answer steps from p − 6 to p − 5.
+        let cut = 63 << 17;
+        for exp in 1..255u32 {
+            for m in [0, 1, cut - 1, cut, cut + 1, (1 << 23) - 1] {
+                check(f32::from_bits(exp << 23 | m));
+            }
+        }
+        for m in 1..1u32 << 23 {
+            check(f32::from_bits(m));
+        }
+        for b in (1..f32::INFINITY.to_bits()).step_by(997) {
+            check(f32::from_bits(b));
+        }
     }
 
     #[test]

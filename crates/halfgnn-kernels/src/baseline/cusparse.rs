@@ -12,11 +12,12 @@
 //! output, so hub rows overflow to INF — the §3.1.3 pathology. Both
 //! effects are what Fig. 1a measures.
 
+use crate::common::launch;
 use crate::common::{EdgeWeights, Tiling};
 use crate::halfgnn_spmm::row_offsets_of;
 use halfgnn_graph::Coo;
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
 

@@ -7,10 +7,11 @@
 //! variant therefore moves half the bytes but issues the *same* number of
 //! instructions and barriers — which is why Fig. 1b shows no speedup.
 
+use crate::common::launch;
 use crate::common::Tiling;
 use halfgnn_graph::Coo;
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{launch, LaunchParams};
+use halfgnn_sim::launch::LaunchParams;
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

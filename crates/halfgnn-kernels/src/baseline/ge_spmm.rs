@@ -5,8 +5,9 @@
 //! row keeps one warp busy for `degree/32` iterations while other warps
 //! idle — visible as a large max-CTA time on skewed graphs.
 
+use crate::common::launch;
 use halfgnn_graph::Csr;
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

@@ -1,7 +1,43 @@
-//! Shared kernel vocabulary: reduction modes, scaling placement, write
-//! strategies, vector widths, and the edge-tiling geometry.
+//! Shared kernel vocabulary: the recorded launch, reduction modes,
+//! scaling placement, write strategies, vector widths, and the
+//! edge-tiling geometry.
 
-use halfgnn_half::{Half, Scalar};
+use halfgnn_half::{overflow, Half, Scalar};
+use halfgnn_sim::launch::{Cta, LaunchParams};
+use halfgnn_sim::{DeviceConfig, KernelStats};
+
+/// [`halfgnn_sim::launch::launch`] with the overflow record of a
+/// sequential run at any thread count; every kernel in this crate launches
+/// through it. When the caller has a tracking window open, each CTA runs
+/// in its own window under the caller's site labels (a pool worker has no
+/// window of its own), and the windows are credited to the caller's in
+/// CTA order. With no window open it is the plain launch.
+pub fn launch<R, F>(
+    dev: &DeviceConfig,
+    name: &str,
+    params: LaunchParams,
+    kernel: F,
+) -> (Vec<R>, KernelStats)
+where
+    R: Send,
+    F: Fn(&mut Cta) -> R + Sync,
+{
+    let sites = overflow::open_sites();
+    let (ctas, stats) = halfgnn_sim::launch(dev, name, params, |cta| match &sites {
+        Some(sites) => overflow::windowed(sites, || kernel(cta)),
+        None => (kernel(cta), overflow::Summary::default()),
+    });
+    let mut record = overflow::Summary::default();
+    let results = ctas
+        .into_iter()
+        .map(|(out, window)| {
+            record.merge(window);
+            out
+        })
+        .collect();
+    overflow::credit(record);
+    (results, stats)
+}
 
 /// Where degree-norm scaling happens relative to the SpMM reduction
 /// (§5.2.2).

@@ -20,10 +20,11 @@
 //!   dequantization is exact.
 
 use crate::common::count_nonfinite;
+use crate::common::launch;
 use halfgnn_graph::VertexId;
 use halfgnn_half::intrinsics::hadd;
 use halfgnn_half::{overflow, quant, Half, Scalar};
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

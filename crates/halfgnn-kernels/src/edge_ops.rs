@@ -11,10 +11,11 @@
 //! the paper's shadow API (§5.3), which stays in half because
 //! `exp(e_ij − m_i) ∈ (0, 1]` cannot overflow.
 
+use crate::common::launch;
 use crate::common::{count_nonfinite, Tiling};
 use halfgnn_graph::Coo;
 use halfgnn_half::{overflow, Scalar};
-use halfgnn_sim::launch::{launch, LaunchParams};
+use halfgnn_sim::launch::LaunchParams;
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

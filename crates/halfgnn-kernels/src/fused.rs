@@ -33,6 +33,7 @@
 //! eliminated intermediates are *not* charged — that is the point of the
 //! fusion and the quantity `BENCH_pr4` measures.
 
+use crate::common::launch;
 use crate::common::{count_nonfinite, Tiling};
 use crate::halfgnn_spmm::row_offsets_of;
 use halfgnn_graph::Coo;
@@ -40,7 +41,7 @@ use halfgnn_half::intrinsics::{hadd, hdiv, hexp, hmax, hmul, hsub};
 use halfgnn_half::overflow;
 use halfgnn_half::slice::{add_row, fma_row};
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

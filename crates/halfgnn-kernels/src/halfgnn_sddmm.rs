@@ -12,11 +12,12 @@
 //! Sub-warps (§4.1) keep idle lanes busy: when one edge needs fewer than 32
 //! threads, the warp processes `32 / threads_per_edge` edges concurrently.
 
+use crate::common::launch;
 use crate::common::{Tiling, VectorWidth};
 use halfgnn_graph::Coo;
 use halfgnn_half::slice::dot_half2_trees;
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{launch, LaunchParams};
+use halfgnn_sim::launch::LaunchParams;
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

@@ -25,13 +25,14 @@
 //!   that a follow-up kernel merges and writes. The `Atomic` strategy
 //!   replaces all of that with (expensive) half atomics for Fig. 13.
 
+use crate::common::launch;
 use crate::common::{count_nonfinite, EdgeWeights, Reduce, ScalePlacement, Tiling, WriteStrategy};
 use halfgnn_graph::Coo;
 use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow;
 use halfgnn_half::slice::{add_row, fma_row, scale_row};
 use halfgnn_half::{Half, Scalar};
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
 

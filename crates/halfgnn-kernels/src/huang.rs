@@ -10,11 +10,12 @@
 //! fetch one position earlier, and replaces atomics with the
 //! staging-buffer protocol.
 
+use crate::common::launch;
 use crate::common::EdgeWeights;
 use halfgnn_graph::Csr;
 use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
 

@@ -31,12 +31,13 @@
 //! The modeled memory win over f16: feature rows and edge weights move
 //! 1 byte/element instead of 2, halving the dominant traffic term again.
 
+use crate::common::launch;
 use crate::common::{count_nonfinite, EdgeWeights, Tiling};
 use halfgnn_graph::Csr;
 use halfgnn_half::intrinsics::hadd;
 use halfgnn_half::slice::convert_half_to_f32_into;
 use halfgnn_half::{overflow, quant, Half};
-use halfgnn_sim::launch::{commit_all, launch, LaunchParams, WriteList};
+use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 

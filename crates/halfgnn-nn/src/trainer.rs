@@ -67,12 +67,13 @@ pub struct TrainConfig {
     pub gcn_norm: crate::models::GcnNorm,
     /// Static loss scale for the half backward pass (1.0 = off).
     pub loss_scale: f32,
-    /// Execution backend for the run's kernels. [`ExecMode::Sim`]
-    /// (default) models cost: `epoch_time_us` is analytic cycles and
-    /// overflow provenance is exact. [`ExecMode::Fast`] runs CTAs on real
-    /// OS threads with charging compiled out: `epoch_time_us` becomes
-    /// measured wall-clock and kernel-level overflow provenance is not
-    /// recorded (worker threads don't share the recorder's thread-local).
+    /// How the run's kernel launches execute. [`ExecMode::Sim`] (default)
+    /// models cost: CTAs run on the calling thread with charging on, and
+    /// `epoch_time_us` is analytic cycles. [`ExecMode::Fast`] runs the
+    /// same launch body on real OS threads with charging off, and
+    /// `epoch_time_us` becomes measured wall-clock. Losses, accuracies and
+    /// both provenance records are the same in either mode at any thread
+    /// count.
     pub exec: ExecMode,
     /// Kernel autotuning policy. [`Tuning::Off`] keeps the static default
     /// plans; `Auto`/`Cached` route SpMM/SDDMM dispatch through the
@@ -340,10 +341,13 @@ pub struct TrainReport {
     /// descending — the profile a Nsight Systems trace would show.
     pub kernel_breakdown: Vec<(String, usize, f64, u64)>,
     /// Overflow-provenance summary for each epoch: every `f32 → half`
-    /// conversion of the step is tracked, and the first non-finite one
-    /// carries its site path (layer + kernel), answering *which tensor
-    /// overflowed first* when a half run NaNs (Fig. 1c). Clean summaries
-    /// when `halfgnn-half/provenance` is off or the run is float.
+    /// conversion of the epoch's steps is tracked, on the calling thread
+    /// and on pool workers alike, and the first non-finite one carries its
+    /// site path (layer + kernel) and its index among the epoch's
+    /// conversions, answering *which tensor overflowed first* when a half
+    /// run NaNs (Fig. 1c). The summary is what a sequential run records,
+    /// whatever [`TrainConfig::exec`] says. Clean summaries when
+    /// `halfgnn-half/provenance` is off or the run is float.
     pub overflow_per_epoch: Vec<overflow::Summary>,
     /// Saturation-provenance summary for each epoch: every INT8
     /// quantization of the step is tracked, and the first flagged one
@@ -1134,8 +1138,8 @@ mod tests {
     fn i8_saturation_record_is_thread_count_invariant() {
         // Every INT8 rounding, the gradient all-reduce's included, runs on
         // the calling thread, whose window records it: pool workers have
-        // none. So a sharded replayed run records the same summary at any
-        // thread count.
+        // no saturation window. So a sharded replayed run records the same
+        // summary at any thread count.
         let data = Dataset::cora().load(42);
         let base = TrainConfig {
             shards: 4,
@@ -1154,6 +1158,37 @@ mod tests {
             );
             assert_eq!(record(&fast), record(&sim), "threads={threads}");
             assert_eq!(fast.losses, sim.losses, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn overflow_record_is_thread_count_invariant() {
+        // Every kernel CTA converts in its own overflow window under the
+        // caller's site labels, credited to the step's window in CTA
+        // order, so the record, first event included, is the same under
+        // Sim and at any Fast thread count. HalfNaive GCN overflows on the
+        // Reddit stand-in's hubs in its first epoch.
+        let data = Dataset::reddit().load(42);
+        let base = TrainConfig {
+            precision: PrecisionMode::HalfNaive,
+            epochs: 1,
+            ..TrainConfig::default()
+        };
+        let sim = train(&data, &base);
+        let record = |r: &TrainReport| format!("{:?}", r.overflow_per_epoch);
+        let first = sim.overflow_per_epoch[0].first.as_ref().expect("HalfNaive must overflow");
+        assert!(first.site.starts_with("gcn.layer"), "{}", record(&sim));
+        for threads in [1, 2, 4] {
+            let fast = train(
+                &data,
+                &TrainConfig { exec: ExecMode::fast_with_threads(threads), ..base.clone() },
+            );
+            assert_eq!(record(&fast), record(&sim), "threads={threads}");
+            assert_eq!(
+                fast.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                sim.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
     }
 
@@ -1236,6 +1271,11 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(sim.final_train_accuracy, fast.final_train_accuracy);
+            assert_eq!(
+                format!("{:?}", fast.overflow_per_epoch),
+                format!("{:?}", sim.overflow_per_epoch),
+                "threads={threads}"
+            );
             // Fast epochs report measured wall-clock, not modeled time.
             assert!(fast.epoch_time_us > 0.0);
         }
@@ -1349,6 +1389,11 @@ mod tests {
                 "threads={threads}"
             );
             assert_eq!(sim.final_train_accuracy, fast.final_train_accuracy);
+            assert_eq!(
+                format!("{:?}", fast.overflow_per_epoch),
+                format!("{:?}", sim.overflow_per_epoch),
+                "threads={threads}"
+            );
         }
     }
 
@@ -1723,6 +1768,11 @@ mod minibatch_tests {
                 "threads={threads}"
             );
             assert_eq!(sim.final_train_accuracy, fast.final_train_accuracy);
+            assert_eq!(
+                format!("{:?}", fast.overflow_per_epoch),
+                format!("{:?}", sim.overflow_per_epoch),
+                "threads={threads}"
+            );
         }
     }
 

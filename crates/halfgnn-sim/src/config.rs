@@ -4,7 +4,37 @@
 //! where the paper measured them on an A100 (see EXPERIMENTS.md); absolute
 //! cycle counts are a model, not a promise.
 
-use crate::exec::ExecMode;
+/// How kernel launches on a device execute. Both modes run the same
+/// launch body ([`crate::launch::launch`]); they differ in thread count,
+/// in whether charging records, and in which clock `KernelStats` reads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ExecMode {
+    /// Cost model: CTAs run on the calling thread with live counters and
+    /// the launch reports modeled cycles. The default, and the mode every
+    /// figure and oracle test uses.
+    #[default]
+    Sim,
+    /// Throughput: CTAs run on `threads` pool workers with charging off
+    /// and the launch reports measured wall-clock. `threads == 0` means
+    /// auto-size from `HALFGNN_THREADS` / `available_parallelism()`.
+    Fast {
+        /// Worker threads; 0 = auto.
+        threads: usize,
+    },
+}
+
+impl ExecMode {
+    /// Fast mode with auto-sized threads.
+    pub fn fast() -> ExecMode {
+        ExecMode::Fast { threads: 0 }
+    }
+
+    /// Fast mode pinned to exactly `threads` workers (useful for
+    /// determinism tests and 1-thread baselines).
+    pub fn fast_with_threads(threads: usize) -> ExecMode {
+        ExecMode::Fast { threads }
+    }
+}
 
 /// Per-action costs in cycles (per warp instruction unless noted).
 #[derive(Clone, Debug)]
@@ -101,9 +131,9 @@ pub struct DeviceConfig {
     pub sector_bytes: u64,
     /// Per-action costs.
     pub cost: CostModel,
-    /// Execution backend for launches on this device: cost-model
-    /// simulation (default) or the real-threads fast path. The mode rides
-    /// the device handle so kernel signatures stay execution-agnostic.
+    /// How launches on this device execute: cost-model simulation
+    /// (default) or the real-threads fast path. The mode rides the device
+    /// handle so kernel signatures stay execution-agnostic.
     pub exec: ExecMode,
 }
 
@@ -140,7 +170,7 @@ impl DeviceConfig {
         }
     }
 
-    /// The same device with a different execution backend.
+    /// The same device with a different execution mode.
     pub fn with_exec(mut self, exec: ExecMode) -> DeviceConfig {
         self.exec = exec;
         self
@@ -176,6 +206,14 @@ mod tests {
         assert_eq!(d.wave_slots(), 216);
         // 1410 cycles = 1 us.
         assert!((d.cycles_to_us(1410.0) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exec_mode_defaults_to_sim() {
+        assert_eq!(ExecMode::default(), ExecMode::Sim);
+        assert_eq!(DeviceConfig::tiny().exec, ExecMode::Sim);
+        assert_eq!(ExecMode::fast(), ExecMode::Fast { threads: 0 });
+        assert_eq!(ExecMode::fast_with_threads(3), ExecMode::Fast { threads: 3 });
     }
 
     #[test]

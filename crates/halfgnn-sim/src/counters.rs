@@ -194,7 +194,7 @@ impl KernelStats {
         }
     }
 
-    /// Stats for a wall-clock-measured run (the fast execution backend):
+    /// Stats for a wall-clock-measured launch ([`crate::ExecMode::Fast`]):
     /// no modeled cycles, no counters, `time_us` is elapsed real time.
     pub fn wallclock(
         name: &str,
@@ -218,8 +218,8 @@ impl KernelStats {
     /// Replay accounting (the CUDA-graph effect): strip the per-launch
     /// overhead folded into `cycles` — once per composed launch — and
     /// return the adjusted stats plus the modeled cycles saved. Wall-clock
-    /// stats carry no modeled cycles and pass through unchanged (the fast
-    /// backend's replay win is the skipped dispatch/tuner work, not
+    /// stats carry no modeled cycles and pass through unchanged (the Fast
+    /// mode's replay win is the skipped dispatch/tuner work, not
     /// modeled time).
     pub fn without_launch_overhead(&self, dev: &DeviceConfig) -> (KernelStats, f64) {
         if self.cycles <= 0.0 || self.launches == 0 {

@@ -1,17 +1,24 @@
-//! Grid launch: execute a kernel closure once per CTA and produce
-//! [`KernelStats`] through the execution backend selected on the device
-//! ([`crate::exec`]).
+//! Grid launch: the one body that runs a kernel closure once per CTA and
+//! produces [`KernelStats`].
+//!
+//! Every launch sends its CTAs through the worker pool
+//! (`rayon::pool::parallel_map`). [`DeviceConfig::exec`] picks the thread
+//! count, whether charging records, and the clock the stats read:
+//! [`ExecMode::Sim`] is one thread (the caller's) with live counters and
+//! modeled cycles; [`ExecMode::Fast`] is `threads` workers with charging
+//! off and measured wall-clock.
 //!
 //! The kernel closure receives a [`Cta`] for cost charging and returns an
-//! arbitrary per-CTA value (typically a write list); the caller commits
-//! those sequentially in CTA order, which keeps results deterministic and
-//! lets conflicting-write protocols (staging buffer + follow-up kernel) be
-//! expressed safely — on every backend and at every thread count.
+//! arbitrary per-CTA value (typically a write list); the pool returns
+//! those in CTA order and the caller commits them sequentially, which
+//! keeps results deterministic and lets conflicting-write protocols
+//! (staging buffer + follow-up kernel) be expressed safely at every
+//! thread count.
 
-use crate::config::DeviceConfig;
+use crate::config::{DeviceConfig, ExecMode};
 use crate::counters::{KernelStats, WarpCounters};
-use crate::exec::{ExecMode, Executor, FastExecutor, SimExecutor};
 use crate::warp::WarpCtx;
+use std::sync::OnceLock;
 
 /// Grid geometry of a launch.
 #[derive(Clone, Copy, Debug)]
@@ -30,14 +37,14 @@ pub struct Cta<'d> {
     dev: &'d DeviceConfig,
     warp_counters: Vec<WarpCounters>,
     scratch: Vec<u64>,
-    /// Whether charging records anything. `false` on the fast path: every
-    /// charging call early-returns and lazy charging arguments are never
-    /// consumed.
+    /// Whether charging records anything. `false` under [`ExecMode::Fast`]:
+    /// every charging call early-returns and lazy charging arguments are
+    /// never consumed.
     live: bool,
 }
 
 /// One CTA's contribution to [`KernelStats`], extracted after the kernel
-/// closure ran (cost-model backend only).
+/// closure ran (live counters only).
 pub(crate) struct CtaMeasure {
     pub(crate) cycles: f64,
     pub(crate) merged: WarpCounters,
@@ -59,13 +66,6 @@ impl<'d> Cta<'d> {
     /// Number of warps in this CTA.
     pub fn num_warps(&self) -> usize {
         self.warp_counters.len()
-    }
-
-    /// Whether charging on this CTA records anything (true under the
-    /// cost-model backend, false on the fast path). Kernels may use this
-    /// to skip building expensive charging inputs.
-    pub fn counters_live(&self) -> bool {
-        self.live
     }
 
     /// Charging handle for warp `w`.
@@ -121,10 +121,11 @@ impl<'d> Cta<'d> {
     }
 }
 
-/// Launch `kernel` over `params.num_ctas` CTAs on the backend selected by
-/// [`DeviceConfig::exec`]. Returns the per-CTA results in CTA order plus
-/// the backend's stats: modeled cycles under [`ExecMode::Sim`], measured
-/// wall-clock (zero cycles) under [`ExecMode::Fast`].
+/// Launch `kernel` over `params.num_ctas` CTAs. Returns the per-CTA
+/// results in CTA order plus the launch's stats: modeled cycles under
+/// [`ExecMode::Sim`], measured wall-clock in `time_us` (zero cycles, zero
+/// counters) under [`ExecMode::Fast`]. Counters and cycles fold in CTA
+/// order, so modeled numbers do not depend on scheduling.
 pub fn launch<R, F>(
     dev: &DeviceConfig,
     name: &str,
@@ -135,10 +136,48 @@ where
     R: Send,
     F: Fn(&mut Cta) -> R + Sync,
 {
-    match dev.exec {
-        ExecMode::Sim => SimExecutor::new(dev).run(name, params, kernel),
-        ExecMode::Fast { threads } => FastExecutor::new(dev, threads).run(name, params, kernel),
+    let (threads, live) = match dev.exec {
+        ExecMode::Sim => (1, true),
+        ExecMode::Fast { threads } => (threads, false),
+    };
+    // One slot per CTA for its counters and cycles, when charging is live;
+    // the results alone travel through the pool.
+    let measures: Vec<OnceLock<CtaMeasure>> =
+        if live { (0..params.num_ctas).map(|_| OnceLock::new()).collect() } else { Vec::new() };
+    let start = std::time::Instant::now();
+    let results = rayon::pool::parallel_map(vec![(); params.num_ctas], threads, |id, ()| {
+        let mut cta = Cta::new(id, dev, params.warps_per_cta, live);
+        let out = kernel(&mut cta);
+        if let Some(slot) = measures.get(id) {
+            let _ = slot.set(cta.measure());
+        }
+        out
+    });
+    if !live {
+        let stats =
+            KernelStats::wallclock(name, params.num_ctas, params.warps_per_cta, start.elapsed());
+        return (results, stats);
     }
+    let mut cta_times = Vec::with_capacity(params.num_ctas);
+    let mut totals = WarpCounters::default();
+    let (mut busy_sum, mut total_sum) = (0.0, 0.0);
+    for slot in measures {
+        let m = slot.into_inner().expect("every CTA is measured");
+        cta_times.push(m.cycles);
+        totals.merge(&m.merged);
+        busy_sum += m.busy;
+        total_sum += m.total;
+    }
+    let stats = KernelStats::from_ctas(
+        name,
+        dev,
+        params.warps_per_cta,
+        &cta_times,
+        totals,
+        busy_sum,
+        total_sum,
+    );
+    (results, stats)
 }
 
 /// A deferred write set: `(start, values)` range-assignments plus
@@ -349,6 +388,21 @@ mod tests {
         assert!((s.cycles - expect).abs() < 1e-9, "got {} want {expect}", s.cycles);
         // The old warp-0 attribution would have modeled 3500 cycles here.
         assert!((s.cycles - 3540.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn every_mode_returns_the_same_results_in_cta_order() {
+        let params = LaunchParams { num_ctas: 37, warps_per_cta: 2 };
+        let kernel = |cta: &mut Cta| {
+            cta.warp(0).half2_ops(4);
+            cta.id * cta.id
+        };
+        let (want, _) = launch(&DeviceConfig::tiny(), "k", params, kernel);
+        assert_eq!(want, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        for threads in [1, 2, 0] {
+            let dev = DeviceConfig::tiny().with_exec(ExecMode::fast_with_threads(threads));
+            assert_eq!(launch(&dev, "k", params, kernel).0, want, "threads={threads}");
+        }
     }
 
     #[test]

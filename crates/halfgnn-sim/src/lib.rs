@@ -9,12 +9,14 @@
 //! cycles and the NCU-style utilization percentages that Figs. 10-11 of
 //! the paper report.
 //!
-//! Execution and measurement are separated behind the [`exec::Executor`]
-//! trait: [`exec::SimExecutor`] runs CTAs sequentially with live counters
-//! (the cost-model path above), while [`exec::FastExecutor`] distributes
-//! CTAs across real OS threads with charging compiled to no-ops and
-//! reports measured wall-clock instead of modeled cycles. Select per
-//! device via [`config::DeviceConfig::exec`] ([`exec::ExecMode`]).
+//! One launch body, [`launch::launch`], runs every kernel's CTAs through
+//! the worker pool. The device's [`config::ExecMode`]
+//! ([`config::DeviceConfig::exec`]) sets its thread count, whether
+//! charging records and which clock the stats read: `Sim` runs on the
+//! calling thread with live counters (the cost-model path above), `Fast`
+//! runs on `threads` workers with charging off and reports measured
+//! wall-clock instead of modeled cycles. Functional results are the same
+//! in both.
 //!
 //! What the model captures (because the paper's claims rest on it):
 //!
@@ -40,16 +42,14 @@
 
 pub mod config;
 pub mod counters;
-pub mod exec;
 pub mod interconnect;
 pub mod latency;
 pub mod launch;
 pub mod memory;
 pub mod warp;
 
-pub use config::{CostModel, DeviceConfig};
+pub use config::{CostModel, DeviceConfig, ExecMode};
 pub use counters::{KernelStats, WarpCounters};
-pub use exec::{ExecMode, Executor, FastExecutor, SimExecutor};
 pub use interconnect::{
     CommEvent, CommsLedger, Interconnect, LinkStat, OverlapTimeline, Topology, TrafficClass,
 };

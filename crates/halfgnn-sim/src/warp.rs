@@ -21,10 +21,10 @@ pub enum AtomicKind {
 
 /// Charging handle for one warp.
 ///
-/// When the CTA runs on the fast backend ([`crate::exec::FastExecutor`]),
-/// `live` is false and every charging method returns before touching its
-/// arguments — lazily-built address iterators are never consumed, so
-/// charging costs nothing beyond the branch.
+/// When the launch runs under [`crate::ExecMode::Fast`], `live` is false
+/// and every charging method returns before touching its arguments —
+/// lazily-built address iterators are never consumed, so charging costs
+/// nothing beyond the branch.
 pub struct WarpCtx<'a> {
     counters: &'a mut WarpCounters,
     dev: &'a DeviceConfig,

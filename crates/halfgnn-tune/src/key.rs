@@ -243,26 +243,18 @@ impl KernelKey {
         s
     }
 
-    /// Parse the wire form back; `None` on anything malformed. Legacy
-    /// 8-part keys (written before sharding existed) decode with
-    /// `shards = 1`, and 9-part keys (written before the partition
-    /// dimension) decode as Contiguous — exactly the dispatch they were
-    /// tuned under.
+    /// Parse the wire form back; `None` on anything malformed, which the
+    /// plan cache counts as a miss. A 9-part key (no partition segment)
+    /// decodes as Contiguous, the dispatch it was tuned under.
     pub fn decode(s: &str) -> Option<KernelKey> {
         let parts: Vec<&str> = s.split('/').collect();
-        if !(8..=10).contains(&parts.len()) {
+        if !(9..=10).contains(&parts.len()) {
             return None;
         }
         let num = |p: &str, prefix: char| -> Option<u64> { p.strip_prefix(prefix)?.parse().ok() };
-        let shards = match parts.get(8) {
-            Some(p) => {
-                let n = num(p, 's')? as usize;
-                if n == 0 {
-                    return None;
-                }
-                n
-            }
-            None => 1,
+        let shards = match num(parts[8], 's')? as usize {
+            0 => return None,
+            n => n,
         };
         let partition = match parts.get(9) {
             None => PartitionStrategy::Contiguous,
@@ -338,8 +330,7 @@ mod tests {
     fn wire_form_splits_and_merges_keys_exactly_at_bucket_boundaries() {
         // encode() must separate 2^k−1 from 2^k (different cache slots)
         // and collapse 2^k with 2^k+1 (same slot) — for rows and nnz — and
-        // the legacy 8-part form must keep decoding those buckets as
-        // single-device keys.
+        // a key without its shard segment is malformed.
         let stats = DegreeStats {
             min: 1,
             max: 32,
@@ -374,11 +365,10 @@ mod tests {
             for rows in [p - 1, p, p + 1] {
                 let b = key(rows, 4 * p);
                 assert_eq!(KernelKey::decode(&b.encode()), Some(b), "{b}");
-                // ...and its legacy 8-part spelling (strip "/s1") still
-                // decodes to the same single-device key.
+                // ...and its 8-part spelling (no "/s1") does not decode.
                 let enc = b.encode();
-                let legacy = enc.strip_suffix("/s1").expect("for_graph keys end in /s1");
-                assert_eq!(KernelKey::decode(legacy), Some(b), "legacy {legacy}");
+                let unsharded = enc.strip_suffix("/s1").expect("for_graph keys end in /s1");
+                assert_eq!(KernelKey::decode(unsharded), None, "{unsharded}");
             }
         }
         // Shard counts are exact (never bucketed): a power-of-two triplet
@@ -428,15 +418,17 @@ mod tests {
         ] {
             assert_eq!(KernelKey::decode(&k.encode()), Some(k), "{k}");
         }
-        // A legacy 8-part f16 key is untouched by the new dtype tag.
-        let legacy = "spmmv/f16/f64/r10/z13/d3/uni/disc";
-        let k = KernelKey::decode(legacy).expect("legacy keys stay decodable");
+        // Each dtype tag decodes to its own dtype; no 8-part key decodes.
+        let k = KernelKey::decode("spmmv/f16/f64/r10/z13/d3/uni/disc/s1").expect("f16 key");
         assert_eq!(k.dtype, Dtype::Half);
-        // An i8-tagged legacy-shaped key decodes with the new dtype.
-        let k = KernelKey::decode("spmmv/i8/f64/r10/z13/d3/uni/disc").expect("i8 8-part");
+        let k = KernelKey::decode("spmmv/i8/f64/r10/z13/d3/uni/disc/s1").expect("i8 key");
         assert_eq!(k.dtype, Dtype::I8);
+        for dtype in ["f16", "i8"] {
+            let unsharded = format!("spmmv/{dtype}/f64/r10/z13/d3/uni/disc");
+            assert_eq!(KernelKey::decode(&unsharded), None, "{unsharded}");
+        }
         // An unknown dtype tag degrades to a miss, never a panic.
-        assert_eq!(KernelKey::decode("spmmv/i4/f64/r10/z13/d3/uni/disc"), None);
+        assert_eq!(KernelKey::decode("spmmv/i4/f64/r10/z13/d3/uni/disc/s1"), None);
     }
 
     #[test]
@@ -499,12 +491,13 @@ mod tests {
         for bad in [
             "",
             "spmmv/f16/f64/r10/z13/d3/uni",
+            "spmmv/f16/f64/r10/z13/d3/uni/disc",
             "spmmv/f16/f64/r10/z13/d3/uni/disc/extra",
             "spmmv/f16/f64/r10/z13/d3/uni/disc/s2/more",
-            "conv/f16/f64/r10/z13/d3/uni/disc",
-            "spmmv/f16/x64/r10/z13/d3/uni/disc",
-            "spmmv/f16/f64/r10/z13/d3/wild/disc",
-            "spmmv/f16/f64/r10/z13/d3/uni/sometimes",
+            "conv/f16/f64/r10/z13/d3/uni/disc/s1",
+            "spmmv/f16/x64/r10/z13/d3/uni/disc/s1",
+            "spmmv/f16/f64/r10/z13/d3/wild/disc/s1",
+            "spmmv/f16/f64/r10/z13/d3/uni/sometimes/s1",
             "spmmv/f16/f64/r10/z13/d3/uni/disc/x2",
             "spmmv/f16/f64/r10/z13/d3/uni/disc/s0",
             "spmmv/f16/f64/r10/z13/d3/uni/disc/sten",
@@ -518,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_keys_round_trip_and_legacy_keys_decode_as_single_device() {
+    fn sharded_keys_round_trip_and_unsharded_keys_are_malformed() {
         let csr = Csr::from_edges(500, 500, &gen::erdos_renyi(500, 2_500, 3))
             .symmetrized_with_self_loops();
         let stats = halfgnn_graph::metrics::degree_stats(&csr);
@@ -539,11 +532,11 @@ mod tests {
         }
         // Keys differing only in shard count must not alias a cache slot.
         assert_ne!(base.with_shards(2), base.with_shards(4));
-        // A pre-sharding cache entry is a single-device plan.
-        let legacy = "spmmv/f16/f64/r10/z13/d3/uni/disc";
-        let k = KernelKey::decode(legacy).expect("legacy 8-part keys stay decodable");
-        assert_eq!(k.shards, 1);
-        assert_eq!(k, KernelKey::decode(&k.encode()).unwrap(), "re-encode normalizes to /s1");
+        // A key written before the shard segment existed is malformed: the
+        // cache counts it as a miss and re-tunes.
+        let unsharded = base.encode();
+        let unsharded = unsharded.strip_suffix("/s1").expect("single-device keys end in /s1");
+        assert_eq!(KernelKey::decode(unsharded), None, "{unsharded}");
     }
 
     #[test]
