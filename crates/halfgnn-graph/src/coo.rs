@@ -4,6 +4,7 @@
 //! "consecutive edges have monotonically non-decreasing row IDs"
 //! observation (§5.2.1, rule 2) hold.
 
+use crate::csr::bucket_offsets;
 use crate::VertexId;
 
 /// A sparse graph in coordinate format, canonically sorted by `(row, col)`
@@ -30,6 +31,24 @@ impl Coo {
         es.sort_unstable();
         es.dedup();
         let (rows, cols) = es.into_iter().unzip();
+        Coo { num_rows, num_cols, rows, cols }
+    }
+
+    /// Adopt parallel arrays that are already canonical (sorted by
+    /// `(row, col)`, duplicate-free, in range) without sorting them again.
+    pub(crate) fn from_canonical(
+        num_rows: usize,
+        num_cols: usize,
+        rows: Vec<VertexId>,
+        cols: Vec<VertexId>,
+    ) -> Coo {
+        debug_assert_eq!(rows.len(), cols.len());
+        debug_assert!(rows.iter().all(|&r| (r as usize) < num_rows));
+        debug_assert!(cols.iter().all(|&c| (c as usize) < num_cols));
+        debug_assert!(
+            (1..rows.len()).all(|e| (rows[e - 1], cols[e - 1]) < (rows[e], cols[e])),
+            "edges must be sorted by (row, col) and duplicate-free"
+        );
         Coo { num_rows, num_cols, rows, cols }
     }
 
@@ -96,14 +115,18 @@ impl Coo {
     /// (attention scores) stored in `A`'s order; this permutation reindexes
     /// them. Always well-defined: the transpose's edges are exactly the
     /// reverses of this graph's edges.
+    ///
+    /// A counting sort by column, `O(nnz + cols)`: the edges are visited in
+    /// `(row, col)` order, so each column's bucket fills with its rows
+    /// ascending, which is the transpose's canonical `(col, row)` order.
     pub fn transpose_permutation(&self) -> Vec<usize> {
-        let t = self.transpose();
-        (0..t.nnz())
-            .map(|i| {
-                let (r, c) = t.edge(i);
-                self.find_edge(c, r).unwrap_or_else(|| panic!("reverse edge of ({r}, {c}) missing"))
-            })
-            .collect()
+        let mut next = bucket_offsets(self.num_cols, &self.cols);
+        let mut perm = vec![0; self.nnz()];
+        for (e, &c) in self.cols.iter().enumerate() {
+            perm[next[c as usize]] = e;
+            next[c as usize] += 1;
+        }
+        perm
     }
 }
 

@@ -5,7 +5,12 @@
 
 use crate::{Coo, VertexId};
 
-/// A sparse graph in CSR format. Column indices within each row are sorted.
+/// A sparse graph in CSR format.
+///
+/// Invariant: every row's column indices are sorted and duplicate-free.
+/// Every constructor either canonicalizes its input or adopts rows that
+/// already are, so the transpose, the symmetry check and the COO
+/// conversion below run in linear passes without sorting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Csr {
     num_cols: usize,
@@ -22,25 +27,33 @@ impl Csr {
     /// Convert from canonical COO (already row-sorted: a single counting
     /// pass builds the offsets).
     pub fn from_coo(coo: &Coo) -> Csr {
-        let mut offsets = vec![0usize; coo.num_rows() + 1];
-        for &r in coo.rows() {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
+        let offsets = bucket_offsets(coo.num_rows(), coo.rows());
         Csr { num_cols: coo.num_cols(), offsets, cols: coo.cols().to_vec() }
     }
 
-    /// Convert to canonical COO.
+    /// Adopt an offset array and rows that are already sorted and
+    /// duplicate-free without sorting them again.
+    pub(crate) fn from_sorted_rows(
+        num_cols: usize,
+        offsets: Vec<usize>,
+        cols: Vec<VertexId>,
+    ) -> Csr {
+        debug_assert!(offsets.first() == Some(&0) && offsets.last() == Some(&cols.len()));
+        debug_assert!(cols.iter().all(|&c| (c as usize) < num_cols));
+        debug_assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1] && cols[w[0]..w[1]].is_sorted_by(|a, b| a < b)),
+            "rows must be sorted and duplicate-free"
+        );
+        Csr { num_cols, offsets, cols }
+    }
+
+    /// Convert to canonical COO: each row index repeated across its row.
     pub fn to_coo(&self) -> Coo {
-        let mut edges = Vec::with_capacity(self.nnz());
-        for r in 0..self.num_rows() {
-            for &c in self.row(r as VertexId) {
-                edges.push((r as VertexId, c));
-            }
+        let mut rows = Vec::with_capacity(self.nnz());
+        for (r, w) in self.offsets.windows(2).enumerate() {
+            rows.resize(w[1], r as VertexId);
         }
-        Coo::from_edges(self.num_rows(), self.num_cols, &edges)
+        Coo::from_canonical(self.num_rows(), self.num_cols, rows, self.cols.clone())
     }
 
     /// Number of rows.
@@ -97,42 +110,72 @@ impl Csr {
         }
     }
 
-    /// Transposed copy.
+    /// Transposed copy: a counting sort by column, `O(nnz + rows + cols)`.
+    /// Rows are visited in ascending order, so each column's bucket fills
+    /// with its rows sorted.
     pub fn transpose(&self) -> Csr {
-        Csr::from_coo(&self.to_coo().transpose())
+        let offsets = bucket_offsets(self.num_cols, &self.cols);
+        let mut next = offsets.clone();
+        let mut cols = vec![0; self.nnz()];
+        for r in 0..self.num_rows() as VertexId {
+            for &c in self.row(r) {
+                cols[next[c as usize]] = r;
+                next[c as usize] += 1;
+            }
+        }
+        Csr::from_sorted_rows(self.num_rows(), offsets, cols)
     }
 
     /// True when for every edge (u, v) the reverse edge (v, u) is present —
-    /// the undirected convention GNN datasets use.
+    /// the undirected convention GNN datasets use. Rows are canonical, so
+    /// that is every row equal to its transposed row.
     pub fn is_symmetric(&self) -> bool {
-        if self.num_rows() != self.num_cols {
-            return false;
-        }
-        for r in 0..self.num_rows() {
-            for &c in self.row(r as VertexId) {
-                if self.row(c).binary_search(&(r as VertexId)).is_err() {
-                    return false;
-                }
-            }
-        }
-        true
+        self.num_rows() == self.num_cols && self.transpose() == *self
     }
 
     /// Copy with every edge mirrored and a self-loop on each vertex — the
-    /// standard GCN preprocessing (Â = A + Aᵀ + I).
+    /// standard GCN preprocessing (Â = A + Aᵀ + I). Each row is the union
+    /// of the row, its transposed row and the loop.
     pub fn symmetrized_with_self_loops(&self) -> Csr {
         assert_eq!(self.num_rows(), self.num_cols, "need a square adjacency");
-        let n = self.num_rows();
-        let mut edges = Vec::with_capacity(self.nnz() * 2 + n);
-        for r in 0..n {
-            for &c in self.row(r as VertexId) {
-                edges.push((r as VertexId, c));
-                edges.push((c, r as VertexId));
-            }
-            edges.push((r as VertexId, r as VertexId));
+        let t = self.transpose();
+        let (mut offsets, mut row) = (vec![0], Vec::new());
+        let mut cols = Vec::with_capacity(self.nnz() * 2 + self.num_rows());
+        for r in 0..self.num_rows() as VertexId {
+            row.clear();
+            union_into(&mut row, self.row(r), t.row(r));
+            union_into(&mut cols, &row, &[r]);
+            offsets.push(cols.len());
         }
-        Csr::from_edges(n, n, &edges)
+        Csr::from_sorted_rows(self.num_cols, offsets, cols)
     }
+}
+
+/// Offsets of the buckets `ids` sort into: `n + 1` entries, bucket `i`
+/// holding the ids equal to `i` (one counting pass and a prefix sum).
+pub(crate) fn bucket_offsets(n: usize, ids: &[VertexId]) -> Vec<usize> {
+    let mut offsets = vec![0usize; n + 1];
+    for &i in ids {
+        offsets[i as usize + 1] += 1;
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    offsets
+}
+
+/// Append the union of two sorted, duplicate-free rows to `out`, sorted
+/// and duplicate-free.
+pub(crate) fn union_into(out: &mut Vec<VertexId>, a: &[VertexId], b: &[VertexId]) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let c = a[i].min(b[j]);
+        out.push(c);
+        i += usize::from(a[i] == c);
+        j += usize::from(b[j] == c);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]

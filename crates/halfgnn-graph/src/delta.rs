@@ -14,6 +14,7 @@
 //! arriving mid-stream is visible to the next `stats()` call instead of
 //! being smoothed over by a stale snapshot.
 
+use crate::csr::union_into;
 use crate::metrics::{degree_stats_from_degrees, DegreeStats};
 use crate::{Csr, VertexId};
 use std::cell::RefCell;
@@ -121,23 +122,8 @@ impl DeltaCsr {
 
     /// Merged, sorted, duplicate-free neighborhood of row `v`.
     pub fn row_merged(&self, v: VertexId) -> Vec<VertexId> {
-        let base = self.base.row(v);
-        let Some(extra) = self.delta.get(&v) else { return base.to_vec() };
-        let mut out = Vec::with_capacity(base.len() + extra.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base.len() && j < extra.len() {
-            // Overlay rows never duplicate base entries (insert checks),
-            // so strict comparison suffices.
-            if base[i] < extra[j] {
-                out.push(base[i]);
-                i += 1;
-            } else {
-                out.push(extra[j]);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&base[i..]);
-        out.extend_from_slice(&extra[j..]);
+        let mut out = Vec::with_capacity(self.degree(v) as usize);
+        union_into(&mut out, self.base.row(v), self.delta.get(&v).map_or(&[][..], Vec::as_slice));
         out
     }
 
@@ -153,15 +139,15 @@ impl DeltaCsr {
 
     /// Materialize the merged graph as a plain CSR — the one full-rebuild
     /// operation, for use *after* streaming (e.g. final full-graph
-    /// evaluation), never per insert.
+    /// evaluation), never per insert. Merged rows are already sorted, so
+    /// this is one linear pass that lays them end to end.
     pub fn merge(&self) -> Csr {
-        let mut edges = Vec::with_capacity(self.nnz());
+        let (mut offsets, mut cols) = (vec![0], Vec::with_capacity(self.nnz()));
         for r in 0..self.num_rows() as VertexId {
-            for c in self.row_merged(r) {
-                edges.push((r, c));
-            }
+            cols.extend(self.row_merged(r));
+            offsets.push(cols.len());
         }
-        Csr::from_edges(self.num_rows(), self.num_cols(), &edges)
+        Csr::from_sorted_rows(self.num_cols(), offsets, cols)
     }
 }
 

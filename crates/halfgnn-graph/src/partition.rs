@@ -27,12 +27,11 @@
 //! Each shard also carries the *halo*: the sorted set of global column ids
 //! its edges reference outside its owned range — the feature rows another
 //! device must send it before a local aggregation, and the payload the
-//! interconnect cost model charges per layer. `local_to_global` is the
-//! sorted merge of below-range halo, owned rows, and above-range halo, so
-//! the induced local CSR keeps columns sorted *and* preserves the global
-//! per-row neighbor order (local ids are a monotone renaming).
+//! interconnect cost model charges per layer. Kernels read a shard's edges
+//! through its window into the global arrays, with global column ids, so
+//! a shard needs no local CSR or id map of its own.
 
-use crate::{Coo, Csr, VertexId};
+use crate::{Csr, VertexId};
 
 /// How shard boundaries are chosen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,8 +91,8 @@ impl PartitionStrategy {
 }
 
 /// One shard of a [`ShardPlan`]: an owned row range, its edge window in the
-/// canonical global edge order, the halo it must receive, and the induced
-/// local CSR over remapped ids.
+/// canonical global edge order, the halo it must receive, who sends it, and
+/// which halo rows it pays wire bytes for.
 #[derive(Clone, Debug)]
 pub struct Shard {
     /// This shard's index.
@@ -107,10 +106,6 @@ pub struct Shard {
     /// Sorted global ids of non-owned vertices referenced by the shard's
     /// edges — the feature rows a halo exchange must deliver.
     pub halo: Vec<VertexId>,
-    /// Sorted union of `halo` and the owned range: `local_to_global[l]` is
-    /// the global id of local vertex `l`. Monotone, so local column order
-    /// equals global column order within every row.
-    pub local_to_global: Vec<VertexId>,
     /// How many halo rows each source shard must send this one: sorted
     /// `(src_shard, rows)` pairs, omitting zero counts. Precomputed at
     /// partition time — the halo-exchange loop reads it every layer of
@@ -124,9 +119,6 @@ pub struct Shard {
     /// duplicate out-of-group needs appear in nobody's `wire_rows` — the
     /// communication-avoiding effect, priced at partition time.
     pub wire_rows: Vec<(VertexId, usize)>,
-    /// The shard's rows over local column ids: `row_range.1 - row_range.0`
-    /// rows × `local_to_global.len()` columns.
-    pub local_csr: Csr,
 }
 
 impl Shard {
@@ -138,11 +130,6 @@ impl Shard {
     /// Number of owned edges.
     pub fn num_edges(&self) -> usize {
         self.edge_range.1 - self.edge_range.0
-    }
-
-    /// Map a global vertex id to this shard's local id, if referenced.
-    pub fn local_of(&self, global: VertexId) -> Option<usize> {
-        self.local_to_global.binary_search(&global).ok()
     }
 }
 
@@ -279,28 +266,6 @@ pub fn partition(csr: &Csr, num_shards: usize, strategy: PartitionStrategy) -> S
             halo.sort_unstable();
             halo.dedup();
 
-            // local_to_global = halo-below ++ owned ++ halo-above (all
-            // sorted, pairwise disjoint): a monotone renaming.
-            let below = halo.partition_point(|&c| (c as usize) < r0);
-            let mut local_to_global = Vec::with_capacity(halo.len() + (r1 - r0));
-            local_to_global.extend_from_slice(&halo[..below]);
-            local_to_global.extend((r0 as VertexId)..(r1 as VertexId));
-            local_to_global.extend_from_slice(&halo[below..]);
-            debug_assert!(local_to_global.windows(2).all(|w| w[0] < w[1]));
-
-            // Induced local CSR: owned rows, columns renamed through the
-            // monotone map (per-row neighbor order is preserved).
-            let mut local_edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(e1 - e0);
-            for r in r0..r1 {
-                for &c in &cols[off[r]..off[r + 1]] {
-                    let lc = local_to_global
-                        .binary_search(&c)
-                        .expect("every referenced column is in local_to_global");
-                    local_edges.push(((r - r0) as VertexId, lc as VertexId));
-                }
-            }
-            let local_csr = Csr::from_edges(r1 - r0, local_to_global.len(), &local_edges);
-
             // Halo rows per source shard: the halo is sorted, so each
             // owner's share is one contiguous run delimited by its cuts.
             // Empty shards ([cuts[k], cuts[k+1]) empty) contribute nothing,
@@ -318,10 +283,8 @@ pub fn partition(csr: &Csr, num_shards: usize, strategy: PartitionStrategy) -> S
                 row_range: (r0, r1),
                 edge_range: (e0, e1),
                 halo,
-                local_to_global,
                 halo_sources,
                 wire_rows: Vec::new(),
-                local_csr,
             }
         })
         .collect();
@@ -369,33 +332,6 @@ pub fn partition(csr: &Csr, num_shards: usize, strategy: PartitionStrategy) -> S
     ShardPlan { num_rows: csr.num_rows(), nnz: csr.nnz(), strategy, replication, shards }
 }
 
-/// Reconstruct the global rows covered by a shard's local CSR — the
-/// validation inverse used by tests: expanding every shard must reproduce
-/// the global CSR exactly.
-pub fn expand_shard(shard: &Shard) -> Vec<(VertexId, VertexId)> {
-    let (r0, _) = shard.row_range;
-    (0..shard.local_csr.num_rows())
-        .flat_map(|lr| {
-            shard
-                .local_csr
-                .row(lr as VertexId)
-                .iter()
-                .map(move |&lc| ((r0 + lr) as VertexId, shard.local_to_global[lc as usize]))
-        })
-        .collect()
-}
-
-/// Convenience for kernels: the shard's edge window applied to a canonical
-/// global COO must select exactly the shard's local edges.
-pub fn window_matches_coo(shard: &Shard, coo: &Coo) -> bool {
-    let (e0, e1) = shard.edge_range;
-    let expanded = expand_shard(shard);
-    if expanded.len() != e1 - e0 {
-        return false;
-    }
-    (e0..e1).all(|ei| coo.edge(ei) == expanded[ei - e0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,18 +369,39 @@ mod tests {
     }
 
     #[test]
-    fn local_csrs_expand_back_to_the_global_graph() {
-        let g = chain6();
-        let coo = g.to_coo();
-        for strategy in [PartitionStrategy::Contiguous, PartitionStrategy::DegreeBalanced] {
-            let plan = partition(&g, 3, strategy);
-            let mut all: Vec<(VertexId, VertexId)> = Vec::new();
-            for shard in &plan.shards {
-                assert!(window_matches_coo(shard, &coo), "shard {}", shard.index);
-                all.extend(expand_shard(shard));
+    fn edge_windows_tile_the_edges_and_halos_are_their_outside_columns() {
+        // What the windowed kernels rely on: shard `k`'s edges are the
+        // window `edge_range` of the global arrays, the windows tile
+        // `0..nnz` in shard order, and the halo is exactly the window's
+        // columns outside the owned rows, sorted and deduplicated.
+        let isolated = Csr::from_edges(8, 8, &[(0, 1), (1, 0), (5, 7), (7, 5)]);
+        let tiny = Csr::from_edges(2, 2, &[(0, 1)]).symmetrized_with_self_loops();
+        for g in [chain6(), star(17), isolated, tiny] {
+            for (s, c) in [(1usize, 1usize), (2, 2), (3, 3), (4, 2), (6, 2), (6, 3)] {
+                for strategy in [
+                    PartitionStrategy::Contiguous,
+                    PartitionStrategy::DegreeBalanced,
+                    PartitionStrategy::OneP5D { c },
+                ] {
+                    let plan = partition(&g, s, strategy);
+                    let mut next_edge = 0;
+                    for shard in &plan.shards {
+                        let ((r0, r1), (e0, e1)) = (shard.row_range, shard.edge_range);
+                        assert_eq!(e0, next_edge, "{strategy:?} s={s} #{}", shard.index);
+                        assert_eq!((e0, e1), (g.offsets()[r0], g.offsets()[r1]));
+                        next_edge = e1;
+                        let mut want: Vec<VertexId> = g.cols()[e0..e1]
+                            .iter()
+                            .copied()
+                            .filter(|&v| !(r0..r1).contains(&(v as usize)))
+                            .collect();
+                        want.sort_unstable();
+                        want.dedup();
+                        assert_eq!(shard.halo, want, "{strategy:?} s={s} #{}", shard.index);
+                    }
+                    assert_eq!(next_edge, g.nnz(), "{strategy:?} s={s}");
+                }
             }
-            let global: Vec<(VertexId, VertexId)> = (0..coo.nnz()).map(|e| coo.edge(e)).collect();
-            assert_eq!(all, global);
         }
     }
 
@@ -583,8 +540,8 @@ mod tests {
 
     #[test]
     fn one5d_kernel_geometry_matches_degree_balanced() {
-        // 1.5D is a comms transformation only: rows, edges, halos and the
-        // induced local CSRs are identical to the DegreeBalanced plan.
+        // 1.5D is a comms transformation only: rows, edges and halos are
+        // identical to the DegreeBalanced plan.
         for g in [chain6(), star(33)] {
             for (s, c) in [(2usize, 2usize), (4, 2), (4, 4), (6, 2), (6, 3)] {
                 let bal = partition(&g, s, PartitionStrategy::DegreeBalanced);

@@ -1,6 +1,6 @@
 //! Property-based invariants for graph storage and conversions.
 
-use halfgnn_graph::{Coo, Csr, VertexId};
+use halfgnn_graph::{Coo, Csr, DeltaCsr, VertexId};
 use proptest::prelude::*;
 
 fn arb_edges(
@@ -83,5 +83,180 @@ proptest! {
             prop_assert!(csr.row(r).binary_search(&c).is_ok());
         }
         prop_assert!(coo.nnz() <= edges.len());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The linear-time primitives against the bodies they replaced. Each
+// reference below is an earlier body that expanded its edges and sorted
+// them (or binary-searched every edge), kept here as the definition the
+// counting sorts and row merges must reproduce exactly.
+// ---------------------------------------------------------------------
+
+/// `Csr::to_coo`'s earlier body: expand every row, then canonicalize.
+fn to_coo_by_sort(g: &Csr) -> Coo {
+    let mut edges = Vec::with_capacity(g.nnz());
+    for r in 0..g.num_rows() {
+        for &c in g.row(r as VertexId) {
+            edges.push((r as VertexId, c));
+        }
+    }
+    Coo::from_edges(g.num_rows(), g.num_cols(), &edges)
+}
+
+/// `Coo::transpose`: reverse every edge, then canonicalize.
+fn transpose_by_sort(coo: &Coo) -> Coo {
+    let edges: Vec<(VertexId, VertexId)> =
+        coo.cols().iter().copied().zip(coo.rows().iter().copied()).collect();
+    Coo::from_edges(coo.num_cols(), coo.num_rows(), &edges)
+}
+
+/// `Csr::transpose`'s earlier body.
+fn csr_transpose_by_sort(g: &Csr) -> Csr {
+    Csr::from_coo(&transpose_by_sort(&to_coo_by_sort(g)))
+}
+
+/// `Coo::transpose_permutation`'s earlier body: sort a transposed copy,
+/// then binary-search each of its edges' reverse.
+fn transpose_permutation_by_search(coo: &Coo) -> Vec<usize> {
+    let t = transpose_by_sort(coo);
+    (0..t.nnz())
+        .map(|i| {
+            let (r, c) = t.edge(i);
+            coo.find_edge(c, r).unwrap_or_else(|| panic!("reverse edge of ({r}, {c}) missing"))
+        })
+        .collect()
+}
+
+/// `Csr::is_symmetric`'s earlier body: one binary search per edge.
+fn is_symmetric_by_search(g: &Csr) -> bool {
+    if g.num_rows() != g.num_cols() {
+        return false;
+    }
+    for r in 0..g.num_rows() {
+        for &c in g.row(r as VertexId) {
+            if g.row(c).binary_search(&(r as VertexId)).is_err() {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// `Csr::symmetrized_with_self_loops`'s earlier body.
+fn symmetrized_by_sort(g: &Csr) -> Csr {
+    let n = g.num_rows();
+    let mut edges = Vec::with_capacity(g.nnz() * 2 + n);
+    for r in 0..n {
+        for &c in g.row(r as VertexId) {
+            edges.push((r as VertexId, c));
+            edges.push((c, r as VertexId));
+        }
+        edges.push((r as VertexId, r as VertexId));
+    }
+    Csr::from_edges(n, n, &edges)
+}
+
+/// `DeltaCsr::merge`'s earlier body.
+fn merge_by_sort(d: &DeltaCsr) -> Csr {
+    let mut edges = Vec::with_capacity(d.nnz());
+    for r in 0..d.num_rows() as VertexId {
+        for c in d.row_merged(r) {
+            edges.push((r, c));
+        }
+    }
+    Csr::from_edges(d.num_rows(), d.num_cols(), &edges)
+}
+
+/// Every primitive that takes any graph, against its reference.
+fn check_primitives(g: &Csr) {
+    let coo = g.to_coo();
+    assert_eq!(coo, to_coo_by_sort(g));
+    assert_eq!(g.transpose(), csr_transpose_by_sort(g));
+    assert_eq!(coo.transpose_permutation(), transpose_permutation_by_search(&coo));
+    assert_eq!(g.is_symmetric(), is_symmetric_by_search(g));
+}
+
+/// A `rows × cols` edge list with both sizes drawn separately, so
+/// non-square graphs occur; small sizes make empty rows and repeated
+/// edges common.
+fn arb_rect(
+    max_n: usize,
+    max_e: usize,
+) -> impl Strategy<Value = (usize, usize, Vec<(VertexId, VertexId)>)> {
+    (1usize..max_n, 1usize..max_n).prop_flat_map(move |(n, m)| {
+        let edge = (0..n as VertexId, 0..m as VertexId);
+        prop::collection::vec(edge, 0..max_e).prop_map(move |es| (n, m, es))
+    })
+}
+
+/// A square edge list in which some edges also come reversed and some
+/// sources carry a self-loop, so both directions of an edge and existing
+/// loops occur next to one-way edges and isolated vertices.
+fn arb_square(
+    max_n: usize,
+    max_e: usize,
+) -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>)> {
+    (1usize..max_n).prop_flat_map(move |n| {
+        let edge = (0..n as VertexId, 0..n as VertexId, 0u8..4);
+        prop::collection::vec(edge, 0..max_e).prop_map(move |es| {
+            let mut edges = Vec::with_capacity(2 * es.len());
+            for (u, v, kind) in es {
+                edges.push((u, v));
+                match kind {
+                    1 => edges.push((v, u)),
+                    2 => edges.push((u, u)),
+                    _ => {}
+                }
+            }
+            (n, edges)
+        })
+    })
+}
+
+proptest! {
+    #[test]
+    fn rectangular_primitives_match_their_references((n, m, edges) in arb_rect(40, 200)) {
+        check_primitives(&Csr::from_edges(n, m, &edges));
+    }
+
+    #[test]
+    fn square_primitives_match_their_references((n, edges) in arb_square(40, 160)) {
+        let g = Csr::from_edges(n, n, &edges);
+        let reversed = edges.iter().map(|&(u, v)| (v, u));
+        let mirrored = Csr::from_edges(n, n, &edges.iter().copied().chain(reversed).collect::<Vec<_>>());
+        prop_assert!(mirrored.is_symmetric());
+        let sym = g.symmetrized_with_self_loops();
+        prop_assert_eq!(&sym, &symmetrized_by_sort(&g));
+        for h in [&g, &mirrored, &sym] {
+            check_primitives(h);
+        }
+    }
+
+    #[test]
+    fn delta_merge_matches_its_reference_and_a_rebuild((n, edges) in arb_square(40, 160)) {
+        // The first half is the base graph, the second half streams in.
+        let (base, streamed) = edges.split_at(edges.len() / 2);
+        let mut d = DeltaCsr::new(Csr::from_edges(n, n, base));
+        let mut all = base.to_vec();
+        for &(u, v) in streamed {
+            d.insert_undirected(u, v);
+            all.extend([(u, v), (v, u)]);
+        }
+        let merged = d.merge();
+        prop_assert_eq!(&merged, &merge_by_sort(&d));
+        prop_assert_eq!(&merged, &Csr::from_edges(n, n, &all));
+    }
+}
+
+#[test]
+fn primitives_match_their_references_without_vertices_or_edges() {
+    for (n, m) in [(0, 0), (0, 3), (3, 0), (4, 4)] {
+        let g = Csr::from_edges(n, m, &[]);
+        check_primitives(&g);
+        if n == m {
+            assert_eq!(g.symmetrized_with_self_loops(), symmetrized_by_sort(&g));
+            assert_eq!(DeltaCsr::new(g.clone()).merge(), g);
+        }
     }
 }

@@ -479,8 +479,9 @@ pub fn train_on(dev: &DeviceConfig, data: &LoadedDataset, cfg: &TrainConfig) -> 
     // key, so epoch 0 pays any evaluation cost and later epochs hit the
     // in-memory cache. The tuner always evaluates under `ExecMode::Sim`
     // regardless of `cfg.exec` — plans are modeled-cycles argmins either
-    // way, and its oracle checks run inside `overflow::isolated` so they
-    // never pollute this run's per-step provenance windows.
+    // way, and each miss (evaluation graph, inputs and oracle checks) runs
+    // inside one `overflow::isolated` window, so tuning never pollutes this
+    // run's per-step provenance windows.
     let partition = cfg.effective_partition();
     let tuner = match &cfg.tuning {
         Tuning::Off => None,

@@ -261,7 +261,9 @@ impl Tuner {
     /// plan of the entry's kind is a hit; a miss vets every candidate on
     /// the evaluation graph and commits the argmin of modeled cycles among
     /// the survivors, or `fallback` when none survives. A `None` fallback
-    /// is never cached: the miss only counts its evaluations.
+    /// is never cached: the miss only counts its evaluations. The whole
+    /// miss runs in one isolated overflow window, inputs included, so a
+    /// cold cache adds nothing to the caller's record.
     fn resolve<P: Copy>(
         &self,
         csr: &Csr,
@@ -274,18 +276,21 @@ impl Tuner {
         if let Some(p) = self.cache.borrow_mut().get(key).and_then(pick) {
             return Some(p);
         }
-        let eval = EvalGraph::build(self, csr);
         let evals = cands.len() as u64;
-        let mut best = fallback;
-        let mut best_cycles = f64::INFINITY;
-        for plan in cands {
-            if let Ok(cycles) = vet(&eval, &plan) {
-                if cycles < best_cycles {
-                    best_cycles = cycles;
-                    best = Some(plan);
+        let (best, _) = overflow::isolated(|| {
+            let eval = EvalGraph::build(self, csr);
+            let mut best = fallback;
+            let mut best_cycles = f64::INFINITY;
+            for plan in cands {
+                if let Ok(cycles) = vet(&eval, &plan) {
+                    if cycles < best_cycles {
+                        best_cycles = cycles;
+                        best = Some(plan);
+                    }
                 }
             }
-        }
+            best
+        });
         let mut cache = self.cache.borrow_mut();
         cache.record_evaluations(evals);
         if let Some(p) = best {

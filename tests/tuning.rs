@@ -7,6 +7,8 @@
 //!   their output, so training cannot drift further than the band).
 //! - `Cached` round-trips plans through the JSON file: the second process
 //!   re-evaluates nothing and reproduces the first's losses exactly.
+//! - Tuning is invisible to the overflow record: a run that fills a cold
+//!   cache records exactly what a run on the warm cache does.
 
 use halfgnn::graph::datasets::Dataset;
 use halfgnn::nn::trainer::{train, ModelKind, PrecisionMode, TrainConfig, Tuning};
@@ -117,5 +119,26 @@ fn a_half1_sddmm_cache_entry_retunes_and_trains() {
         second.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
         "re-tuning picks the same plans"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_cold_plan_cache_records_the_same_overflow_windows_as_a_warm_one() {
+    // The tuner's whole evaluation, its synthetic inputs included, runs in
+    // its own overflow window, so filling the cache adds no conversion to
+    // the epoch that tunes.
+    let dir = std::env::temp_dir().join("halfgnn-e2e-tuning-record");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("plans.json");
+    std::fs::remove_file(&path).ok();
+    let tuning = Tuning::Cached(path.to_string_lossy().into_owned());
+
+    let data = Dataset::cora().load(42);
+    let cold = train(&data, &cfg(ModelKind::Gat, tuning.clone(), 2));
+    let warm = train(&data, &cfg(ModelKind::Gat, tuning, 2));
+    assert!(cold.tuning_counters.unwrap().evaluations > 0, "the first run must tune");
+    assert_eq!(warm.tuning_counters.unwrap().evaluations, 0, "the second must hit");
+    assert!(cold.overflow_per_epoch[0].conversions > 0, "the recorder must be compiled in");
+    assert_eq!(format!("{:?}", cold.overflow_per_epoch), format!("{:?}", warm.overflow_per_epoch));
     std::fs::remove_file(&path).ok();
 }
