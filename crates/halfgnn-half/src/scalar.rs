@@ -17,7 +17,9 @@
 //! [`hmax`]: crate::intrinsics::hmax
 
 use crate::f16::Half;
-use crate::slice::{add_row, axpby, convert_half_to_f32_into, f32_slice_to_half, scale_row};
+use crate::slice::{
+    add_row, axpby, convert_half_to_f32_into, f32_slice_to_half, scale_row, sum_chains,
+};
 use std::ops::AddAssign;
 
 /// An element type a kernel can run in: `f32` (the float baseline) or
@@ -114,6 +116,14 @@ pub trait Scalar: Copy + Default + AddAssign + Send + Sync + 'static {
         x.iter().zip(y).map(|(&xv, &yv)| a.mul(xv).add(b.mul(yv))).collect()
     }
 
+    /// `out[i]` ← the segment `xs[off[i]..off[i + 1]]` summed from zero in
+    /// order, each add rounded once: a sequential chain per segment.
+    fn sum_chains(xs: &[Self], off: &[usize], out: &mut [Self]) {
+        for (o, w) in out.iter_mut().zip(off.windows(2)) {
+            *o = xs[w[0]..w[1]].iter().fold(Self::ZERO, |acc, &v| acc.add(v));
+        }
+    }
+
     /// `x + bias` with `bias` broadcast over the rows of `x`.
     fn bias_add(x: &[Self], bias: &[Self]) -> Vec<Self> {
         let n = bias.len();
@@ -189,6 +199,11 @@ impl Scalar for Half {
     #[inline]
     fn narrow(xs: Vec<f32>) -> Vec<Half> {
         f32_slice_to_half(&xs)
+    }
+
+    /// Eight chains to a vector on F16C hosts.
+    fn sum_chains(xs: &[Half], off: &[usize], out: &mut [Half]) {
+        sum_chains(xs, off, out);
     }
 
     /// The exponent-mask test: no widening conversion per element, since

@@ -14,16 +14,24 @@
 //! [`convert_half_to_f32_into`]) are the per-lane intrinsic sequences the
 //! kernels' hot loops repeat over a feature row; [`dot_half2_trees`] is
 //! SDDMM's per-edge dot product ([`dot_half2_tree`]) over a tile of edges,
-//! and [`gemm_row`] one output row of the dense `f32` GEMM. Each is
-//! defined as its per-lane (per-edge, per-product) loop, and produces that
-//! loop's values and overflow record (`crate::overflow`): every conversion
-//! counted, and the first non-finite one reported with its site, index,
-//! input and kind. On x86-64 hosts with F16C and AVX (detected at run
-//! time) they run eight lanes per step; elsewhere they run the loop
-//! itself.
+//! [`gemm_row`] one output row of the dense `f32` GEMM, and [`gemm_col`]
+//! its single output column when `n = 1`. The edge softmax of GAT's fused
+//! attention runs on five more: [`leaky_scores`] (one row's LeakyReLU
+//! scores and their running max), [`exp_shifted`] (the shifted exponents,
+//! `f32::exp` per lane on the rounded argument), [`div_row`] (the
+//! normalize), [`softmax_grad_row`] (the softmax gradient `δe`), and the
+//! sequential `hadd` chains [`sum_chains`] and [`dot_chains`] (row sums,
+//! `t_i = Σ α·δα`, edge-reduce segments), each chain in its own order,
+//! eight chains to a vector. Each is defined as
+//! its per-lane (per-edge, per-product, per-chain) loop, and produces
+//! that loop's values and overflow record (`crate::overflow`): every
+//! conversion counted, and the first non-finite one reported with its
+//! site, index, input and kind. On x86-64 hosts with F16C and AVX
+//! (detected at run time) they run eight lanes per step; elsewhere they
+//! run the loop itself.
 
 use crate::f16::Half;
-use crate::intrinsics::{hadd, hmul};
+use crate::intrinsics::{hadd, hdiv, hexp, hmax, hmul, hsub};
 use crate::vec2::Half2;
 
 #[cfg(target_arch = "x86_64")]
@@ -178,6 +186,115 @@ pub fn gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
     lanes::gemm_row(pairs, b, out);
 }
 
+/// One row of GAT's attention scores: `e[k] ← hadd(s, s_col[cols[k]])`,
+/// then `hmul(e[k], slope)` when that sum is not `≥ 0` (negative or NaN),
+/// folding `m ← hmax(m, e[k])` from −∞ after each edge. Returns `m`, the
+/// row max the shifted exponents subtract. The zero sign of a zero max is
+/// unspecified, as for `f32::max`; no output of the fused attention
+/// depends on it.
+pub fn leaky_scores(s: Half, s_col: &[Half], cols: &[u32], slope: Half, e: &mut [Half]) -> Half {
+    assert_eq!(cols.len(), e.len(), "one column per score");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(m) = f16c::leaky_scores(s, s_col, cols, slope, e) {
+        return m;
+    }
+    lanes::leaky_scores(Half::NEG_INFINITY, s, s_col, cols, slope, e)
+}
+
+/// `out[k] ← hexp(hsub(e[k], m))`: a row's shifted exponents, each
+/// `f32::exp` of the rounded argument, rounded once.
+pub fn exp_shifted(e: &[Half], m: Half, out: &mut [Half]) {
+    assert_eq!(e.len(), out.len(), "row lengths must match");
+    #[cfg(target_arch = "x86_64")]
+    if f16c::exp_shifted(e, m, out).is_some() {
+        return;
+    }
+    lanes::exp_shifted(e, m, out);
+}
+
+/// `v[k] ← hdiv(v[k], z)`: a row divided by its sum (the softmax
+/// normalize).
+pub fn div_row(v: &mut [Half], z: Half) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::div_row(v, z).is_some() {
+        return;
+    }
+    lanes::div_row(v, z);
+}
+
+/// One row of the edge-softmax gradient through the LeakyReLU gate:
+/// `de[k] ← hmul(alpha[k], hsub(dalpha[k], t))`, then `hmul(de[k],
+/// slope)` where `e[k]` is not `≥ 0`.
+pub fn softmax_grad_row(
+    alpha: &[Half],
+    dalpha: &[Half],
+    e: &[Half],
+    t: Half,
+    slope: Half,
+    de: &mut [Half],
+) {
+    assert!(
+        alpha.len() == de.len() && dalpha.len() == de.len() && e.len() == de.len(),
+        "row lengths must match"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if f16c::softmax_grad_row(alpha, dalpha, e, t, slope, de).is_some() {
+        return;
+    }
+    lanes::softmax_grad_row(alpha, dalpha, e, t, slope, de);
+}
+
+/// `out[i] ← hadd(… hadd(hadd(+0, x[a]), x[a + 1]) …, x[b − 1])` for the
+/// segment `a = off[i]`, `b = off[i + 1]`: sequential half sums (a row's
+/// softmax denominator, an edge-reduce segment), each in its segment's
+/// order. `off` holds one more entry than `out`.
+pub fn sum_chains(x: &[Half], off: &[usize], out: &mut [Half]) {
+    check_segments(x, off, out);
+    #[cfg(target_arch = "x86_64")]
+    if f16c::chains(x, None, off, out).is_some() {
+        return;
+    }
+    lanes::sum_chains(x, off, out);
+}
+
+/// `out[i] ← hadd(… hadd(+0, hmul(x[a], y[a])) …, hmul(x[b − 1], y[b −
+/// 1]))` over the segment `a = off[i]`, `b = off[i + 1]`: sequential half
+/// dot products (the softmax gradient's `t_i = Σ_j α_ij·δα_ij`), each in
+/// its segment's order.
+pub fn dot_chains(x: &[Half], y: &[Half], off: &[usize], out: &mut [Half]) {
+    check_segments(x, off, out);
+    assert_eq!(x.len(), y.len(), "factor lengths must match");
+    #[cfg(target_arch = "x86_64")]
+    if f16c::chains(x, Some(y), off, out).is_some() {
+        return;
+    }
+    lanes::dot_chains(x, y, off, out);
+}
+
+/// `off` cuts `x` into one ordered segment per output.
+fn check_segments(x: &[Half], off: &[usize], out: &[Half]) {
+    assert_eq!(off.len(), out.len() + 1, "one segment per output");
+    assert!(
+        off.windows(2).all(|w| w[0] <= w[1]) && off.last().is_none_or(|&e| e <= x.len()),
+        "segments must be ordered and inside the values"
+    );
+}
+
+/// `out[q] ← out[q] + a[q·k]·x[0] + … + a[q·k + k − 1]·x[k − 1]`, where
+/// `k = x.len()` and `a` holds `out.len()` rows of `k`: a dense GEMM with
+/// one output column (`A·x`). Each product is an `f32` `mul`, then an
+/// `add` (never FMA), in ascending `l`, so every output has the scalar
+/// loop's roundings. On F16C hosts eight outputs run per vector, over 8×8
+/// transposed blocks of `a`.
+pub fn gemm_col(a: &[f32], x: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), out.len() * x.len(), "one row of a per output");
+    #[cfg(target_arch = "x86_64")]
+    if f16c::gemm_col(a, x, out).is_some() {
+        return;
+    }
+    lanes::gemm_col(a, x, out);
+}
+
 /// Half-precision dot product with the exact reduction shape of the SDDMM
 /// kernel (§5.1): `threads` threads each accumulate a strided stripe of
 /// `lanes` features per step into a half2 register (`hfma2`), an
@@ -254,7 +371,7 @@ fn feature_row(x: &[Half], r: u32, f: usize) -> &[Half] {
 
 /// The row kernels as per-lane intrinsic loops: what runs on hosts
 /// without F16C, and what the eight-lane path falls back to for any block
-/// that meets an Inf or NaN. Callers have checked the lengths.
+/// or chain that meets an Inf or NaN. Callers have checked the lengths.
 mod lanes {
     use super::*;
 
@@ -297,12 +414,84 @@ mod lanes {
         }
     }
 
+    /// [`super::leaky_scores`] with the running max starting at `m`.
+    pub(super) fn leaky_scores(
+        mut m: Half,
+        s: Half,
+        s_col: &[Half],
+        cols: &[u32],
+        slope: Half,
+        e: &mut [Half],
+    ) -> Half {
+        for (o, &c) in e.iter_mut().zip(cols) {
+            let v = hadd(s, s_col[c as usize]);
+            let v = if v.to_f32() >= 0.0 { v } else { hmul(v, slope) };
+            m = hmax(m, v);
+            *o = v;
+        }
+        m
+    }
+
+    pub(super) fn exp_shifted(e: &[Half], m: Half, out: &mut [Half]) {
+        for (o, &v) in out.iter_mut().zip(e) {
+            *o = hexp(hsub(v, m));
+        }
+    }
+
+    pub(super) fn div_row(v: &mut [Half], z: Half) {
+        for a in v {
+            *a = hdiv(*a, z);
+        }
+    }
+
+    pub(super) fn softmax_grad_row(
+        alpha: &[Half],
+        dalpha: &[Half],
+        e: &[Half],
+        t: Half,
+        slope: Half,
+        de: &mut [Half],
+    ) {
+        for (((o, &a), &da), &ev) in de.iter_mut().zip(alpha).zip(dalpha).zip(e) {
+            let soft = hmul(a, hsub(da, t));
+            *o = if ev.to_f32() >= 0.0 { soft } else { hmul(soft, slope) };
+        }
+    }
+
+    pub(super) fn sum_chain(x: &[Half]) -> Half {
+        x.iter().fold(Half::ZERO, |acc, &v| hadd(acc, v))
+    }
+
+    pub(super) fn dot_chain(x: &[Half], y: &[Half]) -> Half {
+        x.iter().zip(y).fold(Half::ZERO, |acc, (&a, &b)| hadd(acc, hmul(a, b)))
+    }
+
+    pub(super) fn sum_chains(x: &[Half], off: &[usize], out: &mut [Half]) {
+        for (o, w) in out.iter_mut().zip(off.windows(2)) {
+            *o = sum_chain(&x[w[0]..w[1]]);
+        }
+    }
+
+    pub(super) fn dot_chains(x: &[Half], y: &[Half], off: &[usize], out: &mut [Half]) {
+        for (o, w) in out.iter_mut().zip(off.windows(2)) {
+            *o = dot_chain(&x[w[0]..w[1]], &y[w[0]..w[1]]);
+        }
+    }
+
     pub(super) fn gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
         let n = out.len();
         for &(r, a) in pairs {
             let row = &b[r as usize * n..][..n];
             for (o, &bv) in out.iter_mut().zip(row) {
                 *o += a * bv;
+            }
+        }
+    }
+
+    pub(super) fn gemm_col(a: &[f32], x: &[f32], out: &mut [f32]) {
+        for (o, row) in out.iter_mut().zip(a.chunks_exact(x.len().max(1))) {
+            for (&av, &xv) in row.iter().zip(x) {
+                *o += av * xv;
             }
         }
     }

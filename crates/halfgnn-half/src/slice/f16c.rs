@@ -11,8 +11,9 @@
 //!   sweep in `tests/exhaustive_f16.rs` re-checks it);
 //! * `_mm256_cvtph_ps` equals [`Half::to_f32`] on every pattern except the
 //!   1,022 signaling NaNs, which the hardware quiets;
-//! * the arithmetic is vector `f32` `mul` and `add`, never FMA, so every
-//!   step rounds where the scalar intrinsics round.
+//! * the arithmetic is vector `f32` `add`, `sub`, `mul` and `div`, never
+//!   FMA, each correctly rounded as its scalar form is, so every step
+//!   rounds where the scalar intrinsics round.
 //!
 //! A block that meets an Inf or NaN anywhere (an input, an intermediate
 //! rounding or an output) is recomputed by the per-lane loop, which
@@ -25,14 +26,30 @@
 //! before any per-lane block runs, so the window's event index stays
 //! exact.
 //!
-//! Two kernels run other shapes on the same blocks. [`dot_half2_trees`]
+//! Four kernels run other shapes on the same blocks. [`dot_half2_trees`]
 //! puts one SDDMM edge in each lane: every lane runs its edge's stripe
 //! accumulation, shuffle tree and fold, so a block of eight finite results
-//! is the per-edge loop's. [`gemm_row`] is `f32` only (no conversion, no
+//! is the per-edge loop's. [`chains`] puts one `hadd` chain in each lane
+//! (an 8×8 transpose feeds each lane its own segment's next value, and a
+//! lane past its segment's end adds +0, which changes no chain: one that
+//! starts at +0 is never −0); a chain whose result is finite was finite at
+//! every step, since an Inf or NaN stays non-finite under `add`, so clean
+//! chains are counted in segment order and any other chain is recomputed
+//! by its per-lane loop. [`gemm_row`] is `f32` only (no conversion, no
 //! record): it holds up to 64 output columns in registers, the last one to
 //! eight of them under a lane mask, and adds one weighted `B` row per
 //! step, `mul` then `add`, in the pairs' order, which is the scalar loop's
-//! order for every output.
+//! order for every output; [`gemm_col`] (`f32` only too) runs eight
+//! single-column outputs, one per lane, each in ascending `l`.
+//!
+//! The attention rows take three more rules. A LeakyReLU lane computes
+//! both the sum and its slope product and keeps one (a blend), so only the
+//! kept value's conversions are counted. The running row max folds a clean
+//! block's finite scores in at once (a max of finite values is exact), and
+//! a running max already at +Inf sends the block to the per-lane loop,
+//! whose `hmax` conversions are then non-finite. The shifted exponent
+//! calls `f32::exp` per lane on the rounded argument: the function the
+//! per-lane loop calls, on the same input.
 
 use super::lanes;
 use crate::f16::Half;
@@ -78,10 +95,19 @@ entry_points! {
     add_row(acc: &mut [Half], x: &[Half]) => add_row_avx;
     axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) => axpby_avx;
     gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) => gemm_row_avx;
+    gemm_col(a: &[f32], x: &[f32], out: &mut [f32]) => gemm_col_avx;
     dot_half2_trees(
         u: &[Half], rows: &[u32], v: &[Half], cols: &[u32],
         f: usize, threads: usize, lanes: usize, out: &mut [Half]
     ) => dot_half2_trees_avx;
+    leaky_scores(s: Half, s_col: &[Half], cols: &[u32], slope: Half, e: &mut [Half]) -> Half
+        => leaky_scores_avx;
+    exp_shifted(e: &[Half], m: Half, out: &mut [Half]) => exp_shifted_avx;
+    div_row(v: &mut [Half], z: Half) => div_row_avx;
+    softmax_grad_row(
+        alpha: &[Half], dalpha: &[Half], e: &[Half], t: Half, slope: Half, de: &mut [Half]
+    ) => softmax_grad_row_avx;
+    chains(x: &[Half], y: Option<&[Half]>, off: &[usize], out: &mut [Half]) => chains_avx;
 }
 
 /// Conversions of clean blocks not yet added to the overflow window.
@@ -267,7 +293,251 @@ fn gemm_cols<const R: usize>(
     unsafe { _mm256_maskstore_ps(out.as_mut_ptr().add(last), mask, acc[R - 1]) };
 }
 
-/// A lane mask selecting the first `t` (one to eight) of eight lanes.
+#[target_feature(enable = "avx,f16c")]
+fn leaky_scores_avx(s: Half, s_col: &[Half], cols: &[u32], slope: Half, e: &mut [Half]) -> Half {
+    let (sv, kv) = (_mm256_set1_ps(s.to_f32()), _mm256_set1_ps(slope.to_f32()));
+    let mut m = Half::NEG_INFINITY;
+    let mut pending = Pending(0);
+    for (c, o) in cols.chunks(LANES).zip(e.chunks_mut(LANES)) {
+        let mut g = [Half::ZERO; LANES];
+        for (gq, &cq) in g.iter_mut().zip(c) {
+            *gq = s_col[cq as usize];
+        }
+        let sum = to_half(_mm256_add_ps(sv, to_f32(load(&g))));
+        let x = to_f32(sum);
+        let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(x, _mm256_setzero_ps());
+        let v = _mm_blendv_epi8(to_half(_mm256_mul_ps(x, kv)), sum, narrow_mask(ge));
+        // A clean block's `hmax` results are finite unless the running max
+        // is already +Inf.
+        if nonfinite(v) || m == Half::INFINITY {
+            pending.flush();
+            m = lanes::leaky_scores(m, s, s_col, c, slope, o);
+            continue;
+        }
+        store(o, v);
+        let real = (1u32 << o.len()) - 1;
+        let kept = (_mm256_movemask_ps(ge) as u32 & real).count_ones() as usize;
+        pending.0 += (3 * o.len() - kept) as u64;
+        let live = _mm256_castsi256_ps(lane_mask(o.len()));
+        let vf = _mm256_blendv_ps(_mm256_set1_ps(f32::NEG_INFINITY), to_f32(v), live);
+        m = Half::from_f32_raw(m.to_f32().max(max_lane(vf)));
+    }
+    pending.flush();
+    m
+}
+
+#[target_feature(enable = "avx,f16c")]
+fn exp_shifted_avx(e: &[Half], m: Half, out: &mut [Half]) {
+    let mv = _mm256_set1_ps(m.to_f32());
+    let mut pending = Pending(0);
+    for (x, o) in e.chunks(LANES).zip(out.chunks_mut(LANES)) {
+        let arg = to_half(_mm256_sub_ps(to_f32(load(x)), mv));
+        let mut r = arg;
+        if !nonfinite(arg) {
+            let mut a = [0.0f32; LANES];
+            store_f32(&mut a, to_f32(arg));
+            for v in &mut a[..o.len()] {
+                *v = v.exp();
+            }
+            r = to_half(load_f32(&a));
+        }
+        if nonfinite(r) {
+            pending.flush();
+            lanes::exp_shifted(x, m, o);
+        } else {
+            store(o, r);
+            pending.0 += 2 * o.len() as u64;
+        }
+    }
+    pending.flush();
+}
+
+#[target_feature(enable = "avx,f16c")]
+fn div_row_avx(v: &mut [Half], z: Half) {
+    let zv = _mm256_set1_ps(z.to_f32());
+    let mut pending = Pending(0);
+    for a in v.chunks_mut(LANES) {
+        let r = to_half(_mm256_div_ps(to_f32(load(a)), zv));
+        if nonfinite(r) {
+            pending.flush();
+            lanes::div_row(a, z);
+        } else {
+            store(a, r);
+            pending.0 += a.len() as u64;
+        }
+    }
+    pending.flush();
+}
+
+#[target_feature(enable = "avx,f16c")]
+fn softmax_grad_row_avx(
+    alpha: &[Half],
+    dalpha: &[Half],
+    e: &[Half],
+    t: Half,
+    slope: Half,
+    de: &mut [Half],
+) {
+    let (tv, kv) = (_mm256_set1_ps(t.to_f32()), _mm256_set1_ps(slope.to_f32()));
+    let mut pending = Pending(0);
+    let blocks = alpha.chunks(LANES).zip(dalpha.chunks(LANES)).zip(e.chunks(LANES));
+    for (((a, da), ev), o) in blocks.zip(de.chunks_mut(LANES)) {
+        let diff = to_half(_mm256_sub_ps(to_f32(load(da)), tv));
+        let soft = to_half(_mm256_mul_ps(to_f32(load(a)), to_f32(diff)));
+        let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(to_f32(load(ev)), _mm256_setzero_ps());
+        let gated = to_half(_mm256_mul_ps(to_f32(soft), kv));
+        // A non-finite difference or product reaches both candidates.
+        let r = _mm_blendv_epi8(gated, soft, narrow_mask(ge));
+        if nonfinite(r) {
+            pending.flush();
+            lanes::softmax_grad_row(a, da, ev, t, slope, o);
+        } else {
+            store(o, r);
+            let real = (1u32 << o.len()) - 1;
+            let kept = (_mm256_movemask_ps(ge) as u32 & real).count_ones() as usize;
+            pending.0 += (3 * o.len() - kept) as u64;
+        }
+    }
+    pending.flush();
+}
+
+/// [`super::sum_chains`] (`y` is `None`) or [`super::dot_chains`], eight
+/// segments at a time, one per lane.
+#[target_feature(enable = "avx,f16c")]
+fn chains_avx(x: &[Half], y: Option<&[Half]>, off: &[usize], out: &mut [Half]) {
+    let per_value = if y.is_some() { 2 } else { 1 };
+    let mut pending = Pending(0);
+    for (i0, o) in (0..out.len()).step_by(LANES).zip(out.chunks_mut(LANES)) {
+        let segs = &off[i0..=i0 + o.len()];
+        let longest = segs.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        let mut acc = _mm256_setzero_ps();
+        for j in (0..longest).step_by(LANES) {
+            let steps = (longest - j).min(LANES);
+            let xs = segment_block(x, segs, j);
+            match y {
+                None => {
+                    for &v in &xs[..steps] {
+                        acc = round(_mm256_add_ps(acc, to_f32(v)));
+                    }
+                }
+                Some(y) => {
+                    let ys = segment_block(y, segs, j);
+                    for (&u, &v) in xs[..steps].iter().zip(&ys) {
+                        let p = round(_mm256_mul_ps(to_f32(u), to_f32(v)));
+                        acc = round(_mm256_add_ps(acc, p));
+                    }
+                }
+            }
+        }
+        let mut r = [Half::ZERO; LANES];
+        store(&mut r, to_half(acc));
+        for ((oq, &rq), w) in o.iter_mut().zip(&r).zip(segs.windows(2)) {
+            if rq.is_finite() {
+                *oq = rq;
+                pending.0 += (per_value * (w[1] - w[0])) as u64;
+            } else {
+                pending.flush();
+                *oq = match y {
+                    None => lanes::sum_chain(&x[w[0]..w[1]]),
+                    Some(y) => lanes::dot_chain(&x[w[0]..w[1]], &y[w[0]..w[1]]),
+                };
+            }
+        }
+    }
+    pending.flush();
+}
+
+/// Values `j..j + 8` of up to eight segments of `x` (segment `q` is
+/// `x[segs[q]..segs[q + 1]]`), value-major: entry `i` holds value `j + i`
+/// of every segment, lane `q` from segment `q`. Lanes past a segment's end
+/// or past the last segment are +0.
+#[target_feature(enable = "avx,f16c")]
+fn segment_block(x: &[Half], segs: &[usize], j: usize) -> [__m128i; LANES] {
+    let mut r = [_mm_setzero_si128(); LANES];
+    for (rq, w) in r.iter_mut().zip(segs.windows(2)) {
+        let lo = (w[0] + j).min(w[1]);
+        *rq = load(&x[lo..(lo + LANES).min(w[1])]);
+    }
+    transpose8(r)
+}
+
+/// The largest of eight `f32` lanes (none NaN).
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn max_lane(v: __m256) -> f32 {
+    let m4 = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+    let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+    _mm_cvtss_f32(_mm_max_ss(m2, _mm_shuffle_ps::<1>(m2, m2)))
+}
+
+/// An eight-lane `f32` comparison mask as eight 16-bit lanes, for a blend
+/// of halves.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn narrow_mask(m: __m256) -> __m128i {
+    let m = _mm256_castps_si256(m);
+    _mm_packs_epi32(_mm256_castsi256_si128(m), _mm256_extractf128_si256::<1>(m))
+}
+
+/// Eight outputs of [`gemm_col`] at a time, one per lane: an 8×8 block of
+/// their rows of `a`, transposed, feeds each step `l` its eight factors.
+/// Padding lanes past the last output are computed and never stored.
+#[target_feature(enable = "avx,f16c")]
+fn gemm_col_avx(a: &[f32], x: &[f32], out: &mut [f32]) {
+    let k = x.len();
+    for (p, o) in out.chunks_mut(LANES).enumerate() {
+        let rows = &a[p * LANES * k..][..o.len() * k];
+        let mut acc = load_f32(o);
+        for l in (0..k).step_by(LANES) {
+            let w = (k - l).min(LANES);
+            let mut r = [_mm256_setzero_ps(); LANES];
+            for (rq, row) in r.iter_mut().zip(rows.chunks_exact(k)) {
+                *rq = load_f32(&row[l..l + w]);
+            }
+            for (&col, &xv) in transpose8_f32(r).iter().zip(&x[l..l + w]) {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(col, _mm256_set1_ps(xv)));
+            }
+        }
+        store_f32(o, acc);
+    }
+}
+
+/// Eight rows of eight `f32`s, column-major: entry `i` holds column `i`,
+/// lane `q` from row `q`.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn transpose8_f32(r: [__m256; LANES]) -> [__m256; LANES] {
+    // Interleave pairs of rows, then pairs of pairs, then the 128-bit
+    // halves.
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(u0, u4),
+        _mm256_permute2f128_ps::<0x20>(u1, u5),
+        _mm256_permute2f128_ps::<0x20>(u2, u6),
+        _mm256_permute2f128_ps::<0x20>(u3, u7),
+        _mm256_permute2f128_ps::<0x31>(u0, u4),
+        _mm256_permute2f128_ps::<0x31>(u1, u5),
+        _mm256_permute2f128_ps::<0x31>(u2, u6),
+        _mm256_permute2f128_ps::<0x31>(u3, u7),
+    ]
+}
+
+/// A lane mask selecting the first `t` (zero to eight) of eight lanes.
 #[target_feature(enable = "avx,f16c")]
 #[inline]
 fn lane_mask(t: usize) -> __m256i {
@@ -373,6 +643,14 @@ fn transpose(rows: &[&[Half]; LANES], x: usize, w: usize) -> [__m128i; LANES] {
     for (q, row) in rows.iter().enumerate() {
         r[q] = load(&row[x..x + w]);
     }
+    transpose8(r)
+}
+
+/// Eight rows of eight halves, column-major: entry `i` holds column `i`,
+/// lane `q` from row `q`.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn transpose8(r: [__m128i; LANES]) -> [__m128i; LANES] {
     // Interleave 16-, then 32-, then 64-bit pieces: an 8×8 transpose.
     let a0 = _mm_unpacklo_epi16(r[0], r[1]);
     let a1 = _mm_unpackhi_epi16(r[0], r[1]);
@@ -439,48 +717,55 @@ fn nonfinite(v: __m128i) -> bool {
 #[target_feature(enable = "avx,f16c")]
 #[inline]
 fn load(s: &[Half]) -> __m128i {
-    let mut buf = [Half::ZERO; LANES];
-    let src = if s.len() == LANES {
-        s
-    } else {
-        buf[..s.len()].copy_from_slice(s);
-        &buf
-    };
-    // SAFETY: `src` holds exactly eight halves, the 16 bytes read;
-    // `loadu` has no alignment requirement.
-    unsafe { _mm_loadu_si128(src.as_ptr().cast()) }
+    let n = s.len();
+    if n == LANES {
+        // SAFETY: `s` holds exactly eight halves, the 16 bytes read;
+        // `loadu` has no alignment requirement.
+        return unsafe { _mm_loadu_si128(s.as_ptr().cast()) };
+    }
+    // Whole pairs as 32-bit lanes, then an odd last half into its lane.
+    // SAFETY: the mask reads the first `n / 2` pairs of `s`, `2·(n / 2) ≤ n`
+    // halves.
+    let pairs = unsafe { _mm_maskload_ps(s.as_ptr().cast(), pair_mask(n / 2)) };
+    let mut v = _mm_castps_si128(pairs);
+    if n % 2 == 1 {
+        let last = _mm_set1_epi16(s[n - 1].to_bits() as i16);
+        v = _mm_or_si128(v, _mm_and_si128(last, _mm_andnot_si128(half_mask(n - 1), half_mask(n))));
+    }
+    v
 }
 
 /// Eight `f32`s from a block of at most eight, zero-padded.
 #[target_feature(enable = "avx,f16c")]
 #[inline]
 fn load_f32(s: &[f32]) -> __m256 {
-    let mut buf = [0.0f32; LANES];
-    let src = if s.len() == LANES {
-        s
-    } else {
-        buf[..s.len()].copy_from_slice(s);
-        &buf
-    };
-    // SAFETY: `src` holds exactly eight `f32`s, the 32 bytes read;
-    // `loadu` has no alignment requirement.
-    unsafe { _mm256_loadu_ps(src.as_ptr()) }
+    if s.len() == LANES {
+        // SAFETY: `s` holds exactly eight `f32`s, the 32 bytes read;
+        // `loadu` has no alignment requirement.
+        return unsafe { _mm256_loadu_ps(s.as_ptr()) };
+    }
+    // SAFETY: the mask reads the first `s.len()` lanes, all inside `s`.
+    unsafe { _mm256_maskload_ps(s.as_ptr(), lane_mask(s.len())) }
 }
 
 /// The first `d.len()` (at most eight) lanes of `v` into `d`.
 #[target_feature(enable = "avx,f16c")]
 #[inline]
 fn store(d: &mut [Half], v: __m128i) {
-    if d.len() == LANES {
+    let n = d.len();
+    if n == LANES {
         // SAFETY: `d` holds exactly eight halves, the 16 bytes written;
         // `storeu` has no alignment requirement.
         unsafe { _mm_storeu_si128(d.as_mut_ptr().cast(), v) };
-    } else {
+        return;
+    }
+    // SAFETY: the mask writes the first `n / 2` pairs of `d`.
+    unsafe { _mm_maskstore_ps(d.as_mut_ptr().cast(), pair_mask(n / 2), _mm_castsi128_ps(v)) };
+    if n % 2 == 1 {
         let mut buf = [Half::ZERO; LANES];
         // SAFETY: as above, into the eight-half `buf`.
         unsafe { _mm_storeu_si128(buf.as_mut_ptr().cast(), v) };
-        let n = d.len();
-        d.copy_from_slice(&buf[..n]);
+        d[n - 1] = buf[n - 1];
     }
 }
 
@@ -492,11 +777,30 @@ fn store_f32(d: &mut [f32], v: __m256) {
         // SAFETY: `d` holds exactly eight `f32`s, the 32 bytes written;
         // `storeu` has no alignment requirement.
         unsafe { _mm256_storeu_ps(d.as_mut_ptr(), v) };
-    } else {
-        let mut buf = [0.0f32; LANES];
-        // SAFETY: as above, into the eight-lane `buf`.
-        unsafe { _mm256_storeu_ps(buf.as_mut_ptr(), v) };
-        let n = d.len();
-        d.copy_from_slice(&buf[..n]);
+        return;
     }
+    // SAFETY: the mask writes the first `d.len()` lanes, all inside `d`.
+    unsafe { _mm256_maskstore_ps(d.as_mut_ptr(), lane_mask(d.len()), v) };
+}
+
+/// The first `t` (zero to four) 32-bit lanes of four: whole pairs of a
+/// short half block. (A partial block is moved by masked loads and stores:
+/// a copy of variable length is a `memcpy` call, which costs more than a
+/// short block's arithmetic.)
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn pair_mask(t: usize) -> __m128i {
+    _mm256_castsi256_si128(lane_mask(t))
+}
+
+/// The first `t` (zero to eight) 16-bit lanes of eight.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+fn half_mask(t: usize) -> __m128i {
+    const ONES_THEN_ZEROS: [i16; 2 * LANES] =
+        [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    let m = &ONES_THEN_ZEROS[LANES - t..2 * LANES - t];
+    // SAFETY: `m` holds eight `i16`s, the 16 bytes read; `loadu` needs no
+    // alignment.
+    unsafe { _mm_loadu_si128(m.as_ptr().cast()) }
 }

@@ -1,8 +1,8 @@
 //! The row kernels of `halfgnn_half::slice` against their per-lane
 //! intrinsic loops (per edge for `dot_half2_trees`, per product for
-//! `gemm_row`): the same output bits, and the same overflow record, field
-//! for field, with a tracking window open, with none open, and inside
-//! `overflow::isolated`.
+//! `gemm_row` and `gemm_col`): the same output bits, and the same overflow
+//! record, field for field, with a tracking window open, with none open,
+//! and inside `overflow::isolated`.
 //!
 //! Lengths 0–41 cover every tail of the eight-lane blocks; ±Inf, quiet
 //! and signaling NaNs, and operands whose products or sums overflow are
@@ -13,7 +13,7 @@ use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow::{self, Summary};
 use halfgnn_half::slice::{
     add_row, axpby, convert_f32_to_half_into, convert_half_to_f32_into, dot_half2_tree,
-    dot_half2_trees, fma_row, gemm_row, scale_row,
+    dot_half2_trees, fma_row, gemm_col, gemm_row, scale_row,
 };
 use halfgnn_half::{splitmix64, Half};
 
@@ -254,6 +254,28 @@ fn gemm_row_is_the_per_product_mul_add_loop() {
             v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
         };
         assert_eq!(bits(&got), bits(&want), "gemm_row n={n} pairs={pairs:?}");
+    }
+}
+
+#[test]
+fn gemm_col_is_the_per_product_mul_add_loop() {
+    for (m, mut d) in cases() {
+        let k = d.below(20) as usize;
+        let a: Vec<f32> = (0..m * k).map(|_| d.f32_value()).collect();
+        let x: Vec<f32> = (0..k).map(|_| d.f32_value()).collect();
+        let out0: Vec<f32> = (0..m).map(|_| d.f32_value()).collect();
+        let mut want = out0.clone();
+        for (q, o) in want.iter_mut().enumerate() {
+            for (l, &xv) in x.iter().enumerate() {
+                *o += a[q * k + l] * xv;
+            }
+        }
+        let mut got = out0.clone();
+        gemm_col(&a, &x, &mut got);
+        let bits = |v: &[f32]| -> Vec<u32> {
+            v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "gemm_col m={m} k={k}");
     }
 }
 

@@ -37,11 +37,12 @@ use crate::common::launch;
 use crate::common::{count_nonfinite, Tiling};
 use crate::halfgnn_spmm::row_offsets_of;
 use halfgnn_graph::Coo;
-use halfgnn_half::intrinsics::{hadd, hdiv, hexp, hmax, hmul, hsub};
 use halfgnn_half::overflow;
-use halfgnn_half::slice::{add_row, fma_row};
+use halfgnn_half::slice::{
+    add_row, div_row, dot_chains, exp_shifted, fma_row, leaky_scores, softmax_grad_row, sum_chains,
+};
 use halfgnn_half::Half;
-use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
+use halfgnn_sim::launch::{Cta, LaunchParams};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 
@@ -85,10 +86,24 @@ fn row_runs_in(off: &[usize], budget: usize, rw0: usize, rw1: usize) -> Vec<(usi
     runs
 }
 
+/// `[row0, row1, edge0, edge1]`: the rows and edges one CTA's warp runs
+/// cover (its runs are consecutive, so both ranges are contiguous), or
+/// `None` when the CTA owns no run.
+fn cta_span(cta: &Cta, runs: &[(usize, usize)], off: &[usize], warps: usize) -> Option<[usize; 4]> {
+    let first = runs.get(cta.id * warps)?;
+    let last = runs[(cta.id * warps + warps).min(runs.len()) - 1];
+    Some([first.0, last.1, off[first.0], off[last.1]])
+}
+
+/// One CTA's share of the forward outputs: `e` and `alpha` for its edges
+/// from `edge0`, and `out` for its rows from `row0` (rows without edges
+/// stay zero).
 struct FwdCtaOut {
-    out_writes: WriteList<Half>,
-    e_runs: Vec<(usize, Vec<Half>)>,
-    alpha_runs: Vec<(usize, Vec<Half>)>,
+    edge0: usize,
+    e: Vec<Half>,
+    alpha: Vec<Half>,
+    row0: usize,
+    out: Vec<Half>,
 }
 
 /// Fused GAT attention forward: per owned row compute
@@ -159,11 +174,15 @@ pub fn fused_attn_forward_window(
         "fused_attn_forward",
         LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
         |cta| {
+            let [row0, row1, edge0, edge1] = cta_span(cta, &runs, &off, tiling.warps_per_cta)?;
             let mut out = FwdCtaOut {
-                out_writes: WriteList::new(),
-                e_runs: Vec::new(),
-                alpha_runs: Vec::new(),
+                edge0,
+                e: vec![Half::ZERO; edge1 - edge0],
+                alpha: vec![Half::ZERO; edge1 - edge0],
+                row0,
+                out: vec![Half::ZERO; (row1 - row0) * f],
             };
+            let mut batch_acc = vec![Half::ZERO; f];
             for wi in 0..tiling.warps_per_cta {
                 let gi = cta.id * tiling.warps_per_cta + wi;
                 let Some(&(r0, r1)) = runs.get(gi) else { break };
@@ -209,82 +228,61 @@ pub fn fused_attn_forward_window(
                 );
                 warp.half2_ops((n as u64 * half2_lanes).div_ceil(32));
 
-                // ---- Functional: row by row.
-                let mut e_vals = Vec::with_capacity(n);
-                let mut alpha_vals = Vec::with_capacity(n);
+                // ---- Functional: row by row, each row's conversions in
+                // the order of its per-lane loops.
                 for r in r0..r1 {
                     let (rs, re) = (off[r], off[r + 1]);
                     if rs == re {
                         continue; // empty row: output stays zero, untouched
                     }
-                    let deg = re - rs;
-                    // Scores + running max.
-                    let mut m = Half::NEG_INFINITY;
-                    let row_e: Vec<Half> = (rs..re)
-                        .map(|ei| {
-                            let v = hadd(s_row[r], s_col[cols[ei] as usize]);
-                            let v = if v.to_f32() >= 0.0 { v } else { hmul(v, slope_h) };
-                            m = hmax(m, v);
-                            v
-                        })
-                        .collect();
+                    let row_e = &mut out.e[rs - edge0..re - edge0];
+                    let m = leaky_scores(s_row[r], s_col, &cols[rs..re], slope_h, row_e);
                     // Shadow exp: argument ≤ 0, result in (0, 1] — never
                     // overflows, so `z ∈ [1, deg]` and the divide is safe.
-                    let num: Vec<Half> = row_e.iter().map(|&v| hexp(hsub(v, m))).collect();
-                    let z_sum = num.iter().fold(Half::ZERO, |a, &b| hadd(a, b));
-                    let row_alpha: Vec<Half> = num.iter().map(|&v| hdiv(v, z_sum)).collect();
+                    let row_alpha = &mut out.alpha[rs - edge0..re - edge0];
+                    exp_shifted(row_e, m, row_alpha);
+                    let mut z_sum = [Half::ZERO];
+                    sum_chains(row_alpha, &[0, re - rs], &mut z_sum);
+                    div_row(row_alpha, z_sum[0]);
 
                     // Aggregation in ≤edges_per_warp neighbor batches.
-                    let mut acc = vec![Half::ZERO; f];
-                    for (bi, batch) in
-                        (0..deg).collect::<Vec<_>>().chunks(tiling.edges_per_warp).enumerate()
-                    {
-                        let mut batch_acc = vec![Half::ZERO; f];
-                        for &k in batch {
-                            let c = cols[rs + k] as usize;
-                            fma_row(&mut batch_acc, row_alpha[k], &z[c * f..(c + 1) * f]);
-                        }
-                        if bi == 0 {
-                            acc = batch_acc;
+                    let acc = &mut out.out[(r - row0) * f..(r - row0 + 1) * f];
+                    for b0 in (rs..re).step_by(tiling.edges_per_warp) {
+                        let batch = b0..(b0 + tiling.edges_per_warp).min(re);
+                        let into = if b0 == rs {
+                            &mut *acc
                         } else {
-                            add_row(&mut acc, &batch_acc);
+                            batch_acc.fill(Half::ZERO);
+                            &mut batch_acc[..]
+                        };
+                        for ei in batch {
+                            let c = cols[ei] as usize;
+                            fma_row(into, row_alpha[ei - rs], &z[c * f..(c + 1) * f]);
+                        }
+                        if b0 != rs {
+                            add_row(acc, &batch_acc);
                             warp.half2_ops(half2_lanes.div_ceil(32)); // batch join
                         }
                     }
-                    warp.nonfinite_values(count_nonfinite(&row_alpha));
-                    warp.nonfinite_values(count_nonfinite(&acc));
+                    warp.nonfinite_values(count_nonfinite(row_alpha));
+                    warp.nonfinite_values(count_nonfinite(acc));
                     // Row has exactly one owner: direct non-conflicting write.
                     warp.store_contiguous(out_base + r as u64 * (f as u64 * 2), f / 2, 4);
-                    out.out_writes.assign(r * f, acc);
-                    e_vals.extend(row_e);
-                    alpha_vals.extend(row_alpha);
                 }
-                out.e_runs.push((s, e_vals));
-                out.alpha_runs.push((s, alpha_vals));
             }
-            out
+            Some(out)
         },
     );
 
     let mut e_out = vec![Half::ZERO; nnz];
     let mut alpha_out = vec![Half::ZERO; nnz];
     let mut y = vec![Half::ZERO; num_rows * f];
-    let mut writes = Vec::with_capacity(cta_outs.len());
-    for c in cta_outs {
-        for (s, vals) in c.e_runs {
-            e_out[s..s + vals.len()].copy_from_slice(&vals);
-        }
-        for (s, vals) in c.alpha_runs {
-            alpha_out[s..s + vals.len()].copy_from_slice(&vals);
-        }
-        writes.push(c.out_writes);
+    for c in cta_outs.into_iter().flatten() {
+        let edges = c.edge0..c.edge0 + c.e.len();
+        e_out[edges.clone()].copy_from_slice(&c.e);
+        alpha_out[edges].copy_from_slice(&c.alpha);
+        y[c.row0 * f..c.row0 * f + c.out.len()].copy_from_slice(&c.out);
     }
-    debug_assert!(
-        halfgnn_sim::launch::find_assign_overlap(&writes).is_none(),
-        "conflicting direct writes: {:?}",
-        halfgnn_sim::launch::find_assign_overlap(&writes)
-    );
-    commit_all(writes, &mut y);
 
     (FusedAttnForward { e: e_out, alpha: alpha_out, out: y }, stats)
 }
@@ -343,7 +341,8 @@ pub fn fused_softmax_grad_window(
         "fused_softmax_grad",
         LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
         |cta| {
-            let mut out_runs: Vec<(usize, Vec<Half>)> = Vec::new();
+            let [_, _, edge0, edge1] = cta_span(cta, &runs, &off, tiling.warps_per_cta)?;
+            let mut de = vec![Half::ZERO; edge1 - edge0];
             for wi in 0..tiling.warps_per_cta {
                 let gi = cta.id * tiling.warps_per_cta + wi;
                 let Some(&(r0, r1)) = runs.get(gi) else { break };
@@ -368,45 +367,28 @@ pub fn fused_softmax_grad_window(
                 warp.half_ops(2 * echunks);
                 warp.store_contiguous(de_base + s as u64 * 2, n.div_ceil(2), 4);
 
-                let mut vals = Vec::with_capacity(n);
                 for r in r0..r1 {
                     let (rs, re) = (off[r], off[r + 1]);
                     if rs == re {
                         continue;
                     }
-                    let t = (rs..re).fold(Half::ZERO, |a, ei| a.hadd_mul(alpha[ei], dalpha[ei]));
-                    for ei in rs..re {
-                        let soft = hmul(alpha[ei], hsub(dalpha[ei], t));
-                        let de = if e[ei].to_f32() >= 0.0 { soft } else { hmul(soft, slope_h) };
-                        vals.push(de);
-                    }
+                    let (a, da) = (&alpha[rs..re], &dalpha[rs..re]);
+                    let mut t = [Half::ZERO];
+                    dot_chains(a, da, &[0, re - rs], &mut t);
+                    let row_de = &mut de[rs - edge0..re - edge0];
+                    softmax_grad_row(a, da, &e[rs..re], t[0], slope_h, row_de);
                 }
-                warp.nonfinite_values(count_nonfinite(&vals));
-                out_runs.push((s, vals));
+                warp.nonfinite_values(count_nonfinite(&de[s - edge0..e_end - edge0]));
             }
-            out_runs
+            Some((edge0, de))
         },
     );
 
     let mut de = vec![Half::ZERO; nnz];
-    for runs in cta_outs {
-        for (s, vals) in runs {
-            de[s..s + vals.len()].copy_from_slice(&vals);
-        }
+    for (edge0, vals) in cta_outs.into_iter().flatten() {
+        de[edge0..edge0 + vals.len()].copy_from_slice(&vals);
     }
     (de, stats)
-}
-
-/// `a + alpha·dalpha` in half arithmetic (the fused `t_i` accumulator
-/// step), as a helper so the fold above reads like the kernel loop.
-trait HaddMul {
-    fn hadd_mul(self, a: Half, b: Half) -> Half;
-}
-
-impl HaddMul for Half {
-    fn hadd_mul(self, a: Half, b: Half) -> Half {
-        hadd(self, hmul(a, b))
-    }
 }
 
 #[cfg(test)]

@@ -484,6 +484,8 @@ pub fn edge_reduce_window<T: Scalar>(
             // Partials cross warp/CTA boundaries; resolve everything in the
             // sequential commit (a scalar per boundary row — negligible).
             let mut partials: Vec<(u32, T)> = Vec::new();
+            // Per-warp scratch: the row segments' bounds and reductions.
+            let (mut cuts, mut accs) = (Vec::new(), Vec::new());
             for wi in 0..tiling.warps_per_cta {
                 let (s, e) = tiling.warp_range_in(cta.id + cta_lo, wi, e0, e1);
                 if s >= e {
@@ -499,26 +501,28 @@ pub fn edge_reduce_window<T: Scalar>(
                 } else {
                     warp.float_ops((n as u64).div_ceil(32));
                 }
-                let mut acc = init;
-                let mut seg_row = rows[s];
-                for ei in s..e {
-                    let r = rows[ei];
-                    if r != seg_row {
-                        if !acc.is_finite() {
-                            warp.nonfinite_values(1);
+                cuts.clear();
+                cuts.push(0);
+                cuts.extend((s + 1..e).filter(|&ei| rows[ei] != rows[ei - 1]).map(|ei| ei - s));
+                cuts.push(n);
+                accs.clear();
+                accs.resize(cuts.len() - 1, init);
+                match op {
+                    Reduce::Sum => T::sum_chains(&w[s..e], &cuts, &mut accs),
+                    Reduce::Max => {
+                        for (acc, c) in accs.iter_mut().zip(cuts.windows(2)) {
+                            *acc = w[s + c[0]..s + c[1]].iter().fold(init, |a, &b| combine(a, b));
                         }
-                        partials.push((seg_row, acc));
-                        warp.store_contiguous(y_base + (seg_row as usize * bytes) as u64, 1, bytes);
-                        acc = init;
-                        seg_row = r;
                     }
-                    acc = combine(acc, w[ei]);
                 }
-                if !acc.is_finite() {
-                    warp.nonfinite_values(1);
+                for (&acc, &c) in accs.iter().zip(&cuts) {
+                    let seg_row = rows[s + c];
+                    if !acc.is_finite() {
+                        warp.nonfinite_values(1);
+                    }
+                    partials.push((seg_row, acc));
+                    warp.store_contiguous(y_base + (seg_row as usize * bytes) as u64, 1, bytes);
                 }
-                partials.push((seg_row, acc));
-                warp.store_contiguous(y_base + (seg_row as usize * bytes) as u64, 1, bytes);
             }
             partials
         });

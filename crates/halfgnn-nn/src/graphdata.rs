@@ -30,9 +30,11 @@ pub struct PreparedGraph {
 impl PreparedGraph {
     /// Build from a symmetric adjacency (panics otherwise: GNN training
     /// assumes Â = Âᵀ so backward kernels can reuse the same structure).
-    pub fn new(csr: &Csr) -> PreparedGraph {
-        assert!(csr.is_symmetric(), "training graphs must be symmetrized");
+    /// The check reads the transpose permutation the backward needs anyway.
+    pub fn new(csr: Csr) -> PreparedGraph {
         let coo = csr.to_coo();
+        let t_perm = coo.transpose_permutation();
+        assert!(is_symmetric(&coo, &t_perm), "training graphs must be symmetrized");
         let degrees = csr.degrees();
         let mean_scale_h = row_scales_mean(&degrees);
         let mean_scale_f =
@@ -40,10 +42,9 @@ impl PreparedGraph {
         let inv_sqrt_scale_h = row_scales_inv_sqrt(&degrees);
         let inv_sqrt_scale_f: Vec<f32> =
             degrees.iter().map(|&d| if d == 0 { 0.0 } else { 1.0 / (d as f32).sqrt() }).collect();
-        let t_perm = coo.transpose_permutation();
         PreparedGraph {
             coo,
-            csr: csr.clone(),
+            csr,
             degrees,
             mean_scale_h,
             mean_scale_f,
@@ -67,6 +68,15 @@ impl PreparedGraph {
     pub fn permute_to_transpose<T: Copy>(&self, e: &[T]) -> Vec<T> {
         self.t_perm.iter().map(|&i| e[i]).collect()
     }
+}
+
+/// True when `coo` equals its transpose, read through `t_perm`, its
+/// transpose permutation: the graph is square and, for every `i`, edge
+/// `t_perm[i]` reversed is edge `i`.
+fn is_symmetric(coo: &Coo, t_perm: &[usize]) -> bool {
+    let (rows, cols) = (coo.rows(), coo.cols());
+    coo.num_rows() == coo.num_cols()
+        && t_perm.iter().enumerate().all(|(i, &j)| rows[i] == cols[j] && cols[i] == rows[j])
 }
 
 /// Where a [`GraphView`] came from: the workspace-wide graph, or one
@@ -114,7 +124,7 @@ impl Deref for GraphView {
 impl GraphView {
     /// View of the full training graph (must already be symmetric Â).
     pub fn full(csr: &Csr) -> GraphView {
-        GraphView { prepared: PreparedGraph::new(csr), origin: ViewOrigin::Full }
+        GraphView { prepared: PreparedGraph::new(csr.clone()), origin: ViewOrigin::Full }
     }
 
     /// View of one sampled batch. The raw sampled CSR has fanout-bounded
@@ -122,9 +132,8 @@ impl GraphView {
     /// (shared forward/backward structure), so the batch adjacency is
     /// Â_B = sym(sample) + I over the batch's local vertex set.
     pub fn batch(sub: &BatchSubgraph, epoch: usize, batch: usize) -> GraphView {
-        let adj = sub.csr.symmetrized_with_self_loops();
         GraphView {
-            prepared: PreparedGraph::new(&adj),
+            prepared: PreparedGraph::new(sub.csr.symmetrized_with_self_loops()),
             origin: ViewOrigin::Batch(BatchMeta {
                 global_ids: sub.global_ids.clone(),
                 n_seeds: sub.n_seeds,
@@ -151,11 +160,12 @@ impl GraphView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn prepared_graph_tables() {
         let csr = Csr::from_edges(4, 4, &[(0, 1), (1, 2)]).symmetrized_with_self_loops();
-        let g = PreparedGraph::new(&csr);
+        let g = PreparedGraph::new(csr);
         assert_eq!(g.n(), 4);
         assert_eq!(g.degrees.len(), 4);
         for (v, &d) in g.degrees.iter().enumerate() {
@@ -169,7 +179,7 @@ mod tests {
     fn transpose_permutation_is_identity_on_symmetric_values() {
         // For a symmetric graph, permuting twice returns the original.
         let csr = Csr::from_edges(5, 5, &[(0, 1), (2, 3), (1, 4)]).symmetrized_with_self_loops();
-        let g = PreparedGraph::new(&csr);
+        let g = PreparedGraph::new(csr);
         let vals: Vec<usize> = (0..g.nnz()).collect();
         let once = g.permute_to_transpose(&vals);
         let twice = g.permute_to_transpose(&once);
@@ -179,8 +189,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "symmetrized")]
     fn asymmetric_graph_rejected() {
-        let csr = Csr::from_edges(3, 3, &[(0, 1)]);
-        PreparedGraph::new(&csr);
+        PreparedGraph::new(Csr::from_edges(3, 3, &[(0, 1)]));
+    }
+
+    /// Up to 12 × 12 vertices and 40 edges; `mirror` adds every edge's
+    /// reverse, so square graphs come out symmetric.
+    fn arb_graph() -> impl Strategy<Value = Csr> {
+        (1usize..12, 1usize..12, 0u8..2, 0u8..2).prop_flat_map(|(n, m, square, mirror)| {
+            let (m, mirror) = (if square == 1 { n } else { m }, mirror == 1);
+            let edge = (0..n as VertexId, 0..m as VertexId);
+            proptest::collection::vec(edge, 0..40).prop_map(move |mut edges| {
+                if mirror && n == m {
+                    let reversed: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+                    edges.extend(reversed);
+                }
+                Csr::from_edges(n, m, &edges)
+            })
+        })
+    }
+
+    proptest! {
+        /// The check through the transpose permutation is
+        /// `Csr::is_symmetric`, on square and non-square graphs,
+        /// symmetric and not.
+        #[test]
+        fn the_permutation_check_is_csr_symmetry(csr in arb_graph()) {
+            let coo = csr.to_coo();
+            prop_assert_eq!(is_symmetric(&coo, &coo.transpose_permutation()), csr.is_symmetric());
+        }
     }
 
     #[test]

@@ -21,8 +21,16 @@
 //! reads, a panel at a time, so no call allocates an operand-sized buffer.
 //! With a non-finite operand the skips would drop `0·Inf = NaN` terms, so
 //! that case runs [`matmul`] unchanged.
+//!
+//! A single output column (`n = 1`, GAT's score projections `z·a` and
+//! their gradients `zᵀ·δs`) makes each output one chain of `k` adds, so
+//! eight outputs share a vector instead: `A·b` runs 8-row panels of A
+//! through [`halfgnn_half::slice::gemm_col`], and `Aᵀ·b`, whose eight
+//! outputs sit side by side in each row of A, is one output row of
+//! [`gemm_row`] weighting A's rows by b. By the same rule, adding a zero
+//! product to any of these chains changes no bit.
 
-use halfgnn_half::slice::gemm_row;
+use halfgnn_half::slice::{gemm_col, gemm_row};
 use halfgnn_half::Scalar;
 use rayon::pool::default_threads;
 use rayon::prelude::*;
@@ -98,8 +106,69 @@ fn zero_aware<T: Scalar>(
     } else {
         b
     };
-    let finite = if ta { by_columns(a, b, m, k, n, &mut c) } else { by_rows(a, b, k, n, &mut c) };
+    let finite = match (ta, n) {
+        (true, 1) => column_by_rows(a, b, m, k, &mut c),
+        (false, 1) => column_by_panels(a, b, k, &mut c),
+        (true, _) => by_columns(a, b, m, k, n, &mut c),
+        (false, _) => by_rows(a, b, k, n, &mut c),
+    };
     finite.then_some(c)
+}
+
+/// Rows of op(A) = A (`m×k`) widened a panel at a time, for
+/// [`column_by_panels`]: eight per [`gemm_col`] vector.
+const PANEL_ROWS: usize = 64;
+
+/// `A·b` with one output column: each panel of [`PANEL_ROWS`] rows of A is
+/// widened and its outputs run through [`gemm_col`], eight per vector.
+fn column_by_panels<T: Scalar>(a: &[T], b: &[T], k: usize, c: &mut [f32]) -> bool {
+    let mut bw = vec![0f32; k];
+    if !T::widen_into(b, &mut bw) {
+        return false;
+    }
+    let nonfinite = AtomicBool::new(false);
+    c.par_chunks_mut(PANEL_ROWS).enumerate().for_each(|(p, out)| {
+        let rows = &a[p * PANEL_ROWS * k..][..out.len() * k];
+        let mut aw = vec![0f32; rows.len()];
+        if !T::widen_into(rows, &mut aw) {
+            nonfinite.store(true, Ordering::Relaxed);
+            return;
+        }
+        gemm_col(&aw, &bw, out);
+    });
+    !nonfinite.load(Ordering::Relaxed)
+}
+
+/// `Aᵀ·b` with one output column, A stored `k×m`: the `m` outputs are one
+/// row, A's rows weighted by b's nonzero entries through [`gemm_row`],
+/// [`PAIRS`] widened rows at a time. A's rows facing a zero of b are not
+/// read, but must be finite, as in [`by_columns`].
+fn column_by_rows<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, c: &mut [f32]) -> bool {
+    let mut bw = vec![0f32; k];
+    if !T::widen_into(b, &mut bw) {
+        return false;
+    }
+    let mut live = Vec::new();
+    for (l, &v) in bw.iter().enumerate() {
+        if v != 0.0 {
+            live.push((l as u32, v));
+        } else if !all_finite(&a[l * m..(l + 1) * m]) {
+            return false;
+        }
+    }
+    let mut ap = vec![0f32; PAIRS * m];
+    let mut pairs = [(0u32, 0f32); PAIRS];
+    for panel in live.chunks(PAIRS) {
+        for (r, &(l, v)) in panel.iter().enumerate() {
+            let l = l as usize;
+            if !T::widen_into(&a[l * m..(l + 1) * m], &mut ap[r * m..(r + 1) * m]) {
+                return false;
+            }
+            pairs[r] = (r as u32, v);
+        }
+        gemm_row(&pairs[..panel.len()], &ap, c);
+    }
+    true
 }
 
 /// op(A) = A (`m×k`): output row `i` is A's row `i` weighting the rows of

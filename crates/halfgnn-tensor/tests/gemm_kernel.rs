@@ -5,7 +5,8 @@
 //! with and without the recorder compiled in.
 //!
 //! Shapes cover every register-block width and column tail of the row
-//! kernel, one and several panels of `k`, and both transpose flags.
+//! kernel, one and several panels of `k`, both transpose flags, and single
+//! output columns over every tail of their eight-output vectors.
 //! Operands mix ±0, subnormals, range edges, all-zero rows of A and of B,
 //! and, in some cases, ±Inf and NaN — the non-finite case runs the
 //! reference loop itself.
@@ -158,6 +159,28 @@ fn non_finite_gemms_are_the_reference_loop() {
                 let a = d.operand(m, k, ta, true);
                 let b = d.operand(k, n, tb, true);
                 check(&a, ta, &b, tb, m, k, n, &format!("m={m} k={k} n={n} ta={ta} tb={tb}"));
+            }
+        }
+    }
+}
+
+/// One output column (`n = 1`, a GEMM-vector product): every tail of the
+/// eight-output vectors, chains of up to 1,000 adds, both transpose flags,
+/// with finite and with non-finite operands.
+#[test]
+fn single_column_gemms_are_the_reference_loop() {
+    let ms = MS.iter().chain(&[8, 17]);
+    for (ci, &m) in ms.enumerate() {
+        for &k in KS.iter().chain(&[64, 1_000]) {
+            for (ta, tb) in [(false, false), (false, true), (true, false), (true, true)] {
+                for nonfinite in [false, true] {
+                    let key = (ci as u64) << 24 | (k as u64) << 3 | (ta as u64) << 1 | tb as u64;
+                    let mut d = Draws(0xC01 << 40 | key << 1 | nonfinite as u64);
+                    let a = d.operand(m, k, ta, nonfinite);
+                    let b = d.operand(k, 1, tb, nonfinite);
+                    let what = format!("m={m} k={k} n=1 ta={ta} tb={tb} nonfinite={nonfinite}");
+                    check(&a, ta, &b, tb, m, k, 1, &what);
+                }
             }
         }
     }
