@@ -141,8 +141,8 @@ fn column_by_panels<T: Scalar>(a: &[T], b: &[T], k: usize, c: &mut [f32]) -> boo
 
 /// `Aᵀ·b` with one output column, A stored `k×m`: the `m` outputs are one
 /// row, A's rows weighted by b's nonzero entries through [`gemm_row`],
-/// [`PAIRS`] widened rows at a time. A's rows facing a zero of b are not
-/// read, but must be finite, as in [`by_columns`].
+/// [`PAIRS`] widened rows at a time. A's rows facing a zero of b are
+/// skipped, but must be finite, as in [`by_columns`].
 fn column_by_rows<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, c: &mut [f32]) -> bool {
     let mut bw = vec![0f32; k];
     if !T::widen_into(b, &mut bw) {
@@ -151,7 +151,7 @@ fn column_by_rows<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, c: &mut [f32]
     let mut live = Vec::new();
     for (l, &v) in bw.iter().enumerate() {
         if v != 0.0 {
-            live.push((l as u32, v));
+            live.push((l, v));
         } else if !all_finite(&a[l * m..(l + 1) * m]) {
             return false;
         }
@@ -160,7 +160,6 @@ fn column_by_rows<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, c: &mut [f32]
     let mut pairs = [(0u32, 0f32); PAIRS];
     for panel in live.chunks(PAIRS) {
         for (r, &(l, v)) in panel.iter().enumerate() {
-            let l = l as usize;
             if !T::widen_into(&a[l * m..(l + 1) * m], &mut ap[r * m..(r + 1) * m]) {
                 return false;
             }
