@@ -251,20 +251,24 @@ pub fn partition(csr: &Csr, num_shards: usize, strategy: PartitionStrategy) -> S
     let cuts = boundaries(csr, num_shards, strategy);
     let off = csr.offsets();
     let cols = csr.cols();
+    let n = csr.num_rows();
+    // Rows `[r0, r1)` cut out of `0..n`, in order.
+    let outside = |r0: usize, r1: usize| (0..r0).chain(r1..n);
 
+    // `seen[v] == s` marks `v` as a column of shard `s`'s window.
+    let mut seen = vec![usize::MAX; n];
     let mut shards: Vec<Shard> = (0..num_shards)
         .map(|s| {
             let (r0, r1) = (cuts[s], cuts[s + 1]);
             let (e0, e1) = (off[r0], off[r1]);
 
-            // Halo: sorted dedup of out-of-range columns in the window.
-            let mut halo: Vec<VertexId> = cols[e0..e1]
-                .iter()
-                .copied()
-                .filter(|&c| (c as usize) < r0 || (c as usize) >= r1)
-                .collect();
-            halo.sort_unstable();
-            halo.dedup();
+            // Halo: the window's out-of-range columns, marked, then read
+            // off in vertex order (sorted and deduplicated by the scan).
+            for &c in &cols[e0..e1] {
+                seen[c as usize] = s;
+            }
+            let halo: Vec<VertexId> =
+                outside(r0, r1).filter(|&v| seen[v] == s).map(|v| v as VertexId).collect();
 
             // Halo rows per source shard: the halo is sorted, so each
             // owner's share is one contiguous run delimited by its cuts.
@@ -303,28 +307,32 @@ pub fn partition(csr: &Csr, num_shards: usize, strategy: PartitionStrategy) -> S
         // halos exactly once, every row assigned to the least-loaded
         // member whose halo contains it (ties to the lowest member).
         // In-group halo rows ride the free intra-group links and are
-        // charged to nobody.
+        // charged to nobody. `member[v·c + j]` marks an out-of-group `v`
+        // in member `j`'s halo; the union is the marked rows, read off in
+        // vertex order, and each is unmarked as it is assigned.
+        let mut member = vec![false; n * replication];
         for g0 in (0..num_shards).step_by(replication) {
             let (gr0, gr1) = (cuts[g0], cuts[g0 + replication]);
-            let mut union: Vec<VertexId> = (g0..g0 + replication)
-                .flat_map(|m| shards[m].halo.iter().copied())
-                .filter(|&v| (v as usize) < gr0 || (v as usize) >= gr1)
-                .collect();
-            union.sort_unstable();
-            union.dedup();
+            for j in 0..replication {
+                for &v in &shards[g0 + j].halo {
+                    if !(gr0..gr1).contains(&(v as usize)) {
+                        member[v as usize * replication + j] = true;
+                    }
+                }
+            }
             let mut load = vec![0usize; replication];
-            for &v in &union {
+            for v in outside(gr0, gr1) {
+                let marks = &mut member[v * replication..(v + 1) * replication];
                 let mut best: Option<usize> = None;
-                for j in 0..replication {
-                    if shards[g0 + j].halo.binary_search(&v).is_ok()
-                        && best.is_none_or(|b| load[j] < load[b])
-                    {
+                for (j, &m) in marks.iter().enumerate() {
+                    if m && best.is_none_or(|b| load[j] < load[b]) {
                         best = Some(j);
                     }
                 }
-                let j = best.expect("every union row is in some member's halo");
+                let Some(j) = best else { continue };
+                marks.fill(false);
                 load[j] += 1;
-                shards[g0 + j].wire_rows.push((v, owner(v as usize)));
+                shards[g0 + j].wire_rows.push((v as VertexId, owner(v)));
             }
         }
     }

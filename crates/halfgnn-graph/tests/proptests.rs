@@ -1,6 +1,6 @@
 //! Property-based invariants for graph storage and conversions.
 
-use halfgnn_graph::{Coo, Csr, DeltaCsr, VertexId};
+use halfgnn_graph::{partition, Coo, Csr, DeltaCsr, PartitionStrategy, ShardPlan, VertexId};
 use proptest::prelude::*;
 
 fn arb_edges(
@@ -257,6 +257,129 @@ fn primitives_match_their_references_without_vertices_or_edges() {
         if n == m {
             assert_eq!(g.symmetrized_with_self_loops(), symmetrized_by_sort(&g));
             assert_eq!(DeltaCsr::new(g.clone()).merge(), g);
+        }
+    }
+}
+
+/// One shard's halo, halo sources and wire rows.
+type ShardHalo = (Vec<VertexId>, Vec<(usize, usize)>, Vec<(VertexId, usize)>);
+
+/// `partition`'s earlier halo and wire-row body, on the plan's own row
+/// ranges: each shard's out-of-range columns sorted and deduplicated, its
+/// sources counted by owner, and each 1.5D group's out-of-group union
+/// sorted and deduplicated, every row binary-searched in each member's
+/// halo and given to the least-loaded member holding it (ties to the
+/// lowest).
+fn halos_by_sort(csr: &Csr, plan: &ShardPlan) -> Vec<ShardHalo> {
+    let (off, cols) = (csr.offsets(), csr.cols());
+    let ranges: Vec<(usize, usize)> = plan.shards.iter().map(|s| s.row_range).collect();
+    let mut out: Vec<ShardHalo> = ranges
+        .iter()
+        .map(|&(r0, r1)| {
+            let mut halo: Vec<VertexId> = cols[off[r0]..off[r1]]
+                .iter()
+                .copied()
+                .filter(|&c| (c as usize) < r0 || (c as usize) >= r1)
+                .collect();
+            halo.sort_unstable();
+            halo.dedup();
+            let sources = ranges
+                .iter()
+                .enumerate()
+                .filter_map(|(src, &(s0, s1))| {
+                    let rows = halo.iter().filter(|&&c| (s0..s1).contains(&(c as usize))).count();
+                    (rows > 0).then_some((src, rows))
+                })
+                .collect();
+            (halo, sources, Vec::new())
+        })
+        .collect();
+    let c = plan.replication;
+    if c == 1 {
+        for o in &mut out {
+            o.2 = o.0.iter().map(|&v| (v, plan.owner_of(v as usize))).collect();
+        }
+        return out;
+    }
+    for g0 in (0..out.len()).step_by(c) {
+        let (gr0, gr1) = (ranges[g0].0, ranges[g0 + c - 1].1);
+        let mut union: Vec<VertexId> = out[g0..g0 + c]
+            .iter()
+            .flat_map(|o| o.0.iter().copied())
+            .filter(|&v| (v as usize) < gr0 || (v as usize) >= gr1)
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        let mut load = vec![0usize; c];
+        for &v in &union {
+            let mut best: Option<usize> = None;
+            for j in 0..c {
+                if out[g0 + j].0.binary_search(&v).is_ok() && best.is_none_or(|b| load[j] < load[b])
+                {
+                    best = Some(j);
+                }
+            }
+            let j = best.expect("every union row is in some member's halo");
+            load[j] += 1;
+            out[g0 + j].2.push((v, plan.owner_of(v as usize)));
+        }
+    }
+    out
+}
+
+/// `partition` against [`halos_by_sort`], shard by shard.
+fn check_partition(csr: &Csr, shards: usize, strategy: PartitionStrategy) {
+    let plan = partition(csr, shards, strategy);
+    let want = halos_by_sort(csr, &plan);
+    for (s, (shard, (halo, sources, wire))) in plan.shards.iter().zip(&want).enumerate() {
+        let what = format!("shard {s} of {shards}, {strategy:?}");
+        assert_eq!(&shard.halo, halo, "halo of {what}");
+        assert_eq!(&shard.halo_sources, sources, "halo sources of {what}");
+        assert_eq!(&shard.wire_rows, wire, "wire rows of {what}");
+    }
+}
+
+/// A graph, a shard count of 1–6 and a strategy: Contiguous,
+/// DegreeBalanced, or 1.5D with a replication factor that divides the
+/// shard count. Small graphs with few edges make empty shards and isolated
+/// rows common.
+fn arb_partition(
+) -> impl Strategy<Value = (usize, Vec<(VertexId, VertexId)>, usize, PartitionStrategy)> {
+    (1usize..40, 1usize..=6, 0usize..3, 0usize..6).prop_flat_map(|(n, shards, kind, pick)| {
+        let divisors: Vec<usize> = (1..=shards).filter(|c| shards % c == 0).collect();
+        let strategy = match kind {
+            0 => PartitionStrategy::Contiguous,
+            1 => PartitionStrategy::DegreeBalanced,
+            _ => PartitionStrategy::OneP5D { c: divisors[pick % divisors.len()] },
+        };
+        let edge = (0..n as VertexId, 0..n as VertexId);
+        prop::collection::vec(edge, 0..120).prop_map(move |es| (n, es, shards, strategy))
+    })
+}
+
+proptest! {
+    #[test]
+    fn partition_matches_its_sorting_reference((n, edges, shards, strategy) in arb_partition()) {
+        check_partition(&Csr::from_edges(n, n, &edges), shards, strategy);
+        let sym = Csr::from_edges(n, n, &edges).symmetrized_with_self_loops();
+        check_partition(&sym, shards, strategy);
+    }
+}
+
+#[test]
+fn partition_matches_its_sorting_reference_on_empty_shards_and_isolated_rows() {
+    // Three rows over six shards: three shards own nothing.
+    let tiny = Csr::from_edges(3, 3, &[(0, 2), (2, 1)]);
+    // A hub row that swallows several DegreeBalanced cuts, and isolated
+    // rows 5–7.
+    let mut hub: Vec<(VertexId, VertexId)> = (1..5).map(|v| (0, v)).collect();
+    hub.extend([(1, 4), (4, 8), (8, 0)]);
+    let hub = Csr::from_edges(9, 9, &hub);
+    for g in [&tiny, &hub] {
+        for (shards, c) in [(6, 3), (6, 2), (4, 4), (5, 1)] {
+            check_partition(g, shards, PartitionStrategy::Contiguous);
+            check_partition(g, shards, PartitionStrategy::DegreeBalanced);
+            check_partition(g, shards, PartitionStrategy::OneP5D { c });
         }
     }
 }

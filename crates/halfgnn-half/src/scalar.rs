@@ -18,7 +18,7 @@
 
 use crate::f16::Half;
 use crate::slice::{
-    add_row, axpby, convert_half_to_f32_into, f32_slice_to_half, scale_row, sum_chains,
+    add_row, axpby, convert_f32_to_half_into, convert_half_to_f32_into, scale_row, sum_chains,
 };
 use std::ops::AddAssign;
 
@@ -61,12 +61,8 @@ pub trait Scalar: Copy + Default + AddAssign + Send + Sync + 'static {
     /// is finite.
     fn widen_into(xs: &[Self], dst: &mut [f32]) -> bool;
 
-    /// An `f32` tensor rounded into this precision (moved when it
-    /// already is).
-    #[inline]
-    fn narrow(xs: Vec<f32>) -> Vec<Self> {
-        xs.into_iter().map(Self::from_f32).collect()
-    }
+    /// `xs` rounded into the equal-length `dst`.
+    fn narrow_into(xs: &[f32], dst: &mut [Self]);
 
     /// `self + rhs`, rounded once (`hadd`).
     #[inline]
@@ -163,9 +159,8 @@ impl Scalar for f32 {
         xs.iter().fold(true, |finite, v| finite & v.is_finite())
     }
 
-    #[inline]
-    fn narrow(xs: Vec<f32>) -> Vec<f32> {
-        xs
+    fn narrow_into(xs: &[f32], dst: &mut [f32]) {
+        dst.copy_from_slice(xs);
     }
 }
 
@@ -196,9 +191,9 @@ impl Scalar for Half {
         convert_half_to_f32_into(xs, dst)
     }
 
-    #[inline]
-    fn narrow(xs: Vec<f32>) -> Vec<Half> {
-        f32_slice_to_half(&xs)
+    /// The bulk conversion.
+    fn narrow_into(xs: &[f32], dst: &mut [Half]) {
+        convert_f32_to_half_into(xs, dst);
     }
 
     /// Eight chains to a vector on F16C hosts.
@@ -378,7 +373,8 @@ mod tests {
         assert_eq!(<f32 as Scalar>::pick("relu_f16", "relu_f32"), "relu_f32");
         assert_eq!((<Half as Scalar>::BYTES, <f32 as Scalar>::BYTES), (2, 4));
         let xs = [1.5f32, -2.0];
-        let hs = Half::narrow(xs.to_vec());
+        let mut hs = [Half::ZERO; 2];
+        Half::narrow_into(&xs, &mut hs);
         assert_eq!(hs, [Half::from_f32(1.5), Half::from_f32(-2.0)]);
         let mut back = [0f32; 2];
         assert!(Half::widen_into(&hs, &mut back) && back == xs);

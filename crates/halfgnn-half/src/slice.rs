@@ -14,10 +14,10 @@
 //! [`convert_half_to_f32_into`]) are the per-lane intrinsic sequences the
 //! kernels' hot loops repeat over a feature row; [`dot_half2_trees`] is
 //! SDDMM's per-edge dot product ([`dot_half2_tree`]) over a tile of edges,
-//! [`gemm_row`] one output row of the dense `f32` GEMM, and [`gemm_col`]
-//! its single output column when `n = 1`. The edge softmax of GAT's fused
-//! attention runs on five more: [`leaky_scores`] (one row's LeakyReLU
-//! scores and their running max), [`exp_shifted`] (the shifted exponents,
+//! [`gemm_tile`] a block of output rows of the dense `f32` GEMM, and
+//! [`gemm_col`] its single output column when `n = 1`. The edge softmax of
+//! GAT's fused attention runs on five more: [`leaky_scores`] (one row's
+//! LeakyReLU scores and their running max), [`exp_shifted`] (the shifted exponents,
 //! `f32::exp` per lane on the rounded argument), [`div_row`] (the
 //! normalize), [`softmax_grad_row`] (the softmax gradient `δe`), and the
 //! sequential `hadd` chains [`sum_chains`] and [`dot_chains`] (row sums,
@@ -173,17 +173,29 @@ pub fn axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
     lanes::axpby(a, x, b, y, out);
 }
 
-/// `out[j] ← out[j] + a·b[r·n + j]` for each `(r, a)` of `pairs` in turn,
-/// where `n = out.len()` and `b` holds rows of `n`: `pairs` weighting rows
-/// of `b` into one output row of a dense GEMM. Each product is an `f32`
-/// `mul`, then an `add` (never FMA), so an output sums its products in the
-/// pairs' order with the scalar loop's roundings.
-pub fn gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if f16c::gemm_row(pairs, b, out).is_some() {
+/// `out[r·n + j] ← out[r·n + j] + a[r·rs + p·ps]·b[p·n + j]` for every
+/// output row `r`, step `p` in ascending order and column `j`, where `out`
+/// holds rows of `n`, `b` holds `k` rows of `n`, and `(rs, ps)` are A's
+/// row and step strides: a block of a dense GEMM's output rows, each
+/// weighting the rows of `b` by its row of A. The strides serve A stored
+/// row-major (`(k, 1)`) and transposed (`(1, m)`). Each product is an
+/// `f32` `mul`, then an `add` (never FMA), so every output sums its
+/// products in ascending `p` with the scalar loop's roundings. On F16C
+/// hosts a register block of four rows by sixteen columns loads each row
+/// of `b` once per step for all four rows.
+pub fn gemm_tile(a: &[f32], (rs, ps): (usize, usize), b: &[f32], n: usize, out: &mut [f32]) {
+    if out.is_empty() || b.is_empty() {
         return;
     }
-    lanes::gemm_row(pairs, b, out);
+    assert!(out.len().is_multiple_of(n) && b.len().is_multiple_of(n), "out and b hold rows of n");
+    let last = (out.len() / n - 1) * rs + (b.len() / n - 1) * ps;
+    assert!(last < a.len(), "A's last entry {last} is past its {} entries", a.len());
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the shapes were asserted just above.
+    if unsafe { f16c::gemm_tile(a, (rs, ps), b, n, out) }.is_some() {
+        return;
+    }
+    lanes::gemm_tile(a, (rs, ps), b, n, out);
 }
 
 /// One row of GAT's attention scores: `e[k] ← hadd(s, s_col[cols[k]])`,
@@ -478,12 +490,19 @@ mod lanes {
         }
     }
 
-    pub(super) fn gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        for &(r, a) in pairs {
-            let row = &b[r as usize * n..][..n];
-            for (o, &bv) in out.iter_mut().zip(row) {
-                *o += a * bv;
+    pub(super) fn gemm_tile(
+        a: &[f32],
+        (rs, ps): (usize, usize),
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        for (r, row) in out.chunks_exact_mut(n).enumerate() {
+            for (p, brow) in b.chunks_exact(n).enumerate() {
+                let av = a[r * rs + p * ps];
+                for (o, &bv) in row.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
             }
         }
     }

@@ -35,11 +35,12 @@
 //! starts at +0 is never −0); a chain whose result is finite was finite at
 //! every step, since an Inf or NaN stays non-finite under `add`, so clean
 //! chains are counted in segment order and any other chain is recomputed
-//! by its per-lane loop. [`gemm_row`] is `f32` only (no conversion, no
-//! record): it holds up to 64 output columns in registers, the last one to
-//! eight of them under a lane mask, and adds one weighted `B` row per
-//! step, `mul` then `add`, in the pairs' order, which is the scalar loop's
-//! order for every output; [`gemm_col`] (`f32` only too) runs eight
+//! by its per-lane loop. [`gemm_tile`] is `f32` only (no conversion, no
+//! record): it holds four output rows by sixteen columns in registers, the
+//! last one to fifteen columns under lane masks, and each step loads one
+//! row of `B` and adds it, weighted by each row's entry of A, `mul` then
+//! `add`, into all four rows, so every output sums in ascending step
+//! order, the scalar loop's; [`gemm_col`] (`f32` only too) runs eight
 //! single-column outputs, one per lane, each in ascending `l`.
 //!
 //! The attention rows take three more rules. A LeakyReLU lane computes
@@ -59,8 +60,9 @@ use std::arch::x86_64::*;
 /// Lanes per block: one `__m256` of `f32`, one `__m128i` of halves.
 const LANES: usize = 8;
 
-/// Output columns [`gemm_row`] holds in registers: eight `__m256`.
-const GEMM_COLS: usize = 8 * LANES;
+/// Output rows one [`gemm_tile`] register block holds, each in two
+/// `__m256` (sixteen columns): eight accumulators.
+const TILE_ROWS: usize = 4;
 
 /// SDDMM accumulators per edge: two halves for each of up to 32 threads.
 const DOT_SLOTS: usize = 64;
@@ -94,7 +96,6 @@ entry_points! {
     scale_row(v: &mut [Half], s: Half) => scale_row_avx;
     add_row(acc: &mut [Half], x: &[Half]) => add_row_avx;
     axpby(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) => axpby_avx;
-    gemm_row(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) => gemm_row_avx;
     gemm_col(a: &[f32], x: &[f32], out: &mut [f32]) => gemm_col_avx;
     dot_half2_trees(
         u: &[Half], rows: &[u32], v: &[Half], cols: &[u32],
@@ -226,71 +227,143 @@ fn axpby_avx(a: Half, x: &[Half], b: Half, y: &[Half], out: &mut [Half]) {
     pending.flush();
 }
 
+/// [`super::gemm_tile`] on register blocks of up to [`TILE_ROWS`] rows,
+/// or `None` without touching `out` when the host lacks AVX or F16C.
+///
+/// # Safety
+///
+/// `n > 0`; `out` and `b` hold whole rows of `n`, at least one each (`rows`
+/// and `k` of them); `a` holds entry `(rows − 1)·rs + (k − 1)·ps`. These
+/// bound every entry the register blocks read and write.
+pub(super) unsafe fn gemm_tile(
+    a: &[f32],
+    strides: (usize, usize),
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) -> Option<()> {
+    if !available() {
+        return None;
+    }
+    // SAFETY: AVX and F16C were detected just above; the shapes are the
+    // caller's to guarantee.
+    unsafe { gemm_tile_avx(a, strides, b, n, out) };
+    Some(())
+}
+
+/// # Safety
+///
+/// As for [`gemm_tile`].
 #[target_feature(enable = "avx,f16c")]
-fn gemm_row_avx(pairs: &[(u32, f32)], b: &[f32], out: &mut [f32]) {
-    let n = out.len();
-    let mut c0 = 0;
-    while c0 < n {
-        let w = (n - c0).min(GEMM_COLS);
-        let o = &mut out[c0..c0 + w];
-        match w.div_ceil(LANES) {
-            1 => gemm_cols::<1>(pairs, b, n, c0, o),
-            2 => gemm_cols::<2>(pairs, b, n, c0, o),
-            3 => gemm_cols::<3>(pairs, b, n, c0, o),
-            4 => gemm_cols::<4>(pairs, b, n, c0, o),
-            5 => gemm_cols::<5>(pairs, b, n, c0, o),
-            6 => gemm_cols::<6>(pairs, b, n, c0, o),
-            7 => gemm_cols::<7>(pairs, b, n, c0, o),
-            _ => gemm_cols::<8>(pairs, b, n, c0, o),
+unsafe fn gemm_tile_avx(a: &[f32], strides: (usize, usize), b: &[f32], n: usize, out: &mut [f32]) {
+    let k = b.len() / n;
+    for (t, o) in out.chunks_mut(TILE_ROWS * n).enumerate() {
+        let rows = o.len() / n;
+        // SAFETY: block `t`'s rows of A start at row `t·TILE_ROWS`, whose
+        // entries lie inside `a` for every step; `o` holds the block's
+        // output rows and `b` all `k` of its rows.
+        unsafe {
+            let (a, b, o) = (a.as_ptr().add(t * TILE_ROWS * strides.0), b.as_ptr(), o.as_mut_ptr());
+            match rows {
+                1 => tile_cols::<1>(a, strides, b, n, k, o),
+                2 => tile_cols::<2>(a, strides, b, n, k, o),
+                3 => tile_cols::<3>(a, strides, b, n, k, o),
+                _ => tile_cols::<4>(a, strides, b, n, k, o),
+            }
         }
-        c0 += w;
     }
 }
 
-/// Columns `c0..c0 + out.len()` of one [`gemm_row`] output (`out`, more
-/// than `8(R − 1)` and at most `8R` of them), held in `R` registers across
-/// every pair. The last register covers the remaining one to eight
-/// columns through a lane mask: its masked-off lanes are neither read nor
-/// written.
+/// `R` output rows of [`gemm_tile`], sixteen columns at a time, the last
+/// one to fifteen under lane masks.
+///
+/// # Safety
+///
+/// `out` points at `R` rows of `n`, `b` at `k` rows of `n`, and `a` at a
+/// matrix holding entry `(R − 1)·rs + (k − 1)·ps`.
 #[target_feature(enable = "avx,f16c")]
 #[inline]
-fn gemm_cols<const R: usize>(
-    pairs: &[(u32, f32)],
-    b: &[f32],
+unsafe fn tile_cols<const R: usize>(
+    a: *const f32,
+    strides: (usize, usize),
+    b: *const f32,
     n: usize,
-    c0: usize,
-    out: &mut [f32],
+    k: usize,
+    out: *mut f32,
 ) {
-    let w = out.len();
-    let last = LANES * (R - 1);
-    let mask = lane_mask(w - last);
-    let mut acc = [_mm256_setzero_ps(); R];
-    for (q, a) in acc.iter_mut().enumerate().take(R - 1) {
-        *a = load_f32(&out[LANES * q..LANES * (q + 1)]);
+    let mut c0 = 0;
+    // SAFETY (for every call below): columns `c0..c0 + 16`, or the masked
+    // tail's, lie inside every row of `b` and `out`.
+    while c0 + 2 * LANES <= n {
+        unsafe { tile::<R, 2, false>(a, strides, b.add(c0), n, k, lane_mask(LANES), out.add(c0)) };
+        c0 += 2 * LANES;
     }
-    // SAFETY: `out` holds `w` `f32`s; the mask reads lanes `last..w`.
-    acc[R - 1] = unsafe { _mm256_maskload_ps(out.as_ptr().add(last), mask) };
-    for &(r, a) in pairs {
-        let row = &b[r as usize * n + c0..][..w];
-        let av = _mm256_set1_ps(a);
-        for (q, acc) in acc.iter_mut().enumerate() {
-            let bv = if q + 1 < R {
-                // SAFETY: `q < R − 1`, so the eight `f32`s read lie below
-                // `last < w`, inside `row`; `loadu` needs no alignment.
-                unsafe { _mm256_loadu_ps(row.as_ptr().add(LANES * q)) }
-            } else {
-                // SAFETY: the mask reads lanes `last..w` of `row`, which
-                // holds `w` `f32`s.
-                unsafe { _mm256_maskload_ps(row.as_ptr().add(last), mask) }
-            };
-            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, bv));
+    let (b, out) = unsafe { (b.add(c0), out.add(c0)) };
+    match n - c0 {
+        0 => {}
+        w @ 1..=LANES => unsafe { tile::<R, 1, true>(a, strides, b, n, k, lane_mask(w), out) },
+        w => unsafe { tile::<R, 2, true>(a, strides, b, n, k, lane_mask(w - LANES), out) },
+    }
+}
+
+/// `8V` columns of `R` output rows, held in `R × V` registers across
+/// every step: each step loads its row of `b` once and adds it, weighted,
+/// into all `R` rows (`mul`, then `add`). When `MASKED`, the last register
+/// covers only the mask's lanes; the rest are neither read nor written.
+///
+/// # Safety
+///
+/// `out` points at `R` rows and `b` at `k` rows, each `n` apart, whose
+/// `8V` columns (the last register's under the mask) lie inside them; `a`
+/// holds entry `(R − 1)·rs + (k − 1)·ps`.
+#[target_feature(enable = "avx,f16c")]
+#[inline]
+unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
+    a: *const f32,
+    (rs, ps): (usize, usize),
+    b: *const f32,
+    n: usize,
+    k: usize,
+    mask: __m256i,
+    out: *mut f32,
+) {
+    // SAFETY: register `q` of a row the caller vouches for.
+    let load = |row: *const f32, q: usize| unsafe {
+        if q + 1 < V || !MASKED {
+            _mm256_loadu_ps(row.add(LANES * q))
+        } else {
+            _mm256_maskload_ps(row.add(LANES * q), mask)
+        }
+    };
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    for (r, acc) in acc.iter_mut().enumerate() {
+        for (q, v) in acc.iter_mut().enumerate() {
+            *v = load(unsafe { out.add(r * n) }, q);
         }
     }
-    for (q, a) in acc.iter().enumerate().take(R - 1) {
-        store_f32(&mut out[LANES * q..LANES * (q + 1)], *a);
+    for p in 0..k {
+        let bv: [__m256; V] = std::array::from_fn(|q| load(unsafe { b.add(p * n) }, q));
+        for (r, acc) in acc.iter_mut().enumerate() {
+            // SAFETY: `r < R` and `p < k`.
+            let av = _mm256_set1_ps(unsafe { *a.add(r * rs + p * ps) });
+            for (v, &bq) in acc.iter_mut().zip(&bv) {
+                *v = _mm256_add_ps(*v, _mm256_mul_ps(av, bq));
+            }
+        }
     }
-    // SAFETY: as for the masked load, into `out`.
-    unsafe { _mm256_maskstore_ps(out.as_mut_ptr().add(last), mask, acc[R - 1]) };
+    for (r, acc) in acc.iter().enumerate() {
+        for (q, &v) in acc.iter().enumerate() {
+            // SAFETY: as for the loads, into `out`.
+            unsafe {
+                let at = out.add(r * n + LANES * q);
+                if q + 1 < V || !MASKED {
+                    _mm256_storeu_ps(at, v);
+                } else {
+                    _mm256_maskstore_ps(at, mask, v);
+                }
+            }
+        }
+    }
 }
 
 #[target_feature(enable = "avx,f16c")]

@@ -1,6 +1,6 @@
 //! The row kernels of `halfgnn_half::slice` against their per-lane
 //! intrinsic loops (per edge for `dot_half2_trees`, per product for
-//! `gemm_row` and `gemm_col`): the same output bits, and the same overflow
+//! `gemm_tile` and `gemm_col`): the same output bits, and the same overflow
 //! record, field for field, with a tracking window open, with none open,
 //! and inside `overflow::isolated`.
 //!
@@ -13,7 +13,7 @@ use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow::{self, Summary};
 use halfgnn_half::slice::{
     add_row, axpby, convert_f32_to_half_into, convert_half_to_f32_into, dot_half2_tree,
-    dot_half2_trees, fma_row, gemm_col, gemm_row, scale_row,
+    dot_half2_trees, fma_row, gemm_col, gemm_tile, scale_row,
 };
 use halfgnn_half::{splitmix64, Half};
 
@@ -234,26 +234,42 @@ fn bulk_widening_is_the_per_lane_to_f32_loop() {
     }
 }
 
+/// Bit patterns of `f32` results, with every NaN as one pattern (see
+/// [`value_bits`]).
+fn f32_value_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
+}
+
+/// One to nine output rows (one to two register blocks of four, and their
+/// tails), 0–130 steps, every column tail of the sixteen-column blocks and
+/// the workloads' widths, with A stored row-major (strides `(k, 1)`) and
+/// transposed (`(1, rows)`).
 #[test]
-fn gemm_row_is_the_per_product_mul_add_loop() {
-    for (n, mut d) in cases() {
-        let rows = 1 + d.below(5) as usize;
-        let b: Vec<f32> = (0..rows * n).map(|_| d.f32_value()).collect();
-        let pairs: Vec<(u32, f32)> =
-            (0..d.below(9)).map(|_| (d.below(rows as u64) as u32, d.f32_value())).collect();
-        let out0: Vec<f32> = (0..n).map(|_| d.f32_value()).collect();
-        let mut want = out0.clone();
-        for &(r, a) in &pairs {
-            for (o, &bv) in want.iter_mut().zip(&b[r as usize * n..]) {
-                *o += a * bv;
+fn gemm_tile_is_the_per_product_mul_add_loop() {
+    let widths = (1..=17).chain([48, 64, 100, 150]);
+    for (ci, n) in widths.enumerate() {
+        for (si, k) in [0usize, 1, 2, 7, 8, 9, 33, 64, 128, 130].into_iter().enumerate() {
+            let mut d = Draws((ci as u64) << 32 | (si as u64) << 8);
+            let rows = 1 + (ci * 10 + si) % 9;
+            let a: Vec<f32> = (0..rows * k).map(|_| d.f32_value()).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| d.f32_value()).collect();
+            let out0: Vec<f32> = (0..rows * n).map(|_| d.f32_value()).collect();
+            for strides in [(k, 1), (1, rows)] {
+                let mut want = out0.clone();
+                for (r, row) in want.chunks_exact_mut(n).enumerate() {
+                    for (p, brow) in b.chunks_exact(n).enumerate() {
+                        let av = a[r * strides.0 + p * strides.1];
+                        for (o, &bv) in row.iter_mut().zip(brow) {
+                            *o += av * bv;
+                        }
+                    }
+                }
+                let mut got = out0.clone();
+                gemm_tile(&a, strides, &b, n, &mut got);
+                let what = format!("gemm_tile rows={rows} k={k} n={n} strides={strides:?}");
+                assert_eq!(f32_value_bits(&got), f32_value_bits(&want), "{what}");
             }
         }
-        let mut got = out0.clone();
-        gemm_row(&pairs, &b, &mut got);
-        let bits = |v: &[f32]| -> Vec<u32> {
-            v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
-        };
-        assert_eq!(bits(&got), bits(&want), "gemm_row n={n} pairs={pairs:?}");
     }
 }
 
@@ -272,10 +288,7 @@ fn gemm_col_is_the_per_product_mul_add_loop() {
         }
         let mut got = out0.clone();
         gemm_col(&a, &x, &mut got);
-        let bits = |v: &[f32]| -> Vec<u32> {
-            v.iter().map(|x| if x.is_nan() { 0x7FC0_0000 } else { x.to_bits() }).collect()
-        };
-        assert_eq!(bits(&got), bits(&want), "gemm_col m={m} k={k}");
+        assert_eq!(f32_value_bits(&got), f32_value_bits(&want), "gemm_col m={m} k={k}");
     }
 }
 

@@ -1,44 +1,49 @@
 //! The dense GEMM behind [`Ops::gemm`](crate::Ops::gemm):
 //! `C = op(A)·op(B)` in `f32`, every output summing its `k` products in
 //! ascending `l` from +0, each an `f32` `mul` then `add`, skipping `l`
-//! where `op(A)[i][l]` is ±0.
+//! where `op(A)[i][l]` is ±0, then rounded into the element type.
 //!
 //! [`matmul`] is that loop as written: the reference, and what runs when
-//! either operand holds an Inf or NaN. Otherwise [`gemm`] skips every
-//! product with a zero factor, which changes no output bit when A and B
-//! are finite:
+//! either operand holds an Inf or NaN. One pass over both operands decides
+//! that before any output is narrowed, so the conversion record counts
+//! every output once. With finite operands [`gemm`] may add a product with
+//! a zero factor, or skip it, without changing an output bit:
 //!
 //! * an accumulator that starts at +0 is never −0: under round-to-nearest
 //!   `x + y` is −0 only when both are −0, an exact cancellation gives +0,
 //!   and a nonzero sum never rounds to zero (gradual underflow);
 //! * a product with a zero factor and a finite other factor is ±0, and
-//!   adding ±0 to anything but −0 returns its bits, Inf and NaN included.
+//!   adding ±0 to anything but −0 returns its bits.
 //!
-//! So [`gemm`] skips op(A)'s zero entries and, for `Aᵀ·B` (a weight
-//! gradient), op(B)'s all-zero rows with A's matching rows, and adds each
-//! output row's remaining products through the register-blocked row kernel
-//! [`halfgnn_half::slice::gemm_row`]. It widens only the operand rows it
-//! reads, a panel at a time, so no call allocates an operand-sized buffer.
-//! With a non-finite operand the skips would drop `0·Inf = NaN` terms, so
-//! that case runs [`matmul`] unchanged.
+//! So [`gemm`] multiplies through op(A)'s zero entries inside the
+//! register-tiled [`halfgnn_half::slice::gemm_tile`], and skips only whole
+//! zero rows. It runs on the calling thread and allocates no `m×n` `f32`
+//! buffer beyond a weight-sized one:
 //!
-//! A single output column (`n = 1`, GAT's score projections `z·a` and
-//! their gradients `zᵀ·δs`) makes each output one chain of `k` adds, so
-//! eight outputs share a vector instead: `A·b` runs 8-row panels of A
-//! through [`halfgnn_half::slice::gemm_col`], and `Aᵀ·b`, whose eight
-//! outputs sit side by side in each row of A, is one output row of
-//! [`gemm_row`] weighting A's rows by b. By the same rule, adding a zero
-//! product to any of these chains changes no bit.
+//! * `A·op(B)`: op(B), a weight matrix, is widened whole; A's rows are
+//!   widened [`BLOCK_ROWS`] at a time, their outputs computed into a
+//!   block-sized scratch and narrowed straight into the output. A block
+//!   whose rows of A are all ±0 (a mini-batch loss gradient past its seed
+//!   rows) skips the tile; its +0 outputs are still narrowed, and counted.
+//!   With a single output column (`z·a`, GAT's score projections) each
+//!   output is one chain of `k` adds, so [`halfgnn_half::slice::gemm_col`]
+//!   runs the block eight outputs per vector instead.
+//! * `Aᵀ·B` (a weight gradient, `k` a vertex count): op(B)'s all-zero rows
+//!   are skipped with A's matching rows, the live rows widened [`PANEL`] at
+//!   a time with those rows of A and accumulated into the weight-sized
+//!   `m×n` output, which is narrowed once at the end. With a single output
+//!   column (`zᵀ·δs`) the `m` outputs are one row: A's rows weighted by b.
 
-use halfgnn_half::slice::{gemm_col, gemm_row};
+use halfgnn_half::slice::{gemm_col, gemm_tile};
 use halfgnn_half::Scalar;
-use rayon::pool::default_threads;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Nonzero products one [`gemm_row`] call takes, and the rows of op(B)
-/// one panel widens.
-const PAIRS: usize = 128;
+/// Rows of A one `A·op(B)` block widens and narrows: four register blocks
+/// of [`gemm_tile`], two vectors of [`gemm_col`].
+const BLOCK_ROWS: usize = 16;
+
+/// Live rows of op(B), with A's matching rows, one `Aᵀ·B` panel widens.
+const PANEL: usize = 128;
 
 /// `C[m×n] ← op(A)[m×k] · op(B)[k×n]`, rounded into `T`: [`matmul`]'s
 /// bits on the widened operands, with its conversion record.
@@ -51,11 +56,29 @@ pub(crate) fn gemm<T: Scalar>(
     k: usize,
     n: usize,
 ) -> Vec<T> {
-    let c = zero_aware(a, ta, b, tb, m, k, n)
-        .unwrap_or_else(|| matmul(&widen(a), ta, &widen(b), tb, m, k, n));
-    // Narrowed on the calling thread, whose overflow window sees every
-    // conversion; pool workers have none.
-    T::narrow(c)
+    let mut out = vec![T::ZERO; m * n];
+    if !(all_finite(a) && all_finite(b)) {
+        T::narrow_into(&matmul(&widen(a), ta, &widen(b), tb, m, k, n), &mut out);
+        return out;
+    }
+    if out.is_empty() {
+        return out;
+    }
+    // op(B) row-major: a transposed B is a weight matrix here, so the copy
+    // is small.
+    let bt: Vec<T>;
+    let b = if tb {
+        bt = transposed(b, n, k);
+        &bt
+    } else {
+        b
+    };
+    if ta {
+        by_columns(a, b, m, k, n, &mut out);
+    } else {
+        by_rows(a, b, k, n, &mut out);
+    }
+    out
 }
 
 fn widen<T: Scalar>(x: &[T]) -> Vec<f32> {
@@ -73,196 +96,68 @@ pub(crate) fn magnitude<T: Scalar>() -> u32 {
     }
 }
 
-/// ±0, tested on the bits.
-fn is_zero<T: Scalar>(v: T) -> bool {
-    v.bits() & magnitude::<T>() == 0
+/// Whether every entry of `xs` is ±0, tested on the bits a run of 64 at
+/// a time.
+fn all_zero<T: Scalar>(xs: &[T]) -> bool {
+    xs.chunks(64).all(|run| run.iter().fold(0, |bits, v| bits | v.bits()) & magnitude::<T>() == 0)
 }
 
 fn all_finite<T: Scalar>(xs: &[T]) -> bool {
     xs.iter().fold(true, |finite, v| finite & v.is_finite())
 }
 
-/// [`matmul`]'s result with every zero product skipped, or `None` when an
-/// operand holds an Inf or NaN.
-fn zero_aware<T: Scalar>(
-    a: &[T],
-    ta: bool,
-    b: &[T],
-    tb: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Option<Vec<f32>> {
-    let mut c = vec![0f32; m * n];
-    if m == 0 || n == 0 || k == 0 {
-        return Some(c);
-    }
-    // op(B) row-major: a transposed B is a weight matrix here, so the copy
-    // is small.
-    let bt: Vec<T>;
-    let b = if tb {
-        bt = transposed(b, n, k);
-        &bt
-    } else {
-        b
-    };
-    let finite = match (ta, n) {
-        (true, 1) => column_by_rows(a, b, m, k, &mut c),
-        (false, 1) => column_by_panels(a, b, k, &mut c),
-        (true, _) => by_columns(a, b, m, k, n, &mut c),
-        (false, _) => by_rows(a, b, k, n, &mut c),
-    };
-    finite.then_some(c)
-}
-
-/// Rows of op(A) = A (`m×k`) widened a panel at a time, for
-/// [`column_by_panels`]: eight per [`gemm_col`] vector.
-const PANEL_ROWS: usize = 64;
-
-/// `A·b` with one output column: each panel of [`PANEL_ROWS`] rows of A is
-/// widened and its outputs run through [`gemm_col`], eight per vector.
-fn column_by_panels<T: Scalar>(a: &[T], b: &[T], k: usize, c: &mut [f32]) -> bool {
-    let mut bw = vec![0f32; k];
-    if !T::widen_into(b, &mut bw) {
-        return false;
-    }
-    let nonfinite = AtomicBool::new(false);
-    c.par_chunks_mut(PANEL_ROWS).enumerate().for_each(|(p, out)| {
-        let rows = &a[p * PANEL_ROWS * k..][..out.len() * k];
-        let mut aw = vec![0f32; rows.len()];
-        if !T::widen_into(rows, &mut aw) {
-            nonfinite.store(true, Ordering::Relaxed);
-            return;
-        }
-        gemm_col(&aw, &bw, out);
-    });
-    !nonfinite.load(Ordering::Relaxed)
-}
-
-/// `Aᵀ·b` with one output column, A stored `k×m`: the `m` outputs are one
-/// row, A's rows weighted by b's nonzero entries through [`gemm_row`],
-/// [`PAIRS`] widened rows at a time. A's rows facing a zero of b are
-/// skipped, but must be finite, as in [`by_columns`].
-fn column_by_rows<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, c: &mut [f32]) -> bool {
-    let mut bw = vec![0f32; k];
-    if !T::widen_into(b, &mut bw) {
-        return false;
-    }
-    let mut live = Vec::new();
-    for (l, &v) in bw.iter().enumerate() {
-        if v != 0.0 {
-            live.push((l, v));
-        } else if !all_finite(&a[l * m..(l + 1) * m]) {
-            return false;
-        }
-    }
-    let mut ap = vec![0f32; PAIRS * m];
-    let mut pairs = [(0u32, 0f32); PAIRS];
-    for panel in live.chunks(PAIRS) {
-        for (r, &(l, v)) in panel.iter().enumerate() {
-            if !T::widen_into(&a[l * m..(l + 1) * m], &mut ap[r * m..(r + 1) * m]) {
-                return false;
-            }
-            pairs[r] = (r as u32, v);
-        }
-        gemm_row(&pairs[..panel.len()], &ap, c);
-    }
-    true
-}
-
-/// op(A) = A (`m×k`): output row `i` is A's row `i` weighting the rows of
-/// op(B), which is a weight matrix here and is widened whole. Each A row
-/// is widened as its output row is computed, [`PAIRS`] entries at a time;
-/// an all-zero run of them is skipped unwidened.
-fn by_rows<T: Scalar>(a: &[T], b: &[T], k: usize, n: usize, c: &mut [f32]) -> bool {
+/// op(A) = A (`m×k`), finite, and `n > 0`: see the module docs.
+fn by_rows<T: Scalar>(a: &[T], b: &[T], k: usize, n: usize, out: &mut [T]) {
     let mut bw = vec![0f32; k * n];
-    if !T::widen_into(b, &mut bw) {
-        return false;
-    }
-    let nonfinite = AtomicBool::new(false);
-    c.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-        let mut vals = [0f32; PAIRS];
-        for (q, run) in a[i * k..(i + 1) * k].chunks(PAIRS).enumerate() {
-            if run.iter().all(|&v| is_zero(v)) {
-                continue;
+    T::widen_into(b, &mut bw);
+    let mut aw = vec![0f32; BLOCK_ROWS * k];
+    let mut cw = vec![0f32; BLOCK_ROWS * n];
+    for (blk, o) in out.chunks_mut(BLOCK_ROWS * n).enumerate() {
+        let h = o.len() / n;
+        let rows = &a[blk * BLOCK_ROWS * k..][..h * k];
+        let (aw, cw) = (&mut aw[..h * k], &mut cw[..h * n]);
+        cw.fill(0.0);
+        if !all_zero(rows) {
+            T::widen_into(rows, aw);
+            if n == 1 {
+                gemm_col(aw, &bw, cw);
+            } else {
+                gemm_tile(aw, (k, 1), &bw, n, cw);
             }
-            let vals = &mut vals[..run.len()];
-            if !T::widen_into(run, vals) {
-                nonfinite.store(true, Ordering::Relaxed);
-                return;
-            }
-            let base = q * PAIRS;
-            accumulate(vals.iter().enumerate().map(|(j, &v)| ((base + j) as u32, v)), &bw, row);
         }
-    });
-    // The pool's join orders every worker's store before this load.
-    !nonfinite.load(Ordering::Relaxed)
+        T::narrow_into(cw, o);
+    }
 }
 
-/// op(A) = Aᵀ, A stored `k×m` (a weight gradient: `k` is a vertex count):
-/// output row `i` is A's column `i` weighting the rows of op(B). Only
-/// op(B)'s nonzero rows and A's matching rows are read. The output rows
-/// split into one block per pool thread; each block widens [`PAIRS`] of
-/// those rows of op(B) at a time, with its columns of A's matching rows
-/// laid out per output row.
-fn by_columns<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize, c: &mut [f32]) -> bool {
-    let mut live = Vec::new();
-    for l in 0..k {
-        if !b[l * n..(l + 1) * n].iter().all(|&v| is_zero(v)) {
-            live.push(l);
-        } else if !all_finite(&a[l * m..(l + 1) * m]) {
-            // Never read, but the reference would have multiplied it.
-            return false;
+/// op(A) = Aᵀ, A stored `k×m`, finite, and `m, n > 0`: see the module
+/// docs.
+fn by_columns<T: Scalar>(a: &[T], b: &[T], m: usize, k: usize, n: usize, out: &mut [T]) {
+    let live: Vec<usize> = (0..k).filter(|&l| !all_zero(&b[l * n..(l + 1) * n])).collect();
+    let mut c = vec![0f32; m * n];
+    let mut ap = vec![0f32; PANEL * m];
+    let mut bp = vec![0f32; PANEL * n];
+    for panel in live.chunks(PANEL) {
+        // Each run of consecutive live rows is widened in one call.
+        let mut r = 0;
+        for run in panel.chunk_by(|&x, &y| y == x + 1) {
+            let (l, h) = (run[0], run.len());
+            T::widen_into(&a[l * m..(l + h) * m], &mut ap[r * m..(r + h) * m]);
+            T::widen_into(&b[l * n..(l + h) * n], &mut bp[r * n..(r + h) * n]);
+            r += h;
+        }
+        let (ap, bp) = (&ap[..r * m], &bp[..r * n]);
+        if n == 1 {
+            gemm_tile(bp, (0, 1), ap, m, &mut c);
+        } else {
+            gemm_tile(ap, (1, m), bp, n, &mut c);
         }
     }
-    let block = m.div_ceil(default_threads());
-    let nonfinite = AtomicBool::new(false);
-    c.par_chunks_mut(block * n).enumerate().for_each(|(blk, cb)| {
-        let (i0, h) = (blk * block, cb.len() / n);
-        let mut bp = vec![0f32; PAIRS * n];
-        let mut ap = vec![0f32; h * PAIRS];
-        let mut col = vec![0f32; h];
-        for panel in live.chunks(PAIRS) {
-            for (r, &l) in panel.iter().enumerate() {
-                let brow = &mut bp[r * n..(r + 1) * n];
-                if !(T::widen_into(&b[l * n..(l + 1) * n], brow)
-                    & T::widen_into(&a[l * m + i0..l * m + i0 + h], &mut col))
-                {
-                    nonfinite.store(true, Ordering::Relaxed);
-                    return;
-                }
-                for (i, &v) in col.iter().enumerate() {
-                    ap[i * PAIRS + r] = v;
-                }
-            }
-            for (arow, crow) in ap.chunks_exact(PAIRS).zip(cb.chunks_exact_mut(n)) {
-                let entries = arow[..panel.len()].iter().enumerate();
-                accumulate(entries.map(|(r, &v)| (r as u32, v)), &bp, crow);
-            }
-        }
-    });
-    !nonfinite.load(Ordering::Relaxed)
+    T::narrow_into(&c, out);
 }
 
 /// A `rows × cols` row-major matrix laid out `cols × rows`.
 fn transposed<T: Copy>(x: &[T], rows: usize, cols: usize) -> Vec<T> {
     (0..rows * cols).map(|i| x[(i % rows) * cols + i / rows]).collect()
-}
-
-/// Add `entries`' nonzero products into `row`, in order, [`PAIRS`] at a
-/// time.
-fn accumulate(entries: impl Iterator<Item = (u32, f32)>, b: &[f32], row: &mut [f32]) {
-    let mut pairs = [(0u32, 0f32); PAIRS];
-    let mut len = 0;
-    for (r, v) in entries {
-        pairs[len] = (r, v);
-        len += usize::from(v != 0.0);
-        if len == PAIRS {
-            gemm_row(&pairs, b, row);
-            len = 0;
-        }
-    }
-    gemm_row(&pairs[..len], b, row);
 }
 
 /// The GEMM loop as written — the reference [`gemm`] must match bit for
@@ -319,9 +214,11 @@ mod tests {
 
     #[test]
     fn zero_tests_read_the_bits() {
-        assert!(is_zero(0.0f32) && is_zero(-0.0f32) && !is_zero(f32::from_bits(1)));
-        assert!(is_zero(Half::ZERO) && is_zero(Half::NEG_ZERO));
-        assert!(!is_zero(Half::MIN_POSITIVE_SUBNORMAL) && !is_zero(Half::NAN));
+        assert!(all_zero(&[0.0f32, -0.0]) && !all_zero(&[-0.0, f32::from_bits(1)]));
+        assert!(all_zero(&[Half::ZERO; 200]) && all_zero(&[Half::NEG_ZERO]));
+        let mut late = [Half::ZERO; 130];
+        late[129] = Half::MIN_POSITIVE_SUBNORMAL;
+        assert!(!all_zero(&late) && !all_zero(&[Half::NAN]));
         assert!(all_finite(&[Half::MAX, Half::NEG_ZERO]) && !all_finite(&[Half::NAN]));
     }
 

@@ -10,15 +10,18 @@
 //! (`DeviceConfig::exec`): under `ExecMode::Sim` every entry carries
 //! modeled cycles and `total_time_us` is analytic; under `ExecMode::Fast`
 //! entries carry zero cycles and measured wall-clock, so `total_time_us`
-//! sums real elapsed time. Functional results are bit-identical either
-//! way.
+//! sums real elapsed time. The dense ops' launches only charge, so under
+//! `Fast` they are logged with zero time and never run; the ops' own work
+//! runs on the calling thread either way. Functional results are
+//! bit-identical either way.
 
 use crate::gemm::magnitude;
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
 use halfgnn_half::{Half, Scalar};
-use halfgnn_sim::launch::{launch, LaunchParams};
-use halfgnn_sim::{DeviceConfig, KernelStats};
+use halfgnn_sim::launch::{launch, Cta, LaunchParams};
+use halfgnn_sim::{DeviceConfig, ExecMode, KernelStats};
+use std::time::Duration;
 
 /// Execution context: device, kernel log, conversion counters.
 pub struct Ops<'d> {
@@ -113,44 +116,56 @@ impl<'d> Ops<'d> {
             return;
         }
         let num_ctas = n.div_ceil(EW_CTA_ELEMS).max(1);
-        let (_, stats) =
-            launch(self.dev, name, LaunchParams { num_ctas, warps_per_cta: 4 }, |cta| {
-                let lo = cta.id * EW_CTA_ELEMS;
-                let hi = (lo + EW_CTA_ELEMS).min(n);
-                if lo >= hi {
-                    return;
+        self.charge(name, num_ctas, |cta| {
+            let lo = cta.id * EW_CTA_ELEMS;
+            let hi = (lo + EW_CTA_ELEMS).min(n);
+            if lo >= hi {
+                return;
+            }
+            let span = hi - lo;
+            let per_warp = span.div_ceil(4);
+            for wi in 0..4 {
+                let wlo = lo + wi * per_warp;
+                if wlo >= hi {
+                    break;
                 }
-                let span = hi - lo;
-                let per_warp = span.div_ceil(4);
-                for wi in 0..4 {
-                    let wlo = lo + wi * per_warp;
-                    if wlo >= hi {
-                        break;
-                    }
-                    let wn = per_warp.min(hi - wlo);
-                    let mut warp = cta.warp(wi);
-                    for r in 0..reads {
-                        warp.load_contiguous(
-                            (r as u64) << 32 | (wlo * elem_bytes) as u64,
-                            wn,
-                            elem_bytes,
-                        );
-                    }
-                    let instrs = instrs_per_32 * (wn as u64).div_ceil(32);
-                    if half_path {
-                        warp.half2_ops(instrs);
-                    } else {
-                        warp.float_ops(instrs);
-                    }
-                    for w in 0..writes {
-                        warp.store_contiguous(
-                            (w as u64 + 8) << 32 | (wlo * elem_bytes) as u64,
-                            wn,
-                            elem_bytes,
-                        );
-                    }
+                let wn = per_warp.min(hi - wlo);
+                let mut warp = cta.warp(wi);
+                for r in 0..reads {
+                    warp.load_contiguous(
+                        (r as u64) << 32 | (wlo * elem_bytes) as u64,
+                        wn,
+                        elem_bytes,
+                    );
                 }
-            });
+                let instrs = instrs_per_32 * (wn as u64).div_ceil(32);
+                if half_path {
+                    warp.half2_ops(instrs);
+                } else {
+                    warp.float_ops(instrs);
+                }
+                for w in 0..writes {
+                    warp.store_contiguous(
+                        (w as u64 + 8) << 32 | (wlo * elem_bytes) as u64,
+                        wn,
+                        elem_bytes,
+                    );
+                }
+            }
+        });
+    }
+
+    /// Log a launch of `num_ctas` four-warp CTAs whose kernel only
+    /// charges. Under `ExecMode::Sim` it runs, and its charges are the
+    /// modeled clock; under `ExecMode::Fast`, where charging is off and
+    /// its CTAs would do nothing, it is logged without running.
+    fn charge(&mut self, name: &str, num_ctas: usize, kernel: impl Fn(&mut Cta) + Sync) {
+        let stats = match self.dev.exec {
+            ExecMode::Sim => {
+                launch(self.dev, name, LaunchParams { num_ctas, warps_per_cta: 4 }, kernel).1
+            }
+            ExecMode::Fast { .. } => KernelStats::wallclock(name, num_ctas, 4, Duration::ZERO),
+        };
         self.record(stats);
     }
 
@@ -241,24 +256,22 @@ impl<'d> Ops<'d> {
         let num_ctas = tiles_m * tiles_n;
         let fma_per_warp = ((64 * 64 * k) / 4 / 32) as u64; // 4 warps per tile
         let fma_per_warp = ((fma_per_warp as f64) / speedup).ceil() as u64;
-        let (_, stats) =
-            launch(self.dev, name, LaunchParams { num_ctas, warps_per_cta: 4 }, |cta| {
-                let cta_id = cta.id;
-                for wi in 0..4 {
-                    let mut warp = cta.warp(wi);
-                    // Each warp streams its share of the A and B tiles.
-                    warp.load_contiguous((cta_id * 7919) as u64, 16 * k, elem_bytes);
-                    warp.load_contiguous(((cta_id + 1) * 104729) as u64, 16 * k, elem_bytes);
-                    warp.smem_accesses((k as u64).div_ceil(8));
-                    if T::HALF {
-                        warp.half2_ops(fma_per_warp);
-                    } else {
-                        warp.float_ops(fma_per_warp);
-                    }
-                    warp.store_contiguous((cta_id * 31) as u64, 16 * 64, elem_bytes);
+        self.charge(name, num_ctas, |cta| {
+            let cta_id = cta.id;
+            for wi in 0..4 {
+                let mut warp = cta.warp(wi);
+                // Each warp streams its share of the A and B tiles.
+                warp.load_contiguous((cta_id * 7919) as u64, 16 * k, elem_bytes);
+                warp.load_contiguous(((cta_id + 1) * 104729) as u64, 16 * k, elem_bytes);
+                warp.smem_accesses((k as u64).div_ceil(8));
+                if T::HALF {
+                    warp.half2_ops(fma_per_warp);
+                } else {
+                    warp.float_ops(fma_per_warp);
                 }
-            });
-        self.record(stats);
+                warp.store_contiguous((cta_id * 31) as u64, 16 * 64, elem_bytes);
+            }
+        });
     }
 
     /// ReLU, dtype-preserving (as under AMP). NaN propagates (as in

@@ -4,9 +4,10 @@
 //! by its `Debug` string. CI runs this suite at 1 and 4 worker threads,
 //! with and without the recorder compiled in.
 //!
-//! Shapes cover every register-block width and column tail of the row
-//! kernel, one and several panels of `k`, both transpose flags, and single
-//! output columns over every tail of their eight-output vectors.
+//! Shapes cover every row and column tail of the tile kernel's register
+//! blocks and of the driver's row blocks, one and several panels of `k`,
+//! both transpose flags, single output columns over every tail of their
+//! eight-output vectors, and the GEMMs the perfbench workloads run.
 //! Operands mix ±0, subnormals, range edges, all-zero rows of A and of B,
 //! and, in some cases, ±Inf and NaN — the non-finite case runs the
 //! reference loop itself.
@@ -19,7 +20,7 @@ use halfgnn_tensor::gemm::matmul;
 use halfgnn_tensor::Ops;
 use proptest::prelude::*;
 
-const MS: [usize; 6] = [1, 3, 4, 5, 9, 64];
+const MS: [usize; 8] = [1, 3, 4, 5, 9, 17, 30, 64];
 const NS: [usize; 15] = [1, 2, 4, 7, 8, 9, 15, 16, 17, 47, 48, 63, 64, 65, 100];
 const KS: [usize; 3] = [1, 6, 300];
 
@@ -211,6 +212,92 @@ fn an_inf_facing_zeros_takes_the_reference_loop() {
     check(&at, true, &b, false, m, k, n, "Inf in A against B's zero row");
     let want = matmul(&at, true, &b, false, m, k, n);
     assert!(want[3 * n..4 * n].iter().all(|v| v.is_nan()), "the reference multiplies Inf·0");
+}
+
+/// The workloads' GEMM shapes `(vertices, features, outputs)`.
+const WORKLOAD: [(usize, usize, usize); 7] = [
+    (4164, 100, 64),
+    (4164, 64, 48),
+    (4164, 48, 64),
+    (4800, 64, 4),
+    (4800, 64, 1),
+    (4000, 150, 64),
+    (4000, 64, 100),
+];
+
+/// A `rows × cols` operand whose rows past `live` are all zero, as a
+/// mini-batch loss gradient is past its seed rows.
+fn seeded(d: &mut Draws, rows: usize, cols: usize, live: usize) -> Vec<f32> {
+    let zeros = d.below(30);
+    (0..rows * cols).map(|i| if i / cols < live { d.value(zeros, false) } else { 0.0 }).collect()
+}
+
+/// Each workload shape's forward `X·W`, data gradient `dH·Wᵀ` and weight
+/// gradient `Xᵀ·dH`; every other shape's left operand (and `dH`) is zero
+/// past 250 seed rows, a count that ends mid-block.
+#[test]
+fn workload_gemms_are_the_reference_loop() {
+    for (ci, &(v, f, n)) in WORKLOAD.iter().enumerate() {
+        let mut d = Draws(0x5EED << 32 | ci as u64);
+        let live = if ci % 2 == 1 { 250 } else { v };
+        let x = seeded(&mut d, v, f, live);
+        let w = seeded(&mut d, f, n, f);
+        let dh = seeded(&mut d, v, n, live);
+        check(&x, false, &w, false, v, f, n, &format!("X·W v={v} f={f} n={n} live={live}"));
+        check(&dh, false, &w, true, v, n, f, &format!("dH·Wᵀ v={v} f={f} n={n} live={live}"));
+        check(&x, true, &dh, false, f, v, n, &format!("Xᵀ·dH v={v} f={f} n={n} live={live}"));
+    }
+}
+
+/// The index of the first event the recorder saw, when it is compiled in.
+fn first_event(rec: &str) -> Option<u64> {
+    let at = rec.find("conversion_index: ")? + "conversion_index: ".len();
+    rec[at..].split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
+}
+
+/// Only row 37 of 50 overflows, in the third row block: its first event's
+/// index counts every earlier block's narrowings.
+#[test]
+fn an_overflow_in_a_later_row_block_keeps_its_index() {
+    let (m, k, n) = (50, 8, 20);
+    let a: Vec<f32> = (0..m * k).map(|i| if i / k == 37 { 100.0 } else { 1.0 }).collect();
+    let b = vec![100.0f32; k * n];
+    check(&a, false, &b, false, m, k, n, "overflow in row 37");
+    let (ah, bh) = (f32_slice_to_half(&a), f32_slice_to_half(&b));
+    let dev = DeviceConfig::a100_like();
+    let (out, rec) = recorded(|| Ops::new(&dev).gemm(&ah, false, &bh, false, m, k, n));
+    assert!(out[37 * n..38 * n].iter().all(|h| h.is_infinite()), "row 37 must overflow");
+    assert!(out.iter().filter(|h| h.is_infinite()).count() == n, "and no other row");
+    if recorder_on() {
+        assert_eq!(first_event(&rec), Some(37 * n as u64), "{rec}");
+    }
+}
+
+/// An Inf or NaN only in the last row block (of A, or of op(B) for a
+/// weight gradient), after blocks whose outputs overflow: the fallback
+/// must start before any block is narrowed, or the record would count
+/// those blocks twice.
+#[test]
+fn a_non_finite_last_block_falls_back_before_narrowing() {
+    let (m, k, n) = (40, 8, 20);
+    for bad in [f32::INFINITY, f32::NAN] {
+        let mut a: Vec<f32> = (0..m * k).map(|i| if i / k < 2 { 100.0 } else { 0.5 }).collect();
+        a[39 * k + 3] = bad;
+        let b = vec![100.0f32; k * n];
+        check(&a, false, &b, false, m, k, n, &format!("{bad} in A's last block"));
+        let (ah, bh) = (f32_slice_to_half(&a), f32_slice_to_half(&b));
+        let dev = DeviceConfig::a100_like();
+        let (_, rec) = recorded(|| Ops::new(&dev).gemm(&ah, false, &bh, false, m, k, n));
+        if recorder_on() {
+            assert!(rec.contains(&format!("conversions: {}", m * n)), "{rec}");
+            assert_eq!(first_event(&rec), Some(0), "{rec}");
+        }
+        // Aᵀ·B with op(B) `m × n`, the bad value in its last row.
+        let at: Vec<f32> = (0..m * k).map(|i| if i % k < 2 { 100.0 } else { 0.5 }).collect();
+        let mut bt = vec![100.0f32; m * n];
+        bt[(m - 1) * n + 5] = bad;
+        check(&at, true, &bt, false, k, m, n, &format!("{bad} in op(B)'s last row"));
+    }
 }
 
 /// A half GEMM whose output overflows when narrowed: the first event's

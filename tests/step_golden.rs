@@ -13,7 +13,9 @@
 //!
 //! The second test checks overflow provenance at the AMP boundary: a huge
 //! loss scale overflows the loss gradient's f32→half cast, and that first
-//! event must carry the model's backward site label.
+//! event must carry the model's backward site label. The third runs every
+//! config under `ExecMode::Fast` and checks that it logs the Sim step's
+//! launches.
 
 use halfgnn::graph::partition::PartitionStrategy;
 use halfgnn::graph::{features, gen, Csr};
@@ -27,7 +29,7 @@ use halfgnn::nn::params::{GatParams, TwoLayerParams};
 use halfgnn::nn::sage::{self, SageParams};
 use halfgnn::nn::{gcn, gin};
 use halfgnn::sim::interconnect::Topology;
-use halfgnn::sim::DeviceConfig;
+use halfgnn::sim::{DeviceConfig, ExecMode};
 use halfgnn::tensor::Ops;
 
 const GOLDEN: &str = include_str!("golden/step_launches.txt");
@@ -204,16 +206,16 @@ fn line(name: &str, ops: &Ops, loss: Option<f32>, grads: &[f32], logits: &[f32])
     format!("{name}: launches {} digest {:016x}\n", ops.log.len(), h.0)
 }
 
-fn launches_text() -> String {
-    let dev = DeviceConfig::a100_like();
+/// Every config on `dev`, in golden order: its name, its `Ops` after the
+/// step, and what the step returned (no loss or gradients for serving).
+fn each_config(dev: &DeviceConfig, mut visit: impl FnMut(&str, &Ops, Option<f32>, &[f32], &[f32])) {
     let fx = fixture();
     let g = GraphView::full(&fx.csr);
-    let mut text = String::new();
     let mut run = |name: String, d: Dispatch<'_>, model: Model, loss_scale: f32| {
-        let mut ops = Ops::new(&dev);
+        let mut ops = Ops::new(dev);
         ops.loss_scale = loss_scale;
         let (loss, grads, logits) = step(&mut ops, &g, &fx, model, d.with_quant_seed(1));
-        text.push_str(&line(&name, &ops, Some(loss), &grads, &logits));
+        visit(&name, &ops, Some(loss), &grads, &logits);
     };
     for model in MODELS {
         for mode in MODES {
@@ -240,11 +242,44 @@ fn launches_text() -> String {
     let d = Dispatch::untuned(PrecisionMode::HalfGnn).with_dist(Some(&ctx));
     run("Gat2 HalfGnn 2 shards".into(), d, Model::Gat2, 1.0);
     for mode in [PrecisionMode::Float, PrecisionMode::HalfGnn] {
-        let mut ops = Ops::new(&dev);
+        let mut ops = Ops::new(dev);
         let logits = serve_forward(&mut ops, &g, &fx, mode);
-        text.push_str(&line(&format!("serve gcn forward {mode:?}"), &ops, None, &[], &logits));
+        visit(&format!("serve gcn forward {mode:?}"), &ops, None, &[], &logits);
     }
+}
+
+fn launches_text() -> String {
+    let mut text = String::new();
+    each_config(&DeviceConfig::a100_like(), |name, ops, loss, grads, logits| {
+        text.push_str(&line(name, ops, loss, grads, logits));
+    });
     text
+}
+
+/// A step's kernel log without its clock: each launch's name, grid and
+/// launch count.
+type Launches = Vec<(String, usize, usize, usize)>;
+
+fn launches(dev: &DeviceConfig) -> Vec<(String, Launches)> {
+    let mut all = Vec::new();
+    each_config(dev, |name, ops, _, _, _| {
+        let log = ops.log.iter().map(|s| (s.name.clone(), s.num_ctas, s.warps_per_cta, s.launches));
+        all.push((name.to_string(), log.collect()));
+    });
+    all
+}
+
+/// Under `Fast { threads: 2 }`, where the dense ops' charge-only launches
+/// are logged without running, every config's step logs the Sim step's
+/// kernels in the same order, with the same grids and launch counts.
+#[test]
+fn fast_steps_log_the_sim_steps_launches() {
+    let sim = launches(&DeviceConfig::a100_like());
+    let fast = launches(&DeviceConfig::a100_like().with_exec(ExecMode::fast_with_threads(2)));
+    assert_eq!(sim.len(), fast.len());
+    for ((name, want), (_, got)) in sim.iter().zip(&fast) {
+        assert_eq!(got, want, "{name}");
+    }
 }
 
 #[test]
