@@ -207,10 +207,6 @@ impl ExecCtx {
         }
     }
 
-    pub fn is_capturing(&self) -> bool {
-        self.state.borrow().phase == Phase::Capture
-    }
-
     pub fn is_replaying(&self) -> bool {
         self.state.borrow().phase == Phase::Replay
     }

@@ -188,11 +188,6 @@ impl ShardPlan {
         self.shards.iter().map(Shard::num_edges).max().unwrap_or(0)
     }
 
-    /// Total halo rows across shards (the per-layer comms volume driver).
-    pub fn total_halo_rows(&self) -> usize {
-        self.shards.iter().map(|s| s.halo.len()).sum()
-    }
-
     /// For shard `dst`, how many halo rows each source shard must send it:
     /// sorted `(src_shard, rows)` pairs, omitting zero counts. Precomputed
     /// by [`partition`]; this is a plain slice borrow, safe to call in the

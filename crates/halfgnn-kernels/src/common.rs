@@ -1,9 +1,13 @@
-//! Shared kernel vocabulary: the recorded launch, reduction modes,
-//! scaling placement, write strategies, vector widths, and the
-//! edge-tiling geometry.
+//! Shared kernel vocabulary: the recorded launch, the §5.2.3 staging
+//! resolution, the neighbor-group builder, reduction modes, scaling
+//! placement, write strategies, vector widths, and the edge-tiling
+//! geometry.
 
+use halfgnn_graph::Csr;
+use halfgnn_half::slice::add_row;
 use halfgnn_half::{overflow, Half, Scalar};
-use halfgnn_sim::launch::{Cta, LaunchParams};
+use halfgnn_sim::launch::{charge_only, commit_all, find_assign_overlap};
+use halfgnn_sim::launch::{Cta, LaunchParams, WriteList};
 use halfgnn_sim::{DeviceConfig, KernelStats};
 
 /// [`halfgnn_sim::launch::launch`] with the overflow record of a
@@ -37,6 +41,78 @@ where
         .collect();
     overflow::credit(record);
     (results, stats)
+}
+
+/// One CTA's writes under the §5.2.3 protocol: direct writes to the rows
+/// it owns, and `(row, partial)` entries for the staging buffer, in row
+/// order.
+pub(crate) type StagedWrites = (WriteList<Half>, Vec<(u32, Vec<Half>)>);
+
+/// §5.2.3's inter-CTA resolution, after a staged SpMM's main kernel
+/// (whose stats are `stats`), into a zeroed `rows × f` output. It commits
+/// every CTA's direct writes in CTA order (a debug build checks that no
+/// two assign the same element). If anything was staged, it logs the
+/// follow-up kernel `followup`: one one-warp CTA per eight entries, each
+/// entry reloaded from `stage_base` and its row stored at `y_base`.
+/// Entries arrive in CTA order, so a row's partials are adjacent; each
+/// staged row, which the main kernel did not write, is assigned their
+/// [`add_row`] sum.
+pub(crate) fn resolve_staged(
+    dev: &DeviceConfig,
+    followup: &str,
+    ctas: Vec<StagedWrites>,
+    (rows, f): (usize, usize),
+    (stage_base, y_base): (u64, u64),
+    stats: KernelStats,
+) -> (Vec<Half>, KernelStats) {
+    let (writes, staged): (Vec<_>, Vec<_>) = ctas.into_iter().unzip();
+    debug_assert!(
+        find_assign_overlap(&writes).is_none(),
+        "conflicting direct writes: {:?}",
+        find_assign_overlap(&writes)
+    );
+    let mut y = vec![Half::ZERO; rows * f];
+    commit_all(writes, &mut y);
+    let staged: Vec<(u32, Vec<Half>)> = staged.into_iter().flatten().collect();
+    if staged.is_empty() {
+        return (y, stats);
+    }
+    let entries = staged.len();
+    let params = LaunchParams { num_ctas: entries.div_ceil(8), warps_per_cta: 1 };
+    let follow = charge_only(dev, followup, params, |cta| {
+        let slice = cta.id * 8..entries.min((cta.id + 1) * 8);
+        let mut warp = cta.warp(0);
+        for _ in slice {
+            warp.load_contiguous(stage_base, f / 2 + 1, 4);
+            warp.half2_ops(((f / 2) as u64).div_ceil(32));
+            warp.store_contiguous(y_base, f / 2, 4);
+        }
+    });
+    let mut staged = staged.into_iter().peekable();
+    while let Some((row, mut sum)) = staged.next() {
+        while let Some((_, part)) = staged.next_if(|(r, _)| *r == row) {
+            add_row(&mut sum, &part);
+        }
+        y[row as usize * f..][..f].copy_from_slice(&sum);
+    }
+    (y, stats.then(&follow))
+}
+
+/// The neighbor groups of a vertex-parallel SpMM, one per warp:
+/// `(row, edge offset, len)` for the rows `[r0, r1)` of `csr`, in row
+/// order, each at most `group` edges long and never crossing a row.
+pub(crate) fn neighbor_groups(
+    csr: &Csr,
+    (r0, r1): (usize, usize),
+    group: usize,
+) -> Vec<(u32, usize, usize)> {
+    let off = csr.offsets();
+    (r0..r1)
+        .flat_map(|r| {
+            let end = off[r + 1];
+            (off[r]..end).step_by(group).map(move |o| (r as u32, o, group.min(end - o)))
+        })
+        .collect()
 }
 
 /// Where degree-norm scaling happens relative to the SpMM reduction
@@ -287,6 +363,30 @@ mod tests {
         assert_eq!(EdgeWeights::Values(&w).get(1).to_f32(), 3.0);
         assert!(EdgeWeights::<Half>::Ones.is_ones());
         assert!(!EdgeWeights::Values(&w).is_ones());
+    }
+
+    #[test]
+    fn neighbor_groups_tile_each_window_row_in_order() {
+        let edges = halfgnn_graph::gen::preferential_attachment(1_500, 8, 1);
+        let csr = Csr::from_edges(1_500, 1_500, &edges).symmetrized_with_self_loops();
+        let n = csr.num_rows();
+        for (group, window) in [(32, (0, n)), (64, (0, n)), (5, (100, 900)), (64, (700, 700))] {
+            let groups = neighbor_groups(&csr, window, group);
+            let mut next = (window.0, csr.offsets()[window.0]);
+            for &(r, off, len) in &groups {
+                assert!(len > 0 && len <= group, "group {group}: len {len}");
+                let r = r as usize;
+                if off == csr.offsets()[r] {
+                    assert_eq!(next.1, off, "row {r} starts where the last row ended");
+                    assert!(r >= next.0, "rows in order");
+                } else {
+                    assert_eq!((r, off), next, "a row's groups are consecutive");
+                }
+                next = (r, off + len);
+                assert!(off + len <= csr.offsets()[r + 1], "row {r}: no group crosses a row");
+            }
+            assert_eq!(next.1, csr.offsets()[window.1], "the window's edges are covered");
+        }
     }
 
     #[test]

@@ -22,19 +22,21 @@
 //! * **Non-atomic writes** (§5.2.3) — rows fully inside a warp are written
 //!   directly; warp-boundary partials are combined in shared memory within
 //!   the CTA; rows crossing a CTA boundary produce staging-buffer entries
-//!   that a follow-up kernel merges and writes. The `Atomic` strategy
-//!   replaces all of that with (expensive) half atomics for Fig. 13.
+//!   that a follow-up kernel merges and writes
+//!   ([`crate::common::resolve_staged`], which every staged SpMM shares).
+//!   The `Atomic` strategy replaces all of that with (expensive) half
+//!   atomics for Fig. 13.
 
-use crate::common::launch;
 use crate::common::{count_nonfinite, EdgeWeights, Reduce, ScalePlacement, Tiling, WriteStrategy};
-use halfgnn_graph::Coo;
+use crate::common::{launch, neighbor_groups, resolve_staged};
+use halfgnn_graph::{Coo, Csr};
 use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::overflow;
 use halfgnn_half::slice::{add_row, fma_row, scale_row};
 use halfgnn_half::{Half, Scalar};
-use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
+use halfgnn_sim::launch::{charge_only, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
-use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
+use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats, WarpCtx};
 
 /// Configuration of the HalfGNN SpMM (defaults = the paper's design).
 #[derive(Clone, Copy, Debug)]
@@ -55,19 +57,6 @@ impl Default for SpmmConfig {
             tiling: Tiling::default(),
         }
     }
-}
-
-/// One staging-buffer record: a row's partial feature vector produced by a
-/// CTA whose row extends beyond the CTA boundary.
-struct StagedEntry {
-    row: u32,
-    vals: Vec<Half>,
-}
-
-/// Per-CTA result of the main kernel.
-struct CtaOut {
-    writes: WriteList<Half>,
-    staged: Vec<StagedEntry>,
 }
 
 /// `Y ← A_w · X` in half precision with sum reduction.
@@ -118,7 +107,8 @@ pub fn spmm_window(
     }
     let (r0, r1) = row_window;
     assert!(r0 <= r1 && r1 <= coo.num_rows(), "bad row window {row_window:?}");
-    let _site = overflow::site(if w.is_ones() { "halfgnn_spmmv" } else { "halfgnn_spmmve" });
+    let name = if w.is_ones() { "halfgnn_spmmv" } else { "halfgnn_spmmve" };
+    let _site = overflow::site(name);
 
     let nnz = coo.nnz();
     let num_rows = coo.num_rows();
@@ -132,8 +122,6 @@ pub fn spmm_window(
     let (e0, e1) = (row_offsets[r0], row_offsets[r1]);
     let (cta_lo, cta_hi) = tiling.cta_range(e0, e1);
     let num_ctas = cta_hi - cta_lo;
-    // Degrees drive the atomic-conflict estimate in the Atomic strategy.
-    let edges_per_warp = tiling.edges_per_warp;
 
     // Synthetic address space for coalescing.
     let mut space = AddrSpace::new();
@@ -151,15 +139,12 @@ pub fn spmm_window(
         }
     };
 
-    let (cta_outs, main_stats) = launch(
-        dev,
-        if w.is_ones() { "halfgnn_spmmv" } else { "halfgnn_spmmve" },
-        LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta },
-        |cta| {
-            let mut out = CtaOut { writes: WriteList::new(), staged: Vec::new() };
-            // (warp, row, full_row_within_warp handled directly; the rest
-            // collected here for CTA-level combining.)
-            let mut boundary: Vec<StagedEntry> = Vec::new();
+    let (ctas, main_stats) =
+        launch(dev, name, LaunchParams { num_ctas, warps_per_cta: tiling.warps_per_cta }, |cta| {
+            let mut writes = WriteList::new();
+            // Partials of rows no warp holds whole (Staged only), combined
+            // within the CTA below.
+            let mut boundary: Vec<(u32, Vec<Half>)> = Vec::new();
 
             for wi in 0..tiling.warps_per_cta {
                 let (s, e) = tiling.warp_range_in(cta.id + cta_lo, wi, e0, e1);
@@ -202,68 +187,51 @@ pub fn spmm_window(
                 let mut acc = vec![Half::ZERO; f];
                 let mut seg_row = rows[s];
                 let mut seg_start = s;
-                let flush = |warp: &mut halfgnn_sim::WarpCtx,
-                             boundary: &mut Vec<StagedEntry>,
-                             out: &mut CtaOut,
+                let flush = |warp: &mut WarpCtx,
+                             writes: &mut WriteList<Half>,
+                             boundary: &mut Vec<(u32, Vec<Half>)>,
                              acc: &mut Vec<Half>,
                              row: u32,
                              seg_s: usize,
                              seg_e: usize| {
                     let mut vals = std::mem::replace(acc, vec![Half::ZERO; f]);
-                    match cfg.scaling {
-                        ScalePlacement::Discretized => {
-                            scale_row(&mut vals, scale_of(row));
-                            warp.half2_ops(half2_lanes.div_ceil(32));
-                        }
-                        ScalePlacement::PreReduction
-                        | ScalePlacement::PostReduction
-                        | ScalePlacement::None => {}
+                    if cfg.scaling == ScalePlacement::Discretized {
+                        scale_row(&mut vals, scale_of(row));
+                        warp.half2_ops(half2_lanes.div_ceil(32));
                     }
                     warp.nonfinite_values(count_nonfinite(&vals));
-                    let full_row = seg_s == row_offsets[row as usize]
-                        && seg_e == row_offsets[row as usize + 1];
-                    match cfg.writes {
-                        WriteStrategy::Staged => {
-                            if full_row {
-                                // Case 1/3a: never conflicts — direct write.
-                                warp.store_contiguous(
-                                    y_base + row as u64 * (f as u64 * 2),
-                                    f / 2,
-                                    4,
-                                );
-                                out.writes.assign(row as usize * f, vals);
-                            } else {
-                                boundary.push(StagedEntry { row, vals });
-                            }
-                        }
-                        WriteStrategy::Atomic => {
-                            if full_row {
-                                warp.store_contiguous(
-                                    y_base + row as u64 * (f as u64 * 2),
-                                    f / 2,
-                                    4,
-                                );
-                                out.writes.assign(row as usize * f, vals);
-                            } else {
-                                // Prior-work style: half2 atomic adds, which
-                                // serialize with every other tile of the row.
-                                let deg = (row_offsets[row as usize + 1]
-                                    - row_offsets[row as usize])
-                                    as f64;
-                                let conflict = (deg / edges_per_warp as f64).max(0.0);
-                                // One CAS-loop atomic per half2 word: the
-                                // L2 atomic unit serializes per address.
-                                warp.atomic_add(AtomicKind::F16, half2_lanes.max(1), conflict);
-                                out.writes.add(row as usize * f, vals);
-                            }
-                        }
+                    let (row_s, row_e) = (row_offsets[row as usize], row_offsets[row as usize + 1]);
+                    if seg_s == row_s && seg_e == row_e {
+                        // Case 1/3a: the warp holds the whole row, which
+                        // never conflicts — direct write.
+                        warp.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
+                        writes.assign(row as usize * f, vals);
+                    } else if cfg.writes == WriteStrategy::Staged {
+                        boundary.push((row, vals));
+                    } else {
+                        // Prior-work style: half2 atomic adds, which
+                        // serialize with every other tile of the row. One
+                        // CAS-loop atomic per half2 word: the L2 atomic
+                        // unit serializes per address.
+                        let conflict =
+                            ((row_e - row_s) as f64 / tiling.edges_per_warp as f64).max(0.0);
+                        warp.atomic_add(AtomicKind::F16, half2_lanes.max(1), conflict);
+                        writes.add(row as usize * f, vals);
                     }
                 };
 
                 for ei in s..e {
                     let r = rows[ei];
                     if r != seg_row {
-                        flush(&mut warp, &mut boundary, &mut out, &mut acc, seg_row, seg_start, ei);
+                        flush(
+                            &mut warp,
+                            &mut writes,
+                            &mut boundary,
+                            &mut acc,
+                            seg_row,
+                            seg_start,
+                            ei,
+                        );
                         seg_row = r;
                         seg_start = ei;
                     }
@@ -282,37 +250,37 @@ pub fn spmm_window(
                         fma_row(&mut acc, wv, xr);
                     }
                 }
-                flush(&mut warp, &mut boundary, &mut out, &mut acc, seg_row, seg_start, e);
+                flush(&mut warp, &mut writes, &mut boundary, &mut acc, seg_row, seg_start, e);
             }
 
-            // ---- Intra-CTA combine (Staged only): merge warp-boundary
-            // partials of the same row via shared memory (§5.2.3 case 2).
-            if cfg.writes == WriteStrategy::Staged && !boundary.is_empty() {
+            // ---- Intra-CTA combine: merge warp-boundary partials of the
+            // same row via shared memory (§5.2.3 case 2).
+            let mut staged = Vec::new();
+            if !boundary.is_empty() {
                 let cta_id = cta.id;
                 cta.barrier();
                 let mut warp0 = cta.warp(0);
                 let merge_instrs = ((f / 2) as u64).div_ceil(32).max(1);
-                let mut merged: Vec<StagedEntry> = Vec::new();
-                for entry in boundary {
+                let mut merged: Vec<(u32, Vec<Half>)> = Vec::new();
+                for (row, vals) in boundary {
                     match merged.last_mut() {
-                        Some(last) if last.row == entry.row => {
-                            add_row(&mut last.vals, &entry.vals);
+                        Some((last, sum)) if *last == row => {
+                            add_row(sum, &vals);
                             warp0.smem_accesses(merge_instrs * 2);
                             warp0.half2_ops(merge_instrs);
                         }
-                        _ => merged.push(entry),
+                        _ => merged.push((row, vals)),
                     }
                 }
                 let (cta_s, _) = tiling.warp_range_in(cta_id + cta_lo, 0, e0, e1);
                 let cta_e =
                     tiling.warp_range_in(cta_id + cta_lo, tiling.warps_per_cta - 1, e0, e1).1;
-                for m in merged {
-                    let fully_inside = row_offsets[m.row as usize] >= cta_s
-                        && row_offsets[m.row as usize + 1] <= cta_e;
-                    if fully_inside {
+                for (row, vals) in merged {
+                    let r = row as usize;
+                    if row_offsets[r] >= cta_s && row_offsets[r + 1] <= cta_e {
                         // Complete within the CTA: non-conflicting write.
-                        warp0.store_contiguous(y_base + m.row as u64 * (f as u64 * 2), f / 2, 4);
-                        out.writes.assign(m.row as usize * f, m.vals);
+                        warp0.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
+                        writes.assign(r * f, vals);
                     } else {
                         // §5.2.3 case 3b: to the staging buffer.
                         warp0.store_contiguous(
@@ -320,100 +288,39 @@ pub fn spmm_window(
                             f / 2 + 1,
                             4,
                         );
-                        out.staged.push(m);
+                        staged.push((row, vals));
                     }
                 }
             }
-            out
-        },
-    );
+            (writes, staged)
+        });
 
-    // Commit the main kernel's non-conflicting writes, gather staging.
-    let mut y = vec![Half::ZERO; num_rows * f];
-    let mut staged_all: Vec<StagedEntry> = Vec::new();
-    let mut writes = Vec::with_capacity(cta_outs.len());
-    for c in cta_outs {
-        writes.push(c.writes);
-        staged_all.extend(c.staged);
-    }
-    // The §5.2.3 protocol guarantee: every direct/CTA-resolved write owns
-    // its row exclusively. Validated in debug builds; an overlap here is a
-    // kernel bug that a real GPU would express as a lost update.
-    debug_assert!(
-        halfgnn_sim::launch::find_assign_overlap(&writes).is_none(),
-        "conflicting direct writes: {:?}",
-        halfgnn_sim::launch::find_assign_overlap(&writes)
-    );
-    commit_all(writes, &mut y);
-
-    let mut stats = main_stats;
-
-    // ---- Follow-up kernel: merge staging-buffer runs and write them.
-    if cfg.writes == WriteStrategy::Staged && !staged_all.is_empty() {
-        let entries = staged_all.len();
-        let (followup_writes, follow_stats) = launch(
-            dev,
-            "spmm_followup",
-            LaunchParams { num_ctas: entries.div_ceil(8).max(1), warps_per_cta: 1 },
-            |cta| {
-                // Each CTA re-reads its slice of the staging buffer; one
-                // representative warp charges the traffic.
-                let lo = cta.id * 8;
-                let hi = ((cta.id + 1) * 8).min(entries);
-                let mut warp = cta.warp(0);
-                for _ in lo..hi {
-                    warp.load_contiguous(stage_base, f / 2 + 1, 4);
-                    warp.half2_ops(((f / 2) as u64).div_ceil(32));
-                    warp.store_contiguous(y_base, f / 2, 4);
-                }
-            },
-        );
-        let _ = followup_writes;
-        // Functional merge: entries arrive in CTA order, so same-row runs
-        // are adjacent; rows that cross CTA boundaries were never written
-        // by the main kernel, so the merged value is assigned.
-        let mut wl: WriteList<Half> = WriteList::new();
-        let mut it = staged_all.into_iter();
-        let mut cur = it.next().expect("non-empty");
-        for entry in it {
-            if entry.row == cur.row {
-                add_row(&mut cur.vals, &entry.vals);
-            } else {
-                wl.assign(std::mem::take(&mut cur.row) as usize * f, std::mem::take(&mut cur.vals));
-                cur = entry;
-            }
-        }
-        wl.assign(cur.row as usize * f, cur.vals);
-        wl.commit(&mut y);
-        stats = stats.then(&follow_stats);
-    }
+    // ---- Inter-CTA resolution: direct writes, then the follow-up kernel.
+    let (mut y, mut stats) =
+        resolve_staged(dev, "spmm_followup", ctas, (num_rows, f), (stage_base, y_base), main_stats);
 
     // ---- Post-reduction scaling pass (baseline placement): a separate
     // elementwise kernel over Y, after overflow has already happened.
     if cfg.scaling == ScalePlacement::PostReduction {
         let scale = row_scale.expect("checked above");
         let win_elems = (r1 - r0) * f;
-        let (_, post_stats) = launch(
-            dev,
-            "spmm_postscale",
-            LaunchParams { num_ctas: win_elems.div_ceil(4096).max(1), warps_per_cta: 4 },
-            |cta| {
-                let lo = r0 * f + cta.id * 4096;
-                let hi = (lo + 4096).min(r1 * f);
-                if lo >= hi {
-                    return;
-                }
-                let mut warp = cta.warp(0);
-                let n = hi - lo;
-                warp.load_contiguous(y_base + lo as u64 * 2, n / 2, 4);
-                warp.half2_ops((n as u64 / 2).div_ceil(32));
-                warp.store_contiguous(y_base + lo as u64 * 2, n / 2, 4);
-            },
-        );
+        let params = LaunchParams { num_ctas: win_elems.div_ceil(4096).max(1), warps_per_cta: 4 };
+        let post = charge_only(dev, "spmm_postscale", params, |cta| {
+            let lo = r0 * f + cta.id * 4096;
+            let hi = (lo + 4096).min(r1 * f);
+            if lo >= hi {
+                return;
+            }
+            let mut warp = cta.warp(0);
+            let n = hi - lo;
+            warp.load_contiguous(y_base + lo as u64 * 2, n / 2, 4);
+            warp.half2_ops((n as u64 / 2).div_ceil(32));
+            warp.store_contiguous(y_base + lo as u64 * 2, n / 2, 4);
+        });
         for r in r0..r1 {
             scale_row(&mut y[r * f..(r + 1) * f], scale[r]);
         }
-        stats = stats.then(&post_stats);
+        stats = stats.then(&post);
     }
 
     (y, stats)
@@ -556,7 +463,7 @@ pub fn edge_reduce_window<T: Scalar>(
 /// generality claim (see the `vertex-vs-edge` experiment).
 pub fn spmm_vertex_parallel(
     dev: &DeviceConfig,
-    csr: &halfgnn_graph::Csr,
+    csr: &Csr,
     w: EdgeWeights,
     x: &[Half],
     f: usize,
@@ -573,13 +480,42 @@ pub fn spmm_vertex_parallel(
 #[allow(clippy::too_many_arguments)]
 pub fn spmm_vertex_parallel_window(
     dev: &DeviceConfig,
-    csr: &halfgnn_graph::Csr,
+    csr: &Csr,
     w: EdgeWeights,
     x: &[Half],
     f: usize,
     row_scale: Option<&[Half]>,
     scaling: ScalePlacement,
     row_window: (usize, usize),
+) -> (Vec<Half>, KernelStats) {
+    let name = if w.is_ones() { "halfgnn_vp_spmmv" } else { "halfgnn_vp_spmmve" };
+    let kernel = Grouped { group: 64, name, followup: "halfgnn_vp_followup" };
+    vertex_parallel(dev, csr, w, x, f, row_scale, scaling, row_window, kernel)
+}
+
+/// A vertex-parallel staged SpMM: its neighbor-group size, and the names
+/// of its main kernel (also its overflow site label) and follow-up.
+pub(crate) struct Grouped {
+    pub(crate) group: usize,
+    pub(crate) name: &'static str,
+    pub(crate) followup: &'static str,
+}
+
+/// The vertex-parallel body that [`spmm_vertex_parallel_window`] and
+/// Huang-half2 share: each four-warp CTA owns four neighbor groups; a
+/// row of one group is written directly, and a wider row's groups are
+/// staged and merged by the follow-up kernel.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn vertex_parallel(
+    dev: &DeviceConfig,
+    csr: &Csr,
+    w: EdgeWeights,
+    x: &[Half],
+    f: usize,
+    row_scale: Option<&[Half]>,
+    scaling: ScalePlacement,
+    row_window: (usize, usize),
+    Grouped { group, name, followup }: Grouped,
 ) -> (Vec<Half>, KernelStats) {
     assert_eq!(x.len(), csr.num_cols() * f, "X shape mismatch");
     assert!(f.is_multiple_of(2), "feature length must be half2-padded");
@@ -588,22 +524,10 @@ pub fn spmm_vertex_parallel_window(
     }
     let (r0, r1) = row_window;
     assert!(r0 <= r1 && r1 <= csr.num_rows(), "bad row window {row_window:?}");
-    let _site = overflow::site(if w.is_ones() { "halfgnn_vp_spmmv" } else { "halfgnn_vp_spmmve" });
-    const GROUP: usize = 64;
+    let _site = overflow::site(name);
     const WARPS_PER_CTA: usize = 4;
     let n = csr.num_rows();
-
-    // Neighbor groups: (row, offset, len), never crossing a row.
-    let mut groups: Vec<(u32, usize, usize)> = Vec::new();
-    for r in r0..r1 {
-        let (start, end) = (csr.offsets()[r], csr.offsets()[r + 1]);
-        let mut off = start;
-        while off < end {
-            let len = (end - off).min(GROUP);
-            groups.push((r as u32, off, len));
-            off += len;
-        }
-    }
+    let groups = neighbor_groups(csr, row_window, group);
     let num_ctas = groups.len().div_ceil(WARPS_PER_CTA).max(1);
 
     let mut space = AddrSpace::new();
@@ -615,14 +539,11 @@ pub fn spmm_vertex_parallel_window(
 
     let scale_of = |r: u32| -> Half { row_scale.map_or(Half::ONE, |s| s[r as usize]) };
 
-    let (cta_outs, main_stats) = launch(
-        dev,
-        if w.is_ones() { "halfgnn_vp_spmmv" } else { "halfgnn_vp_spmmve" },
-        LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA },
-        |cta| {
+    let (ctas, main_stats) =
+        launch(dev, name, LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA }, |cta| {
             let cta_id = cta.id;
-            let mut writes: WriteList<Half> = WriteList::new();
-            let mut staged: Vec<(u32, Vec<Half>)> = Vec::new();
+            let mut writes = WriteList::new();
+            let mut staged = Vec::new();
             for wi in 0..WARPS_PER_CTA {
                 let gi = cta_id * WARPS_PER_CTA + wi;
                 let Some(&(row, off, len)) = groups.get(gi) else { break };
@@ -661,14 +582,14 @@ pub fn spmm_vertex_parallel_window(
                         fma_row(&mut acc, wv, xr);
                     }
                 }
-                // Discretized scaling: each ≤64-neighbor group is scaled
-                // before it joins the rest of the row.
+                // Discretized scaling: each group is scaled before it
+                // joins the rest of the row.
                 if scaling == ScalePlacement::Discretized {
                     scale_row(&mut acc, sc);
                     warp.half2_ops(half2_lanes.div_ceil(32));
                 }
                 warp.nonfinite_values(count_nonfinite(&acc));
-                if csr.degree(row) as usize <= GROUP {
+                if csr.degree(row) as usize <= group {
                     warp.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
                     writes.assign(row as usize * f, acc);
                 } else {
@@ -677,52 +598,9 @@ pub fn spmm_vertex_parallel_window(
                 }
             }
             (writes, staged)
-        },
-    );
-
-    let mut y = vec![Half::ZERO; n * f];
-    let mut staged_all: Vec<(u32, Vec<Half>)> = Vec::new();
-    let mut writes = Vec::new();
-    for (wl, st) in cta_outs {
-        writes.push(wl);
-        staged_all.extend(st);
-    }
-    commit_all(writes, &mut y);
-
-    let mut stats = main_stats;
-    if !staged_all.is_empty() {
-        let entries = staged_all.len();
-        let (_, follow) = launch(
-            dev,
-            "halfgnn_vp_followup",
-            LaunchParams { num_ctas: entries.div_ceil(8).max(1), warps_per_cta: 1 },
-            |cta| {
-                let lo = cta.id * 8;
-                let hi = ((cta.id + 1) * 8).min(entries);
-                let mut warp = cta.warp(0);
-                for _ in lo..hi {
-                    warp.load_contiguous(stage_base, f / 2 + 1, 4);
-                    warp.half2_ops(((f / 2) as u64).div_ceil(32));
-                    warp.store_contiguous(y_base, f / 2, 4);
-                }
-            },
-        );
-        let mut it = staged_all.into_iter();
-        let (mut cur_row, mut cur_vals) = it.next().expect("non-empty");
-        let mut wl: WriteList<Half> = WriteList::new();
-        for (r, vals) in it {
-            if r == cur_row {
-                add_row(&mut cur_vals, &vals);
-            } else {
-                wl.assign(cur_row as usize * f, std::mem::take(&mut cur_vals));
-                cur_row = r;
-                cur_vals = vals;
-            }
-        }
-        wl.assign(cur_row as usize * f, cur_vals);
-        wl.commit(&mut y);
-        stats = stats.then(&follow);
-    }
+        });
+    let (mut y, stats) =
+        resolve_staged(dev, followup, ctas, (n, f), (stage_base, y_base), main_stats);
 
     // Post-reduction scaling pass (ablation placement).
     if scaling == ScalePlacement::PostReduction {

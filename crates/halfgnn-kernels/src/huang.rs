@@ -8,12 +8,14 @@
 //! compromise §6.3.3 notes), vectorizes the feature loads with half2,
 //! handles the odd-offset alignment problem by starting the edge-feature
 //! fetch one position earlier, and replaces atomics with the
-//! staging-buffer protocol.
+//! staging-buffer protocol. Those are exactly the changes HalfGNN's own
+//! vertex-parallel SpMM makes, so the adaptation runs its body
+//! ([`crate::halfgnn_spmm::spmm_vertex_parallel`]) without scaling, at
+//! this module's group size and under this module's kernel names.
 
-use crate::common::launch;
-use crate::common::EdgeWeights;
+use crate::common::{launch, neighbor_groups, EdgeWeights, ScalePlacement};
+use crate::halfgnn_spmm::{vertex_parallel, Grouped};
 use halfgnn_graph::Csr;
-use halfgnn_half::intrinsics::{hadd, hmul};
 use halfgnn_half::Half;
 use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
@@ -22,26 +24,6 @@ use halfgnn_sim::{AtomicKind, DeviceConfig, KernelStats};
 /// Neighbor-group size (the original's choice, kept in §6.3.3).
 const GROUP: usize = 32;
 const WARPS_PER_CTA: usize = 4;
-
-/// One warp's work item: `(row, edge_offset, len)`.
-fn build_groups(csr: &Csr) -> Vec<(u32, usize, usize)> {
-    build_groups_of(csr, GROUP)
-}
-
-fn build_groups_of(csr: &Csr, group: usize) -> Vec<(u32, usize, usize)> {
-    let mut groups = Vec::new();
-    for r in 0..csr.num_rows() {
-        let start = csr.offsets()[r];
-        let end = csr.offsets()[r + 1];
-        let mut off = start;
-        while off < end {
-            let len = (end - off).min(group);
-            groups.push((r as u32, off, len));
-            off += len;
-        }
-    }
-    groups
-}
 
 /// Huang-float SpMM: `f32` loads and arithmetic, atomic combine for
 /// multi-group rows.
@@ -54,7 +36,7 @@ pub fn spmm_float(
 ) -> (Vec<f32>, KernelStats) {
     assert_eq!(x.len(), csr.num_cols() * f, "X shape mismatch");
     let n = csr.num_rows();
-    let groups = build_groups(csr);
+    let groups = neighbor_groups(csr, (0, n), GROUP);
     let num_ctas = groups.len().div_ceil(WARPS_PER_CTA).max(1);
 
     let mut space = AddrSpace::new();
@@ -120,119 +102,8 @@ pub fn spmm_half2(
     x: &[Half],
     f: usize,
 ) -> (Vec<Half>, KernelStats) {
-    assert_eq!(x.len(), csr.num_cols() * f, "X shape mismatch");
-    assert!(f.is_multiple_of(2), "feature length must be half2-padded");
-    let _site = halfgnn_half::overflow::site("huang_f16x2_spmm");
-    let n = csr.num_rows();
-    let groups = build_groups(csr);
-    let num_ctas = groups.len().div_ceil(WARPS_PER_CTA).max(1);
-
-    let mut space = AddrSpace::new();
-    let cols_base = space.alloc(csr.nnz(), 4);
-    let w_base = space.alloc(csr.nnz(), 2);
-    let x_base = space.alloc(x.len(), 2);
-    let y_base = space.alloc(n * f, 2);
-    let stage_base = space.alloc(groups.len() * (f + 2), 2);
-
-    struct Staged {
-        row: u32,
-        vals: Vec<Half>,
-    }
-
-    let (cta_outs, main_stats) = launch(
-        dev,
-        "huang_f16x2_spmm",
-        LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA },
-        |cta| {
-            let mut writes: WriteList<Half> = WriteList::new();
-            let mut staged: Vec<Staged> = Vec::new();
-            for wi in 0..WARPS_PER_CTA {
-                let gi = cta.id * WARPS_PER_CTA + wi;
-                let Some(&(row, off, len)) = groups.get(gi) else { break };
-                let mut warp = cta.warp(wi);
-                warp.load_contiguous(cols_base + off as u64 * 4, len, 4);
-                if !w.is_ones() {
-                    // Odd-offset alignment fix: fetch from one position
-                    // earlier so the pointer stays half2-castable (§5.4).
-                    let aligned = off & !1;
-                    let padded = (off - aligned + len).div_ceil(2) * 2;
-                    warp.load_contiguous(w_base + aligned as u64 * 2, padded / 2, 4);
-                    warp.half2_ops((len as u64).div_ceil(32)); // mirroring
-                }
-                let cols = &csr.cols()[off..off + len];
-                warp.load_feature_rows(
-                    cols.iter().map(|&c| x_base + c as u64 * (f as u64 * 2)),
-                    f * 2,
-                    4,
-                );
-                warp.half2_ops((len as u64 * (f as u64 / 2)).div_ceil(32));
-
-                let mut acc = vec![Half::ZERO; f];
-                for (k, &c) in cols.iter().enumerate() {
-                    let wv = w.get(off + k);
-                    for (a, &xv) in acc.iter_mut().zip(&x[c as usize * f..(c as usize + 1) * f]) {
-                        *a = hadd(*a, hmul(wv, xv));
-                    }
-                }
-                let single_group = csr.degree(row) as usize <= GROUP;
-                if single_group {
-                    warp.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
-                    writes.assign(row as usize * f, acc);
-                } else {
-                    warp.store_contiguous(stage_base + gi as u64 * (f as u64 + 2), f / 2 + 1, 4);
-                    staged.push(Staged { row, vals: acc });
-                }
-            }
-            (writes, staged)
-        },
-    );
-
-    let mut y = vec![Half::ZERO; n * f];
-    let mut staged_all: Vec<Staged> = Vec::new();
-    let mut writes = Vec::new();
-    for (wl, st) in cta_outs {
-        writes.push(wl);
-        staged_all.extend(st);
-    }
-    commit_all(writes, &mut y);
-
-    let mut stats = main_stats;
-    if !staged_all.is_empty() {
-        let entries = staged_all.len();
-        let (_, follow) = launch(
-            dev,
-            "huang_followup",
-            LaunchParams { num_ctas: entries.div_ceil(8).max(1), warps_per_cta: 1 },
-            |cta| {
-                let lo = cta.id * 8;
-                let hi = ((cta.id + 1) * 8).min(entries);
-                let mut warp = cta.warp(0);
-                for _ in lo..hi {
-                    warp.load_contiguous(stage_base, f / 2 + 1, 4);
-                    warp.half2_ops(((f / 2) as u64).div_ceil(32));
-                    warp.store_contiguous(y_base, f / 2, 4);
-                }
-            },
-        );
-        // Groups of one row are adjacent in `staged_all` (group order).
-        let mut it = staged_all.into_iter();
-        let mut cur = it.next().expect("non-empty");
-        let mut wl: WriteList<Half> = WriteList::new();
-        for s in it {
-            if s.row == cur.row {
-                for (a, b) in cur.vals.iter_mut().zip(&s.vals) {
-                    *a = hadd(*a, *b);
-                }
-            } else {
-                wl.assign(cur.row as usize * f, std::mem::take(&mut cur.vals));
-                cur = s;
-            }
-        }
-        wl.assign(cur.row as usize * f, cur.vals);
-        wl.commit(&mut y);
-        stats = stats.then(&follow);
-    }
-    (y, stats)
+    let kernel = Grouped { group: GROUP, name: "huang_f16x2_spmm", followup: "huang_followup" };
+    vertex_parallel(dev, csr, w, x, f, None, ScalePlacement::None, (0, csr.num_rows()), kernel)
 }
 
 /// The §6.3.3 follow-up: Huang-half2 with 64-neighbor groups, so the
@@ -247,125 +118,9 @@ pub fn spmm_half2_g64(
     x: &[Half],
     f: usize,
 ) -> (Vec<Half>, KernelStats) {
-    spmm_half2_grouped(dev, csr, w, x, f, 64)
-}
-
-fn spmm_half2_grouped(
-    dev: &DeviceConfig,
-    csr: &Csr,
-    w: EdgeWeights,
-    x: &[Half],
-    f: usize,
-    group: usize,
-) -> (Vec<Half>, KernelStats) {
-    assert_eq!(x.len(), csr.num_cols() * f, "X shape mismatch");
-    assert!(f.is_multiple_of(2), "feature length must be half2-padded");
-    let n = csr.num_rows();
-    let groups = build_groups_of(csr, group);
-    let num_ctas = groups.len().div_ceil(WARPS_PER_CTA).max(1);
-
-    let mut space = AddrSpace::new();
-    let cols_base = space.alloc(csr.nnz(), 4);
-    let w_base = space.alloc(csr.nnz(), 2);
-    let x_base = space.alloc(x.len(), 2);
-    let y_base = space.alloc(n * f, 2);
-    let stage_base = space.alloc(groups.len() * (f + 2), 2);
-
-    struct Staged {
-        row: u32,
-        vals: Vec<Half>,
-    }
-
-    let (cta_outs, main_stats) = launch(
-        dev,
-        "huang_f16x2_g64_spmm",
-        LaunchParams { num_ctas, warps_per_cta: WARPS_PER_CTA },
-        |cta| {
-            let mut writes: WriteList<Half> = WriteList::new();
-            let mut staged: Vec<Staged> = Vec::new();
-            for wi in 0..WARPS_PER_CTA {
-                let gi = cta.id * WARPS_PER_CTA + wi;
-                let Some(&(row, off, len)) = groups.get(gi) else { break };
-                let mut warp = cta.warp(wi);
-                warp.load_contiguous(cols_base + off as u64 * 4, len, 4);
-                if !w.is_ones() {
-                    let aligned = off & !1;
-                    let padded = (off - aligned + len).div_ceil(2) * 2;
-                    warp.load_contiguous(w_base + aligned as u64 * 2, padded / 2, 4);
-                    warp.half2_ops((len as u64).div_ceil(32));
-                }
-                let cols = &csr.cols()[off..off + len];
-                warp.load_feature_rows(
-                    cols.iter().map(|&c| x_base + c as u64 * (f as u64 * 2)),
-                    f * 2,
-                    4,
-                );
-                warp.half2_ops((len as u64 * (f as u64 / 2)).div_ceil(32));
-
-                let mut acc = vec![Half::ZERO; f];
-                for (k, &c) in cols.iter().enumerate() {
-                    let wv = w.get(off + k);
-                    for (a, &xv) in acc.iter_mut().zip(&x[c as usize * f..(c as usize + 1) * f]) {
-                        *a = hadd(*a, hmul(wv, xv));
-                    }
-                }
-                if csr.degree(row) as usize <= group {
-                    warp.store_contiguous(y_base + row as u64 * (f as u64 * 2), f / 2, 4);
-                    writes.assign(row as usize * f, acc);
-                } else {
-                    warp.store_contiguous(stage_base + gi as u64 * (f as u64 + 2), f / 2 + 1, 4);
-                    staged.push(Staged { row, vals: acc });
-                }
-            }
-            (writes, staged)
-        },
-    );
-
-    let mut y = vec![Half::ZERO; n * f];
-    let mut staged_all: Vec<Staged> = Vec::new();
-    let mut writes = Vec::new();
-    for (wl, st) in cta_outs {
-        writes.push(wl);
-        staged_all.extend(st);
-    }
-    commit_all(writes, &mut y);
-
-    let mut stats = main_stats;
-    if !staged_all.is_empty() {
-        let entries = staged_all.len();
-        let (_, follow) = launch(
-            dev,
-            "huang_g64_followup",
-            LaunchParams { num_ctas: entries.div_ceil(8).max(1), warps_per_cta: 1 },
-            |cta| {
-                let lo = cta.id * 8;
-                let hi = ((cta.id + 1) * 8).min(entries);
-                let mut warp = cta.warp(0);
-                for _ in lo..hi {
-                    warp.load_contiguous(stage_base, f / 2 + 1, 4);
-                    warp.half2_ops(((f / 2) as u64).div_ceil(32));
-                    warp.store_contiguous(y_base, f / 2, 4);
-                }
-            },
-        );
-        let mut it = staged_all.into_iter();
-        let mut cur = it.next().expect("non-empty");
-        let mut wl: WriteList<Half> = WriteList::new();
-        for s in it {
-            if s.row == cur.row {
-                for (a, b) in cur.vals.iter_mut().zip(&s.vals) {
-                    *a = hadd(*a, *b);
-                }
-            } else {
-                wl.assign(cur.row as usize * f, std::mem::take(&mut cur.vals));
-                cur = s;
-            }
-        }
-        wl.assign(cur.row as usize * f, cur.vals);
-        wl.commit(&mut y);
-        stats = stats.then(&follow);
-    }
-    (y, stats)
+    let kernel =
+        Grouped { group: 64, name: "huang_f16x2_g64_spmm", followup: "huang_g64_followup" };
+    vertex_parallel(dev, csr, w, x, f, None, ScalePlacement::None, (0, csr.num_rows()), kernel)
 }
 
 #[cfg(test)]
@@ -387,20 +142,6 @@ mod tests {
     fn skewed_graph(seed: u64) -> Csr {
         let edges = gen::preferential_attachment(1_500, 8, seed);
         Csr::from_edges(1_500, 1_500, &edges).symmetrized_with_self_loops()
-    }
-
-    #[test]
-    fn groups_partition_every_row() {
-        let csr = skewed_graph(1);
-        let groups = build_groups(&csr);
-        let mut covered = vec![0usize; csr.num_rows()];
-        for &(r, _, len) in &groups {
-            assert!(len <= GROUP && len > 0);
-            covered[r as usize] += len;
-        }
-        for (r, &cov) in covered.iter().enumerate() {
-            assert_eq!(cov, csr.degree(r as u32) as usize, "row {r}");
-        }
     }
 
     #[test]

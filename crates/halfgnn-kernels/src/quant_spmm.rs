@@ -31,13 +31,12 @@
 //! The modeled memory win over f16: feature rows and edge weights move
 //! 1 byte/element instead of 2, halving the dominant traffic term again.
 
-use crate::common::launch;
 use crate::common::{count_nonfinite, EdgeWeights, Tiling};
+use crate::common::{launch, neighbor_groups, resolve_staged};
 use halfgnn_graph::Csr;
-use halfgnn_half::intrinsics::hadd;
 use halfgnn_half::slice::convert_half_to_f32_into;
 use halfgnn_half::{overflow, quant, Half};
-use halfgnn_sim::launch::{commit_all, LaunchParams, WriteList};
+use halfgnn_sim::launch::{LaunchParams, WriteList};
 use halfgnn_sim::memory::AddrSpace;
 use halfgnn_sim::{DeviceConfig, KernelStats};
 
@@ -140,17 +139,7 @@ pub fn spmm_i8_window(
     let epr = exps_per_row(f);
     quant::credit(sat);
 
-    // Neighbor groups: (row, offset, len), never crossing a row.
-    let mut groups: Vec<(u32, usize, usize)> = Vec::new();
-    for r in r0..r1 {
-        let (start, end) = (csr.offsets()[r], csr.offsets()[r + 1]);
-        let mut off = start;
-        while off < end {
-            let len = (end - off).min(group);
-            groups.push((r as u32, off, len));
-            off += len;
-        }
-    }
+    let groups = neighbor_groups(csr, row_window, group);
     let num_ctas = groups.len().div_ceil(warps_per_cta).max(1);
 
     let mut space = AddrSpace::new();
@@ -163,14 +152,14 @@ pub fn spmm_i8_window(
     let scale_of = |r: u32| -> Half { row_scale.map_or(Half::ONE, |s| s[r as usize]) };
     let exp2 = |e: i32| -> f32 { (2.0f32).powi(e) };
 
-    let (cta_outs, main_stats) = launch(
+    let (ctas, main_stats) = launch(
         dev,
         if qw.is_none() { "spmm_i8v" } else { "spmm_i8ve" },
         LaunchParams { num_ctas, warps_per_cta },
         |cta| {
             let cta_id = cta.id;
-            let mut writes: WriteList<Half> = WriteList::new();
-            let mut staged: Vec<(u32, Vec<Half>)> = Vec::new();
+            let mut writes = WriteList::new();
+            let mut staged = Vec::new();
             for wi in 0..warps_per_cta {
                 let gi = cta_id * warps_per_cta + wi;
                 let Some(&(row, off, len)) = groups.get(gi) else { break };
@@ -226,52 +215,7 @@ pub fn spmm_i8_window(
         },
     );
 
-    let mut y = vec![Half::ZERO; n * f];
-    let mut staged_all: Vec<(u32, Vec<Half>)> = Vec::new();
-    let mut writes = Vec::new();
-    for (wl, st) in cta_outs {
-        writes.push(wl);
-        staged_all.extend(st);
-    }
-    commit_all(writes, &mut y);
-
-    let mut stats = main_stats;
-    if !staged_all.is_empty() {
-        let entries = staged_all.len();
-        let (_, follow) = launch(
-            dev,
-            "spmm_i8_followup",
-            LaunchParams { num_ctas: entries.div_ceil(8).max(1), warps_per_cta: 1 },
-            |cta| {
-                let lo = cta.id * 8;
-                let hi = ((cta.id + 1) * 8).min(entries);
-                let mut warp = cta.warp(0);
-                for _ in lo..hi {
-                    warp.load_contiguous(stage_base, f / 2 + 1, 4);
-                    warp.half2_ops(((f / 2) as u64).div_ceil(32));
-                    warp.store_contiguous(y_base, f / 2, 4);
-                }
-            },
-        );
-        let mut it = staged_all.into_iter();
-        let (mut cur_row, mut cur_vals) = it.next().expect("non-empty");
-        let mut wl: WriteList<Half> = WriteList::new();
-        for (r, vals) in it {
-            if r == cur_row {
-                for (a, b) in cur_vals.iter_mut().zip(&vals) {
-                    *a = hadd(*a, *b);
-                }
-            } else {
-                wl.assign(cur_row as usize * f, std::mem::take(&mut cur_vals));
-                cur_row = r;
-                cur_vals = vals;
-            }
-        }
-        wl.assign(cur_row as usize * f, cur_vals);
-        wl.commit(&mut y);
-        stats = stats.then(&follow);
-    }
-    (y, stats)
+    resolve_staged(dev, "spmm_i8_followup", ctas, (n, f), (stage_base, y_base), main_stats)
 }
 
 #[cfg(test)]

@@ -70,11 +70,6 @@ impl WarpCounters {
         self.sectors_loaded + self.sectors_stored
     }
 
-    /// Total compute instructions (all precisions + conversions).
-    pub fn compute_instrs(&self) -> u64 {
-        self.float_ops + self.half_ops + self.half2_ops + self.convert_ops
-    }
-
     /// Cycles this warp spends doing useful, pipelined work: the larger of
     /// its compute stream and its memory-throughput stream (they overlap).
     pub fn warp_busy_cycles(&self, dev: &DeviceConfig) -> f64 {

@@ -63,11 +63,6 @@ impl<'d> Cta<'d> {
         }
     }
 
-    /// Number of warps in this CTA.
-    pub fn num_warps(&self) -> usize {
-        self.warp_counters.len()
-    }
-
     /// Charging handle for warp `w`.
     pub fn warp(&mut self, w: usize) -> WarpCtx<'_> {
         WarpCtx::new(&mut self.warp_counters[w], self.dev, &mut self.scratch, self.live)
@@ -178,6 +173,30 @@ where
         total_sum,
     );
     (results, stats)
+}
+
+/// Log a launch whose CTAs only charge. Under [`ExecMode::Sim`] it runs,
+/// and its charges are the modeled clock; under [`ExecMode::Fast`], where
+/// charging is off and its CTAs would do nothing, it is logged with the
+/// same name and grid and zero time, without entering the pool.
+pub fn charge_only<F>(
+    dev: &DeviceConfig,
+    name: &str,
+    params: LaunchParams,
+    kernel: F,
+) -> KernelStats
+where
+    F: Fn(&mut Cta) + Sync,
+{
+    match dev.exec {
+        ExecMode::Sim => launch(dev, name, params, kernel).1,
+        ExecMode::Fast { .. } => KernelStats::wallclock(
+            name,
+            params.num_ctas,
+            params.warps_per_cta,
+            std::time::Duration::ZERO,
+        ),
+    }
 }
 
 /// A deferred write set: `(start, values)` range-assignments plus
@@ -322,6 +341,29 @@ mod tests {
             s.cycles
         };
         assert!(run(true) > run(false));
+    }
+
+    #[test]
+    fn a_charge_only_launch_runs_under_sim_and_is_logged_under_fast() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let params = LaunchParams { num_ctas: 5, warps_per_cta: 3 };
+        let ran = AtomicUsize::new(0);
+        let kernel = |cta: &mut Cta| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            cta.warp(cta.id % 3).half2_ops(7);
+        };
+        let dev = DeviceConfig::tiny();
+        let sim = charge_only(&dev, "k", params, kernel);
+        let (_, want) = launch(&dev, "k", params, kernel);
+        assert_eq!(ran.swap(0, Ordering::Relaxed), 10, "Sim runs every CTA");
+        assert_eq!(format!("{sim:?}"), format!("{want:?}"));
+        for threads in [1, 2] {
+            let fast = dev.clone().with_exec(ExecMode::fast_with_threads(threads));
+            let s = charge_only(&fast, "k", params, kernel);
+            assert_eq!(ran.load(Ordering::Relaxed), 0, "Fast runs no CTA");
+            assert_eq!((s.name.as_str(), s.num_ctas, s.warps_per_cta, s.launches), ("k", 5, 3, 1));
+            assert_eq!((s.cycles, s.time_us), (0.0, 0.0));
+        }
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use interconnect::{
     CommEvent, CommsLedger, Interconnect, LinkStat, OverlapTimeline, Topology, TrafficClass,
 };
 pub use latency::{latency_stats, synth_trace, LatencyStats, Request, RequestTiming, TraceConfig};
-pub use launch::{launch, Cta, LaunchParams};
+pub use launch::{charge_only, launch, Cta, LaunchParams};
 pub use warp::{AtomicKind, WarpCtx};

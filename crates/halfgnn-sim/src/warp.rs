@@ -8,7 +8,7 @@
 
 use crate::config::DeviceConfig;
 use crate::counters::WarpCounters;
-use crate::memory::{sectors_contiguous, sectors_gather};
+use crate::memory::sectors_contiguous;
 
 /// Atomic operand width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,11 +40,6 @@ impl<'a> WarpCtx<'a> {
         live: bool,
     ) -> WarpCtx<'a> {
         WarpCtx { counters, dev, scratch, live }
-    }
-
-    /// The device this warp runs on.
-    pub fn device(&self) -> &DeviceConfig {
-        self.dev
     }
 
     /// Report `n` non-finite (INF/NaN) values observed in this warp's
@@ -102,17 +97,6 @@ impl<'a> WarpCtx<'a> {
         self.counters.useful_bytes_loaded += n * elem_bytes as u64;
     }
 
-    /// All threads read the same address (broadcast: one sector).
-    pub fn load_broadcast(&mut self, addr: u64, elem_bytes: usize) {
-        if !self.live {
-            return;
-        }
-        self.counters.load_instrs += 1;
-        self.counters.sectors_loaded +=
-            sectors_contiguous(addr, elem_bytes as u64, self.dev.sector_bytes);
-        self.counters.useful_bytes_loaded += elem_bytes as u64;
-    }
-
     /// Coalesced store of `count` contiguous elements.
     pub fn store_contiguous(&mut self, base: u64, count: usize, elem_bytes: usize) {
         if !self.live {
@@ -125,32 +109,6 @@ impl<'a> WarpCtx<'a> {
         self.counters.store_instrs += count.div_ceil(self.dev.warp_size) as u64;
         self.counters.sectors_stored += sectors_contiguous(base, bytes, self.dev.sector_bytes);
         self.counters.useful_bytes_stored += bytes;
-    }
-
-    /// Scattered store at arbitrary addresses.
-    pub fn store_gather(&mut self, addrs: impl IntoIterator<Item = u64>, elem_bytes: usize) {
-        if !self.live {
-            return;
-        }
-        let mut collected = std::mem::take(self.scratch);
-        let n = {
-            let it = addrs.into_iter();
-            collected.clear();
-            let mut n = 0u64;
-            for a in it {
-                n += 1;
-                collected.push(a / self.dev.sector_bytes);
-            }
-            n
-        };
-        collected.sort_unstable();
-        collected.dedup();
-        self.counters.sectors_stored += collected.len() as u64;
-        *self.scratch = collected;
-        if n > 0 {
-            self.counters.store_instrs += n.div_ceil(self.dev.warp_size as u64);
-            self.counters.useful_bytes_stored += n * elem_bytes as u64;
-        }
     }
 
     /// Feature-parallel load of several feature rows, `row_bytes` each,
@@ -272,13 +230,6 @@ impl<'a> WarpCtx<'a> {
     }
 }
 
-/// Standalone sector count helper re-exported for kernels that precompute
-/// traffic outside a warp context.
-pub fn gather_sectors(addrs: impl IntoIterator<Item = u64>, elem_bytes: u64) -> u64 {
-    let mut scratch = Vec::new();
-    sectors_gather(addrs, elem_bytes, 32, &mut scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,12 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_is_cheap() {
-        let c = ctx_run(|w| w.load_broadcast(1234, 4));
-        assert_eq!(c.sectors_loaded, 1);
-    }
-
-    #[test]
     fn stores_and_ops_accumulate() {
         let c = ctx_run(|w| {
             w.store_contiguous(256, 64, 2);
@@ -387,13 +332,5 @@ mod tests {
         }
         assert!(!consumed, "dead charging must not consume lazy address iterators");
         assert_eq!(c, WarpCounters::default());
-    }
-
-    #[test]
-    fn store_gather_dedups_sectors() {
-        let c = ctx_run(|w| w.store_gather(vec![0u64, 2, 4, 6], 2));
-        assert_eq!(c.sectors_stored, 1);
-        assert_eq!(c.store_instrs, 1);
-        assert_eq!(c.useful_bytes_stored, 8);
     }
 }

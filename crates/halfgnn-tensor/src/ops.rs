@@ -19,9 +19,8 @@ use crate::gemm::magnitude;
 use halfgnn_exec::{buf_ref, BufRef, ExecCtx};
 use halfgnn_half::slice::{f32_slice_to_half, half_slice_to_f32};
 use halfgnn_half::{Half, Scalar};
-use halfgnn_sim::launch::{launch, Cta, LaunchParams};
-use halfgnn_sim::{DeviceConfig, ExecMode, KernelStats};
-use std::time::Duration;
+use halfgnn_sim::launch::{charge_only, Cta, LaunchParams};
+use halfgnn_sim::{DeviceConfig, KernelStats};
 
 /// Execution context: device, kernel log, conversion counters.
 pub struct Ops<'d> {
@@ -156,17 +155,11 @@ impl<'d> Ops<'d> {
     }
 
     /// Log a launch of `num_ctas` four-warp CTAs whose kernel only
-    /// charges. Under `ExecMode::Sim` it runs, and its charges are the
-    /// modeled clock; under `ExecMode::Fast`, where charging is off and
-    /// its CTAs would do nothing, it is logged without running.
+    /// charges ([`charge_only`]: run under `ExecMode::Sim`, logged without
+    /// running under `ExecMode::Fast`).
     fn charge(&mut self, name: &str, num_ctas: usize, kernel: impl Fn(&mut Cta) + Sync) {
-        let stats = match self.dev.exec {
-            ExecMode::Sim => {
-                launch(self.dev, name, LaunchParams { num_ctas, warps_per_cta: 4 }, kernel).1
-            }
-            ExecMode::Fast { .. } => KernelStats::wallclock(name, num_ctas, 4, Duration::ZERO),
-        };
-        self.record(stats);
+        let params = LaunchParams { num_ctas, warps_per_cta: 4 };
+        self.record(charge_only(self.dev, name, params, kernel));
     }
 
     /// Divide a gradient tensor by the loss scale (no-op at scale 1).

@@ -72,6 +72,9 @@ const SAMPLE_THRESHOLD_NNZ: usize = 150_000;
 /// vetted with the same nonlinearity the dispatch will run.
 const ATTN_SLOPE: f32 = 0.2;
 
+/// Seed of the sampled evaluation graph and the candidates' inputs.
+const EVAL_SEED: u64 = 0x7A1F;
+
 /// Cost-model-driven kernel autotuner.
 pub struct Tuner {
     dev: DeviceConfig,
@@ -79,7 +82,6 @@ pub struct Tuner {
     cache_path: Option<PathBuf>,
     sample_threshold: usize,
     tol: Tolerance,
-    seed: u64,
     shards: usize,
     partition: PartitionStrategy,
 }
@@ -97,7 +99,6 @@ impl Tuner {
             cache_path: None,
             sample_threshold: SAMPLE_THRESHOLD_NNZ,
             tol: Tolerance::half_default(),
-            seed: 0x7A1F,
             shards: 1,
             partition: PartitionStrategy::Contiguous,
         }
@@ -117,12 +118,6 @@ impl Tuner {
     /// the sampling path).
     pub fn with_sample_threshold(mut self, nnz: usize) -> Tuner {
         self.sample_threshold = nnz;
-        self
-    }
-
-    /// Override the evaluation seed.
-    pub fn with_seed(mut self, seed: u64) -> Tuner {
-        self.seed = seed;
         self
     }
 
@@ -151,11 +146,6 @@ impl Tuner {
     /// Number of cached plans.
     pub fn cache_len(&self) -> usize {
         self.cache.borrow().len()
-    }
-
-    /// Serialized cache (for reporting).
-    pub fn cache_json(&self) -> String {
-        self.cache.borrow().to_json()
     }
 
     // -----------------------------------------------------------------
@@ -331,8 +321,8 @@ impl Tuner {
         scaling: ScalePlacement,
         plan: &SpmmPlan,
     ) -> Result<f64, Rejection> {
-        let x = eval.features(self.seed ^ 1, eval.coo.num_cols() * f);
-        let weights = weighted.then(|| eval.features(self.seed ^ 2, eval.coo.nnz()));
+        let x = eval.features(EVAL_SEED ^ 1, eval.coo.num_cols() * f);
+        let weights = weighted.then(|| eval.features(EVAL_SEED ^ 2, eval.coo.nnz()));
         let w = weights.as_deref().map_or(EdgeWeights::Ones, EdgeWeights::Values);
         let row_scale =
             (scaling != ScalePlacement::None).then(|| row_scales_mean(&eval.coo.degrees()));
@@ -385,8 +375,8 @@ impl Tuner {
         seed: u64,
         plan: &SpmmPlan,
     ) -> Result<f64, Rejection> {
-        let x = eval.features(self.seed ^ 1, eval.coo.num_cols() * f);
-        let weights = weighted.then(|| eval.features(self.seed ^ 2, eval.coo.nnz()));
+        let x = eval.features(EVAL_SEED ^ 1, eval.coo.num_cols() * f);
+        let weights = weighted.then(|| eval.features(EVAL_SEED ^ 2, eval.coo.nnz()));
         let w = weights.as_deref().map_or(EdgeWeights::Ones, EdgeWeights::Values);
         let row_scale = row_scales_mean(&eval.csr.degrees());
         let tiling =
@@ -425,8 +415,8 @@ impl Tuner {
     }
 
     fn vet_sddmm_on(&self, eval: &EvalGraph, f: usize, plan: &SddmmPlan) -> Result<f64, Rejection> {
-        let u = eval.features(self.seed ^ 3, eval.coo.num_rows() * f);
-        let v = eval.features(self.seed ^ 4, eval.coo.num_cols() * f);
+        let u = eval.features(EVAL_SEED ^ 3, eval.coo.num_rows() * f);
+        let v = eval.features(EVAL_SEED ^ 4, eval.coo.num_cols() * f);
         let ((got, stats), summary) = overflow::isolated(|| {
             sddmm_with_config(&self.dev, &eval.coo, &u, &v, f, &plan.to_sddmm_config())
         });
@@ -454,9 +444,9 @@ impl Tuner {
     }
 
     fn vet_attn_on(&self, eval: &EvalGraph, f: usize, plan: &AttnPlan) -> Result<f64, Rejection> {
-        let s_row = eval.features(self.seed ^ 5, eval.coo.num_rows());
-        let s_col = eval.features(self.seed ^ 6, eval.coo.num_cols());
-        let z = eval.features(self.seed ^ 7, eval.coo.num_cols() * f);
+        let s_row = eval.features(EVAL_SEED ^ 5, eval.coo.num_rows());
+        let s_col = eval.features(EVAL_SEED ^ 6, eval.coo.num_cols());
+        let z = eval.features(EVAL_SEED ^ 7, eval.coo.num_cols() * f);
         if plan.fused {
             let ((_, stats, report), summary) = overflow::isolated(|| {
                 oracle::check_fused_attn_forward(
@@ -538,7 +528,7 @@ struct EvalGraph {
 
 impl EvalGraph {
     fn build(t: &Tuner, csr: &Csr) -> EvalGraph {
-        let coo = stratified_sample(csr, t.sample_threshold, t.seed);
+        let coo = stratified_sample(csr, t.sample_threshold, EVAL_SEED);
         let csr = Csr::from_coo(&coo);
         EvalGraph { coo, csr }
     }
